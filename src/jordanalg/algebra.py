@@ -11,6 +11,7 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -455,39 +456,52 @@ def matrix_algebra(n: int) -> Algebra:
     return Algebra(labels, tuple(tuple(row) for row in table))
 
 
-def parse_linear_combination(a: Algebra, text: str) -> Vector:
-    """Parse '[c] label [+/- [c] label ...]' with rational coefficients c."""
+_RATIONAL_LITERAL = re.compile(r"[0-9]+(/[0-9]+)?")
+
+
+def parse_terms(text: str) -> list[tuple[Fraction, str]]:
+    """Split '[c] label [+/- [c] label ...]' into (coefficient, label) terms,
+    c a rational literal such as 3 or 1/2 (default 1).
+
+    Malformed text raises AlgebraError with a bare message; callers say
+    where the text came from.
+    """
     tokens = text.replace("+", " + ").replace("-", " - ").split()
-    v = [ZERO] * a.dim
+    terms: list[tuple[Fraction, str]] = []
     sign = ONE
     coeff: Optional[Fraction] = None
     expecting_term = True
     for tok in tokens:
-        if tok == "+":
-            if expecting_term and coeff is not None:
-                raise AlgebraError(f"dangling coefficient in {text!r}")
-            sign, coeff, expecting_term = ONE, None, True
-        elif tok == "-":
-            if expecting_term:
-                sign = -sign
-            else:
-                sign, coeff, expecting_term = -ONE, None, True
-        elif _is_rational_literal(tok):
+        if tok in ("+", "-"):
             if coeff is not None:
-                raise AlgebraError(f"two coefficients in a row in {text!r}")
+                raise AlgebraError("dangling coefficient")
+            if tok == "-":
+                sign = -sign
+            expecting_term = True
+        elif _RATIONAL_LITERAL.fullmatch(tok):
+            if coeff is not None:
+                raise AlgebraError("two coefficients in a row")
+            den = tok.partition("/")[2]
+            if den and int(den) == 0:
+                raise AlgebraError("zero denominator")
             coeff = Fraction(tok)
+        elif not expecting_term:
+            raise AlgebraError("missing operator")
         else:
-            i = a.label_index(tok)
-            v[i] += sign * (coeff if coeff is not None else ONE)
+            terms.append((sign * (coeff if coeff is not None else ONE), tok))
             sign, coeff, expecting_term = ONE, None, False
     if expecting_term or coeff is not None:
-        raise AlgebraError(f"trailing operator or coefficient in {text!r}")
+        raise AlgebraError("trailing operator or coefficient")
+    return terms
+
+
+def parse_linear_combination(a: Algebra, text: str) -> Vector:
+    """Parse '[c] label [+/- [c] label ...]' with rational coefficients c."""
+    try:
+        terms = parse_terms(text)
+    except AlgebraError as exc:
+        raise AlgebraError(f"{exc} in {text!r}") from None
+    v = [ZERO] * a.dim
+    for c, label in terms:
+        v[a.label_index(label)] += c
     return tuple(v)
-
-
-def _is_rational_literal(tok: str) -> bool:
-    body = tok[1:] if tok[:1] in "+-" else tok
-    if not body:
-        return False
-    num, _, den = body.partition("/")
-    return num.isdigit() and (den == "" or den.isdigit())

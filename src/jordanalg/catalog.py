@@ -33,11 +33,13 @@ from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
+    AlgebraError,
     commutativity_violation,
     direct_sum,
     find_identity,
     is_associative,
     jordan_violation,
+    parse_terms,
 )
 from .invariants import (
     annihilator,
@@ -49,7 +51,7 @@ from .invariants import (
     power_chain,
     radical,
 )
-from .ratlin import ONE, ZERO, zero_vec
+from .ratlin import ZERO, zero_vec
 
 
 class CatalogError(ValueError):
@@ -91,39 +93,6 @@ class CatalogEntry:
     products: tuple[tuple[str, str, tuple[tuple[Fraction, str], ...]], ...] = ()
     labels_override: Optional[tuple[str, ...]] = None
     expected: Expected = field(default_factory=Expected)
-
-
-def _parse_terms(text: str, line_no: int) -> list[tuple[Fraction, str]]:
-    tokens = text.replace("+", " + ").replace("-", " - ").split()
-    terms: list[tuple[Fraction, str]] = []
-    sign = ONE
-    coeff: Optional[Fraction] = None
-    expecting = True
-    for tok in tokens:
-        if tok == "+":
-            if expecting and coeff is not None:
-                raise CatalogParseError(line_no, "dangling coefficient")
-            sign, coeff, expecting = ONE, None, True
-        elif tok == "-":
-            if expecting:
-                sign = -sign
-            else:
-                sign, coeff, expecting = -ONE, None, True
-        elif _is_rational(tok):
-            if coeff is not None:
-                raise CatalogParseError(line_no, "two coefficients in a row")
-            coeff = Fraction(tok)
-        else:
-            terms.append((sign * (coeff if coeff is not None else ONE), tok))
-            sign, coeff, expecting = ONE, None, False
-    if expecting or coeff is not None:
-        raise CatalogParseError(line_no, "trailing operator or coefficient")
-    return terms
-
-
-def _is_rational(tok: str) -> bool:
-    num, _, den = tok.partition("/")
-    return num.isdigit() and (den == "" or den.isdigit())
 
 
 def parse_catalog(text: str) -> list[CatalogEntry]:
@@ -203,7 +172,10 @@ def _parse_body_line(current: dict, line: str, line_no: int) -> None:
         la, star, lb = lhs.strip().partition("*")
         if not star or not la.strip() or not lb.strip():
             raise CatalogParseError(line_no, "product line must look like li*lj = ...")
-        terms = tuple(_parse_terms(rhs.strip(), line_no))
+        try:
+            terms = tuple(parse_terms(rhs))
+        except AlgebraError as exc:
+            raise CatalogParseError(line_no, str(exc)) from None
         current["products"].append((la.strip(), lb.strip(), terms, line_no))
     else:
         raise CatalogParseError(line_no, f"unrecognized line {line!r}")
@@ -452,6 +424,8 @@ class EntryResult:
     computed_sq: int
     mismatches: list[str]
     deep_failures: list[str]
+    h2: Optional[int] = None  # computed by the deep checks when `expect h2` is set
+    b2: Optional[str] = None  # likewise for `expect b2`
 
     @property
     def fatal(self) -> bool:
@@ -516,6 +490,12 @@ class CatalogReport:
                     lines.append(f"  {name}: {d}")
             else:
                 lines.append("deep checks (h2 / b2 / radical type): all PASS")
+            lines.append("")
+            for r in self.results:
+                if r.h2 is not None:
+                    lines.append(f"H2({r.name})={r.h2}")
+                if r.b2 is not None:
+                    lines.append(f"embed-b2({r.name})={r.b2}")
         return "\n".join(lines)
 
     def summary_lines(self) -> list[str]:
@@ -581,8 +561,9 @@ def verify_entry(
                 if nt != exp.niltype:
                     mismatches.append(f"niltype: recorded {exp.niltype}, computed {nt}")
     deep_failures: list[str] = []
+    h2 = b2 = None
     if deep and jordan_ok:
-        deep_failures = _deep_checks(entry, a, env, budget)
+        deep_failures, h2, b2 = _deep_checks(entry, a, env, budget)
     return EntryResult(
         name=entry.name,
         dim=a.dim,
@@ -594,17 +575,21 @@ def verify_entry(
         computed_sq=sq,
         mismatches=mismatches,
         deep_failures=deep_failures,
+        h2=h2,
+        b2=b2,
     )
 
 
 def _deep_checks(
     entry: CatalogEntry, a: Algebra, env: dict[str, Algebra], budget: int
-) -> list[str]:
+) -> tuple[list[str], Optional[int], Optional[str]]:
+    """Deep-check failures, plus the h2 and b2 values the checks computed."""
     from .cohomology import cocycle_space
     from .polysolve import embeds_b2
 
     failures = []
     exp = entry.expected
+    h2 = b2 = None
     if exp.h2 is not None:
         h2 = cocycle_space(a).h2_dim
         if exp.h2 == "zero" and h2 != 0:
@@ -614,9 +599,9 @@ def _deep_checks(
         elif exp.h2.isdigit() and h2 != int(exp.h2):
             failures.append(f"h2: expected {exp.h2}, computed {h2}")
     if exp.b2 is not None:
-        got = embeds_b2(a, budget=budget).answer
-        if got != exp.b2:
-            failures.append(f"b2: expected {exp.b2}, computed {got}")
+        b2 = embeds_b2(a, budget=budget).answer
+        if b2 != exp.b2:
+            failures.append(f"b2: expected {exp.b2}, computed {b2}")
     if exp.radical_expr is not None:
         rad_alg = induced_algebra(a, radical(a))
         model = resolve_expr(exp.radical_expr, env)
@@ -624,7 +609,7 @@ def _deep_checks(
             failures.append(
                 f"radical: fingerprint differs from {' + '.join(exp.radical_expr)}"
             )
-    return failures
+    return failures, h2, b2
 
 
 def verify_catalog(

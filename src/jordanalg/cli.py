@@ -50,14 +50,10 @@ def _load_entries(directory: Optional[str]) -> list[cat.CatalogEntry]:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_env(entries) -> dict[str, Algebra]:
-    return cat.resolve_all(entries)
-
-
 def _lookup_named(name: str, directory: Optional[str]) -> tuple[str, Algebra]:
     """Resolve a catalog name, or the last entry of a catalog file."""
     entries = _load_entries(directory)
-    env = _resolve_env(entries)
+    env = cat.resolve_all(entries)
     if name in env:
         return name, env[name]
     p = Path(name)
@@ -75,35 +71,17 @@ def _lookup_named(name: str, directory: Optional[str]) -> tuple[str, Algebra]:
     raise UsageError(f"unknown algebra {name!r}")
 
 
-def _lookup(name: str, directory: Optional[str]) -> Algebra:
-    return _lookup_named(name, directory)[1]
-
-
 def cmd_verify(args) -> int:
     entries = _load_entries(args.dir)
     report = cat.verify_catalog(entries, deep=args.deep, budget=args.budget)
     print(report.text())
-    if args.deep:
-        _print_deep_values(entries, args.budget)
     if args.summary:
         Path(args.summary).write_text("\n".join(report.summary_lines()) + "\n")
     return 1 if report.fatal else 0
 
 
-def _print_deep_values(entries, budget: int) -> None:
-    env = _resolve_env(entries)
-    print()
-    for e in entries:
-        if e.expected.h2 is not None:
-            h2 = cocycle_space(env[e.name]).h2_dim
-            print(f"H2({e.name})={h2}")
-        if e.expected.b2 is not None:
-            res = embeds_b2(env[e.name], budget=budget)
-            print(f"embed-b2({e.name})={res.answer}")
-
-
 def cmd_invariants(args) -> int:
-    a = _lookup(args.name, args.dir)
+    _, a = _lookup_named(args.name, args.dir)
     pp = power_profile(a)
     rad = radical(a)
     rad_alg = induced_algebra(a, rad)
@@ -129,7 +107,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    a = _lookup(args.name, args.dir)
+    _, a = _lookup_named(args.name, args.dir)
     fp = fingerprint(a, with_b2=args.deep, budget=args.budget)
     print(f"{args.name} {fp.render()}")
     return 0
@@ -137,7 +115,7 @@ def cmd_fingerprint(args) -> int:
 
 def cmd_fingerprint_all(args) -> int:
     entries = _load_entries(args.dir)
-    env = _resolve_env(entries)
+    env = cat.resolve_all(entries)
     dim4 = [e.name for e in entries if env[e.name].dim == 4]
     fps: dict[str, Fingerprint] = {name: fingerprint(env[name]) for name in dim4}
     groups: dict[tuple, list[str]] = {}
@@ -170,8 +148,8 @@ def cmd_fingerprint_all(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    a = _lookup(args.a, args.dir)
-    b = _lookup(args.b, args.dir)
+    _, a = _lookup_named(args.a, args.dir)
+    _, b = _lookup_named(args.b, args.dir)
     fa, fb = fingerprint(a), fingerprint(b)
     msg = find_first_difference_message(fa, fb)
     if msg is None or msg.startswith("dim_h2"):
@@ -188,7 +166,7 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_peirce(args) -> int:
-    a = _lookup(args.name, args.dir)
+    _, a = _lookup_named(args.name, args.dir)
     try:
         e = parse_linear_combination(a, args.idempotent)
     except AlgebraError as exc:
@@ -217,14 +195,14 @@ def cmd_peirce(args) -> int:
 
 
 def cmd_h2(args) -> int:
-    a = _lookup(args.name, args.dir)
+    _, a = _lookup_named(args.name, args.dir)
     cs = cocycle_space(a)
     print(f"z2={cs.z2_dim} b2={cs.b2_dim} h2={cs.h2_dim}")
     return 0
 
 
 def cmd_embed_b2(args) -> int:
-    a = _lookup(args.name, args.dir)
+    _, a = _lookup_named(args.name, args.dir)
     res = embeds_b2(a, budget=args.budget)
     if res.witness is not None:
         e, y = res.witness

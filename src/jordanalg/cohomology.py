@@ -3,15 +3,28 @@
 A symmetric bilinear map h : J x J -> J is a 2-cocycle iff the split null
 extension J + M (M a copy of J with M*M = 0, products
 (x,u)(y,v) = (xy, xv + uy + h(x,y))) again satisfies the linearized Jordan
-identity.  Since the h = 0 extension is Jordan and the identity's defect is
-linear in h, the cocycles form the kernel of a linear system assembled over
-basis quadruples.  Coboundaries are the maps
-h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear mu, and
-h2 = dim Z2 - dim B2 counts extensions up to equivalence.
+identity (x, y, zw) + (w, y, zx) + (z, y, xw) = 0, ( , , ) the associator.
+Coboundaries are the maps h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear
+mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.
 
-The assembly runs on integer-scaled structure constants: every defect term
-carries exactly two structure-constant factors, so clearing denominators
-rescales all rows uniformly and leaves the kernel unchanged.
+On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
+
+    (xy) h(z,w) + (zw) h(x,y) + h(xy, zw) - x (y h(z,w)) - x h(y, zw) - h(x, y(zw)),
+
+linear in h, and its J-part is that of J, which vanishes.  The cocycles are
+the kernel of this operator summed over the three associator terms and over
+basis quadruples of J only: a quadruple with an argument in M has a defect
+independent of h (h enters only as the M-part of a product of two
+J-elements, and that M-part is then multiplied by a factor holding the
+argument in M, where M*M = 0), so it equals the defect of the h = 0
+extension, which is Jordan.
+`tests/test_cohomology.py::test_fast_assembly_matches_full_extension_scan`
+checks this against a scan of every quadruple of the doubled algebra.
+
+The rows are written on integer-scaled structure constants: every term of
+the operator carries exactly two structure-constant factors, and every term
+of a coboundary exactly one, so clearing denominators rescales each system
+uniformly and leaves kernels and ranks unchanged.
 """
 
 from __future__ import annotations
@@ -101,157 +114,76 @@ def coboundary(a: Algebra, mu: Matrix) -> SymGrid:
 # ---------------------------------------------------------------------------
 # linear system for the cocycle condition
 
-def _int_structure(a: Algebra) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-    """Denominator-cleared sparse structure constants: srow[i][j] = ((k, c), ...)."""
-    return a._int_structure
+def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
+    """Unknown count and integer rows of the cocycle condition.
 
-
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    pairs = {}
+    One row per basis quadruple (x, y, z, w) of J and coordinate m: the
+    M-part of the linearized identity there, as a form in the unknowns
+    h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`.
+    """
+    n = a.dim
+    _, srows = a._int_structure
+    base = [[0] * n for _ in range(n)]
+    nunk = 0
     for p in range(n):
         for q in range(p, n):
-            pairs[(p, q)] = len(pairs)
-    return pairs
+            base[p][q] = base[q][p] = nunk
+            nunk += n
+    unit = [((j, 1),) for j in range(n)]
 
-
-class _SymbolicPair:
-    """Extension element (const, sym): integer J-part plus M-part linear in h."""
-
-    __slots__ = ("const", "sym")
-
-    def __init__(self, const, sym):
-        self.const = const  # list[int], length n
-        self.sym = sym  # list[dict[int, int]], length n
-
-
-def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
-    """Unknown count and integer rows of the cocycle condition."""
-    n = a.dim
-    _, srows = _int_structure(a)
-    pairs = _pair_index(n)
-    nunk = len(pairs) * n
-
-    def unknown(p: int, q: int, k: int) -> int:
-        return pairs[(min(p, q), max(p, q))] * n + k
-
-    def mul_int(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    def mul(u, v):
+        """Product of sparse integer vectors ((k, c), ...)."""
         out = [0] * n
-        for i, x in enumerate(u):
-            if x:
-                row = srows[i]
-                for j, y in enumerate(v):
-                    if y:
-                        xy = x * y
-                        for k, c in row[j]:
-                            out[k] += xy * c
-        return out
+        for i, c in u:
+            for j, d in v:
+                for k, e in srows[i][j]:
+                    out[k] += c * d * e
+        return tuple((k, c) for k, c in enumerate(out) if c)
 
-    def mod_act(u: Sequence[int], sym: list[dict[int, int]]) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(n)]
-        for i, x in enumerate(u):
-            if x:
-                row = srows[i]
-                for j, form in enumerate(sym):
-                    if form:
-                        for k, c in row[j]:
-                            xc = x * c
-                            ok = out[k]
-                            get = ok.get
-                            for unk, coef in form.items():
-                                ok[unk] = get(unk, 0) + xc * coef
-        return out
+    # column j of the action h -> (xy) h is (xy) b_j, and of h -> x (y h) it
+    # is x (y b_j); both recur across the quadruple scan
+    pair_action = [[[mul(srows[x][y], unit[j]) for j in range(n)] for y in range(n)]
+                   for x in range(n)]
+    nested_action = [[[mul(unit[x], srows[y][j]) for j in range(n)] for y in range(n)]
+                     for x in range(n)]
 
-    pair_base = [[unknown(p, q, 0) for q in range(n)] for p in range(n)]
+    def act(form, sign, cols, p, q):
+        # form += sign * K h(p, q), column j of K being cols[j]
+        off = base[p][q]
+        for j, col in enumerate(cols):
+            for m, c in col:
+                form[m][off + j] += sign * c
 
-    def h_of(u: Sequence[int], v: Sequence[int]) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [dict() for _ in range(n)]
-        for p, x in enumerate(u):
-            if x:
-                bases = pair_base[p]
-                for q, y in enumerate(v):
-                    if y:
-                        xy = x * y
-                        base = bases[q]
-                        for k in range(n):
-                            ok = out[k]
-                            unk = base + k
-                            ok[unk] = ok.get(unk, 0) + xy
-        return out
+    def at(form, c, p, q):
+        # form += c * h(p, q)
+        off = base[p][q]
+        for m in range(n):
+            form[m][off + m] += c
 
-    def add_sym(s1, s2):
-        out = []
-        for f1, f2 in zip(s1, s2):
-            f = dict(f1)
-            for unk, coef in f2.items():
-                f[unk] = f.get(unk, 0) + coef
-            out.append(f)
-        return out
-
-    def sub_sym(s1, s2):
-        out = []
-        for f1, f2 in zip(s1, s2):
-            f = dict(f1)
-            for unk, coef in f2.items():
-                f[unk] = f.get(unk, 0) - coef
-            out.append(f)
-        return out
-
-    def prod(A: _SymbolicPair, B: _SymbolicPair) -> _SymbolicPair:
-        sym = add_sym(mod_act(A.const, B.sym), mod_act(B.const, A.sym))
-        sym = add_sym(sym, h_of(A.const, B.const))
-        return _SymbolicPair(mul_int(A.const, B.const), sym)
-
-    basis = [
-        _SymbolicPair([1 if t == i else 0 for t in range(n)], [dict() for _ in range(n)])
-        for i in range(n)
-    ]
-    # products of two basis elements and of a basis element with such a
-    # product recur across the quadruple scan; memoize both layers
-    pair_prod: dict[tuple[int, int], _SymbolicPair] = {}
-    triple_prod: dict[tuple[int, int, int], _SymbolicPair] = {}
-
-    def bb(i: int, j: int) -> _SymbolicPair:
-        key = (min(i, j), max(i, j))
-        if key not in pair_prod:
-            pair_prod[key] = prod(basis[key[0]], basis[key[1]])
-        return pair_prod[key]
-
-    def b_bb(y: int, i: int, j: int) -> _SymbolicPair:
-        key = (y, min(i, j), max(i, j))
-        if key not in triple_prod:
-            triple_prod[key] = prod(basis[y], bb(i, j))
-        return triple_prod[key]
-
-    def assoc_defect(x: int, y: int, i: int, j: int) -> _SymbolicPair:
-        # associator of (basis x, basis y, basis_i * basis_j)
-        left = prod(bb(x, y), bb(i, j))
-        right = prod(basis[x], b_bb(y, i, j))
-        return _SymbolicPair(
-            [p - q for p, q in zip(left.const, right.const)],
-            sub_sym(left.sym, right.sym),
-        )
+    def add_associator(form, x, y, z, w):
+        # M-part of (b_x, b_y, b_z b_w) in the null extension
+        zw = srows[z][w]
+        act(form, 1, pair_action[x][y], z, w)  # (xy) h(z, w)
+        act(form, 1, pair_action[z][w], x, y)  # (zw) h(x, y)
+        for p, c in srows[x][y]:
+            for q, d in zw:
+                at(form, c * d, p, q)  # h(xy, zw)
+        act(form, -1, nested_action[x][y], z, w)  # - x (y h(z, w))
+        for q, c in zw:
+            act(form, -c, srows[x], y, q)  # - x h(y, zw)
+        for q, c in mul(unit[y], zw):
+            at(form, -c, x, q)  # - h(x, y(zw))
 
     rows: set[tuple[int, ...]] = set()
     for x in range(n):
         for z in range(x, n):
             for w in range(z, n):
                 for y in range(n):
-                    t1 = assoc_defect(x, y, z, w)
-                    t2 = assoc_defect(w, y, z, x)
-                    t3 = assoc_defect(z, y, x, w)
-                    for k in range(n):
-                        form: dict[int, int] = {}
-                        for t in (t1, t2, t3):
-                            for unk, coef in t.sym[k].items():
-                                form[unk] = form.get(unk, 0) + coef
-                        row = [0] * nunk
-                        nonzero = False
-                        for unk, coef in form.items():
-                            if coef:
-                                row[unk] = coef
-                                nonzero = True
-                        if nonzero:
-                            rows.add(tuple(row))
+                    form = [[0] * nunk for _ in range(n)]
+                    add_associator(form, x, y, z, w)
+                    add_associator(form, w, y, z, x)
+                    add_associator(form, z, y, x, w)
+                    rows.update(tuple(r) for r in form if any(r))
     return nunk, list(rows)
 
 
@@ -278,32 +210,29 @@ def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
     return tuple(tuple(row) for row in grid)
 
 
-def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
-    """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
+def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
+    """Unknown count, cocycle rows and coboundary rows of a Jordan algebra."""
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
     nunk, rows = _assemble_cocycle_rows(a)
+    return nunk, rows, _coboundary_int_rows(a)
+
+
+def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
+    """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
+    nunk, rows, coboundary_rows = _cocycle_system(a)
     if rows:
         z2 = kernel(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]))
     else:
         z2 = Subspace.full(nunk)
-    n = a.dim
-    gens = []
-    for r in range(n):
-        for s in range(n):
-            mu = Matrix.from_rows(
-                [[1 if (i, j) == (r, s) else 0 for j in range(n)] for i in range(n)]
-            )
-            gens.append(grid_to_vec(a, coboundary(a, mu)))
-    b2 = Subspace.span(nunk, gens)
-    return z2, b2
+    return z2, Subspace.span(nunk, coboundary_rows)
 
 
 def _coboundary_int_rows(a: Algebra) -> list[list[int]]:
     """Flattened coboundaries of the unit maps mu = E_rs, on integer-scaled
     structure constants (uniform rescaling, rank unchanged)."""
     n = a.dim
-    _, srows = _int_structure(a)
+    _, srows = a._int_structure
     dense = [
         [_dense_int(srows[i][j], n) for j in range(n)] for i in range(n)
     ]
@@ -335,9 +264,7 @@ def _dense_int(sparse_entry, n: int) -> list[int]:
 
 def cocycle_space(a: Algebra) -> CocycleSpace:
     """Dimensions of 2-cocycles, 2-coboundaries and their quotient."""
-    if not is_jordan(a):
-        raise NonJordanError("cocycles are only computed for Jordan algebras")
-    nunk, rows = _assemble_cocycle_rows(a)
+    nunk, rows, coboundary_rows = _cocycle_system(a)
     z2 = nunk - int_rows_rank(rows, nunk)
-    b2 = int_rows_rank(_coboundary_int_rows(a), nunk)
+    b2 = int_rows_rank(coboundary_rows, nunk)
     return CocycleSpace(z2, b2, z2 - b2)

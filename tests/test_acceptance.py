@@ -305,5 +305,7 @@ def test_criterion_9e_coboundaries_inside_cocycles(env):
     for name, a in env.items():
         z2, b2 = cocycle_subspaces(a)
         assert z2.contains(b2), name
+        cs = cocycle_space(a)
+        assert (z2.dim, b2.dim) == (cs.z2_dim, cs.b2_dim), name
     print("criterion 9e PASS: coboundary space contained in cocycle space"
           " for all 88 entries")

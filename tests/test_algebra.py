@@ -253,13 +253,31 @@ def test_jordan_random_substitution(env):
         assert a.mul(a.mul(xx, y), x) == a.mul(xx, a.mul(y, x))
 
 
+MALFORMED_TERMS = [
+    ("", "trailing operator or coefficient"),
+    ("e1 +", "trailing operator or coefficient"),
+    ("e1 - 2", "trailing operator or coefficient"),
+    ("2 - e1", "dangling coefficient"),
+    ("2 3 e1", "two coefficients in a row"),
+    ("e1 n1", "missing operator"),
+    ("1/ e1", "missing operator"),
+    ("1/0 e1", "zero denominator"),
+]
+
+
 def test_parse_linear_combination(env):
     a = env["J55"]
     v = parse_linear_combination(a, "e1 - n2 + n3")
     assert v == a.element({"e1": 1, "n2": -1, "n3": 1})
     v = parse_linear_combination(a, "1/2 e1 + 3 n1")
     assert v == a.element({"e1": HALF, "n1": 3})
+    v = parse_linear_combination(a, "- + e1 - - 2 n1")
+    assert v == a.element({"e1": -1, "n1": 2})
     with pytest.raises(AlgebraError):
         parse_linear_combination(a, "e9")
     with pytest.raises(AlgebraError):
         parse_linear_combination(a, "2 + e1")
+    for text, message in MALFORMED_TERMS:
+        with pytest.raises(AlgebraError) as err:
+            parse_linear_combination(a, text)
+        assert str(err.value) == f"{message} in {text!r}"

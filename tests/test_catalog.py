@@ -61,6 +61,20 @@ def test_parse_rejects_bad_coefficient():
     text = "algebra A\n  dim 1\n  basis x\n  x*x = q/2 x\nend\n"
     with pytest.raises(CatalogParseError):
         parse_catalog(text)
+    for rhs, message in [
+        ("", "trailing operator or coefficient"),
+        ("x -", "trailing operator or coefficient"),
+        ("2 + x", "dangling coefficient"),
+        ("2 - x", "dangling coefficient"),
+        ("2 3 x", "two coefficients in a row"),
+        ("x x", "missing operator"),
+        ("1/0 x", "zero denominator"),
+        ("1/ x", "missing operator"),
+    ]:
+        text = f"algebra A\n  dim 1\n  basis x\n  x*x = {rhs}\nend\n"
+        with pytest.raises(CatalogParseError) as err:
+            parse_catalog(text)
+        assert str(err.value) == f"line 4: {message}", rhs
 
 
 def test_parse_rejects_repeated_product_pair():

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 from jordanalg.cli import main
 
 
@@ -59,6 +62,45 @@ def test_verify_deep(capsys):
     assert "deep checks (h2 / b2 / radical type): all PASS" in out
     assert "H2(J59)=0" in out
     assert "embed-b2(J55)=no" in out
+
+
+def test_verify_deep_computes_h2_and_b2_once(capsys, monkeypatch, entries, env):
+    # each qualifying entry gets one cocycle_space and one embeds_b2 call;
+    # the calls inside fingerprint belong to the radical-type check
+    from jordanalg import cli, cohomology, polysolve
+
+    calls = {"cocycle_space": Counter(), "embeds_b2": Counter()}
+    name_of = {env[e.name].table: e.name for e in entries}
+
+    def counting(name, original):
+        def wrapper(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "fingerprint":
+                calls[name][name_of.get(a.table)] += 1
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((cohomology, "cocycle_space"), (polysolve, "embeds_b2")):
+        wrapper = counting(name, getattr(module, name))
+        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    code, out, _ = run(capsys, "verify", "--deep")
+    assert code == 0
+    assert calls["cocycle_space"] == Counter(e.name for e in entries if e.expected.h2)
+    assert calls["embeds_b2"] == Counter(e.name for e in entries if e.expected.b2)
+    assert out.count("H2(") == sum(calls["cocycle_space"].values())
+
+
+def test_verify_deep_non_jordan_entry(capsys, tmp_path):
+    (tmp_path / "bad.alg").write_text(
+        "algebra Bad\n  dim 4\n  basis e1 n1 n2 n3\n  e1*e1 = e1\n"
+        "  e1*n1 = 1/2 n1\n  e1*n3 = 1/2 n3\n  n1*n1 = n2\n  n1*n2 = n3\n"
+        "  expect h2 zero\n  expect b2 yes\nend\n"
+    )
+    code, out, err = run(capsys, "verify", "--deep", "--dir", str(tmp_path))
+    assert code == 1 and err == ""
+    assert "Bad: JORDAN FAIL" in out
+    assert "H2(" not in out and "embed-b2(" not in out
 
 
 def test_invariants_from_file(capsys, tmp_path):

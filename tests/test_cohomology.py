@@ -145,11 +145,17 @@ def test_fast_assembly_matches_full_extension_scan(env):
     # the assembled system conditions only quadruples of base elements; the
     # defect on mixed quadruples is independent of the cocycle, so nothing
     # is lost.  Certify by scanning every quadruple of the doubled algebra.
+    # dense bases of B3 and T8 fill in the zero structure constants and
+    # bring denominators into the integer scaling
     from jordanalg.algebra import associator
     from jordanalg.ratlin import _int_row, int_rows_rank, unit_vec
 
-    for name in ("F1", "F2", "B2", "B3", "T8"):
-        a = env[name]
+    rng = seeded_rng("assembly-scan")
+    cases = [(name, env[name]) for name in ("F1", "F2", "B2", "B3", "T8")]
+    for name in ("B3", "T8"):
+        p = random_invertible_matrix(env[name].dim, rng, dense=True)
+        cases.append((f"{name} dense", change_basis(env[name], p)))
+    for name, a in cases:
         n = a.dim
         nunk = n * (n + 1) // 2 * n
         cols = []
