@@ -49,6 +49,7 @@ from .invariants import (
     power_profile,
     quotient_algebra,
     radical,
+    radical_split,
     trace_form,
     trace_rank,
 )

@@ -206,20 +206,16 @@ def associator(
     return sub_vec(a.mul(a.mul(x, y), z), a.mul(x, a.mul(y, z)))
 
 
-def is_commutative(a: Algebra) -> bool:
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if a.table[i][j] != a.table[j][i]:
-                return False
-    return True
-
-
 def commutativity_violation(a: Algebra) -> Optional[tuple[int, int]]:
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             if a.table[i][j] != a.table[j][i]:
                 return (i, j)
     return None
+
+
+def is_commutative(a: Algebra) -> bool:
+    return commutativity_violation(a) is None
 
 
 def _linearized_defect(a: Algebra, x: int, y: int, z: int, w: int) -> Vector:
@@ -435,10 +431,6 @@ def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
         raise AlgebraError("subspace ambient mismatch")
     gens = [a.mul(u, v) for u in s.rows for v in t.rows]
     return Subspace.span(a.dim, gens)
-
-
-def full_space(a: Algebra) -> Subspace:
-    return Subspace.full(a.dim)
 
 
 def matrix_algebra(n: int) -> Algebra:

@@ -45,11 +45,10 @@ from .invariants import (
     annihilator,
     derivation_dim,
     fingerprint,
-    induced_algebra,
     is_nilpotent,
     nilpotency_type,
     power_chain,
-    radical,
+    radical_split,
 )
 from .ratlin import ZERO, zero_vec
 
@@ -79,9 +78,6 @@ class Expected:
     radical_expr: Optional[tuple[str, ...]] = None
     h2: Optional[str] = None
     b2: Optional[str] = None
-
-    def is_empty(self) -> bool:
-        return self == Expected()
 
 
 @dataclass(frozen=True)
@@ -274,18 +270,14 @@ def _finish_entry(current: dict) -> CatalogEntry:
 def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
     """Entry -> Algebra; sum entries resolve against previously defined names."""
     if entry.summands is not None:
-        parts = []
-        for name in entry.summands:
-            if name not in env:
-                raise CatalogError(f"{entry.name}: unknown summand {name!r}")
-            parts.append(env[name])
-        alg = parts[0]
-        for p in parts[1:]:
-            alg = direct_sum(alg, p)
+        try:
+            alg = resolve_expr(entry.summands, env)
+        except CatalogError as exc:
+            raise CatalogError(f"{entry.name}: {exc}") from None
         labels = entry.labels_override
         if labels is None:
-            labels = _dedupe_labels(alg.labels)
-        elif len(labels) != alg.dim:
+            return alg
+        if len(labels) != alg.dim:
             raise CatalogError(f"{entry.name}: labels line has wrong length")
         return Algebra(tuple(labels), alg.table)
     index = {l: i for i, l in enumerate(entry.basis)}
@@ -325,6 +317,10 @@ def resolve_all(entries: Sequence[CatalogEntry]) -> dict[str, Algebra]:
 
 
 def resolve_expr(names: Sequence[str], env: dict[str, Algebra]) -> Algebra:
+    """Direct sum of previously defined algebras, with deduplicated labels."""
+    for name in names:
+        if name not in env:
+            raise CatalogError(f"unknown summand {name!r}")
     parts = [env[n] for n in names]
     alg = parts[0]
     for p in parts[1:]:
@@ -542,14 +538,14 @@ def verify_entry(
         unital = find_identity(a) is not None
         assoc = is_associative(a)
         nilp = is_nilpotent(a)
-        rad_dim = radical(a).dim
+        rad, rad_alg, _ = radical_split(a)
         for flag in exp.flags:
             ok = {
                 "unitary": unital,
                 "associative": assoc,
                 "nonassociative": not assoc,
                 "nilpotent": nilp,
-                "semisimple": rad_dim == 0,
+                "semisimple": rad.dim == 0,
             }[flag]
             if not ok:
                 mismatches.append(f"flag {flag}: not confirmed by computation")
@@ -563,7 +559,7 @@ def verify_entry(
     deep_failures: list[str] = []
     h2 = b2 = None
     if deep and jordan_ok:
-        deep_failures, h2, b2 = _deep_checks(entry, a, env, budget)
+        deep_failures, h2, b2 = _deep_checks(entry, a, rad_alg, env, budget)
     return EntryResult(
         name=entry.name,
         dim=a.dim,
@@ -581,9 +577,10 @@ def verify_entry(
 
 
 def _deep_checks(
-    entry: CatalogEntry, a: Algebra, env: dict[str, Algebra], budget: int
+    entry: CatalogEntry, a: Algebra, rad_alg: Algebra, env: dict[str, Algebra], budget: int
 ) -> tuple[list[str], Optional[int], Optional[str]]:
-    """Deep-check failures, plus the h2 and b2 values the checks computed."""
+    """Deep-check failures, plus the h2 and b2 values the checks computed;
+    `rad_alg` is the algebra induced on the radical of `a`."""
     from .cohomology import cocycle_space
     from .polysolve import embeds_b2
 
@@ -603,8 +600,10 @@ def _deep_checks(
         if b2 != exp.b2:
             failures.append(f"b2: expected {exp.b2}, computed {b2}")
     if exp.radical_expr is not None:
-        rad_alg = induced_algebra(a, radical(a))
-        model = resolve_expr(exp.radical_expr, env)
+        try:
+            model = resolve_expr(exp.radical_expr, env)
+        except CatalogError as exc:
+            raise CatalogError(f"{entry.name}: expect radical: {exc}") from None
         if fingerprint(rad_alg) != fingerprint(model):
             failures.append(
                 f"radical: fingerprint differs from {' + '.join(exp.radical_expr)}"

@@ -26,13 +26,13 @@ from .invariants import (
     Fingerprint,
     annihilator,
     derivation_dim,
-    find_first_difference_message,
+    difference_message,
     fingerprint,
-    induced_algebra,
+    first_fingerprint_difference,
     is_nilpotent,
     nilpotency_type,
     power_profile,
-    radical,
+    radical_split,
     trace_rank,
 )
 from .peirce import PeirceRuleError, is_idempotent, peirce_single
@@ -83,8 +83,7 @@ def cmd_verify(args) -> int:
 def cmd_invariants(args) -> int:
     _, a = _lookup_named(args.name, args.dir)
     pp = power_profile(a)
-    rad = radical(a)
-    rad_alg = induced_algebra(a, rad)
+    rad, rad_alg, _ = radical_split(a)
     print(f"dim      {a.dim}")
     print(f"powers   J^1..J^4 dims {','.join(str(d) for d in pp.assoc_dims)}")
     print(f"lcs      J<1>..J<4> dims {','.join(str(d) for d in pp.lcs_dims)}")
@@ -151,13 +150,14 @@ def cmd_distinguish(args) -> int:
     _, a = _lookup_named(args.a, args.dir)
     _, b = _lookup_named(args.b, args.dir)
     fa, fb = fingerprint(a), fingerprint(b)
-    msg = find_first_difference_message(fa, fb)
-    if msg is None or msg.startswith("dim_h2"):
+    diff = first_fingerprint_difference(fa, fb)
+    if diff is None or diff[0] == "dim_h2":
         # shallow fields and radical record tie: bring in the embedding
         # decision before falling back to the cohomology dimension
         fa = fingerprint(a, with_b2=True, budget=args.budget)
         fb = fingerprint(b, with_b2=True, budget=args.budget)
-        msg = find_first_difference_message(fa, fb)
+        diff = first_fingerprint_difference(fa, fb)
+    msg = difference_message(diff)
     if msg is None:
         print("INDISTINGUISHABLE by implemented invariants")
     else:

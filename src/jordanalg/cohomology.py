@@ -5,7 +5,9 @@ extension J + M (M a copy of J with M*M = 0, products
 (x,u)(y,v) = (xy, xv + uy + h(x,y))) again satisfies the linearized Jordan
 identity (x, y, zw) + (w, y, zx) + (z, y, xw) = 0, ( , , ) the associator.
 Coboundaries are the maps h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear
-mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.
+mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.  B2 is the
+image of the operator delta^1 : mu -> h_mu, whose kernel is Der J; both read
+the rows of `invariants.coboundary_int_rows`, so dim Der J = n^2 - dim B2.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, is_jordan
-from .invariants import NonJordanError
+from .invariants import NonJordanError, coboundary_int_rows
 from .ratlin import (
     Matrix,
     Subspace,
@@ -215,7 +217,7 @@ def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]], list[list[i
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
     nunk, rows = _assemble_cocycle_rows(a)
-    return nunk, rows, _coboundary_int_rows(a)
+    return nunk, rows, coboundary_int_rows(a)
 
 
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
@@ -226,40 +228,6 @@ def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     else:
         z2 = Subspace.full(nunk)
     return z2, Subspace.span(nunk, coboundary_rows)
-
-
-def _coboundary_int_rows(a: Algebra) -> list[list[int]]:
-    """Flattened coboundaries of the unit maps mu = E_rs, on integer-scaled
-    structure constants (uniform rescaling, rank unchanged)."""
-    n = a.dim
-    _, srows = a._int_structure
-    dense = [
-        [_dense_int(srows[i][j], n) for j in range(n)] for i in range(n)
-    ]
-    rows = []
-    for r in range(n):
-        for s in range(n):
-            row: list[int] = []
-            for i in range(n):
-                for j in range(i, n):
-                    v = [0] * n
-                    if i == s:
-                        for k, x in enumerate(dense[r][j]):
-                            v[k] += x
-                    if j == s:
-                        for k, x in enumerate(dense[i][r]):
-                            v[k] += x
-                    v[r] -= dense[i][j][s]
-                    row.extend(v)
-            rows.append(row)
-    return rows
-
-
-def _dense_int(sparse_entry, n: int) -> list[int]:
-    out = [0] * n
-    for k, x in sparse_entry:
-        out[k] = x
-    return out
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:

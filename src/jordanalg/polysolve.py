@@ -391,10 +391,10 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     per coordinate (adjoin t*y_i - 1).  A branch answering 'yes' settles the
     question; 'no' requires every branch to answer 'no'.
     """
-    from .invariants import is_nilpotent
+    from .invariants import NonJordanError, is_nilpotent
 
     if not is_jordan(a):
-        raise ValueError("subalgebra detection requires a Jordan algebra")
+        raise NonJordanError("subalgebra detection requires a Jordan algebra")
     if is_nilpotent(a):
         return B2Result("no")
     witness = _witness_scan(a)

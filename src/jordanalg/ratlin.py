@@ -57,10 +57,6 @@ def sub_vec(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def scale_vec(c: Fraction, u: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
@@ -103,11 +99,6 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def transpose(self) -> "Matrix":
-        return Matrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix times column vector."""
         if len(v) != self.cols:
@@ -141,7 +132,7 @@ def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
     for x in frac_row:
         d = x.denominator
         den = den // gcd(den, d) * d
-    row = [int(x * den) for x in frac_row]
+    row = [x.numerator * (den // x.denominator) for x in frac_row]
     g = 0
     for x in row:
         g = gcd(g, x)

@@ -4,10 +4,12 @@ import pytest
 
 from jordanalg.algebra import direct_sum
 from jordanalg.catalog import (
+    CatalogError,
     CatalogParseError,
     check_peirce_placements,
     parse_catalog,
     resolve,
+    resolve_expr,
     serialize,
     serialize_entry,
     verify_catalog,
@@ -84,10 +86,12 @@ def test_parse_rejects_repeated_product_pair():
     assert "twice" in str(err.value)
 
 
-def test_resolve_rejects_unknown_summand():
-    (entry,) = parse_catalog("algebra X = Nope\nend\n")
-    with pytest.raises(Exception):
-        resolve(entry, {})
+def test_resolve_rejects_unknown_summand(env):
+    (entry,) = parse_catalog("algebra X = B3 + Nope\nend\n")
+    with pytest.raises(CatalogError, match="X: unknown summand 'Nope'"):
+        resolve(entry, env)
+    with pytest.raises(CatalogError, match="unknown summand 'NOPE'"):
+        resolve_expr(("B2", "NOPE"), env)
 
 
 def test_resolve_j12_dimension(env):
@@ -177,11 +181,15 @@ end
 
 def test_peirce_placements_all_annotated_rows(entries, env):
     checked = 0
+    annotated = set()
     for entry in entries:
         for label, want, got, ok in check_peirce_placements(entry, env[entry.name]):
             checked += 1
+            annotated.add(entry.name)
             assert ok, f"{entry.name}: {label} recorded {want}, computed {got}"
     assert checked == 78
+    assert annotated == {e.name for e in entries if e.expected.peirce}
+    assert len(annotated) == 36
 
 
 def test_labels_override_length_checked(env):

@@ -1,5 +1,7 @@
+import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 from jordanalg.cli import main
 
@@ -103,6 +105,47 @@ def test_verify_deep_non_jordan_entry(capsys, tmp_path):
     assert "H2(" not in out and "embed-b2(" not in out
 
 
+NON_JORDAN_TABLE = (
+    "algebra Bad\n  dim 4\n  basis e1 n1 n2 n3\n  e1*e1 = e1\n"
+    "  e1*n1 = 1/2 n1\n  e1*n3 = 1/2 n3\n  n1*n1 = n2\n  n1*n2 = n3\nend\n"
+)
+
+
+def test_name_commands_on_non_jordan_file(capsys, tmp_path):
+    # every subcommand taking a NAME reports a non-Jordan table as an error
+    # line and exit 1 (an uncaught exception would propagate out of main)
+    bad = tmp_path / "bad.alg"
+    bad.write_text(NON_JORDAN_TABLE)
+    argvs = [
+        ("invariants", str(bad)),
+        ("fingerprint", str(bad)),
+        ("fingerprint", "--deep", str(bad)),
+        ("distinguish", str(bad), "J1"),
+        ("distinguish", "J1", str(bad)),
+        ("peirce", str(bad), "e1"),
+        ("h2", str(bad)),
+        ("embed-b2", str(bad)),
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and "Jordan algebra" in err, argv
+    code, out, err = run(capsys, "show", str(bad))
+    assert code == 0 and err == "" and out.startswith("algebra Bad\n")
+
+
+def test_verify_deep_unknown_radical_name(capsys, tmp_path):
+    (tmp_path / "mine.alg").write_text(
+        "algebra B2\n  dim 2\n  basis e1 n1\n  e1*e1 = e1\n  e1*n1 = 1/2 n1\n"
+        "  expect radical NOPE\nend\n"
+    )
+    code, out, err = run(capsys, "verify", "--dir", str(tmp_path))
+    assert code == 0 and "B2: PASS" in out
+    code, out, err = run(capsys, "verify", "--deep", "--dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == "error: B2: expect radical: unknown summand 'NOPE'\n"
+
+
 def test_invariants_from_file(capsys, tmp_path):
     f = tmp_path / "mine.alg"
     f.write_text("algebra Mine = B2 + B3\nend\n")
@@ -191,3 +234,17 @@ def test_fingerprint_all(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+RECORDED_ANSWERS = Path(__file__).resolve().parents[1] / "bench" / "expected" / "catalog.json"
+
+
+def test_cli_output_matches_recorded_answers(capsys):
+    # replays every recorded command line (verify --deep, fingerprint-all,
+    # invariants / h2 / fingerprint of each table, peirce NAME e1) and
+    # compares exit code, stdout and stderr byte for byte
+    recorded = json.loads(RECORDED_ANSWERS.read_text())
+    assert len(recorded) == 336
+    for argv, want in recorded.items():
+        code, out, err = run(capsys, *argv.split())
+        assert {"exit": code, "stdout": out, "stderr": err} == want, argv

@@ -19,6 +19,7 @@ from jordanalg.invariants import (
     power_profile,
     quotient_algebra,
     radical,
+    radical_split,
     trace_rank,
 )
 from jordanalg.ratlin import Matrix, Subspace, zero_vec
@@ -217,3 +218,35 @@ def test_induced_algebra_requires_closure(env):
     t5 = env["T5"]
     with pytest.raises(Exception):
         induced_algebra(t5, Subspace.span(3, [t5.element({"e3": 1})]))
+
+
+def test_radical_split_pieces(env):
+    for name in ("J8", "J56", "J63", "J73", "J3"):
+        a = env[name]
+        rad, rad_alg, quot = radical_split(a)
+        assert rad == radical(a)
+        assert rad_alg == induced_algebra(a, rad)
+        assert quot == quotient_algebra(a, rad)
+
+
+def test_fingerprint_computes_each_piece_once(env, monkeypatch):
+    # one fingerprint runs each of these on the algebra itself exactly once:
+    # the annihilator heads the annihilator series, the trace form's kernel
+    # is the radical, and the radical's induced and quotient algebras come
+    # from the one certified split.  J56 has Ann J = 0; where Ann J != 0 the
+    # annihilator series builds a second quotient of the algebra, J / Ann J.
+    import jordanalg.invariants as inv
+    from collections import Counter
+
+    names = ("annihilator", "trace_form", "induced_algebra", "quotient_algebra")
+    for a in (env["J56"], change_basis(env["J56"], random_invertible_matrix(
+            4, seeded_rng("fp-once"), dense=True))):
+        calls = Counter()
+        for name in names:
+            def wrapper(b, *args, _name=name, _orig=getattr(inv, name)):
+                calls[_name] += b is a
+                return _orig(b, *args)
+            monkeypatch.setattr(inv, name, wrapper)
+        fingerprint(a)
+        monkeypatch.undo()
+        assert calls == Counter({name: 1 for name in names})
