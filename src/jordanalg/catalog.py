@@ -45,7 +45,7 @@ from .invariants import (
     annihilator,
     derivation_dim,
     fingerprint,
-    is_nilpotent,
+    lcs_chain,
     nilpotency_type,
     power_chain,
     radical_split,
@@ -537,8 +537,9 @@ def verify_entry(
     if jordan_ok:
         unital = find_identity(a) is not None
         assoc = is_associative(a)
-        nilp = is_nilpotent(a)
-        rad, rad_alg, _ = radical_split(a)
+        lcs = lcs_chain(a)
+        nilp = lcs[-1].is_zero()
+        rad, rad_alg, _, _ = radical_split(a)
         for flag in exp.flags:
             ok = {
                 "unitary": unital,
@@ -553,7 +554,7 @@ def verify_entry(
             if not nilp:
                 mismatches.append("niltype: algebra is not nilpotent")
             else:
-                nt = nilpotency_type(a)
+                nt = nilpotency_type(a, lcs)
                 if nt != exp.niltype:
                     mismatches.append(f"niltype: recorded {exp.niltype}, computed {nt}")
     deep_failures: list[str] = []

@@ -29,7 +29,6 @@ from .invariants import (
     difference_message,
     fingerprint,
     first_fingerprint_difference,
-    is_nilpotent,
     nilpotency_type,
     power_profile,
     radical_split,
@@ -83,20 +82,20 @@ def cmd_verify(args) -> int:
 def cmd_invariants(args) -> int:
     _, a = _lookup_named(args.name, args.dir)
     pp = power_profile(a)
-    rad, rad_alg, _ = radical_split(a)
+    rad, rad_alg, rad_lcs, _ = radical_split(a)
     print(f"dim      {a.dim}")
     print(f"powers   J^1..J^4 dims {','.join(str(d) for d in pp.assoc_dims)}")
     print(f"lcs      J<1>..J<4> dims {','.join(str(d) for d in pp.lcs_dims)}")
     print(f"nilindex {pp.nilindex if pp.nilindex is not None else '-'}")
     print(f"ann      {annihilator(a).dim}")
     print(f"der      {derivation_dim(a)}")
-    nt = ",".join(str(x) for x in (nilpotency_type(rad_alg) if rad.dim else ()))
+    nt = ",".join(str(x) for x in nilpotency_type(rad_alg, rad_lcs))
     print(f"radical  dim {rad.dim}, nilpotency type ({nt})")
     flags = []
     if find_identity(a) is not None:
         flags.append("unitary")
     flags.append("associative" if is_associative(a) else "nonassociative")
-    if is_nilpotent(a):
+    if pp.nilindex is not None:  # the lcs chain reaches zero
         flags.append("nilpotent")
     if rad.dim == 0:
         flags.append("semisimple")

@@ -41,8 +41,8 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
+    _int_kernel,
     int_rows_rank,
-    kernel,
     unit_vec,
     vec,
     zero_vec,
@@ -223,10 +223,7 @@ def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]], list[list[i
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
     nunk, rows, coboundary_rows = _cocycle_system(a)
-    if rows:
-        z2 = kernel(Matrix.from_rows([[Fraction(x) for x in r] for r in rows]))
-    else:
-        z2 = Subspace.full(nunk)
+    z2 = Subspace.span(nunk, _int_kernel(rows, nunk))
     return z2, Subspace.span(nunk, coboundary_rows)
 
 

@@ -74,9 +74,10 @@ class PowerProfile:
     nilindex: Optional[int]
 
 
-def power_profile(a: Algebra) -> PowerProfile:
+def power_profile(a: Algebra, lcs: Optional[list[Subspace]] = None) -> PowerProfile:
+    """Power dimensions and nilindex; `lcs` is `lcs_chain(a)` if built."""
     assoc = power_chain(a, POWER_DEPTH)
-    lcs = lcs_chain(a)
+    lcs = lcs_chain(a) if lcs is None else lcs
     nilindex = None
     for k, s in enumerate(lcs, start=1):
         if s.is_zero():
@@ -94,9 +95,9 @@ def is_nilpotent(a: Algebra) -> bool:
     return chain[-1].is_zero()
 
 
-def nilpotency_type(a: Algebra) -> tuple[int, ...]:
-    """Successive quotient dimensions dim(J<i>/J<i+1>) of a nilpotent algebra."""
-    chain = lcs_chain(a)
+def nilpotency_type(a: Algebra, lcs: Optional[list[Subspace]] = None) -> tuple[int, ...]:
+    """dim(J<i>/J<i+1>) of a nilpotent algebra; `lcs` is `lcs_chain(a)` if built."""
+    chain = lcs_chain(a) if lcs is None else lcs
     if not chain[-1].is_zero():
         raise NotNilpotentError("nilpotency type requires a nilpotent algebra")
     dims = [s.dim for s in chain]
@@ -106,8 +107,6 @@ def nilpotency_type(a: Algebra) -> tuple[int, ...]:
 def annihilator(a: Algebra) -> Subspace:
     """{x : x * J = 0}, the kernel of the stacked left-multiplication operators."""
     n = a.dim
-    if n == 0:
-        return Subspace.zero(0)
     rows = []
     for j in range(n):
         for k in range(n):
@@ -123,8 +122,6 @@ def trace_form(a: Algebra) -> Matrix:
 
 
 def trace_rank(a: Algebra) -> int:
-    if a.dim == 0:
-        return 0
     return matrix_rank(trace_form(a))
 
 
@@ -172,9 +169,10 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
     return Algebra(labels, tuple(table))
 
 
-def radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
-    """(rad, rad_alg, quotient): the radical as the kernel of the trace form,
-    with its induced algebra and the quotient algebra it was certified on.
+def radical_split(a: Algebra) -> tuple[Subspace, Algebra, list[Subspace], Algebra]:
+    """(rad, rad_alg, rad_lcs, quotient): the radical as the trace form's
+    kernel, its induced algebra and that algebra's `lcs_chain`, and the
+    quotient algebra it was certified on.
 
     The radical must be an ideal, its induced algebra must be nilpotent, and
     the quotient's trace form must be nondegenerate; any failure raises
@@ -182,16 +180,17 @@ def radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
     """
     if not is_jordan(a):
         raise NonJordanError("radical is only computed for Jordan algebras")
-    rad = kernel(trace_form(a)) if a.dim else Subspace.zero(0)
+    rad = kernel(trace_form(a))
     if not is_ideal(a, rad):
         raise RadicalVerificationError("trace-form kernel is not an ideal")
     rad_alg = induced_algebra(a, rad)
-    if not is_nilpotent(rad_alg):
+    rad_lcs = lcs_chain(rad_alg)
+    if not rad_lcs[-1].is_zero():
         raise RadicalVerificationError("trace-form kernel is not nilpotent")
     quot = quotient_algebra(a, rad)
     if trace_rank(quot) != quot.dim:
         raise RadicalVerificationError("quotient trace form is degenerate")
-    return rad, rad_alg, quot
+    return rad, rad_alg, rad_lcs, quot
 
 
 def radical(a: Algebra) -> Subspace:
@@ -252,8 +251,6 @@ def centroid_dim(a: Algebra) -> int:
     that the catalog's observation columns record.
     """
     n = a.dim
-    if n == 0:
-        return 0
     nsq = n * n
     rows = []
     for i in range(n):
@@ -427,14 +424,14 @@ class Fingerprint:
         )
 
 
-def radical_record(rad_alg: Algebra) -> RadicalRecord:
-    pp = power_profile(rad_alg)
+def radical_record(rad_alg: Algebra, rad_lcs: list[Subspace]) -> RadicalRecord:
+    pp = power_profile(rad_alg, rad_lcs)
     return RadicalRecord(
         dim=rad_alg.dim,
         assoc_dims=pp.assoc_dims,
         lcs_dims=pp.lcs_dims,
         nilindex=pp.nilindex,
-        niltype=nilpotency_type(rad_alg) if rad_alg.dim else (),
+        niltype=nilpotency_type(rad_alg, rad_lcs),
         dim_ann=annihilator(rad_alg).dim,
         dim_der=derivation_dim(rad_alg),
         associative=is_associative(rad_alg),
@@ -452,7 +449,7 @@ def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Finge
 
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
-    _, rad_alg, quot = radical_split(a)
+    _, rad_alg, rad_lcs, quot = radical_split(a)
     cocycles = cocycle_space(a)
     b2: Optional[str] = None
     if with_b2:
@@ -468,7 +465,7 @@ def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Finge
         dim_der=a.dim * a.dim - cocycles.b2_dim,
         dim_centroid=centroid_dim(a),
         dim_h2=cocycles.h2_dim,
-        rad_record=radical_record(rad_alg),
+        rad_record=radical_record(rad_alg, rad_lcs),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),
         b2_embeds=b2,
     )

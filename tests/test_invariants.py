@@ -14,6 +14,7 @@ from jordanalg.invariants import (
     find_first_difference_message,
     induced_algebra,
     is_ideal,
+    lcs_chain,
     nilpotency_type,
     power_chain,
     power_profile,
@@ -221,11 +222,11 @@ def test_induced_algebra_requires_closure(env):
 
 
 def test_radical_split_pieces(env):
-    for name in ("J8", "J56", "J63", "J73", "J3"):
-        a = env[name]
-        rad, rad_alg, quot = radical_split(a)
+    for a in [env[name] for name in ("J8", "J56", "J63", "J73", "J3")] + [zero_algebra(0)]:
+        rad, rad_alg, rad_lcs, quot = radical_split(a)
         assert rad == radical(a)
         assert rad_alg == induced_algebra(a, rad)
+        assert rad_lcs == lcs_chain(rad_alg)
         assert quot == quotient_algebra(a, rad)
 
 
@@ -250,3 +251,37 @@ def test_fingerprint_computes_each_piece_once(env, monkeypatch):
         fingerprint(a)
         monkeypatch.undo()
         assert calls == Counter({name: 1 for name in names})
+
+
+def test_zero_dimensional_invariants():
+    z = zero_algebra(0)
+    assert annihilator(z) == Subspace.zero(0)
+    assert trace_rank(z) == centroid_dim(z) == derivation_dim(z) == 0
+    assert fingerprint(z).render() == (
+        "dim=0 pow=0,0,0,0 lcs=0,0,0,0 nil=1 ann=0 annser=() unital=y assoc=y der=0"
+        " centroid=0 rad=0 radtype=() trrank=0 h2=0"
+        " rad[dim=0 lcs=0,0,0,0 type=() ann=0 der=0 assoc=y] ss=(0,0,y) b2=-")
+
+
+def test_each_lcs_chain_built_once(env, entries, monkeypatch):
+    # the radical's chain certifies its nilpotency and then gives the radical
+    # record's lcs dims and nilpotency type; the entry's chain gives both the
+    # nilpotent flag and the nilpotency type in verify_entry
+    import jordanalg.catalog as cat
+    import jordanalg.invariants as inv
+
+    built = []
+
+    def counted(b, *args, _orig=inv.lcs_chain):
+        built.append(b)  # holding b keeps its id unique while counting
+        return _orig(b, *args)
+
+    for mod in (inv, cat):
+        monkeypatch.setattr(mod, "lcs_chain", counted, raising=False)
+    by_name = {e.name: e for e in entries}
+    for name in ("J56", "J73"):
+        for run in (lambda: fingerprint(env[name]),
+                    lambda: cat.verify_entry(by_name[name], env[name], env)):
+            built.clear()
+            run()
+            assert built and len({id(b) for b in built}) == len(built), name

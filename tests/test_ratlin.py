@@ -1,17 +1,25 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from jordanalg.algebra import change_basis
+from jordanalg.cohomology import _cocycle_system
 from jordanalg.ratlin import (
     Matrix,
     Subspace,
+    _echelon_to_rref_rows,
+    _int_echelon,
+    _int_kernel,
+    int_rows_rank,
     invert,
     kernel,
+    rank,
     rref,
     solve,
     vec,
 )
-from conftest import seeded_rng
+from conftest import random_invertible_matrix, seeded_rng
 
 F = Fraction
 
@@ -156,3 +164,74 @@ def test_subspace_coords_round_trip():
     v = s.from_coords(vec([2, -1]))
     assert s.contains_vector(v)
     assert s.coords(v) == (F(2), F(-1))
+
+
+def free_column_kernel(m, pivots):
+    """Reference kernel: one generator per free column of the echelon form
+    `pivots` of m's rows."""
+    rows = _echelon_to_rref_rows(pivots, m.cols)
+    gens = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for r, c in zip(rows, sorted(pivots)):
+            v[c] = -r[f]
+        gens.append(v)
+    return Subspace.span(m.cols, gens)
+
+
+def planted_rank_rows(rng, nrows, ncols, r):
+    """Rows of B C with B nrows x r and C r x ncols, entries in [-3, 3],
+    plus duplicate and zero rows, shuffled."""
+    b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nrows)]
+    c = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(r)]
+    rows = [[sum(x * c[k][j] for k, x in enumerate(bi)) for j in range(ncols)] for bi in b]
+    rows += [list(rng.choice(rows)) for _ in range(2)] + [[0] * ncols]
+    rng.shuffle(rows)
+    return rows
+
+
+def kernel_oracle_cases(env):
+    rng = seeded_rng("kernel-oracle")
+    cases = [([], 3), ([[]], 0), ([], 0), ([[0, 0, 0]] * 4, 3),
+             ([[1, 2], [3, 4]], 2), ([[2, 0, 0], [0, 3, 0], [0, 0, 5], [1, 1, 1]], 3)]
+    for a in env.values():
+        nunk, rows, _ = _cocycle_system(a)
+        cases.append((rows, nunk))
+    for name in rng.sample(sorted(env), 12):
+        b = change_basis(env[name], random_invertible_matrix(env[name].dim, rng, dense=True))
+        nunk, rows, _ = _cocycle_system(b)
+        cases.append((rows, nunk))
+    for _ in range(40):
+        ncols = rng.randint(1, 9)
+        cases.append((planted_rank_rows(rng, rng.randint(1, 12), ncols,
+                                        rng.randint(0, ncols)), ncols))
+    return cases
+
+
+def test_kernel_core_matches_echelon(env):
+    # the kernel core against the echelon core it replaced for rank and
+    # kernel; sparse rows first, as the echelon rank ordered them
+    for rows, ncols in kernel_oracle_cases(env):
+        pivots = _int_echelon(sorted(rows, key=lambda r: len(r) - r.count(0)), ncols)
+        r = len(pivots)
+        assert int_rows_rank(rows, ncols) == r
+        basis = _int_kernel(rows, ncols)
+        assert len(basis) == ncols - r
+        assert not any(sum(map(mul, v, row)) for v in basis for row in rows)
+        m = Matrix(len(rows), ncols, tuple(F(x) for row in rows for x in row))
+        assert rank(m) == r
+        assert kernel(m) == free_column_kernel(m, pivots)
+
+
+def test_kernel_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = seeded_rng("kernel-sympy")
+    for _ in range(8):
+        ncols = rng.randint(2, 8)
+        rows = planted_rank_rows(rng, rng.randint(2, 10), ncols, rng.randint(1, ncols))
+        sm = sympy.Matrix(rows)
+        m = Matrix.from_rows(rows)
+        assert rank(m) == int_rows_rank(rows, ncols) == sm.rank()
+        null = [[F(int(x.p), int(x.q)) for x in v] for v in sm.nullspace()]
+        assert kernel(m) == Subspace.span(ncols, null)
