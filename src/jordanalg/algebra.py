@@ -6,6 +6,12 @@ of Fractions in that basis.  Commutative tables are the main case, but the
 storage is general enough for, e.g., full matrix algebras, which is what the
 symmetrized `plus_algebra` construction consumes.
 
+The identity checks run on integer-scaled constants: `_int_structure`
+multiplies every constant by the lcm `den` of their denominators.  An
+associator of basis elements carries two constants, so it scales by den**2,
+and the linearized Jordan defect carries three, so it scales by den**3;
+neither scaling changes which of them vanish.
+
 All values are immutable and every operation is a pure function.
 """
 
@@ -24,9 +30,7 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
-    add_vec,
     invert,
-    is_zero_vec,
     rat,
     solve,
     sub_vec,
@@ -150,16 +154,6 @@ class Algebra:
         )
         return den, srows
 
-    def mul_bv(self, i: int, v: Sequence[Fraction]) -> Vector:
-        """Product b_i * v."""
-        out = [ZERO] * self.dim
-        row = self._sparse[i]
-        for j, c in enumerate(v):
-            if c:
-                for k, x in row[j]:
-                    out[k] += c * x
-        return tuple(out)
-
     def mul(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         out = [ZERO] * self.dim
         sparse = self._sparse
@@ -218,64 +212,53 @@ def is_commutative(a: Algebra) -> bool:
     return commutativity_violation(a) is None
 
 
-def _linearized_defect(a: Algebra, x: int, y: int, z: int, w: int) -> Vector:
-    """Defect of the multilinear identity
-
-        (x, y, z*w) + (w, y, z*x) + (z, y, x*w) = 0
-
-    evaluated on basis elements, where ( , , ) is the associator."""
-    bx, by, bz, bw = (a.basis_vector(t) for t in (x, y, z, w))
-    t1 = associator(a, bx, by, a.table[z][w])
-    t2 = associator(a, bw, by, a.table[z][x])
-    t3 = associator(a, bz, by, a.table[x][w])
-    return add_vec(add_vec(t1, t2), t3)
+def _int_bb(srows, i: int, j: int) -> list[int]:
+    """b_i b_j as a dense vector, on integer-scaled constants."""
+    out = [0] * len(srows)
+    for k, x in srows[i][j]:
+        out[k] = x
+    return out
 
 
-def _int_defect_scan(a: Algebra) -> Optional[tuple[int, int, int, int]]:
-    """Scan basis quadruples for a nonzero identity defect, on integer-scaled
-    structure constants (the defect is trilinear in them, so zero-ness is
-    scale invariant)."""
+def _int_mul_bv(srows, i: int, v: Sequence[int]) -> list[int]:
+    """b_i v for a dense integer vector v, on integer-scaled constants."""
+    out = [0] * len(srows)
+    row = srows[i]
+    for j, c in enumerate(v):
+        if c:
+            for k, x in row[j]:
+                out[k] += c * x
+    return out
+
+
+def _int_assoc(srows, p: int, q: int, v: Sequence[int]) -> list[int]:
+    """The associator (b_p, b_q, v) = (b_p b_q) v - b_p (b_q v), on
+    integer-scaled constants."""
+    out = [-x for x in _int_mul_bv(srows, p, _int_mul_bv(srows, q, v))]
+    for k, x in srows[p][q]:
+        for m, t in enumerate(_int_mul_bv(srows, k, v)):
+            out[m] += x * t
+    return out
+
+
+def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], list[int]]]:
+    """First basis quadruple (x, y, z, w) on which the defect
+    (x, y, z*w) + (w, y, z*x) + (z, y, x*w) of the linearized identity is
+    nonzero, with that defect on integer-scaled constants."""
     n = a.dim
     _, srows = a._int_structure
-
-    def mul_bv(i: int, v: list[int]) -> list[int]:
-        out = [0] * n
-        row = srows[i]
-        for j, c in enumerate(v):
-            if c:
-                for k, x in row[j]:
-                    out[k] += c * x
-        return out
-
-    def row_vec(i: int, j: int) -> list[int]:
-        out = [0] * n
-        for k, x in srows[i][j]:
-            out[k] = x
-        return out
-
-    def assoc_bb(p: int, q: int, v: list[int]) -> list[int]:
-        # (b_p, b_q, v) = (b_p b_q) v - b_p (b_q v)
-        left = [0] * n
-        for k, x in srows[p][q]:
-            if x:
-                t = mul_bv(k, v)
-                for m in range(n):
-                    left[m] += x * t[m]
-        right = mul_bv(p, mul_bv(q, v))
-        return [l - r for l, r in zip(left, right)]
-
     for x in range(n):
         for z in range(x, n):
             for w in range(z, n):
-                zw = row_vec(z, w)
-                zx = row_vec(z, x)
-                xw = row_vec(x, w)
+                zw, zx, xw = _int_bb(srows, z, w), _int_bb(srows, z, x), _int_bb(srows, x, w)
                 for y in range(n):
-                    t1 = assoc_bb(x, y, zw)
-                    t2 = assoc_bb(w, y, zx)
-                    t3 = assoc_bb(z, y, xw)
-                    if any(p + q + r for p, q, r in zip(t1, t2, t3)):
-                        return (x, y, z, w)
+                    defect = [p + q + r for p, q, r in zip(
+                        _int_assoc(srows, x, y, zw),
+                        _int_assoc(srows, w, y, zx),
+                        _int_assoc(srows, z, y, xw),
+                    )]
+                    if any(defect):
+                        return (x, y, z, w), defect
     return None
 
 
@@ -287,10 +270,12 @@ def jordan_violation(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], Ve
     makes basis quadruples sufficient in characteristic zero.  Check
     commutativity separately before trusting a None result.
     """
-    quad = _int_defect_scan(a)
-    if quad is None:
+    found = _int_defect_scan(a)
+    if found is None:
         return None
-    return (quad, _linearized_defect(a, *quad))
+    quad, defect = found
+    den = a._int_structure[0]  # the defect is trilinear in the constants
+    return quad, tuple(Fraction(x, den**3) for x in defect)
 
 
 def is_jordan(a: Algebra) -> bool:
@@ -303,15 +288,13 @@ def is_jordan(a: Algebra) -> bool:
 
 
 def is_associative(a: Algebra) -> bool:
+    """(b_i, b_j, b_k) = 0 for all basis triples, on integer-scaled constants."""
     n = a.dim
-    for i in range(n):
-        bi = a.basis_vector(i)
-        for j in range(n):
-            bj = a.basis_vector(j)
-            for k in range(n):
-                if not is_zero_vec(associator(a, bi, bj, a.basis_vector(k))):
-                    return False
-    return True
+    _, srows = a._int_structure
+    units = [[int(k == j) for k in range(n)] for j in range(n)]
+    return not any(
+        any(_int_assoc(srows, i, j, e)) for i in range(n) for j in range(n) for e in units
+    )
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

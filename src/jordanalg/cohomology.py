@@ -11,9 +11,10 @@ the rows of `invariants.coboundary_int_rows`, so dim Der J = n^2 - dim B2.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
-    (xy) h(z,w) + (zw) h(x,y) + h(xy, zw) - x (y h(z,w)) - x h(y, zw) - h(x, y(zw)),
+    (x, y, h(z,w)) + (zw) h(x,y) + h(xy, zw) - x h(y, zw) - h(x, y(zw)),
 
-linear in h, and its J-part is that of J, which vanishes.  The cocycles are
+with (x, y, v) = (xy) v - x (y v) the associator of J acting on M, linear in
+h, and its J-part is that of J, which vanishes.  The cocycles are
 the kernel of this operator summed over the three associator terms and over
 basis quadruples of J only: a quadruple with an argument in M has a defect
 independent of h (h enters only as the M-part of a product of two
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Algebra, AlgebraError, is_jordan
+from .algebra import Algebra, AlgebraError, _int_assoc, _int_bb, _int_mul_bv, is_jordan
 from .invariants import NonJordanError, coboundary_int_rows
 from .ratlin import (
     Matrix,
@@ -131,30 +132,23 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
         for q in range(p, n):
             base[p][q] = base[q][p] = nunk
             nunk += n
-    unit = [((j, 1),) for j in range(n)]
-
-    def mul(u, v):
-        """Product of sparse integer vectors ((k, c), ...)."""
-        out = [0] * n
-        for i, c in u:
-            for j, d in v:
-                for k, e in srows[i][j]:
-                    out[k] += c * d * e
-        return tuple((k, c) for k, c in enumerate(out) if c)
-
-    # column j of the action h -> (xy) h is (xy) b_j, and of h -> x (y h) it
-    # is x (y b_j); both recur across the quadruple scan
-    pair_action = [[[mul(srows[x][y], unit[j]) for j in range(n)] for y in range(n)]
-                   for x in range(n)]
-    nested_action = [[[mul(unit[x], srows[y][j]) for j in range(n)] for y in range(n)]
-                     for x in range(n)]
+    # column j of the action h -> x h is b_x b_j, of h -> (x, y, h) it is
+    # (b_x, b_y, b_j), and of h -> (zw) h it is b_j (zw); all recur across
+    # the quadruple scan
+    prod = [[_int_bb(srows, p, q) for q in range(n)] for p in range(n)]
+    units = [[int(k == j) for k in range(n)] for j in range(n)]
+    assoc_cols = [[[_int_assoc(srows, x, y, e) for e in units] for y in range(n)]
+                  for x in range(n)]
+    prod_cols = [[[_int_mul_bv(srows, j, prod[z][w]) for j in range(n)] for w in range(n)]
+                 for z in range(n)]
 
     def act(form, sign, cols, p, q):
         # form += sign * K h(p, q), column j of K being cols[j]
         off = base[p][q]
         for j, col in enumerate(cols):
-            for m, c in col:
-                form[m][off + j] += sign * c
+            for m, c in enumerate(col):
+                if c:
+                    form[m][off + j] += sign * c
 
     def at(form, c, p, q):
         # form += c * h(p, q)
@@ -165,16 +159,16 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     def add_associator(form, x, y, z, w):
         # M-part of (b_x, b_y, b_z b_w) in the null extension
         zw = srows[z][w]
-        act(form, 1, pair_action[x][y], z, w)  # (xy) h(z, w)
-        act(form, 1, pair_action[z][w], x, y)  # (zw) h(x, y)
+        act(form, 1, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
+        act(form, 1, prod_cols[z][w], x, y)  # (zw) h(x, y)
         for p, c in srows[x][y]:
             for q, d in zw:
                 at(form, c * d, p, q)  # h(xy, zw)
-        act(form, -1, nested_action[x][y], z, w)  # - x (y h(z, w))
         for q, c in zw:
-            act(form, -c, srows[x], y, q)  # - x h(y, zw)
-        for q, c in mul(unit[y], zw):
-            at(form, -c, x, q)  # - h(x, y(zw))
+            act(form, -c, prod[x], y, q)  # - x h(y, zw)
+        for q, c in enumerate(_int_mul_bv(srows, y, prod[z][w])):
+            if c:
+                at(form, -c, x, q)  # - h(x, y(zw))
 
     rows: set[tuple[int, ...]] = set()
     for x in range(n):

@@ -19,6 +19,7 @@ from typing import Optional
 from .algebra import (
     Algebra,
     AlgebraError,
+    _int_bb,
     find_identity,
     is_associative,
     is_jordan,
@@ -209,11 +210,7 @@ def coboundary_int_rows(a: Algebra) -> list[list[int]]:
     """
     n = a.dim
     _, srows = a._int_structure
-    dense = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k, x in srows[i][j]:
-                dense[i][j][k] = x
+    dense = [[_int_bb(srows, i, j) for j in range(n)] for i in range(n)]
     rows = []
     for r in range(n):
         for s in range(n):
