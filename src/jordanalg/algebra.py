@@ -76,10 +76,13 @@ class Algebra:
         n = len(labels)
         table = [[list(zero_vec(n)) for _ in range(n)] for _ in range(n)]
         for (la, lb), rhs in products.items():
-            i, j = index[la], index[lb]
-            v = [ZERO] * n
-            for lc, coeff in rhs.items():
-                v[index[lc]] = rat(coeff)
+            try:
+                i, j = index[la], index[lb]
+                v = [ZERO] * n
+                for lc, coeff in rhs.items():
+                    v[index[lc]] = rat(coeff)
+            except KeyError as exc:
+                raise AlgebraError(f"unknown basis label {exc.args[0]!r}") from None
             table[i][j] = v
             if symmetric:
                 table[j][i] = list(v)

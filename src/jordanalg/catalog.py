@@ -384,7 +384,11 @@ def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     seen: set[str] = set()
     for f in files:
-        for entry in parse_catalog(f.read_text()):
+        try:
+            text = f.read_text()
+        except UnicodeDecodeError as exc:
+            raise CatalogError(f"cannot read {f}: {exc}") from exc
+        for entry in parse_catalog(text):
             if entry.name in seen:
                 raise CatalogError(f"duplicate algebra name {entry.name!r} across files")
             seen.add(entry.name)

@@ -32,7 +32,6 @@ from .invariants import (
     nilpotency_type,
     power_profile,
     radical_split,
-    trace_rank,
 )
 from .peirce import PeirceRuleError, is_idempotent, peirce_single
 from .polysolve import embeds_b2
@@ -63,6 +62,8 @@ def _lookup_named(name: str, directory: Optional[str]) -> tuple[str, Algebra]:
                 env[e.name] = cat.resolve(e, env)
         except cat.CatalogError as exc:
             raise UsageError(str(exc)) from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {name}: {exc}") from exc
         if file_entries:
             last = file_entries[-1].name
             return last, env[last]
@@ -75,7 +76,10 @@ def cmd_verify(args) -> int:
     report = cat.verify_catalog(entries, deep=args.deep, budget=args.budget)
     print(report.text())
     if args.summary:
-        Path(args.summary).write_text("\n".join(report.summary_lines()) + "\n")
+        try:
+            Path(args.summary).write_text("\n".join(report.summary_lines()) + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.summary}: {exc}") from exc
     return 1 if report.fatal else 0
 
 
@@ -100,7 +104,7 @@ def cmd_invariants(args) -> int:
     if rad.dim == 0:
         flags.append("semisimple")
     print(f"flags    {' '.join(flags)}")
-    print(f"tracerk  {trace_rank(a)}")
+    print(f"tracerk  {a.dim - rad.dim}")  # the radical is the trace-form kernel
     return 0
 
 

@@ -20,7 +20,7 @@ from jordanalg.algebra import (
     plus_algebra,
     unitalization,
 )
-from jordanalg.ratlin import Matrix, is_zero_vec, vec, zero_vec
+from jordanalg.ratlin import Matrix, invert, is_zero_vec, vec, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 
 F = Fraction
@@ -127,6 +127,84 @@ def test_non_jordan_witnesses():
         assert violation is not None
         quad, defect = violation
         assert not is_zero_vec(defect)
+
+
+def fraction_is_associative(a):
+    # oracle: the public Fraction associator on every basis triple
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    return all(is_zero_vec(associator(a, x, y, z)) for x in basis for y in basis for z in basis)
+
+
+def fraction_defect(a, x, y, z, w):
+    # oracle: (x, y, zw) + (w, y, zx) + (z, y, xw) with the Fraction associator
+    bx, by, bz, bw = (a.basis_vector(t) for t in (x, y, z, w))
+    terms = (associator(a, bx, by, a.table[z][w]), associator(a, bw, by, a.table[z][x]),
+             associator(a, bz, by, a.table[x][w]))
+    return tuple(sum(t) for t in zip(*terms))
+
+
+def fraction_violation(a):
+    # oracle: the first quadruple of the scan order with a nonzero defect
+    n = a.dim
+    for x in range(n):
+        for z in range(x, n):
+            for w in range(z, n):
+                for y in range(n):
+                    defect = fraction_defect(a, x, y, z, w)
+                    if not is_zero_vec(defect):
+                        return (x, y, z, w), defect
+    return None
+
+
+def random_table(rng, n, den, commutative):
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if commutative and j < i:
+                table[i][j] = table[j][i]
+            else:
+                table[i][j] = tuple(F(rng.choice([0, 0, 1, -1, 2]), rng.choice([1, den]))
+                                    for _ in range(n))
+    return Algebra(tuple(f"b{i+1}" for i in range(n)), tuple(map(tuple, table)))
+
+
+def rational_basis_change(a, rng, den):
+    p = Matrix.from_rows([[F(rng.randint(-2, 2), rng.choice([1, den])) for _ in range(a.dim)]
+                          for _ in range(a.dim)])
+    return change_basis(a, p) if invert(p) is not None else a
+
+
+def test_is_associative_matches_fraction_oracle(env):
+    rng = seeded_rng("assoc-oracle")
+    m2 = matrix_algebra(2)
+    cases = [m2, plus_algebra(m2)]
+    for a in env.values():
+        cases += [a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))]
+    for den in (1, 2, 3, 17):
+        # basis changes with denominators keep associative tables associative
+        cases += [rational_basis_change(m2, rng, den), rational_basis_change(env["J3"], rng, den)]
+        for commutative in (True, False):
+            cases += [random_table(rng, rng.choice([2, 3]), den, commutative) for _ in range(3)]
+    verdicts = [is_associative(a) for a in cases]
+    assert verdicts == [fraction_is_associative(a) for a in cases]
+    kinds = {(is_commutative(a), v) for a, v in zip(cases, verdicts)}
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_jordan_violation_matches_fraction_oracle():
+    rng = seeded_rng("violation-oracle")
+    cases = [rejected_half_action(), rejected_cubed_generator()]
+    for den in (1, 2, 3, 17):
+        cases += [random_table(rng, rng.choice([2, 3, 4]), den, True) for _ in range(5)]
+    for a in cases:
+        assert jordan_violation(a) == fraction_violation(a)
+    assert sum(jordan_violation(a) is not None for a in cases) >= len(cases) - 2
+
+
+def test_from_products_unknown_label():
+    for products in ({("e1", "x"): {"e1": 1}}, {("e1", "e1"): {"y": 1}}):
+        with pytest.raises(AlgebraError, match="unknown basis label"):
+            Algebra.from_products(("e1", "e2"), products)
 
 
 def test_is_associative_examples(env):

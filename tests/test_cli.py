@@ -146,6 +146,31 @@ def test_verify_deep_unknown_radical_name(capsys, tmp_path):
     assert err == "error: B2: expect radical: unknown summand 'NOPE'\n"
 
 
+NOT_UTF8 = b"algebra Bad\n  dim 1\n  basis e\xff\nend\n"
+
+
+def test_io_errors_are_usage_errors(capsys, tmp_path):
+    # unreadable inputs and unwritable outputs print one error line and
+    # exit 2 instead of raising out of main
+    (tmp_path / "bad.alg").write_bytes(NOT_UTF8)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "cat").mkdir()
+    (tmp_path / "cat" / "bad.alg").write_bytes(NOT_UTF8)
+    argvs = [
+        ("verify", "--summary", str(tmp_path / "missing" / "x.txt")),
+        ("h2", str(tmp_path / "dir")),
+        ("h2", str(tmp_path / "bad.alg")),
+        ("invariants", str(tmp_path / "bad.alg")),
+        ("verify", "--dir", str(tmp_path / "cat")),
+        ("show", "J1", "--dir", str(tmp_path / "cat")),
+    ]
+    for argv in argvs:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: cannot ") and err.count("\n") == 1, argv
+        assert "Traceback" not in err, argv
+
+
 def test_invariants_from_file(capsys, tmp_path):
     f = tmp_path / "mine.alg"
     f.write_text("algebra Mine = B2 + B3\nend\n")
