@@ -37,6 +37,9 @@ from .peirce import PeirceRuleError, is_idempotent, peirce_single
 from .polysolve import embeds_b2
 
 
+EXHAUSTION = {"budget": "the S-pair budget", "coeff_bits": "the coefficient-size guard"}
+
+
 class UsageError(Exception):
     pass
 
@@ -212,6 +215,10 @@ def cmd_embed_b2(args) -> int:
         print(f"{res.answer} (e = {a.format_element(e)}, y = {a.format_element(y)})")
     else:
         print(res.answer)
+    for chart in res.charts:
+        if chart.answer == "inconclusive":
+            print(f"chart y[{chart.label}] = 1: stopped by {EXHAUSTION[chart.reason]}"
+                  f" after {chart.pairs_reduced} S-pair reductions", file=sys.stderr)
     return 0
 
 

@@ -25,7 +25,7 @@ from .algebra import (
     is_jordan,
     product_span,
 )
-from .ratlin import Matrix, Subspace, ZERO, kernel, rank as matrix_rank
+from .ratlin import Matrix, Subspace, ZERO, _int_kernel, kernel, rank as matrix_rank
 
 
 class NonJordanError(AlgebraError):
@@ -231,12 +231,12 @@ def coboundary_int_rows(a: Algebra) -> list[list[int]]:
 
 
 def derivation_dim(a: Algebra) -> int:
-    """dim Der J = n^2 - rank delta^1: D is a derivation iff delta^1(D) = 0,
-    D(xy) = D(x)y + xD(y) on basis pairs.  The rows are the ones B2 is
-    spanned by in `cohomology`.  They are ranked with the general `rank`:
-    `int_rows_rank` is kept for the cocycle systems, whose work the
-    benchmark's `ratlin.int_rows_rank` metrics measure."""
-    return a.dim * a.dim - matrix_rank(Matrix.from_rows(coboundary_int_rows(a)))
+    """dim Der J: D is a derivation iff delta^1(D) = 0, D(xy) = D(x)y + xD(y)
+    on basis pairs.  Each column of `coboundary_int_rows` is one of these
+    equations in the n^2 entries of D (the rows B2 is spanned by in
+    `cohomology`), so Der J is the kernel `_int_kernel` cuts from the
+    columns, in exact integers."""
+    return len(_int_kernel(zip(*coboundary_int_rows(a)), a.dim * a.dim))
 
 
 def centroid_dim(a: Algebra) -> int:

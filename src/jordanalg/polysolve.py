@@ -13,9 +13,12 @@ nonzero y with e*y = y/2 and y*y = 0.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, le, neg, sub
 from typing import Optional, Sequence
 
 from .algebra import Algebra, is_jordan
@@ -29,23 +32,28 @@ COEFF_BIT_GUARD = 4096
 
 def degrevlex_key(m: Monomial) -> tuple:
     """Sort key: graded, ties broken by reverse lexicographic comparison."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(m), tuple(map(neg, reversed(m))))
+
+
+def _descending(m: Monomial) -> tuple:
+    """Sort key that puts the degrevlex-larger monomial first."""
+    return (-sum(m), m[::-1])
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def _mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _mono_div(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def _mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 class Polynomial:
@@ -79,6 +87,14 @@ class Polynomial:
         exps[i] = 1
         return cls(names, {tuple(exps): ONE})
 
+    @classmethod
+    def _of(cls, names: tuple[str, ...], terms: dict) -> "Polynomial":
+        """Wrap terms that are already clean: nonzero Fractions keyed by
+        exponent tuples of the right length."""
+        p = cls.__new__(cls)
+        p.names, p.terms = names, terms
+        return p
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -86,7 +102,7 @@ class Polynomial:
         return max((sum(m) for m in self.terms), default=0)
 
     def lead(self) -> tuple[Monomial, Fraction]:
-        m = max(self.terms, key=degrevlex_key)
+        m = min(self.terms, key=_descending)
         return m, self.terms[m]
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -182,9 +198,14 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class GroebnerResult:
+    """`reason` says why an exhausted completion stopped: "budget" (the
+    S-pair budget ran out) or "coeff_bits" (a coefficient outgrew
+    `COEFF_BIT_GUARD`); it is None when the completion finished."""
+
     basis: Optional[tuple[Polynomial, ...]]
     exhausted: bool
     pairs_reduced: int
+    reason: Optional[str] = None
 
     @property
     def trivial(self) -> Optional[bool]:
@@ -194,60 +215,180 @@ class GroebnerResult:
         return len(self.basis) == 1 and self.basis[0].total_degree() == 0
 
 
-class _BudgetExceeded(Exception):
+class _CoeffBitsExceeded(Exception):
     pass
+
+
+# Inside the completion a polynomial is a dict {monomial: integer} over one
+# positive denominator, so reduction multiplies integers instead of
+# Fractions; Fractions appear only where polynomials come in or go out.
+# A basis element is kept as its Lead (lm, support, tail, d): the monic
+# polynomial lm - sum(x * m for m, x in tail) / d, with `support` the
+# bitmask of the variables in lm.  Reducing c*m by it adds c * (m/lm) * tail/d.
+Lead = tuple[Monomial, int, tuple[tuple[Monomial, int], ...], int]
+
+
+def _support(m: Monomial) -> int:
+    return sum(1 << k for k, e in enumerate(m) if e)
+
+
+def _integer_terms(p: Polynomial) -> tuple[dict, int]:
+    """({m: numerator}, d) with p.terms[m] == numerator / d."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    return {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d
+
+
+def _lead(terms: dict) -> Lead:
+    """The Lead of the monic multiple of a nonzero integer polynomial."""
+    lm = min(terms, key=_descending)
+    lc = terms[lm]
+    sign = -1 if lc > 0 else 1
+    tail = {m: sign * x for m, x in terms.items() if m != lm}
+    d = abs(lc)
+    h = gcd(d, *tail.values())
+    return lm, _support(lm), tuple((m, x // h) for m, x in tail.items()), d // h
+
+
+def _leads(basis: Sequence[Polynomial]) -> list[Lead]:
+    return [_lead(_integer_terms(g)[0]) for g in basis if not g.is_zero()]
+
+
+def _monic(g: Lead, names: tuple[str, ...]) -> Polynomial:
+    lm, _, tail, d = g
+    return Polynomial._of(names, {lm: ONE, **{m: Fraction(-x, d) for m, x in tail}})
+
+
+def _reduce(terms: dict, den: int, leads: Sequence[Lead]) -> tuple[dict, int]:
+    """Full remainder of terms / den modulo leads, dividing each term by the
+    first lead whose monomial divides it; the remainder is again a dict of
+    integers over a denominator.
+
+    The terms wait in a heap on (-degree, reversed exponents), whose least
+    entry is the degrevlex-largest monomial.  A popped term never comes
+    back, since reducing it adds only smaller monomials, so an irreducible
+    one just stays in the dict as part of the remainder, and an entry whose
+    term has cancelled is skipped.  After each step the numerators and the
+    denominator are divided by their common factor, and each coefficient
+    the step wrote is held to `COEFF_BIT_GUARD`.
+    """
+    work = dict(terms)
+    heap = [(-sum(m), m[::-1], m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[2]
+        a = work.get(m)
+        if a is None:
+            continue
+        outside = ~_support(m)
+        for lm, mask, tail, d in leads:
+            if not mask & outside and _mono_divides(lm, m):
+                del work[m]
+                # work += (a / den) * x^q * tail / d, over den * scale
+                h = gcd(a, d)
+                a, scale = a // h, d // h
+                if scale != 1:
+                    den *= scale
+                    for t in work:
+                        work[t] *= scale
+                q = _mono_div(m, lm)
+                touched = []
+                for gm, x in tail:
+                    t = _mono_mul(gm, q)
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = a * x
+                        heapq.heappush(heap, (-sum(t), t[::-1], t))
+                    elif old + a * x:
+                        work[t] = old + a * x
+                    else:
+                        del work[t]
+                        continue
+                    touched.append(t)
+                h = gcd(den, *work.values())
+                if h != 1:
+                    den //= h
+                    for t in work:
+                        work[t] //= h
+                _check_coeffs(work, den, touched)
+                break
+    return work, den
+
+
+def _check_coeffs(terms: dict, den: int, keys) -> None:
+    """Exhaust when some terms[m] / den, m in keys, has a numerator or a
+    denominator wider than COEFF_BIT_GUARD bits in lowest terms."""
+    bits = max(map(int.bit_length, map(terms.__getitem__, keys)), default=0)
+    if max(bits, den.bit_length()) <= COEFF_BIT_GUARD:
+        return
+    for m in keys:
+        h = gcd(terms[m], den)
+        if max((terms[m] // h).bit_length(), (den // h).bit_length()) > COEFF_BIT_GUARD:
+            raise _CoeffBitsExceeded
+
+
+def _s_poly(f: Lead, g: Lead) -> tuple[dict, int]:
+    """(l/lm_f) f - (l/lm_g) g for monic f, g, l the lcm of their lead
+    monomials: the lead terms cancel and the tails remain."""
+    l = _mono_lcm(f[0], g[0])
+    den = lcm(f[3], g[3])
+    terms: dict = {}
+    for (lm, _, tail, d), sign in ((f, -1), (g, 1)):
+        q, k = _mono_div(l, lm), sign * (den // d)
+        for m, x in tail:
+            t = _mono_mul(m, q)
+            terms[t] = terms.get(t, 0) + k * x
+    return {t: x for t, x in terms.items() if x}, den
+
+
+def _as_polynomial(terms: dict, den: int, names: tuple[str, ...]) -> Polynomial:
+    return Polynomial._of(names, {m: Fraction(x, den) for m, x in terms.items()})
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo basis (leading and tail terms reduced)."""
-    remainder: dict = {}
-    work = Polynomial(p.names, dict(p.terms))
-    leads = [(g.lead()[0], g.lead()[1], g) for g in basis if not g.is_zero()]
-    while not work.is_zero():
-        m, c = work.lead()
-        reduced = False
-        for lm, lc, g in leads:
-            if _mono_divides(lm, m):
-                work = work - g.term_mul(_mono_div(m, lm), c / lc)
-                reduced = True
-                break
-        if not reduced:
-            remainder[m] = c
-            del work.terms[m]
-        else:
-            _check_coeffs(work)
-    return Polynomial(p.names, remainder)
-
-
-def _check_coeffs(p: Polynomial) -> None:
-    for c in p.terms.values():
-        if c.numerator.bit_length() > COEFF_BIT_GUARD or c.denominator.bit_length() > COEFF_BIT_GUARD:
-            raise _BudgetExceeded
+    return _as_polynomial(*_reduce(*_integer_terms(p), _leads(basis)), p.names)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    mf, cf = f.lead()
-    mg, cg = g.lead()
-    l = _mono_lcm(mf, mg)
-    return f.term_mul(_mono_div(l, mf), ONE / cf) - g.term_mul(_mono_div(l, mg), ONE / cg)
+    return _as_polynomial(*_s_poly(*_leads([f, g])), f.names)
 
 
-def _interreduce(polys: list[Polynomial]) -> list[Polynomial]:
-    polys = [p.monic() for p in polys if not p.is_zero()]
+def _divides_a_term(leads: Sequence[Lead], g: Lead) -> bool:
+    """Whether a lead monomial of `leads` divides a term of g."""
+    for m in [g[0]] + [m for m, _ in g[2]]:
+        outside = ~_support(m)
+        if any(not mask & outside and _mono_divides(lm, m) for lm, mask, _, _ in leads):
+            return True
+    return False
+
+
+def _interreduce(leads: list[Lead]) -> list[Lead]:
+    """Leads of monic polynomials generating the same ideal, none with a term
+    that the lead monomial of another divides, sorted by lead monomial.
+
+    Each pass reduces every element by the others in place; passes repeat
+    until one changes nothing.  On a Groebner basis this is the reduced
+    basis, which is unique.
+    """
+    leads = list(leads)
     changed = True
     while changed:
         changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            r = normal_form(polys[i], others)
-            if r != polys[i]:
-                changed = True
-                if r.is_zero():
-                    polys = others
-                else:
-                    polys = others + [r.monic()]
-                break
-    return sorted(polys, key=lambda p: degrevlex_key(p.lead()[0]))
+        i = 0
+        while i < len(leads):
+            lm, _, tail, d = leads[i]
+            others = leads[:i] + leads[i + 1 :]
+            if not _divides_a_term(others, leads[i]):
+                i += 1
+                continue
+            changed = True
+            r, _ = _reduce({lm: d, **{m: -x for m, x in tail}}, d, others)
+            if r:
+                leads[i] = _lead(r)
+                i += 1
+            else:
+                del leads[i]
+    return sorted(leads, key=lambda g: degrevlex_key(g[0]))
 
 
 def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResult:
@@ -255,60 +396,60 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
 
     `budget` caps the number of S-pairs actually reduced (pairs discarded by
     the coprimality or chain criteria are free); a coefficient-size guard
-    also trips the same exhaustion path.
+    also trips the same exhaustion path.  Pending pairs wait in a heap keyed
+    on the degrevlex key of the lcm of their lead monomials, computed once
+    when the pair is pushed; ties go to the smaller (i, j), so the order of
+    reduction, and with it `pairs_reduced`, is deterministic.
     """
-    basis = [p.monic() for p in system.polynomials if not p.is_zero()]
-    if not basis:
+    leads = _leads(system.polynomials)
+    if not leads:
         return GroebnerResult((), False, 0)
+    one = (Polynomial.const(system.names, 1),)
     reduced_count = 0
     try:
-        basis = _interreduce(basis)
-        if basis and basis[0].total_degree() == 0:
-            return GroebnerResult((Polynomial.const(system.names, 1),), False, 0)
-        pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+        leads = _interreduce(leads)
+        if not any(leads[0][0]):
+            return GroebnerResult(one, False, 0)
+        lms = [g[0] for g in leads]
+        queue: list[tuple[tuple, int, int, Monomial]] = []
+
+        def push(i: int, j: int) -> None:
+            l = _mono_lcm(lms[i], lms[j])
+            heapq.heappush(queue, (degrevlex_key(l), i, j, l))
+
+        for j in range(1, len(lms)):
+            for i in range(j):
+                push(i, j)
         done: set[tuple[int, int]] = set()
-
-        def lm(i: int) -> Monomial:
-            return basis[i].lead()[0]
-
-        while pairs:
-            pair = min(pairs, key=lambda ij: degrevlex_key(_mono_lcm(lm(ij[0]), lm(ij[1]))))
-            pairs.discard(pair)
-            done.add(pair)
-            i, j = pair
-            l = _mono_lcm(lm(i), lm(j))
-            if l == _mono_mul(lm(i), lm(j)):
+        while queue:
+            _, i, j, l = heapq.heappop(queue)
+            done.add((i, j))
+            if l == _mono_mul(lms[i], lms[j]):
                 continue  # coprime leading monomials
-            chain = False
-            for k in range(len(basis)):
-                if k in pair:
-                    continue
-                if _mono_divides(lm(k), l):
-                    p1 = (min(i, k), max(i, k))
-                    p2 = (min(j, k), max(j, k))
-                    if p1 in done and p2 in done:
-                        chain = True
-                        break
-            if chain:
-                continue
+            if any(
+                k != i and k != j and _mono_divides(lk, l)
+                and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+                for k, lk in enumerate(lms)
+            ):
+                continue  # chain criterion
             if reduced_count >= budget:
-                return GroebnerResult(None, True, reduced_count)
+                return GroebnerResult(None, True, reduced_count, "budget")
             reduced_count += 1
-            r = normal_form(s_polynomial(basis[i], basis[j]), basis)
-            _check_coeffs(r)
-            if r.is_zero():
+            r, den = _reduce(*_s_poly(leads[i], leads[j]), leads)
+            _check_coeffs(r, den, r)
+            if not r:
                 continue
-            if r.total_degree() == 0:
-                return GroebnerResult(
-                    (Polynomial.const(system.names, 1),), False, reduced_count
-                )
-            basis.append(r.monic())
-            new = len(basis) - 1
+            leads.append(_lead(r))
+            lms.append(leads[-1][0])
+            if not any(lms[-1]):
+                return GroebnerResult(one, False, reduced_count)
+            new = len(lms) - 1
             for k in range(new):
-                pairs.add((k, new))
-        return GroebnerResult(tuple(_interreduce(basis)), False, reduced_count)
-    except _BudgetExceeded:
-        return GroebnerResult(None, True, reduced_count)
+                push(k, new)
+        basis = tuple(_monic(g, system.names) for g in _interreduce(leads))
+        return GroebnerResult(basis, False, reduced_count)
+    except _CoeffBitsExceeded:
+        return GroebnerResult(None, True, reduced_count, "coeff_bits")
 
 
 def has_solution(system: PolySystem, budget: int = DEFAULT_BUDGET) -> str:
@@ -319,31 +460,49 @@ def has_solution(system: PolySystem, budget: int = DEFAULT_BUDGET) -> str:
     ideal, and a nontrivial completion is re-certified by reducing every
     S-polynomial to zero before 'yes' is returned.
     """
+    return _decide(system, budget)[0]
+
+
+def _decide(system: PolySystem, budget: int) -> tuple[str, GroebnerResult]:
+    """`has_solution`'s answer together with the completion behind it."""
     result = buchberger(system, budget)
     if result.exhausted:
-        return "inconclusive"
+        return "inconclusive", result
     if result.trivial:
-        return "no"
+        return "no", result
     if not is_groebner_basis(result.basis):
         raise AssertionError("completed basis failed its own certificate")
-    return "yes"
+    return "yes", result
 
 
 def is_groebner_basis(basis: Sequence[Polynomial]) -> bool:
     """Certifies a basis: every S-polynomial reduces to zero."""
-    for f, g in itertools.combinations(basis, 2):
-        if not normal_form(s_polynomial(f, g), basis).is_zero():
-            return False
-    return True
+    leads = _leads(basis)
+    return all(
+        not _reduce(*_s_poly(f, g), leads)[0] for f, g in itertools.combinations(leads, 2)
+    )
 
 
 # ---------------------------------------------------------------------------
 # two-dimensional half-action subalgebra detection
 
 @dataclass(frozen=True)
+class B2Chart:
+    """The completion of one affine chart of `embeds_b2`: `label` names the
+    basis element whose y-coordinate is set to 1; `reason` is the
+    `GroebnerResult.reason` of an inconclusive chart."""
+
+    label: str
+    answer: str  # "yes" | "no" | "inconclusive"
+    pairs_reduced: int
+    reason: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class B2Result:
     answer: str  # "yes" | "no" | "inconclusive"
     witness: Optional[tuple[Vector, Vector]] = None
+    charts: tuple[B2Chart, ...] = ()  # in chart order, up to the first "yes"
 
 
 def check_b2_witness(a: Algebra, e: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
@@ -379,6 +538,40 @@ def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
     return None
 
 
+def b2_chart_system(a: Algebra, i: int) -> PolySystem:
+    """e*e = e, e*y = y/2 and y*y = 0 on chart i, where y_i = 1 and y_j = 0
+    for j < i.  The variables are e_0..e_{n-1} and y_{i+1}..y_{n-1}."""
+    n = a.dim
+    names = tuple([f"e{k}" for k in range(n)] + [f"y{k}" for k in range(i + 1, n)])
+    # the variable index of each nonzero y-coordinate; None is the constant y_i = 1
+    yvar = {j: (None if j == i else n + j - i - 1) for j in range(i, n)}
+
+    def mono(*variables: Optional[int]) -> Monomial:
+        exps = [0] * len(names)
+        for v in variables:
+            if v is not None:
+                exps[v] += 1
+        return tuple(exps)
+
+    ee, ey, yy = ([{} for _ in range(n)] for _ in range(3))
+    for k in range(n):
+        ee[k][mono(k)] = -ONE
+        if k in yvar:
+            ey[k][mono(yvar[k])] = -HALF
+    for p in range(n):
+        for q in range(n):
+            for k, c in enumerate(a.table[p][q]):
+                if not c:
+                    continue
+                for out, m in ((ee, mono(p, q)),
+                               (ey, q in yvar and mono(p, yvar[q])),
+                               (yy, p in yvar and q in yvar and mono(yvar[p], yvar[q]))):
+                    if m:
+                        out[k][m] = out[k].get(m, ZERO) + c
+    polys = [Polynomial(names, terms) for k in range(n) for terms in (ee[k], ey[k], yy[k])]
+    return PolySystem(tuple(polys), names)
+
+
 def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     """Decide, over the algebraic closure, whether a contains e, y with
     e*e = e, e*y = y/2, y*y = 0 and y != 0.
@@ -386,10 +579,13 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     Strategy: nilpotent algebras contain no nonzero idempotent (e = e*e
     forces e into every right power), so the answer there is 'no' outright.
     Otherwise scan the half eigenspaces of the table idempotents for a
-    rational witness; failing that, encode the full system in the 2n
-    coordinates of e and y and decide y != 0 through one Rabinowitsch branch
-    per coordinate (adjoin t*y_i - 1).  A branch answering 'yes' settles the
-    question; 'no' requires every branch to answer 'no'.
+    rational witness; failing that, decide the system in affine charts.
+    e*y = y/2 and y*y = 0 are homogeneous in y and e*e = e does not involve
+    y, so (e, y) is a solution iff (e, y/y_i) is one.  Taking i as the first
+    nonzero coordinate of y, a solution with y != 0 exists iff some chart i
+    of `b2_chart_system` (y_i = 1, y_j = 0 for j < i) has one.  A chart
+    answering 'yes' settles the question; 'no' requires every chart to
+    answer 'no'.  `B2Result.charts` records each chart's completion.
     """
     from .invariants import NonJordanError, is_nilpotent
 
@@ -401,43 +597,12 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     if witness is not None:
         return B2Result("yes", witness)
 
-    n = a.dim
-    names = tuple([f"e{i}" for i in range(n)] + [f"y{i}" for i in range(n)] + ["t"])
-    nv = len(names)
-
-    def variable(i: int) -> Polynomial:
-        return Polynomial.variable(names, i)
-
-    es = [variable(i) for i in range(n)]
-    ys = [variable(n + i) for i in range(n)]
-    t = variable(2 * n)
-
-    def product(xs: list[Polynomial], zs: list[Polynomial]) -> list[Polynomial]:
-        out = [Polynomial.zero(names) for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                entry = a.table[i][j]
-                term = xs[i] * zs[j]
-                for k in range(n):
-                    if entry[k]:
-                        out[k] = out[k] + term * entry[k]
-        return out
-
-    base: list[Polynomial] = []
-    ee = product(es, es)
-    ey = product(es, ys)
-    yy = product(ys, ys)
-    for k in range(n):
-        base.append(ee[k] - es[k])
-        base.append(ey[k] - ys[k] * HALF)
-        base.append(yy[k])
-
-    answers = []
-    for i in range(n):
-        branch = base + [t * ys[i] - Polynomial.const(names, 1)]
-        answers.append(has_solution(PolySystem(tuple(branch), names), budget))
-    if "yes" in answers:
-        return B2Result("yes")
-    if all(ans == "no" for ans in answers):
-        return B2Result("no")
-    return B2Result("inconclusive")
+    charts = []
+    for i in range(a.dim):
+        answer, result = _decide(b2_chart_system(a, i), budget)
+        charts.append(B2Chart(a.labels[i], answer, result.pairs_reduced, result.reason))
+        if answer == "yes":
+            return B2Result("yes", charts=tuple(charts))
+    if all(c.answer == "no" for c in charts):
+        return B2Result("no", charts=tuple(charts))
+    return B2Result("inconclusive", charts=tuple(charts))

@@ -235,6 +235,16 @@ def test_embed_b2_budget_exhaustion_is_inconclusive(capsys):
     assert code == 0 and out.strip() == "inconclusive"
 
 
+def test_inconclusive_embed_b2_names_the_chart(capsys):
+    # chart n2 is the one J55 needs S-pairs for; the other charts are
+    # inconsistent before the first S-pair
+    code, out, err = run(capsys, "embed-b2", "J55", "--budget", "0")
+    assert code == 0 and out == "inconclusive\n"
+    assert err == "chart y[n2] = 1: stopped by the S-pair budget after 0 S-pair reductions\n"
+    code, out, err = run(capsys, "embed-b2", "J55")
+    assert (code, out, err) == (0, "no\n", "")
+
+
 def test_fingerprint_deep_includes_embedding(capsys):
     code, out, _ = run(capsys, "fingerprint", "J56", "--deep")
     assert code == 0 and "b2=yes" in out

@@ -1,9 +1,15 @@
 from fractions import Fraction
 
+import pytest
+
+from jordanalg import polysolve
 from jordanalg.algebra import change_basis
+from jordanalg.invariants import is_nilpotent
 from jordanalg.polysolve import (
+    B2Chart,
     PolySystem,
     Polynomial,
+    b2_chart_system,
     buchberger,
     check_b2_witness,
     degrevlex_key,
@@ -291,3 +297,144 @@ def test_j55_half_eigenspace_line_and_quadric(env):
     sq = mul(y, y)
     assert sq[0].is_zero() and sq[1].is_zero() and sq[3].is_zero()
     assert sq[2] == Polynomial(names, {(0, 2): 1})
+
+
+# ---------------------------------------------------------------------------
+# reason and per-chart records
+
+def test_exhaustion_reason(monkeypatch):
+    names = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(names, i) for i in range(3))
+    sys = PolySystem((x * y - z, y * z - x, x * z - y), names)
+    done = buchberger(sys)
+    assert (done.exhausted, done.reason) == (False, None) and done.pairs_reduced > 0
+    starved = buchberger(sys, budget=1)
+    assert (starved.exhausted, starved.reason, starved.pairs_reduced) == (True, "budget", 1)
+    monkeypatch.setattr(polysolve, "COEFF_BIT_GUARD", 1)
+    third = Polynomial.const(names, F(1, 3))
+    res = buchberger(PolySystem((x * y - third, x * x - y * third), names))
+    assert (res.exhausted, res.reason, res.basis) == (True, "coeff_bits", None)
+
+
+def test_chart_records(env):
+    res = embeds_b2(env["J55"])
+    assert res.answer == "no"
+    assert [c.label for c in res.charts] == ["e1", "n1", "n2", "n3"]
+    assert all(c.answer == "no" and c.reason is None for c in res.charts)
+    # the witness scan and the nilpotent shortcut run no chart
+    assert embeds_b2(env["J56"]).charts == () == embeds_b2(env["J73"]).charts
+    starved = embeds_b2(env["J55"], budget=0)
+    assert starved.answer == "inconclusive"
+    assert B2Chart("n2", "inconclusive", 0, "budget") in starved.charts
+
+
+def test_pairs_reduced_is_deterministic(env):
+    for name in ("J1", "J8", "T5", "J55"):
+        first, second = embeds_b2(env[name]), embeds_b2(env[name])
+        assert first == second, name
+        assert sum(c.pairs_reduced for c in first.charts) > 0, name
+
+
+def test_chart_systems_drop_the_earlier_coordinates(env):
+    a = env["J55"]
+    for i in range(a.dim):
+        names = b2_chart_system(a, i).names
+        assert names == tuple(f"e{k}" for k in range(4)) + tuple(f"y{k}" for k in range(i + 1, 4))
+        assert len(names) == 2 * a.dim - 1 - i
+
+
+# ---------------------------------------------------------------------------
+# oracles for the affine charts: the reduced basis against sympy, and the
+# answers against the Rabinowitsch encoding the charts replaced, which
+# decides y != 0 by one branch per coordinate with a variable t and
+# t*y_i - 1 adjoined
+
+def _sympy_basis(system):
+    import sympy
+
+    gens = sympy.symbols(system.names)
+
+    def expr(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+                   for m, c in p.terms.items())
+
+    ref = sympy.groebner([expr(p) for p in system.polynomials], *gens, order="grevlex")
+    return gens, expr, {sympy.expand(e) for e in ref.exprs}
+
+
+@pytest.mark.parametrize("name, chart", [("J55", 0), ("J1", 0), ("T5", 1), ("J55", 2)])
+def test_chart_basis_matches_sympy(env, name, chart):
+    import sympy
+
+    system = b2_chart_system(env[name], chart)
+    res = buchberger(system)
+    assert not res.exhausted
+    _, expr, want = _sympy_basis(system)
+    assert {sympy.expand(expr(p)) for p in res.basis} == want
+
+
+def test_yes_chart_basis_matches_sympy(env):
+    # in a dense basis J56 has no table idempotent, so its "yes" comes from a
+    # chart whose reduced basis is not {1}
+    import sympy
+
+    rng = seeded_rng("b2-yes-chart")
+    b = change_basis(env["J56"], random_invertible_matrix(4, rng, dense=True))
+    res = embeds_b2(b)
+    assert res.answer == "yes" and res.witness is None
+    system = b2_chart_system(b, len(res.charts) - 1)
+    basis = buchberger(system).basis
+    assert len(basis) > 1
+    _, expr, want = _sympy_basis(system)
+    assert {sympy.expand(expr(p)) for p in basis} == want
+
+
+def _rabinowitsch_embeds_b2(a, budget=polysolve.DEFAULT_BUDGET):
+    if is_nilpotent(a):
+        return "no"
+    if polysolve._witness_scan(a) is not None:
+        return "yes"
+    n = a.dim
+    names = tuple([f"e{i}" for i in range(n)] + [f"y{i}" for i in range(n)] + ["t"])
+    es = [Polynomial.variable(names, i) for i in range(n)]
+    ys = [Polynomial.variable(names, n + i) for i in range(n)]
+    t = Polynomial.variable(names, 2 * n)
+
+    def product(xs, zs):
+        out = [Polynomial.zero(names)] * n
+        for i in range(n):
+            for j in range(n):
+                for k, c in enumerate(a.table[i][j]):
+                    if c:
+                        out[k] = out[k] + xs[i] * zs[j] * c
+        return out
+
+    ee, ey, yy = product(es, es), product(es, ys), product(ys, ys)
+    base = [p for k in range(n) for p in (ee[k] - es[k], ey[k] - ys[k] * F(1, 2), yy[k])]
+    one = Polynomial.const(names, 1)
+    answers = [has_solution(PolySystem(tuple(base + [t * ys[i] - one]), names), budget)
+               for i in range(n)]
+    if "yes" in answers:
+        return "yes"
+    return "no" if all(x == "no" for x in answers) else "inconclusive"
+
+
+def _groebner_path(entries, env):
+    return [e.name for e in entries
+            if not is_nilpotent(env[e.name]) and polysolve._witness_scan(env[e.name]) is None]
+
+
+def test_charts_agree_with_rabinowitsch_on_catalog(entries, env):
+    assert len(_groebner_path(entries, env)) == 40
+    for e in entries:
+        a = env[e.name]
+        assert embeds_b2(a).answer == _rabinowitsch_embeds_b2(a), e.name
+
+
+def test_charts_agree_with_rabinowitsch_in_dense_bases(entries, env):
+    rng = seeded_rng("b2-charts-dense")
+    for name in _groebner_path(entries, env):
+        a = env[name]
+        b = change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))
+        assert embeds_b2(b).answer == _rabinowitsch_embeds_b2(b) == embeds_b2(a).answer, name
