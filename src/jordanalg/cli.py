@@ -37,9 +37,6 @@ from .peirce import PeirceRuleError, is_idempotent, peirce_single
 from .polysolve import embeds_b2
 
 
-EXHAUSTION = {"budget": "the S-pair budget", "coeff_bits": "the coefficient-size guard"}
-
-
 class UsageError(Exception):
     pass
 
@@ -205,6 +202,9 @@ def cmd_h2(args) -> int:
     cs = cocycle_space(a)
     print(f"z2={cs.z2_dim} b2={cs.b2_dim} h2={cs.h2_dim}")
     return 0
+
+
+EXHAUSTION = {"budget": "the S-pair budget", "coeff_bits": "the coefficient-size guard"}
 
 
 def cmd_embed_b2(args) -> int:

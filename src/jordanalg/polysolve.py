@@ -4,11 +4,17 @@ Existence questions over the algebraic closure reduce to ideal triviality:
 a polynomial system is solvable over the closure iff its reduced Groebner
 basis is not {1}.  The completion is budgeted (a maximum number of S-pair
 reductions plus a coefficient-size guard) so blowups surface as an explicit
-"exhausted" outcome instead of a hang; answers, when produced, are exact.
+"exhausted" outcome, with its reason, instead of a hang; answers, when
+produced, are exact.  Pending S-pairs wait in a heap keyed once on the lcm
+of their lead monomials, and reduction runs on integer numerators over a
+common denominator.
 
 The only consumer beyond the generic solver is `embeds_b2`, which decides
 whether an algebra contains a subalgebra spanned by an idempotent e and a
-nonzero y with e*y = y/2 and y*y = 0.
+nonzero y with e*y = y/2 and y*y = 0.  Those two equations are homogeneous
+in y, so y != 0 is decided in affine charts (y_i = 1, y_j = 0 for j < i)
+rather than by adjoining an inverse t with t*y_i = 1 (the Rabinowitsch
+trick): each chart has fewer variables than a Rabinowitsch branch, not more.
 """
 
 from __future__ import annotations
@@ -412,20 +418,21 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
             return GroebnerResult(one, False, 0)
         lms = [g[0] for g in leads]
         queue: list[tuple[tuple, int, int, Monomial]] = []
+        done: set[tuple[int, int]] = set()
 
         def push(i: int, j: int) -> None:
             l = _mono_lcm(lms[i], lms[j])
-            heapq.heappush(queue, (degrevlex_key(l), i, j, l))
+            if l == _mono_mul(lms[i], lms[j]):
+                done.add((i, j))  # coprime leading monomials: S reduces to 0
+            else:
+                heapq.heappush(queue, (degrevlex_key(l), i, j, l))
 
         for j in range(1, len(lms)):
             for i in range(j):
                 push(i, j)
-        done: set[tuple[int, int]] = set()
         while queue:
             _, i, j, l = heapq.heappop(queue)
             done.add((i, j))
-            if l == _mono_mul(lms[i], lms[j]):
-                continue  # coprime leading monomials
             if any(
                 k != i and k != j and _mono_divides(lk, l)
                 and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
@@ -563,11 +570,13 @@ def b2_chart_system(a: Algebra, i: int) -> PolySystem:
             for k, c in enumerate(a.table[p][q]):
                 if not c:
                     continue
-                for out, m in ((ee, mono(p, q)),
-                               (ey, q in yvar and mono(p, yvar[q])),
-                               (yy, p in yvar and q in yvar and mono(yvar[p], yvar[q]))):
-                    if m:
-                        out[k][m] = out[k].get(m, ZERO) + c
+                products = [(ee, mono(p, q))]
+                if q in yvar:  # skip the factors y_q = 0
+                    products.append((ey, mono(p, yvar[q])))
+                    if p in yvar:
+                        products.append((yy, mono(yvar[p], yvar[q])))
+                for out, m in products:
+                    out[k][m] = out[k].get(m, ZERO) + c
     polys = [Polynomial(names, terms) for k in range(n) for terms in (ee[k], ey[k], yy[k])]
     return PolySystem(tuple(polys), names)
 
