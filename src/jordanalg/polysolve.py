@@ -13,8 +13,8 @@ The only consumer beyond the generic solver is `embeds_b2`, which decides
 whether an algebra contains a subalgebra spanned by an idempotent e and a
 nonzero y with e*y = y/2 and y*y = 0.  Those two equations are homogeneous
 in y, so y != 0 is decided in affine charts (y_i = 1, y_j = 0 for j < i)
-rather than by adjoining an inverse t with t*y_i = 1 (the Rabinowitsch
-trick): each chart has fewer variables than a Rabinowitsch branch, not more.
+rather than by adjoining a new variable for the inverse of y_i (the
+Rabinowitsch trick): a chart has fewer variables than the system, not more.
 """
 
 from __future__ import annotations
