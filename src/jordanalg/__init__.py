@@ -28,10 +28,12 @@ from .algebra import (
 from .catalog import (
     CatalogEntry,
     CatalogError,
+    check_references,
     load_catalog,
     parse_catalog,
     resolve,
     resolve_all,
+    resolve_named,
     serialize,
     verify_catalog,
 )

@@ -434,7 +434,7 @@ def matrix_algebra(n: int) -> Algebra:
     return Algebra(labels, tuple(tuple(row) for row in table))
 
 
-_RATIONAL_LITERAL = re.compile(r"[0-9]+(/[0-9]+)?")
+_RATIONAL_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def parse_terms(text: str) -> list[tuple[Fraction, str]]:
@@ -442,32 +442,40 @@ def parse_terms(text: str) -> list[tuple[Fraction, str]]:
     c a rational literal such as 3 or 1/2 (default 1).
 
     Malformed text raises AlgebraError with a bare message; callers say
-    where the text came from.
+    where the text came from.  Signs are counted, not multiplied, and a
+    literal becomes a Fraction from its two integers.
     """
     tokens = text.replace("+", " + ").replace("-", " - ").split()
     terms: list[tuple[Fraction, str]] = []
-    sign = ONE
+    negative = False
     coeff: Optional[Fraction] = None
     expecting_term = True
     for tok in tokens:
-        if tok in ("+", "-"):
+        if tok == "+" or tok == "-":
             if coeff is not None:
                 raise AlgebraError("dangling coefficient")
             if tok == "-":
-                sign = -sign
+                negative = not negative
             expecting_term = True
-        elif _RATIONAL_LITERAL.fullmatch(tok):
+            continue
+        literal = _RATIONAL_LITERAL.fullmatch(tok)
+        if literal is not None:
             if coeff is not None:
                 raise AlgebraError("two coefficients in a row")
-            den = tok.partition("/")[2]
-            if den and int(den) == 0:
+            num, den = literal.groups()
+            if den is None:
+                coeff = Fraction(int(num))
+            elif int(den) == 0:
                 raise AlgebraError("zero denominator")
-            coeff = Fraction(tok)
+            else:
+                coeff = Fraction(int(num), int(den))
         elif not expecting_term:
             raise AlgebraError("missing operator")
         else:
-            terms.append((sign * (coeff if coeff is not None else ONE), tok))
-            sign, coeff, expecting_term = ONE, None, False
+            if coeff is None:
+                coeff = ONE
+            terms.append((-coeff if negative else coeff, tok))
+            negative, coeff, expecting_term = False, None, False
     if expecting_term or coeff is not None:
         raise AlgebraError("trailing operator or coefficient")
     return terms

@@ -25,11 +25,10 @@ as errata rather than editing the records.
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
     Algebra,
@@ -58,17 +57,23 @@ class CatalogError(ValueError):
 
 
 class CatalogParseError(CatalogError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A malformed line; `source`, when known, names the file it is in."""
+
+    def __init__(self, line_no: int, message: str, source: Optional[Path] = None):
+        where = f"line {line_no}" if source is None else f"{source}: line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
+        self.message = message
+        self.source = source
 
 
 FLAG_NAMES = {"unitary", "associative", "nonassociative", "nilpotent", "semisimple"}
 PEIRCE_PLACES = {"N0", "Nhalf", "N1"} | {f"N{i}{j}" for i in range(4) for j in range(4) if i <= j}
 
 
-@dataclass(frozen=True)
-class Expected:
+# Named tuples rather than frozen dataclasses: the catalog makes 176 of
+# them per load, and a frozen dataclass costs several times more to build.
+class Expected(NamedTuple):
     aut: Optional[int] = None
     ann: Optional[int] = None
     sq: Optional[int] = None
@@ -80,15 +85,14 @@ class Expected:
     b2: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     summands: Optional[tuple[str, ...]] = None
     dim: Optional[int] = None
     basis: Optional[tuple[str, ...]] = None
     products: tuple[tuple[str, str, tuple[tuple[Fraction, str], ...]], ...] = ()
     labels_override: Optional[tuple[str, ...]] = None
-    expected: Expected = field(default_factory=Expected)
+    expected: Expected = Expected()
 
 
 def parse_catalog(text: str) -> list[CatalogEntry]:
@@ -98,7 +102,7 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
     current: Optional[dict] = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if current is None:
             if not line.startswith("algebra "):
@@ -139,9 +143,23 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
 
 
 def _parse_body_line(current: dict, line: str, line_no: int) -> None:
+    # the line kinds are disjoint; the most frequent are tested first
     tokens = line.split()
     head = tokens[0]
-    if head == "dim":
+    if head == "expect":
+        _parse_expect(current, tokens[1:], line_no)
+    elif "*" in head and "=" in line:
+        lhs, _, rhs = line.partition("=")
+        la, star, lb = lhs.partition("*")
+        la, lb = la.strip(), lb.strip()
+        if not star or not la or not lb:
+            raise CatalogParseError(line_no, "product line must look like li*lj = ...")
+        try:
+            terms = tuple(parse_terms(rhs))
+        except AlgebraError as exc:
+            raise CatalogParseError(line_no, str(exc)) from None
+        current["products"].append((la, lb, terms, line_no))
+    elif head == "dim":
         if current["summands"] is not None:
             raise CatalogParseError(line_no, "'dim' not allowed in a sum entry")
         if len(tokens) != 2 or not tokens[1].isdigit():
@@ -161,18 +179,6 @@ def _parse_body_line(current: dict, line: str, line_no: int) -> None:
         if len(set(labels)) != len(labels):
             raise CatalogParseError(line_no, "duplicate labels")
         current["labels"] = labels
-    elif head == "expect":
-        _parse_expect(current, tokens[1:], line_no)
-    elif "*" in head and "=" in line:
-        lhs, _, rhs = line.partition("=")
-        la, star, lb = lhs.strip().partition("*")
-        if not star or not la.strip() or not lb.strip():
-            raise CatalogParseError(line_no, "product line must look like li*lj = ...")
-        try:
-            terms = tuple(parse_terms(rhs))
-        except AlgebraError as exc:
-            raise CatalogParseError(line_no, str(exc)) from None
-        current["products"].append((la.strip(), lb.strip(), terms, line_no))
     else:
         raise CatalogParseError(line_no, f"unrecognized line {line!r}")
 
@@ -267,19 +273,47 @@ def _finish_entry(current: dict) -> CatalogEntry:
     )
 
 
+def _require_defined(names: Sequence[str], known: Mapping[str, object]) -> None:
+    for name in names:
+        if name not in known:
+            raise CatalogError(f"unknown summand {name!r}")
+
+
+def _entry_dim(entry: CatalogEntry, dims: Mapping[str, int]) -> int:
+    """Dimension of `entry`, given the dimensions of the names defined
+    before it.  This is where a sum entry's references are checked: each
+    summand must be defined, and a `labels` line must fit the sum."""
+    if entry.summands is None:
+        return entry.dim
+    try:
+        _require_defined(entry.summands, dims)
+    except CatalogError as exc:
+        raise CatalogError(f"{entry.name}: {exc}") from None
+    dim = sum(dims[s] for s in entry.summands)
+    if entry.labels_override is not None and len(entry.labels_override) != dim:
+        raise CatalogError(f"{entry.name}: labels line has wrong length")
+    return dim
+
+
+def check_references(
+    entries: Sequence[CatalogEntry], dims: Optional[Mapping[str, int]] = None
+) -> dict[str, int]:
+    """Check the references of every entry, in order, without building a
+    table; raises the CatalogError that `resolve_all` would.  Returns the
+    dimension of each name, `dims` giving those defined before `entries`."""
+    out = dict(dims) if dims else {}
+    for entry in entries:
+        out[entry.name] = _entry_dim(entry, out)
+    return out
+
+
 def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
     """Entry -> Algebra; sum entries resolve against previously defined names."""
     if entry.summands is not None:
-        try:
-            alg = resolve_expr(entry.summands, env)
-        except CatalogError as exc:
-            raise CatalogError(f"{entry.name}: {exc}") from None
+        _entry_dim(entry, {s: env[s].dim for s in entry.summands if s in env})  # the checks
+        alg = resolve_expr(entry.summands, env)
         labels = entry.labels_override
-        if labels is None:
-            return alg
-        if len(labels) != alg.dim:
-            raise CatalogError(f"{entry.name}: labels line has wrong length")
-        return Algebra(tuple(labels), alg.table)
+        return alg if labels is None else Algebra(tuple(labels), alg.table)
     index = {l: i for i, l in enumerate(entry.basis)}
     n = entry.dim
     table = [[list(zero_vec(n)) for _ in range(n)] for _ in range(n)]
@@ -316,11 +350,29 @@ def resolve_all(entries: Sequence[CatalogEntry]) -> dict[str, Algebra]:
     return env
 
 
+def resolve_named(entries: Sequence[CatalogEntry], name: str) -> Algebra:
+    """The last entry called `name`, built with the summands its sum line
+    names, transitively, each against the names defined before it; no other
+    entry is built.  Run `check_references` on `entries` first: this
+    function finds only the references that its build reaches."""
+    wanted = {name}
+    chosen = []
+    # walking back, the first definition met of a wanted name is the latest
+    # one before the entry that wants it
+    for entry in reversed(entries):
+        if entry.name in wanted:
+            wanted.discard(entry.name)
+            wanted.update(entry.summands or ())
+            chosen.append(entry)
+    env: dict[str, Algebra] = {}
+    for entry in reversed(chosen):
+        env[entry.name] = resolve(entry, env)
+    return env[name]
+
+
 def resolve_expr(names: Sequence[str], env: dict[str, Algebra]) -> Algebra:
     """Direct sum of previously defined algebras, with deduplicated labels."""
-    for name in names:
-        if name not in env:
-            raise CatalogError(f"unknown summand {name!r}")
+    _require_defined(names, env)
     parts = [env[n] for n in names]
     alg = parts[0]
     for p in parts[1:]:
@@ -372,7 +424,7 @@ def serialize_entry(name: str, a: Algebra) -> str:
 # shipped data
 
 def data_dir() -> Path:
-    return Path(importlib.resources.files("jordanalg") / "data")
+    return Path(__file__).with_name("data")
 
 
 def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
@@ -388,7 +440,11 @@ def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
             text = f.read_text()
         except UnicodeDecodeError as exc:
             raise CatalogError(f"cannot read {f}: {exc}") from exc
-        for entry in parse_catalog(text):
+        try:
+            parsed = parse_catalog(text)
+        except CatalogParseError as exc:
+            raise CatalogParseError(exc.line_no, exc.message, source=f) from None
+        for entry in parsed:
             if entry.name in seen:
                 raise CatalogError(f"duplicate algebra name {entry.name!r} across files")
             seen.add(entry.name)

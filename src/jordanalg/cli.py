@@ -4,6 +4,12 @@ Subcommands: verify, invariants, fingerprint, fingerprint-all, distinguish,
 peirce, h2, embed-b2, show.  Exit status: 0 all fatal checks pass,
 1 verification failure, 2 usage or I/O error.  Output is deterministic for
 a fixed catalog.
+
+Every command parses the whole catalog and checks its references, so a
+malformed catalog is reported by each of them alike.  A command on one or
+two names then builds only the tables it needs: the named entries and the
+summands their `sum` lines name.  The argument parser is built once, at
+import.
 """
 
 from __future__ import annotations
@@ -48,27 +54,37 @@ def _load_entries(directory: Optional[str]) -> list[cat.CatalogEntry]:
         raise UsageError(str(exc)) from exc
 
 
-def _lookup_named(name: str, directory: Optional[str]) -> tuple[str, Algebra]:
-    """Resolve a catalog name, or the last entry of a catalog file."""
+def _lookup_named(directory: Optional[str], *names: str) -> list[tuple[str, Algebra]]:
+    """Each name as a catalog entry, or as the last entry of a catalog file.
+
+    The whole catalog is parsed and its references checked, once for all
+    the names, so a malformed catalog fails here as it fails `verify`; only
+    the named tables and the summands they use are built.
+    """
     entries = _load_entries(directory)
-    env = cat.resolve_all(entries)
-    if name in env:
-        return name, env[name]
+    dims = cat.check_references(entries)
+    return [_lookup(name, entries, dims) for name in names]
+
+
+def _lookup(
+    name: str, entries: list[cat.CatalogEntry], dims: dict[str, int]
+) -> tuple[str, Algebra]:
+    if name in dims:
+        return name, cat.resolve_named(entries, name)
     p = Path(name)
-    if p.exists():
-        try:
-            file_entries = cat.parse_catalog(p.read_text())
-            for e in file_entries:
-                env[e.name] = cat.resolve(e, env)
-        except cat.CatalogError as exc:
-            raise UsageError(str(exc)) from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise UsageError(f"cannot read {name}: {exc}") from exc
-        if file_entries:
-            last = file_entries[-1].name
-            return last, env[last]
+    if not p.exists():
+        raise UsageError(f"unknown algebra {name!r}")
+    try:
+        file_entries = cat.parse_catalog(p.read_text())
+        cat.check_references(file_entries, dims)
+    except cat.CatalogError as exc:
+        raise UsageError(str(exc)) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {name}: {exc}") from exc
+    if not file_entries:
         raise UsageError(f"no entries in {name}")
-    raise UsageError(f"unknown algebra {name!r}")
+    last = file_entries[-1].name
+    return last, cat.resolve_named(entries + file_entries, last)
 
 
 def cmd_verify(args) -> int:
@@ -84,7 +100,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    _, a = _lookup_named(args.name, args.dir)
+    [(_, a)] = _lookup_named(args.dir, args.name)
     pp = power_profile(a)
     rad, rad_alg, rad_lcs, _ = radical_split(a)
     print(f"dim      {a.dim}")
@@ -109,7 +125,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    _, a = _lookup_named(args.name, args.dir)
+    [(_, a)] = _lookup_named(args.dir, args.name)
     fp = fingerprint(a, with_b2=args.deep, budget=args.budget)
     print(f"{args.name} {fp.render()}")
     return 0
@@ -150,8 +166,7 @@ def cmd_fingerprint_all(args) -> int:
 
 
 def cmd_distinguish(args) -> int:
-    _, a = _lookup_named(args.a, args.dir)
-    _, b = _lookup_named(args.b, args.dir)
+    [(_, a), (_, b)] = _lookup_named(args.dir, args.a, args.b)
     fa, fb = fingerprint(a), fingerprint(b)
     diff = first_fingerprint_difference(fa, fb)
     if diff is None or diff[0] == "dim_h2":
@@ -169,7 +184,7 @@ def cmd_distinguish(args) -> int:
 
 
 def cmd_peirce(args) -> int:
-    _, a = _lookup_named(args.name, args.dir)
+    [(_, a)] = _lookup_named(args.dir, args.name)
     try:
         e = parse_linear_combination(a, args.idempotent)
     except AlgebraError as exc:
@@ -198,7 +213,7 @@ def cmd_peirce(args) -> int:
 
 
 def cmd_h2(args) -> int:
-    _, a = _lookup_named(args.name, args.dir)
+    [(_, a)] = _lookup_named(args.dir, args.name)
     cs = cocycle_space(a)
     print(f"z2={cs.z2_dim} b2={cs.b2_dim} h2={cs.h2_dim}")
     return 0
@@ -208,7 +223,7 @@ EXHAUSTION = {"budget": "the S-pair budget", "coeff_bits": "the coefficient-size
 
 
 def cmd_embed_b2(args) -> int:
-    _, a = _lookup_named(args.name, args.dir)
+    [(_, a)] = _lookup_named(args.dir, args.name)
     res = embeds_b2(a, budget=args.budget)
     if res.witness is not None:
         e, y = res.witness
@@ -223,7 +238,7 @@ def cmd_embed_b2(args) -> int:
 
 
 def cmd_show(args) -> int:
-    name, a = _lookup_named(args.name, args.dir)
+    [(name, a)] = _lookup_named(args.dir, args.name)
     print(cat.serialize_entry(name, a), end="")
     return 0
 
@@ -276,10 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

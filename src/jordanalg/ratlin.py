@@ -142,6 +142,14 @@ def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
     return row
 
 
+def _primitive_row(gen: Sequence) -> list[int]:
+    """`_int_row` of a generator; a row of ints is only divided by its content."""
+    if not all(type(x) is int for x in gen):
+        return _int_row(vec(gen))
+    g = gcd(*gen)
+    return [x // g for x in gen] if g > 1 else list(gen)
+
+
 def _normalize_int_row(row: list[int]) -> Optional[list[int]]:
     """Divide by content, make the leading entry positive; None if zero."""
     g = 0
@@ -334,7 +342,7 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient: int, gens: Iterable[Sequence]) -> "Subspace":
-        int_rows = [_int_row(vec(g)) for g in gens]
+        int_rows = [_primitive_row(g) for g in gens]
         pivots = _int_echelon(int_rows, ambient)
         return cls(ambient, tuple(_echelon_to_rref_rows(pivots, ambient)))
 
@@ -409,7 +417,7 @@ class Subspace:
         gens = []
         for c, row in pivots.items():
             if c >= n:
-                gens.append([Fraction(x) for x in row[n:]])
+                gens.append(row[n:])
         return Subspace.span(n, gens)
 
     def is_zero(self) -> bool:

@@ -7,9 +7,12 @@ from jordanalg.catalog import (
     CatalogError,
     CatalogParseError,
     check_peirce_placements,
+    check_references,
     parse_catalog,
     resolve,
+    resolve_all,
     resolve_expr,
+    resolve_named,
     serialize,
     serialize_entry,
     verify_catalog,
@@ -92,6 +95,36 @@ def test_resolve_rejects_unknown_summand(env):
         resolve(entry, env)
     with pytest.raises(CatalogError, match="unknown summand 'NOPE'"):
         resolve_expr(("B2", "NOPE"), env)
+
+
+def test_check_references_raises_what_resolve_all_raises(entries, env):
+    assert check_references(entries) == {name: a.dim for name, a in env.items()}
+    for text, message in [
+        ("algebra X = B3 + Nope\nend\n", "X: unknown summand 'Nope'"),
+        ("algebra X = B3 + B3\n  labels a b c\nend\n", "X: labels line has wrong length"),
+    ]:
+        bad = list(entries) + parse_catalog(text)
+        for check in (check_references, resolve_all):
+            with pytest.raises(CatalogError) as err:
+                check(bad)
+            assert str(err.value) == message
+
+
+def test_resolve_named_matches_resolve_all(entries, env):
+    for entry in entries:
+        assert resolve_named(entries, entry.name) == env[entry.name]
+    # a redefined name: each sum entry sees the latest definition before it
+    seq = parse_catalog(
+        "algebra A\n  dim 1\n  basis x\n  x*x = x\nend\nalgebra S = A + A\nend\n"
+    ) + parse_catalog(
+        "algebra A\n  dim 1\n  basis y\nend\nalgebra T = S + A\nend\n"
+        "algebra S = T + A\nend\n"
+    )
+    check_references(seq)
+    want = resolve_all(seq)
+    for name in ("A", "T", "S"):
+        assert resolve_named(seq, name) == want[name], name
+    assert resolve_named(seq, "S").dim == 4
 
 
 def test_resolve_j12_dimension(env):

@@ -1,0 +1,209 @@
+"""How CLI commands read the catalog: every command reports a malformed
+catalog as `verify` does, and a command on one name builds only the tables
+that name needs."""
+
+import random
+import re
+import shutil
+from collections import Counter
+
+import pytest
+
+from jordanalg import catalog, cli
+from jordanalg.cli import main
+
+NAME_COMMANDS = (("h2", "J1"), ("show", "F1"), ("invariants", "J73"))
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def copy_catalog(tmp_path):
+    directory = tmp_path / "catalog"
+    shutil.copytree(catalog.data_dir(), directory)
+    return directory
+
+
+def lines_of(directory):
+    return {p: p.read_text().splitlines() for p in sorted(directory.glob("*.alg"))}
+
+
+def pick_line(rng, files, pattern, exclude=()):
+    """A random (file, index) whose line matches `pattern`, outside the
+    entries named in `exclude`."""
+    hits = []
+    for path, lines in files.items():
+        entry = None
+        for i, line in enumerate(lines):
+            header = re.match(r"algebra (\S+)", line)
+            if header:
+                entry = header.group(1)
+            if re.search(pattern, line) and entry not in exclude:
+                hits.append((path, i))
+    return rng.choice(hits)
+
+
+# Each mutation edits the catalog copy at a seeded place and returns the
+# exit code `verify --dir` should give: 2 for a file that does not parse or
+# load, 1 for a reference that does not resolve.  The reference mutations
+# leave alone the entries the commands name and their summands, so that only
+# the catalog-wide check can see them.
+UNRELATED = {"J1", "T5", "F1", "J73", "F2"}
+
+
+def zero_denominator(rng, files):
+    path, i = pick_line(rng, files, r"\*.* = ")
+    files[path][i] = files[path][i].replace(" = ", " = 1/0 ", 1)
+    return 2
+
+
+def missing_end(rng, files):
+    path, i = pick_line(rng, files, r"^end$")
+    del files[path][i]
+    return 2
+
+
+def duplicate_across_files(rng, files):
+    source, target = rng.sample(sorted(files), 2)
+    _, i = pick_line(rng, {source: files[source]}, r"^algebra ")
+    name = files[source][i].split()[1]
+    _, j = pick_line(rng, {target: files[target]}, r"^algebra ")
+    files[target][j] = re.sub(r"^algebra \S+", f"algebra {name}", files[target][j])
+    return 2
+
+
+def unknown_product_label(rng, files):
+    path, i = pick_line(rng, files, r"\*.* = ")
+    files[path][i] += " + zz"
+    return 2
+
+
+def basis_not_dim(rng, files):
+    path, i = pick_line(rng, files, r"^\s*dim \d+$")
+    n = int(files[path][i].split()[1])
+    files[path][i] = f"  dim {n + 1}"
+    return 2
+
+
+def unknown_summand(rng, files):
+    path, i = pick_line(rng, files, r"^algebra \S+ = ", exclude=UNRELATED)
+    files[path][i] += " + Nope"
+    return 1
+
+
+def labels_wrong_length(rng, files):
+    path, i = pick_line(rng, files, r"^\s*labels ", exclude=UNRELATED)
+    files[path][i] = files[path][i].rsplit(" ", 1)[0]
+    return 1
+
+
+MUTATIONS = (zero_denominator, missing_end, duplicate_across_files, unknown_product_label,
+             basis_not_dim, unknown_summand, labels_wrong_length)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("mutate", MUTATIONS, ids=lambda m: m.__name__)
+def test_every_command_reports_a_malformed_catalog(capsys, tmp_path, mutate, seed):
+    directory = copy_catalog(tmp_path)
+    files = lines_of(directory)
+    want_code = mutate(random.Random(f"{mutate.__name__}:{seed}"), files)
+    for path, lines in files.items():
+        path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "verify", "--dir", str(directory))
+    assert (code, out) == (want_code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for argv in NAME_COMMANDS:
+        assert run(capsys, *argv, "--dir", str(directory)) == (code, out, err), argv
+
+
+def test_parse_errors_name_their_file(capsys, tmp_path):
+    directory = copy_catalog(tmp_path)
+    path = directory / "dim1.alg"
+    lines = path.read_text().splitlines()
+    assert lines[5] == "  e*e = e"
+    lines[5] = "  e*e = 1/0 e"
+    path.write_text("\n".join(lines) + "\n")
+    for argv in (("verify",), ("h2", "J1")):
+        code, out, err = run(capsys, *argv, "--dir", str(directory))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {path}: line 6: zero denominator\n", argv
+
+
+def summand_closure(entries, name):
+    by_name = {e.name: e for e in entries}
+    names, todo = set(), [name]
+    while todo:
+        n = todo.pop()
+        if n not in names:
+            names.add(n)
+            todo += by_name[n].summands or ()
+    return names
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Counts the entries `catalog.resolve` builds, by name, and the calls of
+    `cli.build_parser` and `catalog.load_catalog`."""
+    counts = {"resolve": Counter(), "build_parser": 0, "load_catalog": 0}
+    resolve, build_parser, load = catalog.resolve, cli.build_parser, catalog.load_catalog
+
+    def counting_resolve(entry, env):
+        counts["resolve"][entry.name] += 1
+        return resolve(entry, env)
+
+    def counting_build_parser():
+        counts["build_parser"] += 1
+        return build_parser()
+
+    def counting_load(*args, **kwargs):
+        counts["load_catalog"] += 1
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "resolve", counting_resolve)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    monkeypatch.setattr(catalog, "load_catalog", counting_load)
+    return counts
+
+
+def test_one_name_builds_only_what_it_needs(capsys, work, entries):
+    # J2 is an inline entry; J1 = T5 + F1 and J67 = T3 + F2 are sum entries
+    code, out, _ = run(capsys, "h2", "J2")
+    assert code == 0 and out.startswith("z2=")
+    assert work["resolve"] == Counter({"J2": 1})
+    for argv in (("h2", "J1"), ("invariants", "J67")):
+        work["resolve"].clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(summand_closure(entries, argv[1])) == 3
+        assert work["resolve"] == Counter(summand_closure(entries, argv[1])), argv
+    assert work["build_parser"] == 0
+
+
+def test_distinguish_loads_the_catalog_once(capsys, work):
+    code, out, _ = run(capsys, "distinguish", "J58", "J60")
+    assert (code, out) == (0, "rad_record.dim_ann: 2 vs 1\n")
+    assert work["load_catalog"] == 1
+    assert work["resolve"] == Counter({"J58": 1, "J60": 1})
+
+
+def test_file_entries_build_only_what_they_need(capsys, tmp_path, work, entries):
+    f = tmp_path / "mine.alg"
+    f.write_text("algebra Mine = B2 + B3\nend\n")
+    code, _, _ = run(capsys, "invariants", str(f))
+    assert code == 0
+    want = Counter(summand_closure(entries, "B2") | summand_closure(entries, "B3"))
+    want["Mine"] = 1
+    assert work["resolve"] == want
+
+
+def test_file_entries_see_the_names_defined_before_them(capsys, tmp_path):
+    # a file may redefine a catalog name; its later entries use the new one
+    f = tmp_path / "mine.alg"
+    f.write_text("algebra F2\n  dim 1\n  basis m\n  m*m = m\nend\n"
+                 "algebra Mine = F2 + F1\nend\n")
+    code, out, err = run(capsys, "show", str(f))
+    assert (code, err) == (0, "")
+    assert out == "algebra Mine\n  dim 2\n  basis m e\n  m*m = m\n  e*e = e\nend\n"

@@ -235,3 +235,29 @@ def test_kernel_matches_sympy():
         assert rank(m) == int_rows_rank(rows, ncols) == sm.rank()
         null = [[F(int(x.p), int(x.q)) for x in v] for v in sm.nullspace()]
         assert kernel(m) == Subspace.span(ncols, null)
+
+
+def test_span_of_int_rows_matches_fraction_path(env):
+    # integer generators go straight to primitive rows; the subspace is the
+    # one their Fraction copies span, zero and duplicate rows included
+    rng = seeded_rng("span-int")
+    cases = [([], 3), ([[]], 0), ([[0, 0, 0]] * 4, 3), ([[2, 4], [-1, -2], [0, 6]], 2)]
+    for name in rng.sample(sorted(env), 8):
+        nunk, rows, coboundary_rows = _cocycle_system(env[name])
+        cases += [(coboundary_rows, nunk), (_int_kernel(rows, nunk), nunk)]
+    for _ in range(30):
+        ncols = rng.randint(1, 8)
+        k = rng.choice([1, 2, 6, -3])
+        rows = planted_rank_rows(rng, rng.randint(1, 10), ncols, rng.randint(0, ncols))
+        cases.append(([[k * x for x in r] for r in rows], ncols))
+    for _ in range(20):
+        ncols = rng.randint(1, 6)
+        gens = planted_rank_rows(rng, rng.randint(1, 6), ncols, rng.randint(0, ncols))
+        gens += [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, 3))]
+        rng.shuffle(gens)
+        cases.append((gens, ncols))
+    for gens, ncols in cases:
+        got = Subspace.span(ncols, gens)
+        assert got == Subspace.span(ncols, [[F(x) for x in g] for g in gens])
+        assert all(type(x) is F for row in got.rows for x in row)
