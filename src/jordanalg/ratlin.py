@@ -143,11 +143,13 @@ def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
 
 
 def _primitive_row(gen: Sequence) -> list[int]:
-    """`_int_row` of a generator; a row of ints is only divided by its content."""
-    if not all(type(x) is int for x in gen):
+    """`_int_row` of a generator.  Ints and Fractions carry the numerator
+    and denominator it reads, so only other entries, such as the strings
+    `rat` accepts, are converted first."""
+    try:
+        return _int_row(gen)
+    except AttributeError:
         return _int_row(vec(gen))
-    g = gcd(*gen)
-    return [x // g for x in gen] if g > 1 else list(gen)
 
 
 def _normalize_int_row(row: list[int]) -> Optional[list[int]]:
