@@ -64,7 +64,6 @@ class CatalogParseError(CatalogError):
         super().__init__(f"{where}: {message}")
         self.line_no = line_no
         self.message = message
-        self.source = source
 
 
 FLAG_NAMES = {"unitary", "associative", "nonassociative", "nilpotent", "semisimple"}
