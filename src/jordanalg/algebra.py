@@ -442,8 +442,7 @@ def parse_terms(text: str) -> list[tuple[Fraction, str]]:
     c a rational literal such as 3 or 1/2 (default 1).
 
     Malformed text raises AlgebraError with a bare message; callers say
-    where the text came from.  Signs are counted, not multiplied, and a
-    literal becomes a Fraction from its two integers.
+    where the text came from.
     """
     tokens = text.replace("+", " + ").replace("-", " - ").split()
     terms: list[tuple[Fraction, str]] = []
