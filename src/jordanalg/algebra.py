@@ -157,6 +157,11 @@ class Algebra:
         )
         return den, srows
 
+    @cached_property
+    def _jordan_defect(self):
+        """`_int_defect_scan` of this table, run once."""
+        return _int_defect_scan(self)
+
     def mul(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         out = [ZERO] * self.dim
         sparse = self._sparse
@@ -273,7 +278,7 @@ def jordan_violation(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], Ve
     makes basis quadruples sufficient in characteristic zero.  Check
     commutativity separately before trusting a None result.
     """
-    found = _int_defect_scan(a)
+    found = a._jordan_defect
     if found is None:
         return None
     quad, defect = found
@@ -283,11 +288,7 @@ def jordan_violation(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], Ve
 
 def is_jordan(a: Algebra) -> bool:
     """Commutativity plus the linearized Jordan identity on basis quadruples."""
-    cached = a.__dict__.get("_jordan_ok")
-    if cached is None:
-        cached = is_commutative(a) and _int_defect_scan(a) is None
-        a.__dict__["_jordan_ok"] = cached
-    return cached
+    return is_commutative(a) and a._jordan_defect is None
 
 
 def is_associative(a: Algebra) -> bool:

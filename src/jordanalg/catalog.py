@@ -49,7 +49,7 @@ from .invariants import (
     power_chain,
     radical_split,
 )
-from .ratlin import ZERO, zero_vec
+from .ratlin import ZERO, Subspace, zero_vec
 
 
 class CatalogError(ValueError):
@@ -389,27 +389,8 @@ def serialize(a: Algebra) -> str:
     for i in range(a.dim):
         for j in range(i, a.dim):
             entry = a.table[i][j]
-            terms = []
-            for k, c in enumerate(entry):
-                if c == 0:
-                    continue
-                if c == 1:
-                    terms.append(("+", a.labels[k]))
-                elif c == -1:
-                    terms.append(("-", a.labels[k]))
-                elif c > 0:
-                    terms.append(("+", f"{c} {a.labels[k]}"))
-                else:
-                    terms.append(("-", f"{-c} {a.labels[k]}"))
-            if not terms:
-                continue
-            rhs = ""
-            for sign, body in terms:
-                if not rhs:
-                    rhs = body if sign == "+" else f"-{body}"
-                else:
-                    rhs += f" {sign} {body}"
-            lines.append(f"{a.labels[i]}*{a.labels[j]} = {rhs}")
+            if any(entry):
+                lines.append(f"{a.labels[i]}*{a.labels[j]} = {a.format_element(entry)}")
     return "\n".join(lines)
 
 
@@ -433,7 +414,7 @@ def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
     if not files:
         raise CatalogError(f"no .alg files found in {base}")
     entries: list[CatalogEntry] = []
-    seen: set[str] = set()
+    seen: dict[str, Path] = {}
     for f in files:
         try:
             text = f.read_text()
@@ -445,8 +426,9 @@ def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
             raise CatalogParseError(exc.line_no, exc.message, source=f) from None
         for entry in parsed:
             if entry.name in seen:
-                raise CatalogError(f"duplicate algebra name {entry.name!r} across files")
-            seen.add(entry.name)
+                raise CatalogError(f"duplicate algebra name {entry.name!r}"
+                                   f" in {seen[entry.name]} and {f}")
+            seen[entry.name] = f
             entries.append(entry)
     return entries
 
@@ -563,6 +545,18 @@ class CatalogReport:
         return out
 
 
+def computed_flags(a: Algebra, lcs: Sequence[Subspace], rad: Subspace) -> list[str]:
+    """The `FLAG_NAMES` that hold for a Jordan algebra, in print order;
+    `lcs` is `lcs_chain(a)` and `rad` the radical of `a`."""
+    flags = ["unitary"] if find_identity(a) is not None else []
+    flags.append("associative" if is_associative(a) else "nonassociative")
+    if lcs[-1].is_zero():
+        flags.append("nilpotent")
+    if rad.dim == 0:
+        flags.append("semisimple")
+    return flags
+
+
 def verify_entry(
     entry: CatalogEntry,
     a: Algebra,
@@ -594,23 +588,14 @@ def verify_entry(
     if exp.sq is not None and exp.sq != sq:
         mismatches.append(f"sq: recorded {exp.sq}, computed {sq}")
     if jordan_ok:
-        unital = find_identity(a) is not None
-        assoc = is_associative(a)
         lcs = lcs_chain(a)
-        nilp = lcs[-1].is_zero()
         rad, rad_alg, _, _ = radical_split(a)
+        flags = computed_flags(a, lcs, rad)
         for flag in exp.flags:
-            ok = {
-                "unitary": unital,
-                "associative": assoc,
-                "nonassociative": not assoc,
-                "nilpotent": nilp,
-                "semisimple": rad.dim == 0,
-            }[flag]
-            if not ok:
+            if flag not in flags:
                 mismatches.append(f"flag {flag}: not confirmed by computation")
         if exp.niltype is not None:
-            if not nilp:
+            if not lcs[-1].is_zero():
                 mismatches.append("niltype: algebra is not nilpotent")
             else:
                 nt = nilpotency_type(a, lcs)

@@ -16,17 +16,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import catalog as cat
-from .algebra import (
-    Algebra,
-    AlgebraError,
-    find_identity,
-    is_associative,
-    parse_linear_combination,
-)
+from .algebra import Algebra, AlgebraError, parse_linear_combination
 from .cohomology import cocycle_space
 from .invariants import (
     Fingerprint,
@@ -35,6 +30,7 @@ from .invariants import (
     difference_message,
     fingerprint,
     first_fingerprint_difference,
+    lcs_chain,
     nilpotency_type,
     power_profile,
     radical_split,
@@ -101,7 +97,8 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     [(_, a)] = _lookup_named(args.dir, args.name)
-    pp = power_profile(a)
+    lcs = lcs_chain(a)
+    pp = power_profile(a, lcs)
     rad, rad_alg, rad_lcs, _ = radical_split(a)
     print(f"dim      {a.dim}")
     print(f"powers   J^1..J^4 dims {','.join(str(d) for d in pp.assoc_dims)}")
@@ -111,22 +108,16 @@ def cmd_invariants(args) -> int:
     print(f"der      {derivation_dim(a)}")
     nt = ",".join(str(x) for x in nilpotency_type(rad_alg, rad_lcs))
     print(f"radical  dim {rad.dim}, nilpotency type ({nt})")
-    flags = []
-    if find_identity(a) is not None:
-        flags.append("unitary")
-    flags.append("associative" if is_associative(a) else "nonassociative")
-    if pp.nilindex is not None:  # the lcs chain reaches zero
-        flags.append("nilpotent")
-    if rad.dim == 0:
-        flags.append("semisimple")
-    print(f"flags    {' '.join(flags)}")
+    print(f"flags    {' '.join(cat.computed_flags(a, lcs, rad))}")
     print(f"tracerk  {a.dim - rad.dim}")  # the radical is the trace-form kernel
     return 0
 
 
 def cmd_fingerprint(args) -> int:
     [(_, a)] = _lookup_named(args.dir, args.name)
-    fp = fingerprint(a, with_b2=args.deep, budget=args.budget)
+    fp = fingerprint(a)
+    if args.deep:
+        fp = replace(fp, b2_embeds=embeds_b2(a, budget=args.budget).answer)
     print(f"{args.name} {fp.render()}")
     return 0
 
@@ -141,7 +132,8 @@ def cmd_fingerprint_all(args) -> int:
         groups.setdefault(fps[name].key(), []).append(name)
     for names in groups.values():
         if len(names) > 1:
-            deep = {n: fingerprint(env[n], with_b2=True, budget=args.budget) for n in names}
+            deep = {n: replace(fps[n], b2_embeds=embeds_b2(env[n], budget=args.budget).answer)
+                    for n in names}
             # an inconclusive embedding answer must not fake a distinction
             if all(deep[n].b2_embeds in ("yes", "no") for n in names):
                 fps.update(deep)
@@ -172,8 +164,8 @@ def cmd_distinguish(args) -> int:
     if diff is None or diff[0] == "dim_h2":
         # shallow fields and radical record tie: bring in the embedding
         # decision before falling back to the cohomology dimension
-        fa = fingerprint(a, with_b2=True, budget=args.budget)
-        fb = fingerprint(b, with_b2=True, budget=args.budget)
+        fa = replace(fa, b2_embeds=embeds_b2(a, budget=args.budget).answer)
+        fb = replace(fb, b2_embeds=embeds_b2(b, budget=args.budget).answer)
         diff = first_fingerprint_difference(fa, fb)
     msg = difference_message(diff)
     if msg is None:

@@ -6,8 +6,8 @@ extension J + M (M a copy of J with M*M = 0, products
 identity (x, y, zw) + (w, y, zx) + (z, y, xw) = 0, ( , , ) the associator.
 Coboundaries are the maps h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear
 mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.  B2 is the
-image of the operator delta^1 : mu -> h_mu, whose kernel is Der J; both read
-the rows of `invariants.coboundary_int_rows`, so dim Der J = n^2 - dim B2.
+image of the operator delta^1 : mu -> h_mu, whose kernel is Der J, so
+dim B2 = n^2 - dim Der J, with dim Der J from `invariants.derivation_dim`.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, _int_assoc, _int_bb, _int_mul_bv, is_jordan
-from .invariants import NonJordanError, coboundary_int_rows
+from .invariants import NonJordanError, coboundary_int_rows, derivation_dim
 from .ratlin import (
     Matrix,
     Subspace,
@@ -206,24 +206,23 @@ def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
     return tuple(tuple(row) for row in grid)
 
 
-def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]], list[list[int]]]:
-    """Unknown count, cocycle rows and coboundary rows of a Jordan algebra."""
+def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
+    """Unknown count and cocycle rows of a Jordan algebra."""
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
-    nunk, rows = _assemble_cocycle_rows(a)
-    return nunk, rows, coboundary_int_rows(a)
+    return _assemble_cocycle_rows(a)
 
 
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
-    nunk, rows, coboundary_rows = _cocycle_system(a)
+    nunk, rows = _cocycle_system(a)
     z2 = Subspace.span(nunk, _int_kernel(rows, nunk))
-    return z2, Subspace.span(nunk, coboundary_rows)
+    return z2, Subspace.span(nunk, coboundary_int_rows(a))
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:
     """Dimensions of 2-cocycles, 2-coboundaries and their quotient."""
-    nunk, rows, coboundary_rows = _cocycle_system(a)
+    nunk, rows = _cocycle_system(a)
     z2 = nunk - int_rows_rank(rows, nunk)
-    b2 = int_rows_rank(coboundary_rows, nunk)
+    b2 = a.dim * a.dim - derivation_dim(a)
     return CocycleSpace(z2, b2, z2 - b2)

@@ -325,9 +325,10 @@ class Fingerprint:
     """Ordered record of isomorphism invariants.
 
     Field order is fixed; `key()` linearizes it so fingerprints sort and
-    deduplicate deterministically.  `b2_embeds` is only filled when requested
-    (it may run a Groebner computation); `rad_record`, `b2_embeds` and
-    `dim_h2` are the deep fields used to separate shallow ties.
+    deduplicate deterministically.  `fingerprint` leaves `b2_embeds` unset:
+    it may run a Groebner computation, so callers that need it attach
+    `embeds_b2(a).answer` with `dataclasses.replace`.  `rad_record`,
+    `b2_embeds` and `dim_h2` are the deep fields used to separate shallow ties.
 
     `ann_series` and `dim_centroid` extend the basic record: they carry the
     decomposition-shape information (summand projections live in the
@@ -435,11 +436,11 @@ def radical_record(rad_alg: Algebra, rad_lcs: list[Subspace]) -> RadicalRecord:
     )
 
 
-def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Fingerprint:
-    """Assemble the full invariant record of a Jordan algebra.
+def fingerprint(a: Algebra) -> Fingerprint:
+    """Assemble the invariant record of a Jordan algebra, `b2_embeds` unset.
 
-    Each invariant is computed once: `dim_der` is n^2 - dim B2 (Der J and B2
-    are the kernel and image of one coboundary operator), and the radical
+    Each invariant is computed once: `dim_der` is read back from
+    `cocycle_space`, whose dim B2 is n^2 - `derivation_dim`, and the radical
     record and the semisimple quotient come from one `radical_split`.
     """
     from .cohomology import cocycle_space
@@ -448,11 +449,6 @@ def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Finge
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
     _, rad_alg, rad_lcs, quot = radical_split(a)
     cocycles = cocycle_space(a)
-    b2: Optional[str] = None
-    if with_b2:
-        from .polysolve import embeds_b2
-
-        b2 = embeds_b2(a, budget=budget).answer
     return Fingerprint(
         dim=a.dim,
         power_profile=power_profile(a),
@@ -464,7 +460,6 @@ def fingerprint(a: Algebra, with_b2: bool = False, budget: int = 10000) -> Finge
         dim_h2=cocycles.h2_dim,
         rad_record=radical_record(rad_alg, rad_lcs),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),
-        b2_embeds=b2,
     )
 
 

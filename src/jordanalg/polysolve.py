@@ -145,17 +145,6 @@ class Polynomial:
             out = out * self
         return out
 
-    def term_mul(self, mono: Monomial, coeff: Fraction) -> "Polynomial":
-        return Polynomial(
-            self.names, {_mono_mul(m, mono): c * coeff for m, c in self.terms.items()}
-        )
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, lc = self.lead()
-        return self * (ONE / lc)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
@@ -346,17 +335,10 @@ def _s_poly(f: Lead, g: Lead) -> tuple[dict, int]:
     return {t: x for t, x in terms.items() if x}, den
 
 
-def _as_polynomial(terms: dict, den: int, names: tuple[str, ...]) -> Polynomial:
-    return Polynomial._of(names, {m: Fraction(x, den) for m, x in terms.items()})
-
-
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo basis (leading and tail terms reduced)."""
-    return _as_polynomial(*_reduce(*_integer_terms(p), _leads(basis)), p.names)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    return _as_polynomial(*_s_poly(*_leads([f, g])), f.names)
+    terms, den = _reduce(*_integer_terms(p), _leads(basis))
+    return Polynomial._of(p.names, {m: Fraction(x, den) for m, x in terms.items()})
 
 
 def _divides_a_term(leads: Sequence[Lead], g: Lead) -> bool:

@@ -93,6 +93,20 @@ def test_verify_deep_computes_h2_and_b2_once(capsys, monkeypatch, entries, env):
     assert out.count("H2(") == sum(calls["cocycle_space"].values())
 
 
+def test_verify_deep_scans_each_algebra_once(capsys, monkeypatch):
+    # the Jordan scan is cached on the algebra, so the checks that each
+    # require a Jordan algebra share one scan of it
+    from jordanalg import algebra
+
+    scanned = []
+    original = algebra._int_defect_scan
+    monkeypatch.setattr(algebra, "_int_defect_scan",
+                        lambda a: scanned.append(a) or original(a))
+    code, _, _ = run(capsys, "verify", "--deep")
+    assert code == 0
+    assert len(scanned) == len({id(a) for a in scanned}) == 100
+
+
 def test_verify_deep_non_jordan_entry(capsys, tmp_path):
     (tmp_path / "bad.alg").write_text(
         "algebra Bad\n  dim 4\n  basis e1 n1 n2 n3\n  e1*e1 = e1\n"
@@ -192,6 +206,20 @@ def test_distinguish_examples(capsys):
     assert code == 0 and out.strip() == "rad_record.dim_ann: 2 vs 1"
     code, out, _ = run(capsys, "distinguish", "J1", "J1")
     assert code == 0 and "INDISTINGUISHABLE" in out
+
+
+def test_distinguish_fingerprints_each_algebra_once(capsys, monkeypatch):
+    # J55 and J56 tie up to b2_embeds, which is attached to the two
+    # fingerprints already built
+    from jordanalg import cli
+
+    built = []
+    original = cli.fingerprint
+    monkeypatch.setattr(cli, "fingerprint",
+                        lambda *args, **kwargs: built.append(args) or original(*args, **kwargs))
+    code, out, _ = run(capsys, "distinguish", "J55", "J56")
+    assert (code, out) == (0, "b2_embeds: no vs yes\n")
+    assert len(built) == 2
 
 
 def test_peirce_b2(capsys):

@@ -47,8 +47,9 @@ def pick_line(rng, files, pattern, exclude=()):
 
 
 # Each mutation edits the catalog copy at a seeded place and returns the
-# exit code `verify --dir` should give: 2 for a file that does not parse or
-# load, 1 for a reference that does not resolve.  The reference mutations
+# exit code `verify --dir` should give, 2 for a file that does not parse or
+# load and 1 for a reference that does not resolve, with the files the
+# error must name.  The reference mutations
 # leave alone the entries the commands name and their summands, so that only
 # the catalog-wide check can see them.
 UNRELATED = {"J1", "T5", "F1", "J73", "F2"}
@@ -57,13 +58,13 @@ UNRELATED = {"J1", "T5", "F1", "J73", "F2"}
 def zero_denominator(rng, files):
     path, i = pick_line(rng, files, r"\*.* = ")
     files[path][i] = files[path][i].replace(" = ", " = 1/0 ", 1)
-    return 2
+    return 2, (path,)
 
 
 def missing_end(rng, files):
     path, i = pick_line(rng, files, r"^end$")
     del files[path][i]
-    return 2
+    return 2, (path,)
 
 
 def duplicate_across_files(rng, files):
@@ -72,32 +73,32 @@ def duplicate_across_files(rng, files):
     name = files[source][i].split()[1]
     _, j = pick_line(rng, {target: files[target]}, r"^algebra ")
     files[target][j] = re.sub(r"^algebra \S+", f"algebra {name}", files[target][j])
-    return 2
+    return 2, (source, target)
 
 
 def unknown_product_label(rng, files):
     path, i = pick_line(rng, files, r"\*.* = ")
     files[path][i] += " + zz"
-    return 2
+    return 2, (path,)
 
 
 def basis_not_dim(rng, files):
     path, i = pick_line(rng, files, r"^\s*dim \d+$")
     n = int(files[path][i].split()[1])
     files[path][i] = f"  dim {n + 1}"
-    return 2
+    return 2, (path,)
 
 
 def unknown_summand(rng, files):
     path, i = pick_line(rng, files, r"^algebra \S+ = ", exclude=UNRELATED)
     files[path][i] += " + Nope"
-    return 1
+    return 1, ()
 
 
 def labels_wrong_length(rng, files):
     path, i = pick_line(rng, files, r"^\s*labels ", exclude=UNRELATED)
     files[path][i] = files[path][i].rsplit(" ", 1)[0]
-    return 1
+    return 1, ()
 
 
 MUTATIONS = (zero_denominator, missing_end, duplicate_across_files, unknown_product_label,
@@ -109,12 +110,13 @@ MUTATIONS = (zero_denominator, missing_end, duplicate_across_files, unknown_prod
 def test_every_command_reports_a_malformed_catalog(capsys, tmp_path, mutate, seed):
     directory = copy_catalog(tmp_path)
     files = lines_of(directory)
-    want_code = mutate(random.Random(f"{mutate.__name__}:{seed}"), files)
+    want_code, named = mutate(random.Random(f"{mutate.__name__}:{seed}"), files)
     for path, lines in files.items():
         path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "verify", "--dir", str(directory))
     assert (code, out) == (want_code, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(str(path) in err for path in named), err
     for argv in NAME_COMMANDS:
         assert run(capsys, *argv, "--dir", str(directory)) == (code, out, err), argv
 

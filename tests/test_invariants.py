@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from jordanalg.invariants import (
     radical_split,
     trace_rank,
 )
+from jordanalg.polysolve import embeds_b2
 from jordanalg.ratlin import Matrix, Subspace, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 
@@ -169,8 +171,8 @@ def test_fingerprint_rad_records_differ_j58_j60(env):
 
 
 def test_fingerprint_b2_separates_j55_j56(env):
-    fa = fingerprint(env["J55"], with_b2=True)
-    fb = fingerprint(env["J56"], with_b2=True)
+    fa, fb = (replace(fingerprint(env[n]), b2_embeds=embeds_b2(env[n]).answer)
+              for n in ("J55", "J56"))
     assert fa.b2_embeds == "no" and fb.b2_embeds == "yes"
     assert fa.key() != fb.key()
 
