@@ -30,6 +30,7 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
+    _int_echelon,
     invert,
     rat,
     solve,
@@ -162,6 +163,14 @@ class Algebra:
         """`_int_defect_scan` of this table, run once."""
         return _int_defect_scan(self)
 
+    @cached_property
+    def _coboundary_echelon(self) -> dict[int, list[int]]:
+        """`_int_echelon` of `coboundary_int_rows`, run once: pivot column ->
+        row.  Its rows span B2, its size is dim B2 = n^2 - dim Der J, and the
+        unit vectors off its pivot columns span a complement of B2."""
+        n = self.dim
+        return _int_echelon(coboundary_int_rows(self), n * (n + 1) // 2 * n)
+
     def mul(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         out = [ZERO] * self.dim
         sparse = self._sparse
@@ -247,6 +256,37 @@ def _int_assoc(srows, p: int, q: int, v: Sequence[int]) -> list[int]:
         for m, t in enumerate(_int_mul_bv(srows, k, v)):
             out[m] += x * t
     return out
+
+
+def coboundary_int_rows(a: Algebra) -> list[list[int]]:
+    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
+
+    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
+    over basis pairs i <= j as in `cohomology.grid_to_vec`, on integer-scaled
+    structure constants: every entry carries one structure constant, so the
+    scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
+    Der J and its image is B2.
+    """
+    n = a.dim
+    _, srows = a._int_structure
+    dense = [[_int_bb(srows, i, j) for j in range(n)] for i in range(n)]
+    rows = []
+    for r in range(n):
+        for s in range(n):
+            row: list[int] = []
+            for i in range(n):
+                for j in range(i, n):
+                    v = [0] * n
+                    if i == s:
+                        for k, x in enumerate(dense[r][j]):
+                            v[k] += x
+                    if j == s:
+                        for k, x in enumerate(dense[i][r]):
+                            v[k] += x
+                    v[r] -= dense[i][j][s]
+                    row.extend(v)
+            rows.append(row)
+    return rows
 
 
 def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], list[int]]]:

@@ -6,8 +6,17 @@ extension J + M (M a copy of J with M*M = 0, products
 identity (x, y, zw) + (w, y, zx) + (z, y, xw) = 0, ( , , ) the associator.
 Coboundaries are the maps h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear
 mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.  B2 is the
-image of the operator delta^1 : mu -> h_mu, whose kernel is Der J, so
-dim B2 = n^2 - dim Der J, with dim Der J from `invariants.derivation_dim`.
+image of the operator delta^1 : mu -> h_mu, whose kernel is Der J; one
+integer echelon of the delta^1 rows, `Algebra._coboundary_echelon`, gives
+dim B2 as its size and dim Der J = n^2 - dim B2.
+
+Every coboundary is a cocycle, so Z2 = B2 + (Z2 meet C), a direct sum, for
+any complement C of B2.  The unit vectors off the echelon's pivot columns
+span one: a vector of B2 that vanishes on every pivot column is zero.  So
+the cocycle rows are cut only on C, by putting the unit rows on the pivot
+columns ahead of them; the kernel left is Z2 meet C, its dimension is h2,
+and z2 = b2 + h2.  When H2 = 0 the cut ends as soon as that kernel is empty,
+before the rest of the cocycle rows are read.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
@@ -37,7 +46,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, _int_assoc, _int_bb, _int_mul_bv, is_jordan
-from .invariants import NonJordanError, coboundary_int_rows, derivation_dim
+from .invariants import NonJordanError
 from .ratlin import (
     Matrix,
     Subspace,
@@ -213,16 +222,23 @@ def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     return _assemble_cocycle_rows(a)
 
 
+def _complement_units(a: Algebra, nunk: int) -> list[list[int]]:
+    """Unit rows on the pivot columns of the delta^1 echelon: their kernel
+    is the complement C of B2 spanned by the other unit vectors."""
+    return [[int(k == c) for k in range(nunk)] for c in a._coboundary_echelon]
+
+
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
     nunk, rows = _cocycle_system(a)
-    z2 = Subspace.span(nunk, _int_kernel(rows, nunk))
-    return z2, Subspace.span(nunk, coboundary_int_rows(a))
+    b2 = list(a._coboundary_echelon.values())
+    z2 = Subspace.span(nunk, b2 + _int_kernel(_complement_units(a, nunk) + rows, nunk))
+    return z2, Subspace.span(nunk, b2)
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:
     """Dimensions of 2-cocycles, 2-coboundaries and their quotient."""
     nunk, rows = _cocycle_system(a)
-    z2 = nunk - int_rows_rank(rows, nunk)
-    b2 = a.dim * a.dim - derivation_dim(a)
-    return CocycleSpace(z2, b2, z2 - b2)
+    b2 = len(a._coboundary_echelon)
+    h2 = nunk - int_rows_rank(_complement_units(a, nunk) + rows, nunk)
+    return CocycleSpace(b2 + h2, b2, h2)

@@ -19,13 +19,12 @@ from typing import Optional
 from .algebra import (
     Algebra,
     AlgebraError,
-    _int_bb,
     find_identity,
     is_associative,
     is_jordan,
     product_span,
 )
-from .ratlin import Matrix, Subspace, ZERO, _int_kernel, kernel, rank as matrix_rank
+from .ratlin import Matrix, Subspace, ZERO, kernel, rank as matrix_rank
 
 
 class NonJordanError(AlgebraError):
@@ -199,44 +198,13 @@ def radical(a: Algebra) -> Subspace:
     return radical_split(a)[0]
 
 
-def coboundary_int_rows(a: Algebra) -> list[list[int]]:
-    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
-
-    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
-    over basis pairs i <= j as in `cohomology.grid_to_vec`, on integer-scaled
-    structure constants: every entry carries one structure constant, so the
-    scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
-    Der J and its image is B2.
-    """
-    n = a.dim
-    _, srows = a._int_structure
-    dense = [[_int_bb(srows, i, j) for j in range(n)] for i in range(n)]
-    rows = []
-    for r in range(n):
-        for s in range(n):
-            row: list[int] = []
-            for i in range(n):
-                for j in range(i, n):
-                    v = [0] * n
-                    if i == s:
-                        for k, x in enumerate(dense[r][j]):
-                            v[k] += x
-                    if j == s:
-                        for k, x in enumerate(dense[i][r]):
-                            v[k] += x
-                    v[r] -= dense[i][j][s]
-                    row.extend(v)
-            rows.append(row)
-    return rows
-
-
 def derivation_dim(a: Algebra) -> int:
     """dim Der J: D is a derivation iff delta^1(D) = 0, D(xy) = D(x)y + xD(y)
-    on basis pairs.  Each column of `coboundary_int_rows` is one of these
-    equations in the n^2 entries of D (the rows B2 is spanned by in
-    `cohomology`), so Der J is the kernel `_int_kernel` cuts from the
-    columns, in exact integers."""
-    return len(_int_kernel(zip(*coboundary_int_rows(a)), a.dim * a.dim))
+    on basis pairs, so Der J is the kernel of delta^1 and
+    dim Der J = n^2 - dim B2, read from the one `_int_echelon` of the
+    delta^1 rows that `Algebra._coboundary_echelon` caches and
+    `cohomology.cocycle_space` shares."""
+    return a.dim * a.dim - len(a._coboundary_echelon)
 
 
 def centroid_dim(a: Algebra) -> int:
@@ -266,11 +234,15 @@ def centroid_dim(a: Algebra) -> int:
     return nsq - matrix_rank(Matrix.from_rows(rows))
 
 
-def annihilator_series(a: Algebra) -> tuple[int, ...]:
+def annihilator_series(
+    a: Algebra, split: Optional[tuple[Subspace, Algebra]] = None
+) -> tuple[int, ...]:
     """Cumulative dimensions of the ascending annihilator chain.
 
     A_1 = Ann(J), A_{k+1}/A_k = Ann(J/A_k); the chain of ideals stabilizes
-    and its dimension sequence is an isomorphism invariant.
+    and its dimension sequence is an isomorphism invariant.  `split` is
+    `(rad, quot)` from `radical_split(a)` if built: when Ann J = rad J the
+    chain goes on from that quotient instead of building it again.
     """
     dims: list[int] = []
     cur = a
@@ -281,7 +253,10 @@ def annihilator_series(a: Algebra) -> tuple[int, ...]:
             break
         total += s.dim
         dims.append(total)
-        cur = quotient_algebra(cur, s)
+        if cur is a and split is not None and s == split[0]:
+            cur = split[1]
+        else:
+            cur = quotient_algebra(cur, s)
     return tuple(dims)
 
 
@@ -439,20 +414,21 @@ def radical_record(rad_alg: Algebra, rad_lcs: list[Subspace]) -> RadicalRecord:
 def fingerprint(a: Algebra) -> Fingerprint:
     """Assemble the invariant record of a Jordan algebra, `b2_embeds` unset.
 
-    Each invariant is computed once: `dim_der` is read back from
-    `cocycle_space`, whose dim B2 is n^2 - `derivation_dim`, and the radical
-    record and the semisimple quotient come from one `radical_split`.
+    Each invariant is computed once: `dim_der` is n^2 - dim B2 from
+    `cocycle_space`, and the radical record, the semisimple quotient and
+    the first annihilator quotient when Ann J = rad J come from one
+    `radical_split`.
     """
     from .cohomology import cocycle_space
 
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
-    _, rad_alg, rad_lcs, quot = radical_split(a)
+    rad, rad_alg, rad_lcs, quot = radical_split(a)
     cocycles = cocycle_space(a)
     return Fingerprint(
         dim=a.dim,
         power_profile=power_profile(a),
-        ann_series=annihilator_series(a),
+        ann_series=annihilator_series(a, (rad, quot)),
         unital=find_identity(a) is not None,
         associative=is_associative(a),
         dim_der=a.dim * a.dim - cocycles.b2_dim,

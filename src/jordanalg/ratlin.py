@@ -211,6 +211,7 @@ def _int_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     d, becomes (d0/g) k - (d/g) k0 over its content, g = gcd(d0, d).  Each
     vector stays alone nonzero at one coordinate (k0 is zero there), so the
     basis is independent and sparse: dicts column -> entry, `cols` by column.
+    Reading stops at the row that empties the basis.
     """
     basis = {j: {j: 1} for j in range(ncols)}
     cols = [{j: 1} for j in range(ncols)]  # cols[c][i] == basis[i][c]
@@ -244,6 +245,8 @@ def _int_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
             for c in k:
                 k[c] //= g
                 cols[c][i] = k[c]
+        if not basis:
+            break
     out = []
     for k in basis.values():
         v = [0] * ncols

@@ -107,6 +107,20 @@ def test_verify_deep_scans_each_algebra_once(capsys, monkeypatch):
     assert len(scanned) == len({id(a) for a in scanned}) == 100
 
 
+def test_verify_deep_echelons_delta1_once_per_algebra(capsys, monkeypatch):
+    # the delta^1 echelon is cached on the algebra, so the aut column's
+    # derivation_dim and the h2 check's cocycle_space share one echelon
+    from jordanalg import algebra
+
+    built = []
+    original = algebra.coboundary_int_rows
+    monkeypatch.setattr(algebra, "coboundary_int_rows",
+                        lambda a: built.append(a) or original(a))
+    code, _, _ = run(capsys, "verify", "--deep")
+    assert code == 0
+    assert len(built) == len({id(a) for a in built}) == 124
+
+
 def test_verify_deep_non_jordan_entry(capsys, tmp_path):
     (tmp_path / "bad.alg").write_text(
         "algebra Bad\n  dim 4\n  basis e1 n1 n2 n3\n  e1*e1 = e1\n"

@@ -2,9 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, change_basis, check_isomorphism, is_jordan
+from jordanalg.algebra import (
+    Algebra,
+    change_basis,
+    check_isomorphism,
+    coboundary_int_rows,
+    direct_sum,
+    is_jordan,
+    matrix_algebra,
+    plus_algebra,
+)
 from jordanalg.cohomology import (
     CocycleSpace,
+    _cocycle_system,
+    _complement_units,
     coboundary,
     cocycle_space,
     cocycle_subspaces,
@@ -14,8 +25,8 @@ from jordanalg.cohomology import (
     vec_to_grid,
     zero_grid,
 )
-from jordanalg.invariants import fingerprint
-from jordanalg.ratlin import Matrix, zero_vec
+from jordanalg.invariants import derivation_dim, fingerprint
+from jordanalg.ratlin import Matrix, _int_kernel, _int_row, int_rows_rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 
 F = Fraction
@@ -187,3 +198,62 @@ def test_non_cocycle_extension_fails(env):
     z2, _ = cocycle_subspaces(a)
     if not z2.contains_vector(grid_to_vec(a, h)):
         assert not is_jordan(null_extension(a, h))
+
+
+def full_cut_reference(a):
+    """The full cut the complement cut replaced: Z2 as the kernel of every
+    cocycle row, B2 spanned by every delta^1 row, and dim Der J as the
+    kernel cut from the columns of the delta^1 rows (the transposed
+    system).  Returns (nunk, (z2, b2, h2), Z2 basis, B2 generators, dim Der J)
+    with integer vectors, so no rational echelon is built."""
+    nunk, rows = _cocycle_system(a)
+    delta = coboundary_int_rows(a)
+    der = len(_int_kernel(zip(*delta), a.dim * a.dim))
+    z2_basis = _int_kernel(rows, nunk)
+    b2 = a.dim * a.dim - der
+    return nunk, (len(z2_basis), b2, len(z2_basis) - b2), z2_basis, delta, der
+
+
+def same_span(space, gens, nunk):
+    # gens span `space` iff adding them to its basis does not raise its rank
+    rows = [_int_row(r) for r in space.rows] + [list(g) for g in gens]
+    return int_rows_rank(rows, nunk) == space.dim == int_rows_rank(gens, nunk)
+
+
+def test_complement_cut_matches_full_cut(env):
+    # Z2 = B2 + (Z2 meet C), C spanned by the unit vectors off the pivot
+    # columns of the delta^1 echelon: the dimensions, both subspaces and
+    # dim Der J agree with the full cut on the catalog, a dense basis of
+    # each table and three algebras of dimension 7 to 9
+    rng = seeded_rng("complement-cut")
+    cases = dict(env)
+    for name, a in env.items():
+        cases[f"{name} dense"] = change_basis(
+            a, random_invertible_matrix(a.dim, rng, dense=True))
+    cases["J56+T5"] = direct_sum(env["J56"], env["T5"])
+    cases["J56+J59"] = direct_sum(env["J56"], env["J59"])
+    cases["M3+"] = plus_algebra(matrix_algebra(3))
+    for name, a in cases.items():
+        nunk, dims, z2_basis, delta, der = full_cut_reference(a)
+        cs = cocycle_space(a)
+        assert (cs.z2_dim, cs.b2_dim, cs.h2_dim) == dims, name
+        z2, b2 = cocycle_subspaces(a)
+        assert same_span(z2, z2_basis, nunk) and same_span(b2, delta, nunk), name
+        assert derivation_dim(a) == der, name
+
+
+def test_h2_zero_cut_stops_before_the_cocycle_rows_run_out(env):
+    # on J59, H2 = 0: the unit rows and the first cocycle rows empty the
+    # kernel basis, and the rows after them are never read
+    a = env["J59"]
+    nunk, rows = _cocycle_system(a)
+    cut = _complement_units(a, nunk) + rows
+    read = []
+
+    def counted():
+        for row in cut:
+            read.append(row)
+            yield row
+
+    assert _int_kernel(counted(), nunk) == []
+    assert len(_complement_units(a, nunk)) < len(read) < len(cut)

@@ -236,8 +236,9 @@ def test_fingerprint_computes_each_piece_once(env, monkeypatch):
     # one fingerprint runs each of these on the algebra itself exactly once:
     # the annihilator heads the annihilator series, the trace form's kernel
     # is the radical, and the radical's induced and quotient algebras come
-    # from the one certified split.  J56 has Ann J = 0; where Ann J != 0 the
-    # annihilator series builds a second quotient of the algebra, J / Ann J.
+    # from the one certified split.  J56 has Ann J = 0; where Ann J is
+    # nonzero and differs from rad J the annihilator series builds a second
+    # quotient of the algebra, J / Ann J.
     import jordanalg.invariants as inv
     from collections import Counter
 
@@ -253,6 +254,32 @@ def test_fingerprint_computes_each_piece_once(env, monkeypatch):
         fingerprint(a)
         monkeypatch.undo()
         assert calls == Counter({name: 1 for name in names})
+
+
+def test_annihilator_series_reuses_the_radical_quotient(env, monkeypatch):
+    # where Ann J = rad J (F2, J5, J8, J19, J34, J73) the series goes on
+    # from the quotient `radical_split` built, so a fingerprint builds one
+    # quotient of the algebra; where they differ (J63) it builds two
+    import jordanalg.invariants as inv
+
+    rng = seeded_rng("ann-split")
+    built = []
+    original = inv.quotient_algebra
+    monkeypatch.setattr(inv, "quotient_algebra",
+                        lambda b, s: built.append(b) or original(b, s))
+    expected = {"F2": 1, "J5": 1, "J8": 1, "J19": 1, "J34": 1, "J73": 1,
+                "J56": 1, "J63": 2}
+    for name, count in expected.items():
+        for a in (env[name], change_basis(env[name], random_invertible_matrix(
+                env[name].dim, rng, dense=True))):
+            built.clear()
+            fingerprint(a)
+            assert sum(b is a for b in built) == count, name
+    monkeypatch.undo()
+    for name, a in env.items():
+        for b in (a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))):
+            rad, _, _, quot = radical_split(b)
+            assert annihilator_series(b, (rad, quot)) == annihilator_series(b), name
 
 
 def test_zero_dimensional_invariants():

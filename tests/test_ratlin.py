@@ -3,9 +3,8 @@ from operator import mul
 
 import pytest
 
-from jordanalg.algebra import change_basis
+from jordanalg.algebra import change_basis, coboundary_int_rows
 from jordanalg.cohomology import _cocycle_system
-from jordanalg.invariants import coboundary_int_rows
 from jordanalg.ratlin import (
     Matrix,
     Subspace,
@@ -223,6 +222,16 @@ def test_kernel_core_matches_echelon(env):
         m = Matrix(len(rows), ncols, tuple(F(x) for row in rows for x in row))
         assert rank(m) == r
         assert kernel(m) == free_column_kernel(m, pivots)
+
+
+def test_kernel_reads_no_row_after_the_basis_empties():
+    def rows():
+        yield [0, 2, 0]
+        yield [1, 0, 1]
+        yield [3, 1, -1]  # empties the basis
+        raise AssertionError("row read after the kernel basis emptied")
+
+    assert _int_kernel(rows(), 3) == []
 
 
 def test_kernel_matches_sympy():
