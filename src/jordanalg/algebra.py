@@ -10,7 +10,11 @@ The identity checks run on integer-scaled constants: `_int_structure`
 multiplies every constant by the lcm `den` of their denominators.  An
 associator of basis elements carries two constants, so it scales by den**2,
 and the linearized Jordan defect carries three, so it scales by den**3;
-neither scaling changes which of them vanish.
+neither scaling changes which of them vanish.  `_assoc_table` holds the
+associator of every basis triple on those constants, n**4 integers built
+once per algebra and cached like `_int_structure`; the Jordan scan, the
+associativity test and the cocycle rows read it, and the associator is
+linear in each argument, so it extends to any element.
 
 All values are immutable and every operation is a pure function.
 """
@@ -31,6 +35,7 @@ from .ratlin import (
     Subspace,
     Vector,
     _int_echelon,
+    _int_row,
     invert,
     rat,
     solve,
@@ -159,6 +164,24 @@ class Algebra:
         return den, srows
 
     @cached_property
+    def _assoc_table(self) -> list[list[list[list[int]]]]:
+        """T[x][y][k] = (b_x b_y) b_k - b_x (b_y b_k), on integer-scaled
+        constants."""
+        n = self.dim
+        _, srows = self._int_structure
+        table = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                for k, v in enumerate(table[x][y]):
+                    for p, c in srows[x][y]:
+                        for m, d in srows[p][k]:
+                            v[m] += c * d
+                    for q, c in srows[y][k]:
+                        for m, d in srows[x][q]:
+                            v[m] -= c * d
+        return table
+
+    @cached_property
     def _jordan_defect(self):
         """`_int_defect_scan` of this table, run once."""
         return _int_defect_scan(self)
@@ -248,16 +271,6 @@ def _int_mul_bv(srows, i: int, v: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_assoc(srows, p: int, q: int, v: Sequence[int]) -> list[int]:
-    """The associator (b_p, b_q, v) = (b_p b_q) v - b_p (b_q v), on
-    integer-scaled constants."""
-    out = [-x for x in _int_mul_bv(srows, p, _int_mul_bv(srows, q, v))]
-    for k, x in srows[p][q]:
-        for m, t in enumerate(_int_mul_bv(srows, k, v)):
-            out[m] += x * t
-    return out
-
-
 def coboundary_int_rows(a: Algebra) -> list[list[int]]:
     """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
 
@@ -292,19 +305,23 @@ def coboundary_int_rows(a: Algebra) -> list[list[int]]:
 def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], list[int]]]:
     """First basis quadruple (x, y, z, w) on which the defect
     (x, y, z*w) + (w, y, z*x) + (z, y, x*w) of the linearized identity is
-    nonzero, with that defect on integer-scaled constants."""
+    nonzero, with that defect on integer-scaled constants.  The associator
+    is linear in its last argument, so each term is read off `_assoc_table`."""
     n = a.dim
     _, srows = a._int_structure
+    table = a._assoc_table
     for x in range(n):
         for z in range(x, n):
             for w in range(z, n):
-                zw, zx, xw = _int_bb(srows, z, w), _int_bb(srows, z, x), _int_bb(srows, x, w)
+                terms = ((table[x], srows[z][w]), (table[w], srows[z][x]), (table[z], srows[x][w]))
                 for y in range(n):
-                    defect = [p + q + r for p, q, r in zip(
-                        _int_assoc(srows, x, y, zw),
-                        _int_assoc(srows, w, y, zx),
-                        _int_assoc(srows, z, y, xw),
-                    )]
+                    defect = [0] * n
+                    for t, prod in terms:
+                        ty = t[y]
+                        for k, c in prod:
+                            for m, e in enumerate(ty[k]):
+                                if e:
+                                    defect[m] += c * e
                     if any(defect):
                         return (x, y, z, w), defect
     return None
@@ -333,12 +350,7 @@ def is_jordan(a: Algebra) -> bool:
 
 def is_associative(a: Algebra) -> bool:
     """(b_i, b_j, b_k) = 0 for all basis triples, on integer-scaled constants."""
-    n = a.dim
-    _, srows = a._int_structure
-    units = [[int(k == j) for k in range(n)] for j in range(n)]
-    return not any(
-        any(_int_assoc(srows, i, j, e)) for i in range(n) for j in range(n) for e in units
-    )
+    return not any(any(v) for tx in a._assoc_table for txy in tx for v in txy)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -453,10 +465,25 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
 
 
 def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
-    """Span of {u * v : u in s, v in t}; bilinearity makes basis products enough."""
+    """Span of {u * v : u in s, v in t}; bilinearity makes basis products
+    enough, and they are taken on integer rows and integer-scaled constants,
+    which rescales each product and leaves the span unchanged."""
     if s.ambient != a.dim or t.ambient != a.dim:
         raise AlgebraError("subspace ambient mismatch")
-    gens = [a.mul(u, v) for u in s.rows for v in t.rows]
+    _, srows = a._int_structure
+    right = [_int_row(v) for v in t.rows]
+    gens = []
+    for u in s.rows:
+        left = [(i, x, srows[i]) for i, x in enumerate(_int_row(u)) if x]
+        for v in right:
+            out = [0] * a.dim
+            for i, x, row in left:
+                for j, y in enumerate(v):
+                    if y:
+                        xy = x * y
+                        for k, c in row[j]:
+                            out[k] += xy * c
+            gens.append(out)
     return Subspace.span(a.dim, gens)
 
 

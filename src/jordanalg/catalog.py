@@ -66,6 +66,12 @@ class CatalogParseError(CatalogError):
         self.message = message
 
 
+# Largest dimension a catalog entry may have, inline or as a sum.  Each
+# identity check reads n**4 integers and a cocycle system has n**3 unknowns,
+# so a larger table from a file is refused rather than left to run for
+# hours; `Algebra` values built in code have no such limit.
+MAX_CATALOG_DIM = 16
+
 FLAG_NAMES = {"unitary", "associative", "nonassociative", "nilpotent", "semisimple"}
 PEIRCE_PLACES = {"N0", "Nhalf", "N1"} | {f"N{i}{j}" for i in range(4) for j in range(4) if i <= j}
 
@@ -164,6 +170,8 @@ def _parse_body_line(current: dict, line: str, line_no: int) -> None:
         if len(tokens) != 2 or not tokens[1].isdigit():
             raise CatalogParseError(line_no, "usage: dim N")
         current["dim"] = int(tokens[1])
+        if current["dim"] > MAX_CATALOG_DIM:
+            raise CatalogParseError(line_no, f"dim {tokens[1]} exceeds the limit {MAX_CATALOG_DIM}")
     elif head == "basis":
         if current["summands"] is not None:
             raise CatalogParseError(line_no, "'basis' not allowed in a sum entry")
@@ -289,6 +297,8 @@ def _entry_dim(entry: CatalogEntry, dims: Mapping[str, int]) -> int:
     except CatalogError as exc:
         raise CatalogError(f"{entry.name}: {exc}") from None
     dim = sum(dims[s] for s in entry.summands)
+    if dim > MAX_CATALOG_DIM:
+        raise CatalogError(f"{entry.name}: dim {dim} exceeds the limit {MAX_CATALOG_DIM}")
     if entry.labels_override is not None and len(entry.labels_override) != dim:
         raise CatalogError(f"{entry.name}: labels line has wrong length")
     return dim
@@ -373,6 +383,9 @@ def resolve_expr(names: Sequence[str], env: dict[str, Algebra]) -> Algebra:
     """Direct sum of previously defined algebras, with deduplicated labels."""
     _require_defined(names, env)
     parts = [env[n] for n in names]
+    dim = sum(p.dim for p in parts)
+    if dim > MAX_CATALOG_DIM:
+        raise CatalogError(f"dim {dim} exceeds the limit {MAX_CATALOG_DIM}")
     alg = parts[0]
     for p in parts[1:]:
         alg = direct_sum(alg, p)

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Algebra, AlgebraError, _int_assoc, _int_bb, _int_mul_bv, is_jordan
+from .algebra import Algebra, AlgebraError, _int_bb, _int_mul_bv, is_jordan
 from .invariants import NonJordanError
 from .ratlin import (
     Matrix,
@@ -145,9 +145,7 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     # (b_x, b_y, b_j), and of h -> (zw) h it is b_j (zw); all recur across
     # the quadruple scan
     prod = [[_int_bb(srows, p, q) for q in range(n)] for p in range(n)]
-    units = [[int(k == j) for k in range(n)] for j in range(n)]
-    assoc_cols = [[[_int_assoc(srows, x, y, e) for e in units] for y in range(n)]
-                  for x in range(n)]
+    assoc_cols = a._assoc_table
     prod_cols = [[[_int_mul_bv(srows, j, prod[z][w]) for j in range(n)] for w in range(n)]
                  for z in range(n)]
 

@@ -257,22 +257,28 @@ def _int_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
 
 
 def _echelon_to_rref_rows(pivots: dict[int, list[int]], ncols: int) -> list[Vector]:
-    """Back-substitute an integer echelon into canonical rational RREF rows."""
+    """Back-substitute an integer echelon into canonical rational RREF rows.
+
+    The elimination runs on integer rows, each changed row divided by its
+    content; its leading entry stays positive, so dividing each row by that
+    entry at the end gives the RREF.
+    """
     cols = sorted(pivots)
-    rows: list[list[Fraction]] = []
-    for c in cols:
-        p = pivots[c]
-        lead = Fraction(p[c])
-        rows.append([Fraction(x) / lead for x in p])
+    rows = [pivots[c] for c in cols]
     # eliminate above each pivot, bottom-up
     for idx in range(len(cols) - 1, -1, -1):
         c = cols[idx]
         prow = rows[idx]
+        lead = prow[c]
         for j in range(idx):
             f = rows[j][c]
             if f:
-                rows[j] = [x - f * y for x, y in zip(rows[j], prow)]
-    return [tuple(r) for r in rows]
+                g = gcd(lead, f)
+                a, b = lead // g, f // g
+                row = [a * x - b * y for x, y in zip(rows[j], prow)]
+                g = gcd(*row)
+                rows[j] = [x // g for x in row] if g != 1 else row
+    return [tuple(Fraction(x, r[c]) if x else ZERO for x in r) for c, r in zip(cols, rows)]
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

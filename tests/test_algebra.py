@@ -18,9 +18,10 @@ from jordanalg.algebra import (
     multiply,
     parse_linear_combination,
     plus_algebra,
+    product_span,
     unitalization,
 )
-from jordanalg.ratlin import Matrix, invert, is_zero_vec, vec, zero_vec
+from jordanalg.ratlin import Matrix, Subspace, invert, is_zero_vec, vec, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 
 F = Fraction
@@ -199,6 +200,55 @@ def test_jordan_violation_matches_fraction_oracle():
     for a in cases:
         assert jordan_violation(a) == fraction_violation(a)
     assert sum(jordan_violation(a) is not None for a in cases) >= len(cases) - 2
+
+
+def test_assoc_table_matches_fraction_associator(env):
+    # T[x][y][k] is the associator (b_x, b_y, b_k) scaled by den**2
+    rng = seeded_rng("assoc-table")
+    cases = [matrix_algebra(2), plus_algebra(matrix_algebra(3)),
+             rejected_half_action(), rejected_cubed_generator()]
+    for a in env.values():
+        cases += [a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))]
+    assert len(cases) == 4 + 2 * 88
+    for a in cases:
+        den = a._int_structure[0]
+        basis = [a.basis_vector(i) for i in range(a.dim)]
+        for x, bx in enumerate(basis):
+            for y, by in enumerate(basis):
+                for k, bk in enumerate(basis):
+                    t = a._assoc_table[x][y][k]
+                    assert all(type(e) is int for e in t)
+                    assert t == [den**2 * f for f in associator(a, bx, by, bk)], (a.labels, x, y, k)
+    assert any(a._int_structure[0] > 1 for a in cases)
+
+
+def fraction_product_span(a, s, t):
+    # reference: the span of Fraction products of the basis rows, factor from s on the left
+    return Subspace.span(a.dim, [a.mul(u, v) for u in s.rows for v in t.rows])
+
+
+def random_subspace(rng, n):
+    gens = [[F(rng.randint(-3, 3), rng.choice([1, 2, 5])) for _ in range(n)]
+            for _ in range(rng.randint(0, n))]
+    return Subspace.span(n, gens)
+
+
+def test_product_span_matches_fraction_products(env):
+    rng = seeded_rng("product-span")
+    for a in env.values():
+        for b in (a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))):
+            pairs = [(Subspace.full(b.dim), Subspace.full(b.dim))]
+            pairs += [(random_subspace(rng, b.dim), random_subspace(rng, b.dim)) for _ in range(3)]
+            for s, t in pairs:
+                assert product_span(b, s, t) == fraction_product_span(b, s, t), b.labels
+    m2 = matrix_algebra(2)
+    ordered = 0
+    for _ in range(20):
+        s, t = random_subspace(rng, 4), random_subspace(rng, 4)
+        assert product_span(m2, s, t) == fraction_product_span(m2, s, t)
+        assert product_span(m2, t, s) == fraction_product_span(m2, t, s)
+        ordered += product_span(m2, s, t) != product_span(m2, t, s)
+    assert ordered > 0
 
 
 def test_from_products_unknown_label():

@@ -4,6 +4,7 @@ import pytest
 
 from jordanalg.algebra import direct_sum
 from jordanalg.catalog import (
+    MAX_CATALOG_DIM,
     CatalogError,
     CatalogParseError,
     check_peirce_placements,
@@ -80,6 +81,28 @@ def test_parse_rejects_bad_coefficient():
         with pytest.raises(CatalogParseError) as err:
             parse_catalog(text)
         assert str(err.value) == f"line 4: {message}", rhs
+
+
+def test_dimension_limit(env):
+    def inline(n):
+        labels = " ".join(f"n{i}" for i in range(n))
+        return f"algebra X\n  dim {n}\n  basis {labels}\nend\n"
+
+    (entry,) = parse_catalog(inline(MAX_CATALOG_DIM))
+    assert resolve(entry, {}).dim == MAX_CATALOG_DIM
+    with pytest.raises(CatalogParseError, match=r"^line 2: dim 17 exceeds the limit 16$"):
+        parse_catalog(inline(MAX_CATALOG_DIM + 1))
+    # four copies of J1 fill the limit; a fifth summand, in a sum entry or
+    # in an expression such as `expect radical`, goes past it
+    entries = parse_catalog("algebra S = J1 + J1 + J1 + J1\nend\n"
+                            "algebra T = S + F1\nend\n")
+    assert check_references(entries[:1], {"J1": 4})["S"] == MAX_CATALOG_DIM
+    with pytest.raises(CatalogError, match=r"^T: dim 17 exceeds the limit 16$"):
+        check_references(entries, {"J1": 4, "F1": 1})
+    with pytest.raises(CatalogError, match=r"^dim 17 exceeds the limit 16$"):
+        resolve_expr(["J1"] * 4 + ["F1"], env)
+    # algebras built in code are not limited
+    assert direct_sum(resolve(entry, {}), env["F1"]).dim == MAX_CATALOG_DIM + 1
 
 
 def test_parse_rejects_repeated_product_pair():

@@ -5,6 +5,7 @@ that name needs."""
 import random
 import re
 import shutil
+import time
 from collections import Counter
 
 import pytest
@@ -132,6 +133,27 @@ def test_parse_errors_name_their_file(capsys, tmp_path):
         code, out, err = run(capsys, *argv, "--dir", str(directory))
         assert (code, out) == (2, ""), argv
         assert err == f"error: {path}: line 6: zero denominator\n", argv
+
+
+def test_oversized_entries_fail_fast(capsys, tmp_path):
+    # a dim line over the limit does not parse (exit 2, file and line named);
+    # a doubling chain of sums is refused at the first sum over the limit
+    big = " ".join(f"l{i}" for i in range(40))
+    cases = (
+        ("big.alg", f"algebra Big\n  dim 40\n  basis {big}\n  l0*l0 = l0\nend\n", 2,
+         f"error: {{path}}: line 2: dim 40 exceeds the limit {catalog.MAX_CATALOG_DIM}\n"),
+        ("nest.alg", "algebra N1 = J1 + J1\nend\n" + "".join(
+            f"algebra N{k + 1} = N{k} + N{k}\nend\n" for k in range(1, 40)), 1,
+         f"error: N3: dim 32 exceeds the limit {catalog.MAX_CATALOG_DIM}\n"),
+    )
+    for name, text, want_code, want_err in cases:
+        directory = copy_catalog(tmp_path / name)
+        path = directory / name
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--dir", str(directory))
+        assert time.perf_counter() - start < 1.0, name
+        assert (code, out, err) == (want_code, "", want_err.format(path=path)), name
 
 
 def summand_closure(entries, name):

@@ -3,6 +3,7 @@ from operator import mul
 
 import pytest
 
+from jordanalg import ratlin
 from jordanalg.algebra import change_basis, coboundary_int_rows
 from jordanalg.cohomology import _cocycle_system
 from jordanalg.ratlin import (
@@ -271,3 +272,58 @@ def test_span_of_int_rows_matches_fraction_path(env):
         got = Subspace.span(ncols, gens)
         assert got == Subspace.span(ncols, [[F(x) for x in g] for g in gens])
         assert all(type(x) is F for row in got.rows for x in row)
+
+
+def fraction_echelon_to_rref_rows(pivots, ncols):
+    # reference: the back-substitution in Fractions, each row divided by its
+    # pivot first, then eliminated above each pivot from the bottom up
+    cols = sorted(pivots)
+    rows = [[F(x) / pivots[c][c] for x in pivots[c]] for c in cols]
+    for idx in range(len(cols) - 1, -1, -1):
+        c = cols[idx]
+        for j in range(idx):
+            f = rows[j][c]
+            if f:
+                rows[j] = [x - f * y for x, y in zip(rows[j], rows[idx])]
+    return [tuple(r) for r in rows]
+
+
+def back_substitution_cases():
+    """Seeded integer rows: negative entries, zero and duplicate rows, rank
+    deficiency, and rows scaled or filled past 64 bits."""
+    rng = seeded_rng("back-substitution")
+    cases = [([[0, 0, 0]] * 2, 3), ([[2, -4, 6], [-1, 2, 5]], 3), ([[-3, 0], [0, -7]], 2)]
+    for _ in range(80):
+        ncols = rng.randint(1, 9)
+        rows = planted_rank_rows(rng, rng.randint(1, 12), ncols, rng.randint(0, ncols))
+        rows = [[rng.choice([1, -1, 3**45, -(2**70) - 1]) * x for x in r] for r in rows]
+        if rng.random() < 0.3:
+            rows.append([rng.randint(-(2**90), 2**90) for _ in range(ncols)])
+        cases.append((rows, ncols))
+    return cases
+
+
+def test_back_substitution_matches_fraction_reference(monkeypatch):
+    cases = back_substitution_cases()
+    assert any(abs(x).bit_length() > 64 for rows, _ in cases for r in rows for x in r)
+    assert any(len(_int_echelon(rows, n)) < min(len(rows), n) for rows, n in cases)
+    for rows, ncols in cases:
+        pivots = _int_echelon(rows, ncols)
+        got = _echelon_to_rref_rows(pivots, ncols)
+        assert got == fraction_echelon_to_rref_rows(pivots, ncols)
+        assert all(type(x) is F for r in got for x in r)
+
+    def answers():
+        out = []
+        for rows, ncols in cases:
+            m = Matrix.from_rows(rows)
+            out += [rref(m), solve(m, m.apply(vec(range(1, ncols + 1)))),
+                    solve(m, vec(range(m.rows)))]
+            if len(rows) >= ncols:
+                out.append(invert(Matrix.from_rows(rows[:ncols])))
+        return out
+
+    got = answers()
+    assert any(x is None for x in got) and any(isinstance(x, Matrix) for x in got)
+    monkeypatch.setattr(ratlin, "_echelon_to_rref_rows", fraction_echelon_to_rref_rows)
+    assert answers() == got
