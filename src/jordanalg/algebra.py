@@ -14,7 +14,9 @@ neither scaling changes which of them vanish.  `_assoc_table` holds the
 associator of every basis triple on those constants, n**4 integers built
 once per algebra and cached like `_int_structure`; the Jordan scan, the
 associativity test and the cocycle rows read it, and the associator is
-linear in each argument, so it extends to any element.
+linear in each argument, so it extends to any element.  Subspace products,
+from the integer rows a `Subspace` stores, and the derivation, centroid,
+annihilator and Peirce systems are written on those constants as well.
 
 All values are immutable and every operation is a pure function.
 """
@@ -35,7 +37,6 @@ from .ratlin import (
     Subspace,
     Vector,
     _int_echelon,
-    _int_row,
     invert,
     rat,
     solve,
@@ -206,25 +207,6 @@ class Algebra:
                         for k, x in row[j]:
                             out[k] += ab * x
         return tuple(out)
-
-    def left_mult_matrix(self, v: Sequence[Fraction]) -> Matrix:
-        """Matrix of L_v : x -> v * x in the basis."""
-        cols = [self.mul(v, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix.from_rows(
-            [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        )
-
-    @cached_property
-    def _basis_traces(self) -> Vector:
-        """tr L_{b_i} = sum_k c[i][k][k]; traces extend linearly."""
-        return tuple(
-            sum((self.table[i][k][k] for k in range(self.dim)), ZERO)
-            for i in range(self.dim)
-        )
-
-    def trace_of_left_mult(self, v: Sequence[Fraction]) -> Fraction:
-        traces = self._basis_traces
-        return sum((c * traces[i] for i, c in enumerate(v) if c), ZERO)
 
 
 def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -466,16 +448,16 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
 
 def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
     """Span of {u * v : u in s, v in t}; bilinearity makes basis products
-    enough, and they are taken on integer rows and integer-scaled constants,
-    which rescales each product and leaves the span unchanged."""
+    enough, and they are taken on the integer rows of `s` and `t` and the
+    integer-scaled constants, which rescales each product and leaves the
+    span unchanged."""
     if s.ambient != a.dim or t.ambient != a.dim:
         raise AlgebraError("subspace ambient mismatch")
     _, srows = a._int_structure
-    right = [_int_row(v) for v in t.rows]
     gens = []
-    for u in s.rows:
-        left = [(i, x, srows[i]) for i, x in enumerate(_int_row(u)) if x]
-        for v in right:
+    for u in s.int_rows:
+        left = [(i, x, srows[i]) for i, x in enumerate(u) if x]
+        for v in t.int_rows:
             out = [0] * a.dim
             for i, x, row in left:
                 for j, y in enumerate(v):

@@ -420,6 +420,18 @@ def data_dir() -> Path:
     return Path(__file__).with_name("data")
 
 
+def parse_catalog_file(path: Path) -> list[CatalogEntry]:
+    """Read and parse one .alg file; a parse error names the file."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse_catalog(text)
+    except CatalogParseError as exc:
+        raise CatalogParseError(exc.line_no, exc.message, source=path) from None
+
+
 def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
     """Parse all .alg files (sorted by name) from a directory."""
     base = Path(directory) if directory is not None else data_dir()
@@ -429,15 +441,7 @@ def load_catalog(directory: Optional[Path] = None) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     seen: dict[str, Path] = {}
     for f in files:
-        try:
-            text = f.read_text()
-        except UnicodeDecodeError as exc:
-            raise CatalogError(f"cannot read {f}: {exc}") from exc
-        try:
-            parsed = parse_catalog(text)
-        except CatalogParseError as exc:
-            raise CatalogParseError(exc.line_no, exc.message, source=f) from None
-        for entry in parsed:
+        for entry in parse_catalog_file(f):
             if entry.name in seen:
                 raise CatalogError(f"duplicate algebra name {entry.name!r}"
                                    f" in {seen[entry.name]} and {f}")

@@ -71,11 +71,11 @@ def _lookup(
     if not p.exists():
         raise UsageError(f"unknown algebra {name!r}")
     try:
-        file_entries = cat.parse_catalog(p.read_text())
+        file_entries = cat.parse_catalog_file(p)
         cat.check_references(file_entries, dims)
     except cat.CatalogError as exc:
         raise UsageError(str(exc)) from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise UsageError(f"cannot read {name}: {exc}") from exc
     if not file_entries:
         raise UsageError(f"no entries in {name}")

@@ -24,7 +24,7 @@ from .algebra import (
     is_jordan,
     product_span,
 )
-from .ratlin import Matrix, Subspace, ZERO, kernel, rank as matrix_rank
+from .ratlin import Matrix, Subspace, ZERO, _int_kernel, int_rows_rank, kernel, rank as matrix_rank
 
 
 class NonJordanError(AlgebraError):
@@ -105,19 +105,26 @@ def nilpotency_type(a: Algebra, lcs: Optional[list[Subspace]] = None) -> tuple[i
 
 
 def annihilator(a: Algebra) -> Subspace:
-    """{x : x * J = 0}, the kernel of the stacked left-multiplication operators."""
+    """{x : x * J = 0}, the kernel of the stacked left-multiplication
+    operators: row (j, k) holds the k-th coordinate of b_i b_j over i, on
+    integer-scaled constants."""
     n = a.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([a.table[i][j][k] for i in range(n)])
-    return kernel(Matrix.from_rows(rows))
+    _, srows = a._int_structure
+    rows = [[0] * n for _ in range(n * n)]
+    for i in range(n):
+        for j in range(n):
+            for k, x in srows[i][j]:
+                rows[j * n + k][i] = x
+    return Subspace.span(n, _int_kernel(rows, n))
 
 
 def trace_form(a: Algebra) -> Matrix:
-    """Gram matrix T[i][j] = tr L_{b_i * b_j}."""
+    """Gram matrix T[i][j] = tr L_{b_i * b_j}; tr L_{b_m} = sum_k c[m][k][k]
+    and traces extend linearly."""
     n = a.dim
-    rows = [[a.trace_of_left_mult(a.table[i][j]) for j in range(n)] for i in range(n)]
+    traces = [sum((a.table[m][k][k] for k in range(n)), ZERO) for m in range(n)]
+    rows = [[sum((c * t for c, t in zip(a.table[i][j], traces) if c), ZERO) for j in range(n)]
+            for i in range(n)]
     return Matrix.from_rows(rows) if n else Matrix(0, 0, ())
 
 
@@ -151,12 +158,7 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
     """Algebra induced on the complement basis (non-pivot coordinates) mod ideal."""
     if not is_ideal(a, ideal):
         raise AlgebraError("quotient requires an ideal")
-    pivot_cols = set()
-    for r in ideal.rows:
-        for c, x in enumerate(r):
-            if x:
-                pivot_cols.add(c)
-                break
+    pivot_cols = set(ideal._pivot_cols())
     comp = [c for c in range(a.dim) if c not in pivot_cols]
     labels = tuple(a.labels[c] for c in comp)
     table = []
@@ -217,21 +219,20 @@ def centroid_dim(a: Algebra) -> int:
     """
     n = a.dim
     nsq = n * n
-    rows = []
+    _, srows = a._int_structure
+    # row (i, j, k) is coordinate k of T(b_i b_j) - T(b_i) b_j, on
+    # integer-scaled constants; the unknown (T b_s)_r is at column r * n + s
+    rows = [[0] * nsq for _ in range(n * nsq)]
     for i in range(n):
         for j in range(n):
-            cij = a.table[i][j]
-            for k in range(n):
-                row = [ZERO] * nsq
-                for m in range(n):
-                    if cij[m]:
-                        row[k * n + m] += cij[m]
-                for q in range(n):
-                    x = a.table[q][j][k]
-                    if x:
-                        row[q * n + i] -= x
-                rows.append(row)
-    return nsq - matrix_rank(Matrix.from_rows(rows))
+            ij = (i * n + j) * n
+            for m, x in srows[i][j]:
+                for k in range(n):
+                    rows[ij + k][k * n + m] += x
+            for q in range(n):
+                for k, x in srows[q][j]:
+                    rows[ij + k][q * n + i] -= x
+    return nsq - int_rows_rank([r for r in rows if any(r)], nsq)
 
 
 def annihilator_series(

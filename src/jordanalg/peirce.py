@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, find_identity, is_jordan, product_span, unitalization
 from .invariants import NonJordanError
-from .ratlin import HALF, ONE, ZERO, Matrix, Subspace, Vector, is_zero_vec, kernel, sub_vec, vec
+from .ratlin import HALF, ONE, ZERO, Subspace, Vector, _int_kernel, is_zero_vec, rat, sub_vec, vec
 
 
 class NotIdempotentError(AlgebraError):
@@ -48,14 +49,25 @@ def is_idempotent(a: Algebra, e: Sequence[Fraction]) -> bool:
 
 
 def eigenspace(a: Algebra, e: Sequence[Fraction], lam: Fraction) -> Subspace:
-    """Kernel of L_e - lam * id."""
+    """Kernel of L_e - lam * id, from the integer rows q * D * den * (L_e - lam),
+    lam = p/q, D the lcm of the denominators of e and den that of the
+    structure constants."""
     n = a.dim
-    le = a.left_mult_matrix(vec(e))
-    rows = [
-        [le.entry(k, j) - (lam if k == j else ZERO) for j in range(n)]
-        for k in range(n)
-    ]
-    return kernel(Matrix.from_rows(rows))
+    e, lam = vec(e), rat(lam)
+    den, srows = a._int_structure
+    d = lcm(*(x.denominator for x in e))
+    p, q = lam.numerator, lam.denominator
+    # row k, column j: coordinate k of e b_j, less lam at k == j
+    rows = [[0] * n for _ in range(n)]
+    for i, x in enumerate(e):
+        if x:
+            c = q * x.numerator * (d // x.denominator)
+            for j in range(n):
+                for k, y in srows[i][j]:
+                    rows[k][j] += c * y
+    for k in range(n):
+        rows[k][k] -= p * d * den
+    return Subspace.span(n, _int_kernel(rows, n))
 
 
 def peirce_single(a: Algebra, e: Sequence[Fraction]) -> PeirceDecomposition:

@@ -1,22 +1,27 @@
 """Exact linear algebra over the rationals.
 
 Everything in this package reduces to rank, kernel and span computations
-over Q, carried out with `fractions.Fraction` coefficients so that every
-result is exact.  Internally the work runs fraction-free on integer rows
-(scaled by the lcm of their denominators, divided by their content) in two
-exact cores.  `_int_kernel` cuts a kernel basis down row by row, so a row
-dependent on earlier ones costs one test and no reduction; `rank`,
-`int_rows_rank` and `kernel` use it.  `_int_echelon` builds the echelon
-basis that `rref`, `solve`, `invert` and `Subspace` need.
+over Q, and every result is exact.  The work runs fraction-free on integer
+rows in two exact cores: the callers write their systems on integer-scaled
+constants, and the public `Matrix` functions scale each rational row by the
+lcm of its denominators and divide it by its content (`_int_row`).
+`_int_kernel` cuts a kernel basis down row by row, so a row dependent on
+earlier ones costs one test and no reduction; `rank`, `int_rows_rank` and
+`kernel` use it.  `_int_echelon` builds the echelon basis that `rref`,
+`solve`, `invert` and `Subspace` need, and `_int_rref` back-substitutes it in
+integers.
 
-Matrices are immutable; subspaces are stored as reduced row-echelon bases,
-so two subspaces are equal iff their representations are identical.
+Matrices are immutable.  A subspace is stored as its RREF basis with each
+row scaled to a primitive integer row with a positive pivot; that basis is
+unique, so two subspaces are equal iff their representations are identical,
+and its rational rows are derived only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -92,9 +97,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
@@ -107,19 +109,6 @@ class Matrix:
             base = i * self.cols
             out.append(sum((self.entries[base + j] * v[j] for j in range(self.cols)), ZERO))
         return tuple(out)
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        cols = [other.apply_t_row(j) for j in range(other.cols)]
-        rows = []
-        for i in range(self.rows):
-            r = self.row(i)
-            rows.append([sum((r[k] * cols[j][k] for k in range(self.cols)), ZERO) for j in range(other.cols)])
-        return Matrix.from_rows(rows)
-
-    def apply_t_row(self, j: int) -> Vector:
-        return tuple(self.entry(i, j) for i in range(self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +129,6 @@ def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
     if g > 1:
         row = [x // g for x in row]
     return row
-
-
-def _primitive_row(gen: Sequence) -> list[int]:
-    """`_int_row` of a generator.  Ints and Fractions carry the numerator
-    and denominator it reads, so only other entries, such as the strings
-    `rat` accepts, are converted first."""
-    try:
-        return _int_row(gen)
-    except AttributeError:
-        return _int_row(vec(gen))
 
 
 def _normalize_int_row(row: list[int]) -> Optional[list[int]]:
@@ -256,12 +235,12 @@ def _int_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     return out
 
 
-def _echelon_to_rref_rows(pivots: dict[int, list[int]], ncols: int) -> list[Vector]:
-    """Back-substitute an integer echelon into canonical rational RREF rows.
+def _int_rref(pivots: dict[int, list[int]]) -> list[list[int]]:
+    """Back-substitute an integer echelon: the RREF rows in pivot order,
+    each scaled to a primitive integer row with a positive pivot.
 
-    The elimination runs on integer rows, each changed row divided by its
-    content; its leading entry stays positive, so dividing each row by that
-    entry at the end gives the RREF.
+    Each changed row is divided by its content; its leading entry stays
+    positive, so the rows are as canonical as the RREF itself.
     """
     cols = sorted(pivots)
     rows = [pivots[c] for c in cols]
@@ -278,7 +257,21 @@ def _echelon_to_rref_rows(pivots: dict[int, list[int]], ncols: int) -> list[Vect
                 row = [a * x - b * y for x, y in zip(rows[j], prow)]
                 g = gcd(*row)
                 rows[j] = [x // g for x in row] if g != 1 else row
-    return [tuple(Fraction(x, r[c]) if x else ZERO for x in r) for c, r in zip(cols, rows)]
+    return rows
+
+
+def _rational_rows(int_rows: Iterable[Sequence[int]]) -> list[Vector]:
+    """Each integer RREF row divided by its pivot: the rational RREF rows."""
+    out = []
+    for r in int_rows:
+        lead = next(x for x in r if x)
+        out.append(tuple(Fraction(x, lead) if x else ZERO for x in r))
+    return out
+
+
+def _echelon_to_rref_rows(pivots: dict[int, list[int]], ncols: int) -> list[Vector]:
+    """Canonical rational RREF rows of an integer echelon."""
+    return _rational_rows(_int_rref(pivots))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -343,19 +336,23 @@ def invert(m: Matrix) -> Optional[Matrix]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of Q^ambient, stored as its unique RREF basis.
+    """Linear subspace of Q^ambient, stored as its RREF basis with each row
+    scaled to a primitive integer row with a positive pivot.
 
-    Structural equality of two Subspace values is equality of subspaces.
+    That basis is unique, so structural equality of two Subspace values is
+    equality of subspaces.  `rows` is the rational RREF, derived on demand.
     """
 
     ambient: int
-    rows: tuple[Vector, ...]
+    int_rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def span(cls, ambient: int, gens: Iterable[Sequence]) -> "Subspace":
-        int_rows = [_primitive_row(g) for g in gens]
-        pivots = _int_echelon(int_rows, ambient)
-        return cls(ambient, tuple(_echelon_to_rref_rows(pivots, ambient)))
+        """Span of generators; integer rows are read as they are, others
+        (Fractions, or strings `rat` reads) are scaled to integer rows."""
+        rows = [g if all(type(x) is int for x in g) else _int_row(vec(g)) for g in gens]
+        pivots = _int_echelon(rows, ambient)
+        return cls(ambient, tuple(map(tuple, _int_rref(pivots))))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -363,20 +360,18 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(unit_vec(ambient, i) for i in range(ambient)))
+        return cls(ambient, tuple(tuple(map(int, unit_vec(ambient, i))) for i in range(ambient)))
+
+    @cached_property
+    def rows(self) -> tuple[Vector, ...]:
+        return tuple(_rational_rows(self.int_rows))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     def _pivot_cols(self) -> list[int]:
-        cols = []
-        for r in self.rows:
-            for c, x in enumerate(r):
-                if x:
-                    cols.append(c)
-                    break
-        return cols
+        return [next(c for c, x in enumerate(r) if x) for r in self.int_rows]
 
     def reduce_vector(self, v: Sequence[Fraction]) -> Vector:
         """Residue of v after subtracting its projection onto the basis rows."""
@@ -410,26 +405,21 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        return all(self.contains_vector(r) for r in other.rows)
+        return len(_int_echelon(self.int_rows + other.int_rows, self.ambient)) == self.dim
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace.span(self.ambient, list(self.rows) + list(other.rows))
+        return Subspace.span(self.ambient, self.int_rows + other.int_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: echelonize [A|A; B|0]; rows with zero left half span the meet."""
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         n = self.ambient
-        stacked = [list(r) + list(r) for r in self.rows]
-        stacked += [list(r) + [ZERO] * n for r in other.rows]
-        pivots = _int_echelon([_int_row(r) for r in stacked], 2 * n)
-        gens = []
-        for c, row in pivots.items():
-            if c >= n:
-                gens.append(row[n:])
-        return Subspace.span(n, gens)
+        stacked = [r + r for r in self.int_rows] + [r + (0,) * n for r in other.int_rows]
+        pivots = _int_echelon(stacked, 2 * n)
+        return Subspace.span(n, [row[n:] for c, row in pivots.items() if c >= n])
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.int_rows

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordanalg.algebra import change_basis, direct_sum, matrix_algebra, plus_algebra
 from jordanalg.catalog import catalog_order, load_catalog, resolve_all
 from jordanalg.ratlin import Matrix, invert
 
@@ -15,6 +16,27 @@ def entries():
 @pytest.fixture(scope="session")
 def env(entries):
     return resolve_all(entries)
+
+
+@pytest.fixture(scope="session")
+def dense_env(env):
+    """One seeded dense basis of each catalog table: name -> (algebra, p),
+    the algebra being `change_basis(env[name], p)`."""
+    rng = seeded_rng("dense-env")
+    out = {}
+    for name, a in env.items():
+        p = random_invertible_matrix(a.dim, rng, dense=True)
+        out[name] = (change_basis(a, p), p)
+    return out
+
+
+@pytest.fixture(scope="session")
+def large_algebras(env):
+    """Tables of dimension 7 to 9: J56+T5, J56+J59 and the plus algebra of
+    the 3x3 matrices."""
+    return {"J56+T5": direct_sum(env["J56"], env["T5"]),
+            "J56+J59": direct_sum(env["J56"], env["J59"]),
+            "M3+": plus_algebra(matrix_algebra(3))}
 
 
 def random_invertible_matrix(n, rng, dense=False):

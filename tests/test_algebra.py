@@ -251,6 +251,38 @@ def test_product_span_matches_fraction_products(env):
     assert ordered > 0
 
 
+def test_integer_rows_stay_integer(env, monkeypatch):
+    # product spans, sums, meets and spans of integer rows never scale a
+    # row from Fractions: no module outside ratlin holds `_int_row`
+    import importlib
+
+    from jordanalg import ratlin
+
+    for name in ("algebra", "catalog", "cli", "cohomology", "invariants", "peirce", "polysolve"):
+        assert not hasattr(importlib.import_module(f"jordanalg.{name}"), "_int_row"), name
+    rng = seeded_rng("no-int-row")
+    cases = []
+    for a in list(env.values())[::4] + [matrix_algebra(2)]:
+        cases += [(a, random_subspace(rng, a.dim), random_subspace(rng, a.dim)) for _ in range(3)]
+
+    def answers():
+        out = []
+        for a, s, t in cases:
+            st = product_span(a, s, t)
+            out += [st, s.add(t), s.intersect(t), st.contains(s), s.contains(s.intersect(t)),
+                    Subspace.span(a.dim, [list(r) for r in st.int_rows + s.int_rows])]
+        return out
+
+    want = answers()
+
+    def fail(row):
+        raise AssertionError("integer row sent through _int_row")
+
+    monkeypatch.setattr(ratlin, "_int_row", fail)
+    assert answers() == want
+    assert any(s.dim and t.dim and s.intersect(t).dim for _, s, t in cases)
+
+
 def test_from_products_unknown_label():
     for products in ({("e1", "x"): {"e1": 1}}, {("e1", "e1"): {"y": 1}}):
         with pytest.raises(AlgebraError, match="unknown basis label"):

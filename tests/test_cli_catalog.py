@@ -135,6 +135,22 @@ def test_parse_errors_name_their_file(capsys, tmp_path):
         assert err == f"error: {path}: line 6: zero denominator\n", argv
 
 
+@pytest.mark.parametrize("command", ("invariants", "fingerprint", "h2"))
+def test_parse_errors_of_a_named_file_name_it(capsys, tmp_path, command):
+    # a NAME that is a catalog file path reports its parse errors as a
+    # --dir file does: file and line named, exit 2
+    cases = (
+        ("big.alg", "algebra Big\n  dim 40\n  basis a\nend\n",
+         f"line 2: dim 40 exceeds the limit {catalog.MAX_CATALOG_DIM}"),
+        ("zero.alg", "algebra Z\n  dim 1\n  basis e\n  e*e = 1/0 e\nend\n",
+         "line 4: zero denominator"),
+    )
+    for name, text, message in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(capsys, command, str(path)) == (2, "", f"error: {path}: {message}\n"), name
+
+
 def test_oversized_entries_fail_fast(capsys, tmp_path):
     # a dim line over the limit does not parse (exit 2, file and line named);
     # a doubling chain of sums is refused at the first sum over the limit

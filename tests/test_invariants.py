@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, change_basis
+from jordanalg.algebra import Algebra, change_basis, matrix_algebra
 from jordanalg.invariants import (
     NonJordanError,
     NotNilpotentError,
@@ -25,7 +25,7 @@ from jordanalg.invariants import (
     trace_rank,
 )
 from jordanalg.polysolve import embeds_b2
-from jordanalg.ratlin import Matrix, Subspace, zero_vec
+from jordanalg.ratlin import ZERO, Matrix, Subspace, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 
 F = Fraction
@@ -314,3 +314,53 @@ def test_each_lcs_chain_built_once(env, entries, monkeypatch):
             built.clear()
             run()
             assert built and len({id(b) for b in built}) == len(built), name
+
+
+def fraction_centroid_dim(a):
+    # reference: the Fraction rows the centroid system was first built from
+    n = a.dim
+    nsq = n * n
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            cij = a.table[i][j]
+            for k in range(n):
+                row = [ZERO] * nsq
+                for m in range(n):
+                    if cij[m]:
+                        row[k * n + m] += cij[m]
+                for q in range(n):
+                    x = a.table[q][j][k]
+                    if x:
+                        row[q * n + i] -= x
+                rows.append(row)
+    return nsq - rank(Matrix.from_rows(rows))
+
+
+def fraction_annihilator(a):
+    # reference: the kernel of the stacked Fraction left multiplications
+    n = a.dim
+    return kernel(Matrix.from_rows(
+        [[a.table[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]))
+
+
+def random_table(rng, n):
+    """A seeded table with rational constants, neither commutative nor
+    associative."""
+    return Algebra(tuple(f"x{i}" for i in range(n)), tuple(
+        tuple(tuple(F(rng.randint(-2, 2), rng.choice([1, 1, 3])) for _ in range(n))
+              for _ in range(n)) for _ in range(n)))
+
+
+def test_integer_invariant_rows_match_fraction_references(env, dense_env, large_algebras):
+    # centroid and annihilator on integer-scaled constants against the
+    # Fraction systems; the noncommutative tables tell the factors apart
+    rng = seeded_rng("integer-invariants")
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    cases += list(large_algebras.values()) + [matrix_algebra(2)]
+    cases += [random_table(rng, n) for n in (2, 3, 3, 4)]
+    assert any(a._int_structure[0] > 1 for a in cases)
+    for a in cases:
+        assert centroid_dim(a) == fraction_centroid_dim(a), a.labels
+        assert annihilator(a) == fraction_annihilator(a), a.labels
+    assert any(annihilator(a).dim not in (0, a.dim) for a in cases)

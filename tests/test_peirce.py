@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import unitalization
+from jordanalg.algebra import find_identity, unitalization
 from jordanalg.peirce import (
     NotIdempotentError,
     component_of,
@@ -12,7 +12,7 @@ from jordanalg.peirce import (
     peirce_multi_unitalized,
     peirce_single,
 )
-from jordanalg.ratlin import ZERO, zero_vec
+from jordanalg.ratlin import ZERO, Matrix, invert, kernel, zero_vec
 
 F = Fraction
 HALF = F(1, 2)
@@ -150,3 +150,37 @@ def test_multi_rules_cover_shared_smallest_index(env):
     with _pytest.raises(PeirceRuleError) as err:
         _check_multi_rules(a, comps, 3)
     assert "J01*J02 <= J12" in str(err.value)
+
+
+def fraction_eigenspace(a, e, lam):
+    # reference: the kernel of the Fraction matrix of L_e - lam
+    n = a.dim
+    cols = [a.mul(e, a.basis_vector(j)) for j in range(n)]
+    return kernel(Matrix.from_rows(
+        [[cols[j][k] - (lam if j == k else 0) for j in range(n)] for k in range(n)]))
+
+
+def table_idempotents_and_unit(a):
+    units = [a.basis_vector(i) for i in range(a.dim) if a.table[i][i] == a.basis_vector(i)]
+    unit = find_identity(a)
+    return units + ([unit] if unit is not None else [])
+
+
+def test_integer_eigenspace_matches_fraction_reference(env, dense_env, large_algebras):
+    # table idempotents and identities, in the catalog basis and carried
+    # into a dense basis, where their coordinates are fractions
+    cases = [(a, table_idempotents_and_unit(a)) for a in large_algebras.values()]
+    for name, a in env.items():
+        b, p = dense_env[name]
+        units = table_idempotents_and_unit(a)
+        cases += [(a, units), (b, [invert(p).apply(e) for e in units])]
+    assert any(x.denominator > 1 for _, units in cases for e in units for x in e)
+    lams = (ONE, HALF, F(0), F(-3, 4))
+    dims = set()
+    for a, units in cases:
+        for e in units:
+            for lam in lams:
+                got = eigenspace(a, e, lam)
+                assert got == fraction_eigenspace(a, e, lam), (a.labels, e, lam)
+                dims.add((lam, got.dim))
+    assert all((lam, d) in dims for lam in (ONE, HALF, F(0)) for d in (1, 2))

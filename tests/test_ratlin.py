@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 import pytest
@@ -42,7 +43,7 @@ def test_rref_rank_one():
     m = Matrix.from_rows([[1, 2], [2, 4]])
     r, rank = rref(m)
     assert rank == 1
-    assert r.row_list() == [[F(1), F(2)], [F(0), F(0)]]
+    assert r == Matrix.from_rows([[1, 2], [0, 0]])
 
 
 def test_rref_idempotent():
@@ -107,7 +108,8 @@ def test_invert_round_trip():
     m = Matrix.from_rows([[1, 2, 0], [0, 1, 1], [1, 0, 1]])
     mi = invert(m)
     assert mi is not None
-    assert m.matmul(mi) == Matrix.identity(3)
+    units = [vec(int(i == j) for i in range(3)) for j in range(3)]
+    assert [m.apply(mi.apply(u)) for u in units] == units
     assert invert(Matrix.from_rows([[1, 2], [2, 4]])) is None
 
 
@@ -327,3 +329,39 @@ def test_back_substitution_matches_fraction_reference(monkeypatch):
     assert any(x is None for x in got) and any(isinstance(x, Matrix) for x in got)
     monkeypatch.setattr(ratlin, "_echelon_to_rref_rows", fraction_echelon_to_rref_rows)
     assert answers() == got
+
+
+def fraction_rref(gens, n):
+    # reference: Gauss-Jordan in Fractions, pivot rows scaled to 1
+    rows = [[F(x) for x in g] for g in gens]
+    out, c = [], 0
+    while rows and c < n:
+        hit = next((r for r in rows if r[c]), None)
+        if hit is not None:
+            rows.remove(hit)
+            hit = [x / hit[c] for x in hit]
+            out = [[x - r[c] * y for x, y in zip(r, hit)] for r in out] + [hit]
+            rows = [[x - r[c] * y for x, y in zip(r, hit)] for r in rows]
+        c += 1
+    return tuple(tuple(r) for r in out)
+
+
+def test_subspace_stores_primitive_integer_rref_rows():
+    rng = seeded_rng("int-storage")
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        gens = [[F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 2))]
+        if rng.random() < 0.5:
+            gens.append([rng.randint(-(2**70), 2**70) for _ in range(n)])
+        s = Subspace.span(n, gens)
+        for row in s.int_rows:
+            assert all(type(x) is int for x in row)
+            assert gcd(*row) == 1 and next(x for x in row if x) > 0
+        assert s.rows == fraction_rref(gens, n)
+        assert all(type(x) is F for row in s.rows for x in row)
+        scaled = [[c * x for x in g] for c, g in
+                  zip((F(rng.choice([1, -1, 3, -5]), rng.choice([1, 2, 9])) for _ in gens), gens)]
+        rng.shuffle(scaled)
+        assert Subspace.span(n, scaled) == s
+        assert Subspace.span(n, s.rows) == s == Subspace.span(n, s.int_rows)
