@@ -18,7 +18,10 @@ linear in each argument, so it extends to any element.  Subspace products,
 from the integer rows a `Subspace` stores, and the derivation, centroid,
 annihilator and Peirce systems are written on those constants as well.
 
-All values are immutable and every operation is a pure function.
+All values are immutable and every operation is a pure function.  A
+derived invariant that several callers read is wrapped in `per_algebra`,
+which keeps it next to the cached properties in the algebra's `__dict__`:
+callers call it again rather than pass its value on.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
@@ -48,6 +51,22 @@ from .ratlin import (
 
 class AlgebraError(ValueError):
     """Structural or precondition failure on an algebra operation."""
+
+
+def per_algebra(fn):
+    """`fn(a, *args)`, kept in `a.__dict__` keyed on `fn` and the hashable
+    `args`: computed once per algebra, never shared by two distinct equal
+    algebras, and not kept when it raises."""
+
+    @wraps(fn)
+    def memoized(a, *args):
+        memo = a.__dict__.setdefault("_memo", {})
+        key = (fn, args)
+        if key not in memo:
+            memo[key] = fn(a, *args)
+        return memo[key]
+
+    return memoized
 
 
 @dataclass(frozen=True)

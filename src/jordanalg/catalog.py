@@ -44,12 +44,14 @@ from .invariants import (
     annihilator,
     derivation_dim,
     fingerprint,
-    lcs_chain,
+    is_nilpotent,
     nilpotency_type,
     power_chain,
+    radical,
     radical_split,
 )
-from .ratlin import ZERO, Subspace, zero_vec
+from .polysolve import DEFAULT_BUDGET
+from .ratlin import ZERO, zero_vec
 
 
 class CatalogError(ValueError):
@@ -562,14 +564,13 @@ class CatalogReport:
         return out
 
 
-def computed_flags(a: Algebra, lcs: Sequence[Subspace], rad: Subspace) -> list[str]:
-    """The `FLAG_NAMES` that hold for a Jordan algebra, in print order;
-    `lcs` is `lcs_chain(a)` and `rad` the radical of `a`."""
+def computed_flags(a: Algebra) -> list[str]:
+    """The `FLAG_NAMES` that hold for a Jordan algebra, in print order."""
     flags = ["unitary"] if find_identity(a) is not None else []
     flags.append("associative" if is_associative(a) else "nonassociative")
-    if lcs[-1].is_zero():
+    if is_nilpotent(a):
         flags.append("nilpotent")
-    if rad.dim == 0:
+    if radical(a).dim == 0:
         flags.append("semisimple")
     return flags
 
@@ -579,7 +580,7 @@ def verify_entry(
     a: Algebra,
     env: dict[str, Algebra],
     deep: bool = False,
-    budget: int = 10000,
+    budget: int = DEFAULT_BUDGET,
 ) -> EntryResult:
     comm = commutativity_violation(a) is None
     violation = None
@@ -605,23 +606,19 @@ def verify_entry(
     if exp.sq is not None and exp.sq != sq:
         mismatches.append(f"sq: recorded {exp.sq}, computed {sq}")
     if jordan_ok:
-        lcs = lcs_chain(a)
-        rad, rad_alg, _, _ = radical_split(a)
-        flags = computed_flags(a, lcs, rad)
+        flags = computed_flags(a)
         for flag in exp.flags:
             if flag not in flags:
                 mismatches.append(f"flag {flag}: not confirmed by computation")
         if exp.niltype is not None:
-            if not lcs[-1].is_zero():
+            if not is_nilpotent(a):
                 mismatches.append("niltype: algebra is not nilpotent")
-            else:
-                nt = nilpotency_type(a, lcs)
-                if nt != exp.niltype:
-                    mismatches.append(f"niltype: recorded {exp.niltype}, computed {nt}")
+            elif (nt := nilpotency_type(a)) != exp.niltype:
+                mismatches.append(f"niltype: recorded {exp.niltype}, computed {nt}")
     deep_failures: list[str] = []
     h2 = b2 = None
     if deep and jordan_ok:
-        deep_failures, h2, b2 = _deep_checks(entry, a, rad_alg, env, budget)
+        deep_failures, h2, b2 = _deep_checks(entry, a, env, budget)
     return EntryResult(
         name=entry.name,
         dim=a.dim,
@@ -639,10 +636,9 @@ def verify_entry(
 
 
 def _deep_checks(
-    entry: CatalogEntry, a: Algebra, rad_alg: Algebra, env: dict[str, Algebra], budget: int
+    entry: CatalogEntry, a: Algebra, env: dict[str, Algebra], budget: int
 ) -> tuple[list[str], Optional[int], Optional[str]]:
-    """Deep-check failures, plus the h2 and b2 values the checks computed;
-    `rad_alg` is the algebra induced on the radical of `a`."""
+    """Deep-check failures, plus the h2 and b2 values the checks computed."""
     from .cohomology import cocycle_space
     from .polysolve import embeds_b2
 
@@ -666,7 +662,7 @@ def _deep_checks(
             model = resolve_expr(exp.radical_expr, env)
         except CatalogError as exc:
             raise CatalogError(f"{entry.name}: expect radical: {exc}") from None
-        if fingerprint(rad_alg) != fingerprint(model):
+        if fingerprint(radical_split(a)[1]) != fingerprint(model):
             failures.append(
                 f"radical: fingerprint differs from {' + '.join(exp.radical_expr)}"
             )
@@ -676,7 +672,7 @@ def _deep_checks(
 def verify_catalog(
     entries: Sequence[CatalogEntry],
     deep: bool = False,
-    budget: int = 10000,
+    budget: int = DEFAULT_BUDGET,
 ) -> CatalogReport:
     """Identity checks plus recorded-column comparison for every entry.
 

@@ -30,13 +30,12 @@ from .invariants import (
     difference_message,
     fingerprint,
     first_fingerprint_difference,
-    lcs_chain,
     nilpotency_type,
     power_profile,
     radical_split,
 )
 from .peirce import PeirceRuleError, is_idempotent, peirce_single
-from .polysolve import embeds_b2
+from .polysolve import DEFAULT_BUDGET, embeds_b2
 
 
 class UsageError(Exception):
@@ -97,18 +96,17 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     [(_, a)] = _lookup_named(args.dir, args.name)
-    lcs = lcs_chain(a)
-    pp = power_profile(a, lcs)
-    rad, rad_alg, rad_lcs, _ = radical_split(a)
+    pp = power_profile(a)
+    rad, rad_alg, _ = radical_split(a)
     print(f"dim      {a.dim}")
     print(f"powers   J^1..J^4 dims {','.join(str(d) for d in pp.assoc_dims)}")
     print(f"lcs      J<1>..J<4> dims {','.join(str(d) for d in pp.lcs_dims)}")
     print(f"nilindex {pp.nilindex if pp.nilindex is not None else '-'}")
     print(f"ann      {annihilator(a).dim}")
     print(f"der      {derivation_dim(a)}")
-    nt = ",".join(str(x) for x in nilpotency_type(rad_alg, rad_lcs))
+    nt = ",".join(str(x) for x in nilpotency_type(rad_alg))
     print(f"radical  dim {rad.dim}, nilpotency type ({nt})")
-    print(f"flags    {' '.join(cat.computed_flags(a, lcs, rad))}")
+    print(f"flags    {' '.join(cat.computed_flags(a))}")
     print(f"tracerk  {a.dim - rad.dim}")  # the radical is the trace-form kernel
     return 0
 
@@ -242,10 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    groebner = ("verify", "fingerprint", "fingerprint-all", "distinguish", "embed-b2")
+
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--dir", help="catalog directory (defaults to the bundled catalog)")
-        p.add_argument("--budget", type=int, default=10000, help="S-pair budget for Groebner runs")
+        if name in groebner:  # the commands that may run `embeds_b2`
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="S-pair budget for Groebner runs")
         p.set_defaults(fn=fn)
         return p
 

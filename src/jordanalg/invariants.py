@@ -22,6 +22,7 @@ from .algebra import (
     find_identity,
     is_associative,
     is_jordan,
+    per_algebra,
     product_span,
 )
 from .ratlin import Matrix, Subspace, ZERO, _int_kernel, int_rows_rank, kernel, rank as matrix_rank
@@ -54,17 +55,17 @@ def power_chain(a: Algebra, upto: int) -> list[Subspace]:
     return chain
 
 
-def lcs_chain(a: Algebra, upto: Optional[int] = None) -> list[Subspace]:
+@per_algebra
+def lcs_chain(a: Algebra) -> tuple[Subspace, ...]:
     """Right powers J<1>, J<2>, ... until zero or stable (capped at dim+1)."""
-    cap = upto if upto is not None else a.dim + 1
     full = Subspace.full(a.dim)
     chain = [full]
-    while len(chain) < cap:
+    while len(chain) <= a.dim:
         nxt = product_span(a, chain[-1], full)
         chain.append(nxt)
         if nxt.is_zero() or nxt == chain[-2]:
             break
-    return chain
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -74,33 +75,24 @@ class PowerProfile:
     nilindex: Optional[int]
 
 
-def power_profile(a: Algebra, lcs: Optional[list[Subspace]] = None) -> PowerProfile:
-    """Power dimensions and nilindex; `lcs` is `lcs_chain(a)` if built."""
+def power_profile(a: Algebra) -> PowerProfile:
+    """Power dimensions and nilindex."""
     assoc = power_chain(a, POWER_DEPTH)
-    lcs = lcs_chain(a) if lcs is None else lcs
-    nilindex = None
-    for k, s in enumerate(lcs, start=1):
-        if s.is_zero():
-            nilindex = k
-            break
-    lcs_dims = [s.dim for s in lcs]
+    lcs_dims = [s.dim for s in lcs_chain(a)]
+    nilindex = len(lcs_dims) if is_nilpotent(a) else None  # the chain stops at zero
     lcs_dims += [lcs_dims[-1]] * (POWER_DEPTH - len(lcs_dims))
-    return PowerProfile(
-        tuple(s.dim for s in assoc), tuple(lcs_dims[:POWER_DEPTH]), nilindex
-    )
+    return PowerProfile(tuple(s.dim for s in assoc), tuple(lcs_dims[:POWER_DEPTH]), nilindex)
 
 
 def is_nilpotent(a: Algebra) -> bool:
-    chain = lcs_chain(a)
-    return chain[-1].is_zero()
+    return lcs_chain(a)[-1].is_zero()
 
 
-def nilpotency_type(a: Algebra, lcs: Optional[list[Subspace]] = None) -> tuple[int, ...]:
-    """dim(J<i>/J<i+1>) of a nilpotent algebra; `lcs` is `lcs_chain(a)` if built."""
-    chain = lcs_chain(a) if lcs is None else lcs
-    if not chain[-1].is_zero():
+def nilpotency_type(a: Algebra) -> tuple[int, ...]:
+    """dim(J<i>/J<i+1>) of a nilpotent algebra."""
+    if not is_nilpotent(a):
         raise NotNilpotentError("nilpotency type requires a nilpotent algebra")
-    dims = [s.dim for s in chain]
+    dims = [s.dim for s in lcs_chain(a)]
     return tuple(dims[i] - dims[i + 1] for i in range(len(dims) - 1) if dims[i] != dims[i + 1])
 
 
@@ -154,6 +146,7 @@ def induced_algebra(a: Algebra, s: Subspace) -> Algebra:
     return Algebra(labels, table)
 
 
+@per_algebra
 def quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
     """Algebra induced on the complement basis (non-pivot coordinates) mod ideal."""
     if not is_ideal(a, ideal):
@@ -171,10 +164,10 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
     return Algebra(labels, tuple(table))
 
 
-def radical_split(a: Algebra) -> tuple[Subspace, Algebra, list[Subspace], Algebra]:
-    """(rad, rad_alg, rad_lcs, quotient): the radical as the trace form's
-    kernel, its induced algebra and that algebra's `lcs_chain`, and the
-    quotient algebra it was certified on.
+@per_algebra
+def radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
+    """(rad, rad_alg, quotient): the radical as the trace form's kernel, its
+    induced algebra, and the quotient algebra it was certified on.
 
     The radical must be an ideal, its induced algebra must be nilpotent, and
     the quotient's trace form must be nondegenerate; any failure raises
@@ -186,13 +179,12 @@ def radical_split(a: Algebra) -> tuple[Subspace, Algebra, list[Subspace], Algebr
     if not is_ideal(a, rad):
         raise RadicalVerificationError("trace-form kernel is not an ideal")
     rad_alg = induced_algebra(a, rad)
-    rad_lcs = lcs_chain(rad_alg)
-    if not rad_lcs[-1].is_zero():
+    if not is_nilpotent(rad_alg):
         raise RadicalVerificationError("trace-form kernel is not nilpotent")
     quot = quotient_algebra(a, rad)
     if trace_rank(quot) != quot.dim:
         raise RadicalVerificationError("quotient trace form is degenerate")
-    return rad, rad_alg, rad_lcs, quot
+    return rad, rad_alg, quot
 
 
 def radical(a: Algebra) -> Subspace:
@@ -235,15 +227,12 @@ def centroid_dim(a: Algebra) -> int:
     return nsq - int_rows_rank([r for r in rows if any(r)], nsq)
 
 
-def annihilator_series(
-    a: Algebra, split: Optional[tuple[Subspace, Algebra]] = None
-) -> tuple[int, ...]:
+def annihilator_series(a: Algebra) -> tuple[int, ...]:
     """Cumulative dimensions of the ascending annihilator chain.
 
     A_1 = Ann(J), A_{k+1}/A_k = Ann(J/A_k); the chain of ideals stabilizes
-    and its dimension sequence is an isomorphism invariant.  `split` is
-    `(rad, quot)` from `radical_split(a)` if built: when Ann J = rad J the
-    chain goes on from that quotient instead of building it again.
+    and its dimension sequence is an isomorphism invariant.  When
+    Ann J = rad J the first quotient is the one `radical_split` builds.
     """
     dims: list[int] = []
     cur = a
@@ -254,10 +243,7 @@ def annihilator_series(
             break
         total += s.dim
         dims.append(total)
-        if cur is a and split is not None and s == split[0]:
-            cur = split[1]
-        else:
-            cur = quotient_algebra(cur, s)
+        cur = quotient_algebra(cur, s)
     return tuple(dims)
 
 
@@ -398,14 +384,14 @@ class Fingerprint:
         )
 
 
-def radical_record(rad_alg: Algebra, rad_lcs: list[Subspace]) -> RadicalRecord:
-    pp = power_profile(rad_alg, rad_lcs)
+def radical_record(rad_alg: Algebra) -> RadicalRecord:
+    pp = power_profile(rad_alg)
     return RadicalRecord(
         dim=rad_alg.dim,
         assoc_dims=pp.assoc_dims,
         lcs_dims=pp.lcs_dims,
         nilindex=pp.nilindex,
-        niltype=nilpotency_type(rad_alg, rad_lcs),
+        niltype=nilpotency_type(rad_alg),
         dim_ann=annihilator(rad_alg).dim,
         dim_der=derivation_dim(rad_alg),
         associative=is_associative(rad_alg),
@@ -417,25 +403,25 @@ def fingerprint(a: Algebra) -> Fingerprint:
 
     Each invariant is computed once: `dim_der` is n^2 - dim B2 from
     `cocycle_space`, and the radical record, the semisimple quotient and
-    the first annihilator quotient when Ann J = rad J come from one
-    `radical_split`.
+    the first annihilator quotient when Ann J = rad J come from the one
+    `radical_split` kept on the algebra.
     """
     from .cohomology import cocycle_space
 
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
-    rad, rad_alg, rad_lcs, quot = radical_split(a)
+    _, rad_alg, quot = radical_split(a)
     cocycles = cocycle_space(a)
     return Fingerprint(
         dim=a.dim,
         power_profile=power_profile(a),
-        ann_series=annihilator_series(a, (rad, quot)),
+        ann_series=annihilator_series(a),
         unital=find_identity(a) is not None,
         associative=is_associative(a),
         dim_der=a.dim * a.dim - cocycles.b2_dim,
         dim_centroid=centroid_dim(a),
         dim_h2=cocycles.h2_dim,
-        rad_record=radical_record(rad_alg, rad_lcs),
+        rad_record=radical_record(rad_alg),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),
     )
 
@@ -461,11 +447,6 @@ def first_fingerprint_difference(
         if fa.field_key(name) != fb.field_key(name):
             return (name, getattr(fa, name), getattr(fb, name))
     return None
-
-
-def find_first_difference_message(fa: Fingerprint, fb: Fingerprint) -> Optional[str]:
-    """Readable statement of the first differing field (drills into records)."""
-    return difference_message(first_fingerprint_difference(fa, fb))
 
 
 def difference_message(diff: Optional[tuple[str, object, object]]) -> Optional[str]:

@@ -269,7 +269,7 @@ def _rational_rows(int_rows: Iterable[Sequence[int]]) -> list[Vector]:
     return out
 
 
-def _echelon_to_rref_rows(pivots: dict[int, list[int]], ncols: int) -> list[Vector]:
+def _echelon_to_rref_rows(pivots: dict[int, list[int]]) -> list[Vector]:
     """Canonical rational RREF rows of an integer echelon."""
     return _rational_rows(_int_rref(pivots))
 
@@ -277,7 +277,7 @@ def _echelon_to_rref_rows(pivots: dict[int, list[int]], ncols: int) -> list[Vect
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank."""
     pivots = _int_echelon([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
-    rows = _echelon_to_rref_rows(pivots, m.cols)
+    rows = _echelon_to_rref_rows(pivots)
     rank = len(rows)
     rows += [zero_vec(m.cols) for _ in range(m.rows - rank)]
     return Matrix.from_rows(rows) if m.rows else m, rank
@@ -311,7 +311,7 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     pivots = _int_echelon([_int_row(r) for r in aug_rows], m.cols + 1)
     if m.cols in pivots:
         return None
-    rows = _echelon_to_rref_rows(pivots, m.cols + 1)
+    rows = _echelon_to_rref_rows(pivots)
     x = [ZERO] * m.cols
     for r, c in zip(rows, sorted(pivots)):
         x[c] = r[m.cols]
@@ -327,7 +327,7 @@ def invert(m: Matrix) -> Optional[Matrix]:
     pivots = _int_echelon([_int_row(r) for r in aug], 2 * n)
     if sorted(pivots) != list(range(n)):
         return None
-    rows = _echelon_to_rref_rows(pivots, 2 * n)
+    rows = _echelon_to_rref_rows(pivots)
     return Matrix.from_rows([r[n:] for r in rows])
 
 

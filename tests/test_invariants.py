@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, change_basis, matrix_algebra
+from jordanalg.algebra import Algebra, change_basis, matrix_algebra, per_algebra
 from jordanalg.invariants import (
     NonJordanError,
     NotNilpotentError,
@@ -11,8 +11,9 @@ from jordanalg.invariants import (
     annihilator_series,
     centroid_dim,
     derivation_dim,
+    difference_message,
     fingerprint,
-    find_first_difference_message,
+    first_fingerprint_difference,
     induced_algebra,
     is_ideal,
     lcs_chain,
@@ -34,6 +35,20 @@ F = Fraction
 def zero_algebra(n):
     return Algebra(tuple(f"n{i+1}" for i in range(n)),
                    tuple(tuple(zero_vec(n) for _ in range(n)) for _ in range(n)))
+
+
+def fresh(a):
+    """An equal algebra with nothing computed on it yet."""
+    return Algebra(a.labels, a.table)
+
+
+def count_builds(monkeypatch, module, name, built):
+    """Give `module.name`, a `per_algebra` function, a memo of its own whose
+    misses append their algebra to `built`; holding the algebra keeps its
+    id unique while counting."""
+    raw = getattr(module, name).__wrapped__
+    monkeypatch.setattr(module, name,
+                        per_algebra(lambda b, *args: built.append(b) or raw(b, *args)))
 
 
 def test_power_profile_zero_square(env):
@@ -166,7 +181,7 @@ def test_fingerprint_rad_records_differ_j58_j60(env):
     fa, fb = fingerprint(env["J58"]), fingerprint(env["J60"])
     assert fa.rad_record != fb.rad_record
     assert fa.rad_record.dim_ann == 2 and fb.rad_record.dim_ann == 1
-    msg = find_first_difference_message(fa, fb)
+    msg = difference_message(first_fingerprint_difference(fa, fb))
     assert msg == "rad_record.dim_ann: 2 vs 1"
 
 
@@ -225,25 +240,25 @@ def test_induced_algebra_requires_closure(env):
 
 def test_radical_split_pieces(env):
     for a in [env[name] for name in ("J8", "J56", "J63", "J73", "J3")] + [zero_algebra(0)]:
-        rad, rad_alg, rad_lcs, quot = radical_split(a)
+        rad, rad_alg, quot = radical_split(a)
         assert rad == radical(a)
         assert rad_alg == induced_algebra(a, rad)
-        assert rad_lcs == lcs_chain(rad_alg)
+        assert lcs_chain(rad_alg)[-1].is_zero()
         assert quot == quotient_algebra(a, rad)
 
 
 def test_fingerprint_computes_each_piece_once(env, monkeypatch):
-    # one fingerprint runs each of these on the algebra itself exactly once:
-    # the annihilator heads the annihilator series, the trace form's kernel
-    # is the radical, and the radical's induced and quotient algebras come
-    # from the one certified split.  J56 has Ann J = 0; where Ann J is
-    # nonzero and differs from rad J the annihilator series builds a second
-    # quotient of the algebra, J / Ann J.
+    # one fingerprint of a fresh algebra runs each of these on the algebra
+    # itself exactly once: the annihilator heads the annihilator series, the
+    # trace form's kernel is the radical, and the radical's induced and
+    # quotient algebras come from the one certified split.  J56 has
+    # Ann J = 0; where Ann J is nonzero and differs from rad J the
+    # annihilator series builds a second quotient of the algebra, J / Ann J.
     import jordanalg.invariants as inv
     from collections import Counter
 
-    names = ("annihilator", "trace_form", "induced_algebra", "quotient_algebra")
-    for a in (env["J56"], change_basis(env["J56"], random_invertible_matrix(
+    names = ("annihilator", "trace_form", "induced_algebra")
+    for a in (fresh(env["J56"]), change_basis(env["J56"], random_invertible_matrix(
             4, seeded_rng("fp-once"), dense=True))):
         calls = Counter()
         for name in names:
@@ -251,26 +266,27 @@ def test_fingerprint_computes_each_piece_once(env, monkeypatch):
                 calls[_name] += b is a
                 return _orig(b, *args)
             monkeypatch.setattr(inv, name, wrapper)
+        quotients = []
+        count_builds(monkeypatch, inv, "quotient_algebra", quotients)
         fingerprint(a)
         monkeypatch.undo()
-        assert calls == Counter({name: 1 for name in names})
+        calls["quotient_algebra"] = sum(b is a for b in quotients)
+        assert calls == Counter({name: 1 for name in names + ("quotient_algebra",)})
 
 
 def test_annihilator_series_reuses_the_radical_quotient(env, monkeypatch):
     # where Ann J = rad J (F2, J5, J8, J19, J34, J73) the series goes on
-    # from the quotient `radical_split` built, so a fingerprint builds one
-    # quotient of the algebra; where they differ (J63) it builds two
+    # from the quotient `radical_split` built, so a fingerprint of a fresh
+    # algebra builds one quotient of it; where they differ (J63) it builds two
     import jordanalg.invariants as inv
 
     rng = seeded_rng("ann-split")
     built = []
-    original = inv.quotient_algebra
-    monkeypatch.setattr(inv, "quotient_algebra",
-                        lambda b, s: built.append(b) or original(b, s))
+    count_builds(monkeypatch, inv, "quotient_algebra", built)
     expected = {"F2": 1, "J5": 1, "J8": 1, "J19": 1, "J34": 1, "J73": 1,
                 "J56": 1, "J63": 2}
     for name, count in expected.items():
-        for a in (env[name], change_basis(env[name], random_invertible_matrix(
+        for a in (fresh(env[name]), change_basis(env[name], random_invertible_matrix(
                 env[name].dim, rng, dense=True))):
             built.clear()
             fingerprint(a)
@@ -278,8 +294,9 @@ def test_annihilator_series_reuses_the_radical_quotient(env, monkeypatch):
     monkeypatch.undo()
     for name, a in env.items():
         for b in (a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))):
-            rad, _, _, quot = radical_split(b)
-            assert annihilator_series(b, (rad, quot)) == annihilator_series(b), name
+            split = fresh(b)
+            radical_split(split)
+            assert annihilator_series(split) == annihilator_series(fresh(b)), name
 
 
 def test_zero_dimensional_invariants():
@@ -300,20 +317,45 @@ def test_each_lcs_chain_built_once(env, entries, monkeypatch):
     import jordanalg.invariants as inv
 
     built = []
-
-    def counted(b, *args, _orig=inv.lcs_chain):
-        built.append(b)  # holding b keeps its id unique while counting
-        return _orig(b, *args)
-
-    for mod in (inv, cat):
-        monkeypatch.setattr(mod, "lcs_chain", counted, raising=False)
+    count_builds(monkeypatch, inv, "lcs_chain", built)
     by_name = {e.name: e for e in entries}
     for name in ("J56", "J73"):
-        for run in (lambda: fingerprint(env[name]),
-                    lambda: cat.verify_entry(by_name[name], env[name], env)):
+        for run in (lambda: fingerprint(fresh(env[name])),
+                    lambda: cat.verify_entry(by_name[name], fresh(env[name]), env)):
             built.clear()
             run()
             assert built and len({id(b) for b in built}) == len(built), name
+
+
+def test_memoized_results_match_fresh_algebras(env, dense_env):
+    # lcs_chain, radical_split and quotient_algebra give on an algebra that
+    # has a memo what they give on an equal algebra without one
+    for a in list(env.values()) + [b for b, _ in dense_env.values()]:
+        chain, split = lcs_chain(a), radical_split(a)
+        assert type(chain) is tuple and type(split) is tuple
+        assert lcs_chain(a) is chain and radical_split(a) is split
+        b = fresh(a)
+        assert lcs_chain(b) == chain, a.labels
+        assert radical_split(b) == split, a.labels
+        for ideal in (split[0], annihilator(a)):
+            assert quotient_algebra(b, ideal) == quotient_algebra(a, ideal), a.labels
+
+
+def test_equal_algebras_do_not_share_a_memo(env):
+    a, b = fresh(env["J63"]), fresh(env["J63"])
+    assert a == b and a is not b
+    chain = lcs_chain(a)
+    assert "_memo" not in vars(b)
+    assert lcs_chain(b) == chain and lcs_chain(b) is not chain
+    assert vars(a)["_memo"] is not vars(b)["_memo"]
+
+
+def test_a_failed_radical_split_is_not_kept():
+    bad = Algebra.from_products(("b1", "b2"), {("b1", "b2"): {"b1": 1}}, symmetric=False)
+    for _ in range(2):
+        with pytest.raises(NonJordanError):
+            radical_split(bad)
+    assert not vars(bad).get("_memo")
 
 
 def fraction_centroid_dim(a):

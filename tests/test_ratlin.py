@@ -172,7 +172,7 @@ def test_subspace_coords_round_trip():
 def free_column_kernel(m, pivots):
     """Reference kernel: one generator per free column of the echelon form
     `pivots` of m's rows."""
-    rows = _echelon_to_rref_rows(pivots, m.cols)
+    rows = _echelon_to_rref_rows(pivots)
     gens = []
     for f in (c for c in range(m.cols) if c not in pivots):
         v = [F(0)] * m.cols
@@ -276,7 +276,7 @@ def test_span_of_int_rows_matches_fraction_path(env):
         assert all(type(x) is F for row in got.rows for x in row)
 
 
-def fraction_echelon_to_rref_rows(pivots, ncols):
+def fraction_echelon_to_rref_rows(pivots):
     # reference: the back-substitution in Fractions, each row divided by its
     # pivot first, then eliminated above each pivot from the bottom up
     cols = sorted(pivots)
@@ -311,8 +311,8 @@ def test_back_substitution_matches_fraction_reference(monkeypatch):
     assert any(len(_int_echelon(rows, n)) < min(len(rows), n) for rows, n in cases)
     for rows, ncols in cases:
         pivots = _int_echelon(rows, ncols)
-        got = _echelon_to_rref_rows(pivots, ncols)
-        assert got == fraction_echelon_to_rref_rows(pivots, ncols)
+        got = _echelon_to_rref_rows(pivots)
+        assert got == fraction_echelon_to_rref_rows(pivots)
         assert all(type(x) is F for r in got for x in r)
 
     def answers():
