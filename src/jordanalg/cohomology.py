@@ -37,6 +37,14 @@ The rows are written on integer-scaled structure constants: every term of
 the operator carries exactly two structure-constant factors, and every term
 of a coboundary exactly one, so clearing denominators rescales each system
 uniformly and leaves kernels and ranks unchanged.
+
+The actions in this operator do not depend on the quadruple.  Once per
+table the assembly lists the nonzero entries of h -> (x, y, h),
+h -> (zw) h and h -> x h, and the sparse products y(zw); the quadruple scan
+only adds those entries.  The terms h(xy, zw) and -h(x, y(zw)) are
+multiples of the identity on one block h(p, q): over the three associator
+terms of a quadruple their coefficients are summed per block, and each
+nonzero sum is spread over the n coordinates once.
 """
 
 from __future__ import annotations
@@ -132,6 +140,14 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
     h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`.
+
+    Everything that does not depend on the quadruple is built once per
+    call: the nonzeros (m, j, c) of the actions h -> (x, y, h), h -> (zw) h
+    and h -> x h (column j, output coordinate m), and the sparse products
+    y(zw).  The terms h(xy, zw) and -h(x, y(zw)) put one coefficient on the
+    diagonal of a block h(p, q); over the three associator terms of a
+    quadruple these are summed per block first and each nonzero sum is
+    spread over the n coordinates once.
     """
     n = a.dim
     _, srows = a._int_structure
@@ -141,41 +157,20 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
         for q in range(p, n):
             base[p][q] = base[q][p] = nunk
             nunk += n
-    # column j of the action h -> x h is b_x b_j, of h -> (x, y, h) it is
-    # (b_x, b_y, b_j), and of h -> (zw) h it is b_j (zw); all recur across
-    # the quadruple scan
+
+    def nonzeros(cols):
+        # (m, j, c) for each nonzero entry c of column j, coordinate m
+        return [(m, j, c) for j, col in enumerate(cols) for m, c in enumerate(col) if c]
+
     prod = [[_int_bb(srows, p, q) for q in range(n)] for p in range(n)]
-    assoc_cols = a._assoc_table
-    prod_cols = [[[_int_mul_bv(srows, j, prod[z][w]) for j in range(n)] for w in range(n)]
-                 for z in range(n)]
-
-    def act(form, sign, cols, p, q):
-        # form += sign * K h(p, q), column j of K being cols[j]
-        off = base[p][q]
-        for j, col in enumerate(cols):
-            for m, c in enumerate(col):
-                if c:
-                    form[m][off + j] += sign * c
-
-    def at(form, c, p, q):
-        # form += c * h(p, q)
-        off = base[p][q]
-        for m in range(n):
-            form[m][off + m] += c
-
-    def add_associator(form, x, y, z, w):
-        # M-part of (b_x, b_y, b_z b_w) in the null extension
-        zw = srows[z][w]
-        act(form, 1, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
-        act(form, 1, prod_cols[z][w], x, y)  # (zw) h(x, y)
-        for p, c in srows[x][y]:
-            for q, d in zw:
-                at(form, c * d, p, q)  # h(xy, zw)
-        for q, c in zw:
-            act(form, -c, prod[x], y, q)  # - x h(y, zw)
-        for q, c in enumerate(_int_mul_bv(srows, y, prod[z][w])):
-            if c:
-                at(form, -c, x, q)  # - h(x, y(zw))
+    # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
+    # b_j (zw), and of h -> x h it is b_x b_j
+    assoc_ops = [[nonzeros(cols) for cols in row] for row in a._assoc_table]
+    prod_ops = [[nonzeros([_int_mul_bv(srows, j, zw) for j in range(n)]) for zw in row]
+                for row in prod]
+    left_ops = [nonzeros(row) for row in prod]
+    y_zw = [[[[(q, c) for q, c in enumerate(_int_mul_bv(srows, y, zw)) if c] for zw in row]
+             for row in prod] for y in range(n)]
 
     rows: set[tuple[int, ...]] = set()
     for x in range(n):
@@ -183,9 +178,33 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
             for w in range(z, n):
                 for y in range(n):
                     form = [[0] * nunk for _ in range(n)]
-                    add_associator(form, x, y, z, w)
-                    add_associator(form, w, y, z, x)
-                    add_associator(form, z, y, x, w)
+                    diag: dict[int, int] = {}
+                    # M-part of (b_x, b_y, b_z b_w) in the null extension,
+                    # for each associator term of the linearized identity
+                    for x_, z_, w_ in ((x, z, w), (w, z, x), (z, x, w)):
+                        zw = srows[z_][w_]
+                        off = base[z_][w_]
+                        for m, j, c in assoc_ops[x_][y]:  # (x, y, h(z, w))
+                            form[m][off + j] += c
+                        off = base[x_][y]
+                        for m, j, c in prod_ops[z_][w_]:  # (zw) h(x, y)
+                            form[m][off + j] += c
+                        for p, c in srows[x_][y]:
+                            bp = base[p]
+                            for q, d in zw:  # h(xy, zw)
+                                diag[bp[q]] = diag.get(bp[q], 0) + c * d
+                        bx = base[x_]
+                        for q, c in y_zw[y][z_][w_]:  # - h(x, y(zw))
+                            diag[bx[q]] = diag.get(bx[q], 0) - c
+                        by = base[y]
+                        for q, c in zw:  # - x h(y, zw)
+                            off = by[q]
+                            for m, j, d in left_ops[x_]:
+                                form[m][off + j] -= c * d
+                    for off, c in diag.items():
+                        if c:
+                            for m in range(n):
+                                form[m][off + m] += c
                     rows.update(tuple(r) for r in form if any(r))
     return nunk, list(rows)
 

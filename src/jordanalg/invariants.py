@@ -21,6 +21,7 @@ from .algebra import (
     AlgebraError,
     find_identity,
     is_associative,
+    is_commutative,
     is_jordan,
     per_algebra,
     product_span,
@@ -44,12 +45,23 @@ POWER_DEPTH = 4
 
 
 def power_chain(a: Algebra, upto: int) -> list[Subspace]:
-    """Subspaces J^1..J^upto with J^k = sum_{i+j=k} J^i * J^j."""
-    full = Subspace.full(a.dim)
-    chain = [full]
+    """Subspaces J^1..J^upto with J^k = sum_{i+j=k} J^i * J^j.
+
+    The term J * J^(k-1) is the right power J<k> of `lcs_chain` whenever
+    J^(k-1) = J<k-1>: for k = 2 on any table, and on a commutative table,
+    where J * J<k-1> = J<k-1> * J, also for k = 3 and 4.  Those terms are
+    read from the memoized chain (padded with its last, stable or zero,
+    entry) instead of being spanned again.
+    """
+    lcs = lcs_chain(a)
+    reach = 4 if is_commutative(a) else 2
+    chain = [Subspace.full(a.dim)]
     for k in range(2, upto + 1):
-        s = Subspace.zero(a.dim)
-        for i in range(1, k // 2 + 1):
+        if k <= reach:
+            s = lcs[min(k, len(lcs)) - 1]
+        else:
+            s = product_span(a, chain[0], chain[k - 2])
+        for i in range(2, k // 2 + 1):
             s = s.add(product_span(a, chain[i - 1], chain[k - i - 1]))
         chain.append(s)
     return chain

@@ -1,6 +1,7 @@
-"""Shared check routines used by the property and acceptance suites."""
+"""Shared check routines used by the property and acceptance suites, and
+reference implementations that faster code in `jordanalg` must match."""
 
-from jordanalg.algebra import product_span
+from jordanalg.algebra import Algebra, _int_bb, _int_mul_bv, product_span
 from jordanalg.peirce import eigenspace, peirce_multi_unitalized, peirce_single
 from jordanalg.invariants import radical
 from jordanalg.ratlin import HALF, ONE, ZERO
@@ -49,3 +50,69 @@ def sweep_radical_peirce_products(env):
                     assert product_span(a, pieces[lam], pieces[HALF]).dim == 0, name
                     checked += 1
     return checked
+
+
+def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
+    """Unknown count and integer rows of the cocycle condition, assembled
+    entry by entry over every action matrix: the reference that
+    `cohomology._assemble_cocycle_rows` must match row set for row set.
+
+    One row per basis quadruple (x, y, z, w) of J and coordinate m: the
+    M-part of the linearized identity there, as a form in the unknowns
+    h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`.
+    """
+    n = a.dim
+    _, srows = a._int_structure
+    base = [[0] * n for _ in range(n)]
+    nunk = 0
+    for p in range(n):
+        for q in range(p, n):
+            base[p][q] = base[q][p] = nunk
+            nunk += n
+    # column j of the action h -> x h is b_x b_j, of h -> (x, y, h) it is
+    # (b_x, b_y, b_j), and of h -> (zw) h it is b_j (zw); all recur across
+    # the quadruple scan
+    prod = [[_int_bb(srows, p, q) for q in range(n)] for p in range(n)]
+    assoc_cols = a._assoc_table
+    prod_cols = [[[_int_mul_bv(srows, j, prod[z][w]) for j in range(n)] for w in range(n)]
+                 for z in range(n)]
+
+    def act(form, sign, cols, p, q):
+        # form += sign * K h(p, q), column j of K being cols[j]
+        off = base[p][q]
+        for j, col in enumerate(cols):
+            for m, c in enumerate(col):
+                if c:
+                    form[m][off + j] += sign * c
+
+    def at(form, c, p, q):
+        # form += c * h(p, q)
+        off = base[p][q]
+        for m in range(n):
+            form[m][off + m] += c
+
+    def add_associator(form, x, y, z, w):
+        # M-part of (b_x, b_y, b_z b_w) in the null extension
+        zw = srows[z][w]
+        act(form, 1, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
+        act(form, 1, prod_cols[z][w], x, y)  # (zw) h(x, y)
+        for p, c in srows[x][y]:
+            for q, d in zw:
+                at(form, c * d, p, q)  # h(xy, zw)
+        for q, c in zw:
+            act(form, -c, prod[x], y, q)  # - x h(y, zw)
+        for q, c in enumerate(_int_mul_bv(srows, y, prod[z][w])):
+            if c:
+                at(form, -c, x, q)  # - h(x, y(zw))
+
+    rows: set[tuple[int, ...]] = set()
+    for x in range(n):
+        for z in range(x, n):
+            for w in range(z, n):
+                for y in range(n):
+                    form = [[0] * nunk for _ in range(n)]
+                    add_associator(form, x, y, z, w)
+                    add_associator(form, w, y, z, x)
+                    add_associator(form, z, y, x, w)
+                    rows.update(tuple(r) for r in form if any(r))
+    return nunk, list(rows)

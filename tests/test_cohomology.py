@@ -14,6 +14,7 @@ from jordanalg.algebra import (
 )
 from jordanalg.cohomology import (
     CocycleSpace,
+    _assemble_cocycle_rows,
     _cocycle_system,
     _complement_units,
     coboundary,
@@ -28,6 +29,7 @@ from jordanalg.cohomology import (
 from jordanalg.invariants import derivation_dim, fingerprint
 from jordanalg.ratlin import Matrix, _int_kernel, _int_row, int_rows_rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
+from helpers import reference_cocycle_rows
 
 F = Fraction
 
@@ -95,6 +97,14 @@ def test_cocycle_space_key_values(env):
 def test_cocycle_space_vanishes_on_semisimple(env):
     for name in ("F1", "T5", "J1", "J2", "J3"):
         assert cocycle_space(env[name]).h2_dim == 0, name
+
+
+def test_cocycle_space_beyond_dimension_four(large_algebras):
+    # (z2, b2, h2) of the three tables of dimension 7 to 9
+    expected = {"J56+T5": (47, 44, 3), "J56+J59": (59, 56, 3), "M3+": (73, 73, 0)}
+    for name, a in large_algebras.items():
+        cs = cocycle_space(a)
+        assert (cs.z2_dim, cs.b2_dim, cs.h2_dim) == expected[name], name
 
 
 def test_cocycle_space_consistency():
@@ -257,3 +267,17 @@ def test_h2_zero_cut_stops_before_the_cocycle_rows_run_out(env):
 
     assert _int_kernel(counted(), nunk) == []
     assert len(_complement_units(a, nunk)) < len(read) < len(cut)
+
+
+def test_assembled_rows_match_the_reference(env, dense_env, large_algebras):
+    # the per-table operator lists and the combined diagonal terms give
+    # exactly the rows of the entry-by-entry assembly, on the catalog, a
+    # dense basis of each table and three tables of dimension 7 to 9
+    cases = dict(env)
+    cases.update((f"{name} dense", b) for name, (b, _) in dense_env.items())
+    cases.update(large_algebras)
+    for name, a in cases.items():
+        nunk, rows = _assemble_cocycle_rows(a)
+        ref_nunk, ref_rows = reference_cocycle_rows(a)
+        assert nunk == ref_nunk and len(rows) == len(set(rows)), name
+        assert set(rows) == set(ref_rows), name

@@ -327,6 +327,28 @@ def test_each_lcs_chain_built_once(env, entries, monkeypatch):
             assert built and len({id(b) for b in built}) == len(built), name
 
 
+def test_power_chain_reads_the_lcs_chain(env, monkeypatch):
+    # J^2 = J<2>, and on a commutative table J^3 = J<3> and J * J^3 = J<4>,
+    # so of J^1..J^4 only J^2 J^2 is spanned beyond the memoized lcs chain.
+    # A fresh fingerprint of J61 spans on J61 its four right powers, the
+    # ideal tests of the radical (in radical_split and in quotient_algebra)
+    # and of the annihilator, and J^2 J^2: 8 products, not 11
+    import jordanalg.invariants as inv
+
+    raw, calls = inv.product_span, []
+    monkeypatch.setattr(inv, "product_span",
+                        lambda b, s, t: calls.append((b, s, t)) or raw(b, s, t))
+    a = fresh(env["J61"])
+    fingerprint(a)
+    assert len(lcs_chain(a)) == 5
+    assert len([b for b, _, _ in calls if b is a]) == 8
+    calls.clear()
+    powers = power_chain(a, 4)
+    assert [(s, t) for _, s, t in calls] == [(powers[1], powers[1])]
+    calls.clear()
+    assert power_chain(a, 2)[1] == lcs_chain(a)[1] and calls == []
+
+
 def test_memoized_results_match_fresh_algebras(env, dense_env):
     # lcs_chain, radical_split and quotient_algebra give on an algebra that
     # has a memo what they give on an equal algebra without one
