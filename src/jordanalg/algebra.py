@@ -465,18 +465,14 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     return Algebra(labels, table)
 
 
-def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
-    """Span of {u * v : u in s, v in t}; bilinearity makes basis products
-    enough, and they are taken on the integer rows of `s` and `t` and the
-    integer-scaled constants, which rescales each product and leaves the
-    span unchanged."""
-    if s.ambient != a.dim or t.ambient != a.dim:
-        raise AlgebraError("subspace ambient mismatch")
+def _int_products(a: Algebra, us, vs) -> list[list[int]]:
+    """u v for each u in `us` and v in `vs`, u-major, for integer rows u, v,
+    on the integer-scaled constants: each product is den times the true one."""
     _, srows = a._int_structure
     gens = []
-    for u in s.int_rows:
+    for u in us:
         left = [(i, x, srows[i]) for i, x in enumerate(u) if x]
-        for v in t.int_rows:
+        for v in vs:
             out = [0] * a.dim
             for i, x, row in left:
                 for j, y in enumerate(v):
@@ -485,7 +481,17 @@ def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
                         for k, c in row[j]:
                             out[k] += xy * c
             gens.append(out)
-    return Subspace.span(a.dim, gens)
+    return gens
+
+
+def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
+    """Span of {u * v : u in s, v in t}; bilinearity makes basis products
+    enough, and they are taken on the integer rows of `s` and `t` and the
+    integer-scaled constants, which rescales each product and leaves the
+    span unchanged."""
+    if s.ambient != a.dim or t.ambient != a.dim:
+        raise AlgebraError("subspace ambient mismatch")
+    return Subspace.span(a.dim, _int_products(a, s.int_rows, t.int_rows))
 
 
 def matrix_algebra(n: int) -> Algebra:

@@ -13,10 +13,16 @@ dim B2 as its size and dim Der J = n^2 - dim B2.
 Every coboundary is a cocycle, so Z2 = B2 + (Z2 meet C), a direct sum, for
 any complement C of B2.  The unit vectors off the echelon's pivot columns
 span one: a vector of B2 that vanishes on every pivot column is zero.  So
-the cocycle rows are cut only on C, by putting the unit rows on the pivot
-columns ahead of them; the kernel left is Z2 meet C, its dimension is h2,
-and z2 = b2 + h2.  When H2 = 0 the cut ends as soon as that kernel is empty,
-before the rest of the cocycle rows are read.
+the cocycle rows are written only on the columns of C, the other
+coordinates of a vector of C being zero; the kernel of those rows is
+Z2 meet C, its dimension is h2, and z2 = b2 + h2.  When H2 = 0 the cut ends
+as soon as that kernel is empty, before the rest of the cocycle rows are
+read.
+
+The dense size of the cocycle system, n^2 C(n+2, 3) rows times
+n^2 (n+1)/2 unknowns, grows like n^8 / 12.  It is estimated before the
+Jordan scan and the assembly, and a system above `MAX_COCYCLE_CELLS` is
+refused with an AlgebraError instead of running for hours.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
@@ -51,6 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import Algebra, AlgebraError, _int_bb, _int_mul_bv, is_jordan
@@ -67,6 +75,15 @@ from .ratlin import (
 )
 
 SymGrid = tuple[tuple[Vector, ...], ...]
+
+# Largest cocycle system, in dense cells (`cocycle_cells`), that
+# `cocycle_space` and `cocycle_subspaces` assemble: every table of
+# dimension up to 12 (4.9e7 cells) passes, dimension 13 (9.1e7) is refused.
+# Measured on Python 3.11, 2-CPU x86_64: the identity spin factor of dim 12
+# takes 1.3 s and 57 MB; in a dense basis, dims 9 and 10 take 2.4 s / 114 MB
+# and 6.8 s / 240 MB, and each further dimension about 3x the time and 2x
+# the memory, so a dense table of dim 13 would take minutes and gigabytes.
+MAX_COCYCLE_CELLS = 6 * 10**7
 
 
 @dataclass(frozen=True)
@@ -134,12 +151,32 @@ def coboundary(a: Algebra, mu: Matrix) -> SymGrid:
 # ---------------------------------------------------------------------------
 # linear system for the cocycle condition
 
-def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
-    """Unknown count and integer rows of the cocycle condition.
+def cocycle_cells(n: int) -> int:
+    """Dense cells of the cocycle system of an n-dimensional table: one row
+    per basis quadruple (x <= z <= w, any y) and coordinate, times the
+    n^2 (n+1)/2 unknowns."""
+    return n * n * comb(n + 2, 3) * (n * n * (n + 1) // 2)
+
+
+def _column_picker(cols: Sequence[int]):
+    """Row -> tuple of its entries on `cols`, for any number of columns."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    if cols:
+        c = cols[0]
+        return lambda row: (row[c],)
+    return lambda row: ()
+
+
+def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, ...]]:
+    """Distinct nonzero integer rows of the cocycle condition, written on the
+    columns `cols` only.
 
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
-    h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`.
+    h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`, of
+    which the entries on `cols` are kept.  A row that is zero there is
+    dropped.
 
     Everything that does not depend on the quadruple is built once per
     call: the nonzeros (m, j, c) of the actions h -> (x, y, h), h -> (zw) h
@@ -172,6 +209,7 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     y_zw = [[[[(q, c) for q, c in enumerate(_int_mul_bv(srows, y, zw)) if c] for zw in row]
              for row in prod] for y in range(n)]
 
+    pick = _column_picker(cols)
     rows: set[tuple[int, ...]] = set()
     for x in range(n):
         for z in range(x, n):
@@ -205,8 +243,8 @@ def _assemble_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
                         if c:
                             for m in range(n):
                                 form[m][off + m] += c
-                    rows.update(tuple(r) for r in form if any(r))
-    return nunk, list(rows)
+                    rows.update(r for r in map(pick, form) if any(r))
+    return list(rows)
 
 
 def grid_to_vec(a: Algebra, h: SymGrid) -> Vector:
@@ -232,30 +270,52 @@ def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
     return tuple(tuple(row) for row in grid)
 
 
-def _cocycle_system(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
-    """Unknown count and cocycle rows of a Jordan algebra."""
+def _cocycle_system(a: Algebra, complement: bool = False) -> tuple[int, list[tuple[int, ...]]]:
+    """Unknown count and cocycle rows of a Jordan algebra, on every column,
+    or with `complement` on the columns of `_complement_columns` only.  The
+    H2 cut reads the latter; the full system is what tests check it against.
+
+    The size of the system is checked first: above `MAX_COCYCLE_CELLS`
+    this raises AlgebraError before the Jordan scan and the assembly.
+    """
+    n = a.dim
+    cells = cocycle_cells(n)
+    if cells > MAX_COCYCLE_CELLS:
+        raise AlgebraError(
+            f"the cocycle system of a {n}-dimensional algebra has {cells:,} dense cells,"
+            f" over the limit of {MAX_COCYCLE_CELLS:,}")
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
-    return _assemble_cocycle_rows(a)
+    nunk = n * (n + 1) // 2 * n
+    return nunk, _assemble_cocycle_rows(a, _complement_columns(a) if complement else range(nunk))
 
 
-def _complement_units(a: Algebra, nunk: int) -> list[list[int]]:
-    """Unit rows on the pivot columns of the delta^1 echelon: their kernel
-    is the complement C of B2 spanned by the other unit vectors."""
-    return [[int(k == c) for k in range(nunk)] for c in a._coboundary_echelon]
+def _complement_columns(a: Algebra) -> list[int]:
+    """The columns off the pivot columns of the delta^1 echelon: the unit
+    vectors on them span the complement C of B2."""
+    n = a.dim
+    pivots = a._coboundary_echelon
+    return [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
 
 
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
-    nunk, rows = _cocycle_system(a)
+    nunk, rows = _cocycle_system(a, complement=True)
+    cols = _complement_columns(a)
     b2 = list(a._coboundary_echelon.values())
-    z2 = Subspace.span(nunk, b2 + _int_kernel(_complement_units(a, nunk) + rows, nunk))
-    return z2, Subspace.span(nunk, b2)
+    meet = []  # Z2 meet C, with zeros put back on the pivot columns
+    for k in _int_kernel(rows, len(cols)):
+        v = [0] * nunk
+        for c, x in zip(cols, k):
+            v[c] = x
+        meet.append(v)
+    return Subspace.span(nunk, b2 + meet), Subspace.span(nunk, b2)
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:
     """Dimensions of 2-cocycles, 2-coboundaries and their quotient."""
-    nunk, rows = _cocycle_system(a)
+    nunk, rows = _cocycle_system(a, complement=True)
     b2 = len(a._coboundary_echelon)
-    h2 = nunk - int_rows_rank(_complement_units(a, nunk) + rows, nunk)
+    ncomp = nunk - b2  # the columns of C
+    h2 = ncomp - int_rows_rank(rows, ncomp)
     return CocycleSpace(b2 + h2, b2, h2)

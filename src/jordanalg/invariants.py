@@ -3,7 +3,10 @@
 The radical is computed as the kernel of the trace form T(x, y) = tr L_{x*y}
 (valid in characteristic zero) and then verified rather than trusted: the
 returned subspace must be an ideal, its induced algebra nilpotent and the
-quotient's trace form nondegenerate.  Any failure raises.
+quotient's trace form nondegenerate.  Any failure raises.  The trace form
+and the induced algebra are computed on the integer-scaled constants of
+`Algebra._int_structure`, and the ideal test is kept per algebra, so the
+split and the quotient it builds span rad * J once.
 
 The `Fingerprint` record collects every invariant used to separate algebras,
 totally ordered by a fixed field order so fingerprint sets deduplicate
@@ -13,12 +16,13 @@ deterministically.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, is_dataclass
-
+from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
     Algebra,
     AlgebraError,
+    _int_products,
     find_identity,
     is_associative,
     is_commutative,
@@ -26,7 +30,7 @@ from .algebra import (
     per_algebra,
     product_span,
 )
-from .ratlin import Matrix, Subspace, ZERO, _int_kernel, int_rows_rank, kernel, rank as matrix_rank
+from .ratlin import Matrix, Subspace, _int_echelon, _int_kernel, int_rows_rank, kernel, rank as matrix_rank
 
 
 class NonJordanError(AlgebraError):
@@ -124,38 +128,53 @@ def annihilator(a: Algebra) -> Subspace:
 
 def trace_form(a: Algebra) -> Matrix:
     """Gram matrix T[i][j] = tr L_{b_i * b_j}; tr L_{b_m} = sum_k c[m][k][k]
-    and traces extend linearly."""
+    and traces extend linearly.  Summed on the integer-scaled constants of
+    `_int_structure`: every entry carries two constants, so it is divided by
+    den^2 once."""
     n = a.dim
-    traces = [sum((a.table[m][k][k] for k in range(n)), ZERO) for m in range(n)]
-    rows = [[sum((c * t for c, t in zip(a.table[i][j], traces) if c), ZERO) for j in range(n)]
-            for i in range(n)]
-    return Matrix.from_rows(rows) if n else Matrix(0, 0, ())
+    den, srows = a._int_structure
+    traces = [sum(x for k in range(n) for p, x in srows[m][k] if p == k) for m in range(n)]
+    den2 = den * den
+    return Matrix(n, n, tuple(Fraction(sum(x * traces[p] for p, x in srows[i][j]), den2)
+                              for i in range(n) for j in range(n)))
 
 
 def trace_rank(a: Algebra) -> int:
     return matrix_rank(trace_form(a))
 
 
+@per_algebra
 def is_ideal(a: Algebra, s: Subspace) -> bool:
+    """s * J inside s, spanned once per algebra and subspace: the radical
+    split and the quotient it builds share one test."""
     if s.ambient != a.dim:
         raise AlgebraError("subspace ambient mismatch")
     return s.contains(product_span(a, s, Subspace.full(a.dim)))
 
 
 def induced_algebra(a: Algebra, s: Subspace) -> Algebra:
-    """Structure constants restricted to a subspace closed under the product."""
-    prods = {}
-    for i, u in enumerate(s.rows):
-        for j, v in enumerate(s.rows):
-            p = a.mul(u, v)
-            if not s.contains_vector(p):
-                raise AlgebraError("subspace is not closed under the product")
-            prods[(i, j)] = s.coords(p)
-    labels = tuple(f"r{i+1}" for i in range(s.dim))
+    """Structure constants restricted to a subspace closed under the product.
+
+    The basis is the RREF basis r_i = u_i / lead_i of `s`, u_i its integer
+    rows with leading entry lead_i at pivot column p_i.  The products u_i u_j
+    are taken on the integer-scaled constants, so each is
+    den lead_i lead_j r_i r_j; closure is checked on those products, and
+    coordinate k of r_i r_j is out[p_k] / (den lead_i lead_j), the RREF rows
+    being zero on each other's pivot columns.
+    """
+    den = a._int_structure[0]
+    k = s.dim
+    pivots = s._pivot_cols()
+    leads = [u[p] for u, p in zip(s.int_rows, pivots)]
+    prods = _int_products(a, s.int_rows, s.int_rows)
+    if len(_int_echelon(s.int_rows + tuple(prods), a.dim)) != k:
+        raise AlgebraError("subspace is not closed under the product")
     table = tuple(
-        tuple(prods[(i, j)] for j in range(s.dim)) for i in range(s.dim)
+        tuple(tuple(Fraction(prods[i * k + j][p], den * leads[i] * leads[j]) for p in pivots)
+              for j in range(k))
+        for i in range(k)
     )
-    return Algebra(labels, table)
+    return Algebra(tuple(f"r{i+1}" for i in range(k)), table)
 
 
 @per_algebra

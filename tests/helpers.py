@@ -1,10 +1,17 @@
 """Shared check routines used by the property and acceptance suites, and
 reference implementations that faster code in `jordanalg` must match."""
 
-from jordanalg.algebra import Algebra, _int_bb, _int_mul_bv, product_span
+from jordanalg.algebra import Algebra, AlgebraError, _int_bb, _int_mul_bv, is_jordan, product_span
 from jordanalg.peirce import eigenspace, peirce_multi_unitalized, peirce_single
-from jordanalg.invariants import radical
-from jordanalg.ratlin import HALF, ONE, ZERO
+from jordanalg.invariants import (
+    NonJordanError,
+    RadicalVerificationError,
+    is_ideal,
+    is_nilpotent,
+    quotient_algebra,
+    radical,
+)
+from jordanalg.ratlin import HALF, ONE, ZERO, Matrix, Subspace, kernel, rank as matrix_rank
 
 
 def table_idempotents(a):
@@ -116,3 +123,58 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
                     add_associator(form, z, y, x, w)
                     rows.update(tuple(r) for r in form if any(r))
     return nunk, list(rows)
+
+
+# The Fraction versions of the trace form, the induced algebra and the
+# radical split that the integer ones in `jordanalg.invariants` replaced.
+
+def reference_trace_form(a: Algebra) -> Matrix:
+    """Gram matrix T[i][j] = tr L_{b_i * b_j}; tr L_{b_m} = sum_k c[m][k][k]
+    and traces extend linearly."""
+    n = a.dim
+    traces = [sum((a.table[m][k][k] for k in range(n)), ZERO) for m in range(n)]
+    rows = [[sum((c * t for c, t in zip(a.table[i][j], traces) if c), ZERO) for j in range(n)]
+            for i in range(n)]
+    return Matrix.from_rows(rows) if n else Matrix(0, 0, ())
+
+
+def reference_trace_rank(a: Algebra) -> int:
+    return matrix_rank(reference_trace_form(a))
+
+
+def reference_induced_algebra(a: Algebra, s: Subspace) -> Algebra:
+    """Structure constants restricted to a subspace closed under the product."""
+    prods = {}
+    for i, u in enumerate(s.rows):
+        for j, v in enumerate(s.rows):
+            p = a.mul(u, v)
+            if not s.contains_vector(p):
+                raise AlgebraError("subspace is not closed under the product")
+            prods[(i, j)] = s.coords(p)
+    labels = tuple(f"r{i+1}" for i in range(s.dim))
+    table = tuple(
+        tuple(prods[(i, j)] for j in range(s.dim)) for i in range(s.dim)
+    )
+    return Algebra(labels, table)
+
+
+def reference_radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
+    """(rad, rad_alg, quotient): the radical as the trace form's kernel, its
+    induced algebra, and the quotient algebra it was certified on.
+
+    The radical must be an ideal, its induced algebra must be nilpotent, and
+    the quotient's trace form must be nondegenerate; any failure raises
+    RadicalVerificationError.
+    """
+    if not is_jordan(a):
+        raise NonJordanError("radical is only computed for Jordan algebras")
+    rad = kernel(reference_trace_form(a))
+    if not is_ideal(a, rad):
+        raise RadicalVerificationError("trace-form kernel is not an ideal")
+    rad_alg = reference_induced_algebra(a, rad)
+    if not is_nilpotent(rad_alg):
+        raise RadicalVerificationError("trace-form kernel is not nilpotent")
+    quot = quotient_algebra(a, rad)
+    if reference_trace_rank(quot) != quot.dim:
+        raise RadicalVerificationError("quotient trace form is degenerate")
+    return rad, rad_alg, quot

@@ -4,6 +4,7 @@ import pytest
 
 from jordanalg.algebra import (
     Algebra,
+    AlgebraError,
     change_basis,
     check_isomorphism,
     coboundary_int_rows,
@@ -14,9 +15,12 @@ from jordanalg.algebra import (
 )
 from jordanalg.cohomology import (
     CocycleSpace,
+    MAX_COCYCLE_CELLS,
     _assemble_cocycle_rows,
     _cocycle_system,
-    _complement_units,
+    _column_picker,
+    _complement_columns,
+    cocycle_cells,
     coboundary,
     cocycle_space,
     cocycle_subspaces,
@@ -253,31 +257,68 @@ def test_complement_cut_matches_full_cut(env):
 
 
 def test_h2_zero_cut_stops_before_the_cocycle_rows_run_out(env):
-    # on J59, H2 = 0: the unit rows and the first cocycle rows empty the
+    # on J59, H2 = 0: the first cocycle rows on the columns of C empty the
     # kernel basis, and the rows after them are never read
     a = env["J59"]
-    nunk, rows = _cocycle_system(a)
-    cut = _complement_units(a, nunk) + rows
+    nunk, rows = _cocycle_system(a, complement=True)
+    ncomp = len(_complement_columns(a))
+    assert ncomp < nunk and all(len(row) == ncomp for row in rows)
     read = []
 
     def counted():
-        for row in cut:
+        for row in rows:
             read.append(row)
             yield row
 
-    assert _int_kernel(counted(), nunk) == []
-    assert len(_complement_units(a, nunk)) < len(read) < len(cut)
+    assert _int_kernel(counted(), ncomp) == []
+    assert 0 < len(read) < len(rows)
 
 
 def test_assembled_rows_match_the_reference(env, dense_env, large_algebras):
     # the per-table operator lists and the combined diagonal terms give
-    # exactly the rows of the entry-by-entry assembly, on the catalog, a
-    # dense basis of each table and three tables of dimension 7 to 9
+    # exactly the rows of the entry-by-entry assembly, on every column and
+    # on the columns of C, on the catalog, a dense basis of each table and
+    # three tables of dimension 7 to 9
     cases = dict(env)
     cases.update((f"{name} dense", b) for name, (b, _) in dense_env.items())
     cases.update(large_algebras)
     for name, a in cases.items():
-        nunk, rows = _assemble_cocycle_rows(a)
         ref_nunk, ref_rows = reference_cocycle_rows(a)
-        assert nunk == ref_nunk and len(rows) == len(set(rows)), name
-        assert set(rows) == set(ref_rows), name
+        for cols in (range(ref_nunk), _complement_columns(a)):
+            pick = _column_picker(cols)
+            rows = _assemble_cocycle_rows(a, cols)
+            assert len(rows) == len(set(rows)), name
+            assert set(rows) == {r for r in map(pick, ref_rows) if any(r)}, name
+
+
+def test_complements_of_one_and_of_no_column(env):
+    # F1 (e e = e) has B2 of dim 1 = nunk, so C is zero; the square-zero
+    # line F2 has Der = gl(1), B2 = 0 and C of one column
+    for name, ncomp, dims in (("F1", 0, (1, 1, 0)), ("F2", 1, (1, 0, 1))):
+        a = env[name]
+        assert len(_complement_columns(a)) == ncomp, name
+        cs = cocycle_space(a)
+        assert (cs.z2_dim, cs.b2_dim, cs.h2_dim) == dims, name
+        z2, b2 = cocycle_subspaces(a)
+        assert (z2.dim, b2.dim) == dims[:2], name
+    assert _column_picker([1])((5, 6, 7)) == (6,)
+    assert _column_picker([])((5, 6, 7)) == ()
+
+
+def test_work_bound_admits_dimension_twelve_and_refuses_sixteen():
+    assert cocycle_cells(12) == 144 * 364 * 936 <= MAX_COCYCLE_CELLS
+    assert cocycle_cells(16) > MAX_COCYCLE_CELLS
+
+
+def test_large_table_is_refused_before_any_work():
+    # a 30-dimensional table built in code: about 1.2e11 dense cells.  The
+    # refusal names the estimate and the limit and comes before the Jordan
+    # scan and its associator table
+    n = 30
+    a = Algebra.from_products(tuple(f"n{i}" for i in range(n)), {("n0", "n0"): {"n1": 1}})
+    for fn in (cocycle_space, cocycle_subspaces):
+        with pytest.raises(AlgebraError) as exc:
+            fn(a)
+        assert f"{cocycle_cells(n):,}" in str(exc.value), fn
+        assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value), fn
+        assert "_jordan_defect" not in a.__dict__ and "_assoc_table" not in a.__dict__
