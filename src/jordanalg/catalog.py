@@ -16,8 +16,8 @@ The format is line oriented and bit exact so the files diff cleanly:
       expect b2 yes|no
     end
 
-Omitted products are zero and products are mirrored, so only pairs i <= j
-are listed.  Direct-sum entries may only reference previously defined
+Counts N and K are ASCII digits.  Omitted products are zero and products
+are mirrored, so only pairs i <= j are listed.  Direct-sum entries may only reference previously defined
 names.  The recorded `expect` values are transcribed as-is from the source
 tables; verification recomputes every invariant and reports disagreements
 as errata rather than editing the records.
@@ -102,184 +102,211 @@ class CatalogEntry(NamedTuple):
     expected: Expected = Expected()
 
 
+def _is_count(token: str) -> bool:
+    """A count is written in ASCII digits: `str.isdigit` alone also takes
+    `²`, which `int` then refuses."""
+    return token.isascii() and token.isdigit()
+
+
+# Slot of each `expect` kind in `Expected`; `_parse_line` names a parsed
+# expectation by its field.  `_UNSET` is an entry with no `expect` lines.
+_EXPECT_SLOTS = {field: i for i, field in enumerate(Expected._fields)}
+_PEIRCE_SLOT = _EXPECT_SLOTS["peirce"]
+_UNSET = tuple(Expected())
+
+
+def _parse_line(line: str) -> tuple[Optional[str], object, Optional[str]]:
+    """(kind, value, error) of a stripped body line, whatever entry it is in.
+
+    `kind` is "product" (value `(la, lb, terms)`), "dim", "basis",
+    "labels", an `Expected` field for an `expect` line, or None for a line
+    of no known kind.  `error` is the message of a malformed line, whose
+    value is then None; whether the kind is allowed in the entry at hand is
+    for the caller to check, before it raises `error`.
+    """
+    # the line kinds are disjoint; the most frequent are tested first
+    tokens = line.split()
+    head = tokens[0]
+    if head == "expect":
+        return _parse_expect(tokens[1:])
+    if "*" in head and "=" in line:
+        lhs, _, rhs = line.partition("=")
+        la, star, lb = lhs.partition("*")
+        la, lb = la.strip(), lb.strip()
+        if not star or not la or not lb:
+            return "product", None, "product line must look like li*lj = ..."
+        try:
+            return "product", (la, lb, tuple(parse_terms(rhs))), None
+        except AlgebraError as exc:
+            return "product", None, str(exc)
+    if head == "dim":
+        if len(tokens) != 2 or not _is_count(tokens[1]):
+            return "dim", None, "usage: dim N"
+        if int(tokens[1]) > MAX_CATALOG_DIM:
+            return "dim", None, f"dim {tokens[1]} exceeds the limit {MAX_CATALOG_DIM}"
+        return "dim", int(tokens[1]), None
+    if head == "basis" or head == "labels":
+        labels = tuple(tokens[1:])
+        if len(set(labels)) != len(labels):
+            return head, None, "duplicate basis labels" if head == "basis" else "duplicate labels"
+        return head, labels, None
+    return None, None, f"unrecognized line {line!r}"
+
+
+def _parse_expect(tokens: list[str]) -> tuple[Optional[str], object, Optional[str]]:
+    if not tokens:
+        return None, None, "empty expect line"
+    kind, rest = tokens[0], tokens[1:]
+    if kind in ("aut", "ann", "sq"):
+        if len(rest) != 1 or not _is_count(rest[0]):
+            return kind, None, f"usage: expect {kind} K"
+        return kind, int(rest[0]), None
+    if kind == "flags":
+        bad = [f for f in rest if f not in FLAG_NAMES]
+        if bad:
+            return kind, None, f"unknown flags {bad}"
+        return kind, tuple(rest), None
+    if kind == "niltype":
+        body = "".join(rest)
+        if not (body.startswith("(") and body.endswith(")")):
+            return kind, None, "usage: expect niltype (a,b,...)"
+        try:
+            return kind, tuple(int(x) for x in body[1:-1].split(",") if x), None
+        except ValueError:
+            return kind, None, "niltype entries must be integers"
+    if kind == "peirce":
+        if len(rest) != 2 or rest[1] not in PEIRCE_PLACES:
+            return kind, None, "usage: expect peirce LABEL PLACE"
+        return kind, (rest[0], rest[1]), None
+    if kind == "radical":
+        names = tuple(t for t in "".join(rest).split("+") if t)
+        if not names:
+            return "radical_expr", None, "usage: expect radical NAME [+ NAME ...]"
+        return "radical_expr", names, None
+    if kind == "h2":
+        if len(rest) != 1 or not (rest[0] in ("zero", "nonzero") or _is_count(rest[0])):
+            return kind, None, "usage: expect h2 zero|nonzero|K"
+        return kind, rest[0], None
+    if kind == "b2":
+        if len(rest) != 1 or rest[0] not in ("yes", "no"):
+            return kind, None, "usage: expect b2 yes|no"
+        return kind, rest[0], None
+    return None, None, f"unknown expect kind {kind!r}"
+
+
+class _OpenEntry:
+    """What the lines of an entry have said so far."""
+
+    __slots__ = ("name", "summands", "line_no", "dim", "basis", "labels", "products",
+                 "expected", "peirce")
+
+    def __init__(self, name: str, summands: Optional[tuple[str, ...]], line_no: int):
+        self.name = name
+        self.summands = summands
+        self.line_no = line_no
+        self.dim = self.basis = self.labels = None
+        self.products: list = []  # ((la, lb, terms), line number)
+        self.expected = list(_UNSET)
+        self.peirce: list = []
+
+
 def parse_catalog(text: str) -> list[CatalogEntry]:
-    """Parse entries in file order; duplicate names are rejected."""
+    """Parse entries in file order; duplicate names are rejected.
+
+    Each distinct body line is parsed once per call, by `_parse_line`; the
+    loop applies the parse in its entry, so a line that is malformed, or
+    not allowed in its entry, fails at its first occurrence.
+    """
     entries: list[CatalogEntry] = []
     seen: set[str] = set()
-    current: Optional[dict] = None
+    parsed: dict[str, tuple] = {}
+    current: Optional[_OpenEntry] = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
         if current is None:
-            if not line.startswith("algebra "):
-                raise CatalogParseError(line_no, f"expected 'algebra', got {line!r}")
-            header = line[len("algebra ") :].strip()
-            if "=" in header:
-                name, _, rhs = header.partition("=")
-                name = name.strip()
-                summands = tuple(s.strip() for s in rhs.split("+"))
-                if not all(summands):
-                    raise CatalogParseError(line_no, "empty summand in sum expression")
-            else:
-                name, summands = header, None
-            if not name or " " in name:
-                raise CatalogParseError(line_no, "bad algebra name")
-            if name in seen:
-                raise CatalogParseError(line_no, f"duplicate algebra name {name!r}")
-            seen.add(name)
-            current = {
-                "name": name,
-                "summands": summands,
-                "dim": None,
-                "basis": None,
-                "products": [],
-                "labels": None,
-                "expected": {"flags": (), "peirce": []},
-                "line": line_no,
-            }
+            current = _open_entry(line, line_no, seen)
             continue
         if line == "end":
             entries.append(_finish_entry(current))
             current = None
             continue
-        _parse_body_line(current, line, line_no)
+        result = parsed.get(line)
+        if result is None:
+            result = parsed[line] = _parse_line(line)
+        kind, value, error = result
+        # products and expectations are allowed in every entry
+        if error is None and kind == "product":
+            current.products.append((value, line_no))
+        elif error is None and kind == "peirce":
+            current.peirce.append(value)
+        elif error is None and kind in _EXPECT_SLOTS:
+            current.expected[_EXPECT_SLOTS[kind]] = value
+        else:
+            # a kind not allowed in this entry is reported before the
+            # line's own error: `dim x` in a sum entry names the `dim`
+            if (kind == "dim" or kind == "basis") and current.summands is not None:
+                raise CatalogParseError(line_no, f"'{kind}' not allowed in a sum entry")
+            if kind == "labels" and current.summands is None:
+                raise CatalogParseError(line_no, "'labels' only allowed in a sum entry")
+            if error is not None:
+                raise CatalogParseError(line_no, error)
+            setattr(current, kind, value)  # dim, basis or labels
     if current is not None:
-        raise CatalogParseError(current["line"], f"entry {current['name']!r} missing 'end'")
+        raise CatalogParseError(current.line_no, f"entry {current.name!r} missing 'end'")
     return entries
 
 
-def _parse_body_line(current: dict, line: str, line_no: int) -> None:
-    # the line kinds are disjoint; the most frequent are tested first
-    tokens = line.split()
-    head = tokens[0]
-    if head == "expect":
-        _parse_expect(current, tokens[1:], line_no)
-    elif "*" in head and "=" in line:
-        lhs, _, rhs = line.partition("=")
-        la, star, lb = lhs.partition("*")
-        la, lb = la.strip(), lb.strip()
-        if not star or not la or not lb:
-            raise CatalogParseError(line_no, "product line must look like li*lj = ...")
-        try:
-            terms = tuple(parse_terms(rhs))
-        except AlgebraError as exc:
-            raise CatalogParseError(line_no, str(exc)) from None
-        current["products"].append((la, lb, terms, line_no))
-    elif head == "dim":
-        if current["summands"] is not None:
-            raise CatalogParseError(line_no, "'dim' not allowed in a sum entry")
-        if len(tokens) != 2 or not tokens[1].isdigit():
-            raise CatalogParseError(line_no, "usage: dim N")
-        current["dim"] = int(tokens[1])
-        if current["dim"] > MAX_CATALOG_DIM:
-            raise CatalogParseError(line_no, f"dim {tokens[1]} exceeds the limit {MAX_CATALOG_DIM}")
-    elif head == "basis":
-        if current["summands"] is not None:
-            raise CatalogParseError(line_no, "'basis' not allowed in a sum entry")
-        labels = tuple(tokens[1:])
-        if len(set(labels)) != len(labels):
-            raise CatalogParseError(line_no, "duplicate basis labels")
-        current["basis"] = labels
-    elif head == "labels":
-        if current["summands"] is None:
-            raise CatalogParseError(line_no, "'labels' only allowed in a sum entry")
-        labels = tuple(tokens[1:])
-        if len(set(labels)) != len(labels):
-            raise CatalogParseError(line_no, "duplicate labels")
-        current["labels"] = labels
+def _open_entry(line: str, line_no: int, seen: set[str]) -> _OpenEntry:
+    """The entry an `algebra` header line opens; its name joins `seen`."""
+    if not line.startswith("algebra "):
+        raise CatalogParseError(line_no, f"expected 'algebra', got {line!r}")
+    header = line[len("algebra ") :].strip()
+    if "=" in header:
+        name, _, rhs = header.partition("=")
+        name = name.strip()
+        summands = tuple(s.strip() for s in rhs.split("+"))
+        if not all(summands):
+            raise CatalogParseError(line_no, "empty summand in sum expression")
     else:
-        raise CatalogParseError(line_no, f"unrecognized line {line!r}")
+        name, summands = header, None
+    if not name or " " in name:
+        raise CatalogParseError(line_no, "bad algebra name")
+    if name in seen:
+        raise CatalogParseError(line_no, f"duplicate algebra name {name!r}")
+    seen.add(name)
+    return _OpenEntry(name, summands, line_no)
 
 
-def _parse_expect(current: dict, tokens: list[str], line_no: int) -> None:
-    if not tokens:
-        raise CatalogParseError(line_no, "empty expect line")
-    kind, rest = tokens[0], tokens[1:]
-    exp = current["expected"]
-    if kind in ("aut", "ann", "sq"):
-        if len(rest) != 1 or not rest[0].isdigit():
-            raise CatalogParseError(line_no, f"usage: expect {kind} K")
-        exp[kind] = int(rest[0])
-    elif kind == "flags":
-        bad = [f for f in rest if f not in FLAG_NAMES]
-        if bad:
-            raise CatalogParseError(line_no, f"unknown flags {bad}")
-        exp["flags"] = tuple(rest)
-    elif kind == "niltype":
-        body = "".join(rest)
-        if not (body.startswith("(") and body.endswith(")")):
-            raise CatalogParseError(line_no, "usage: expect niltype (a,b,...)")
-        try:
-            exp["niltype"] = tuple(int(x) for x in body[1:-1].split(",") if x)
-        except ValueError:
-            raise CatalogParseError(line_no, "niltype entries must be integers") from None
-    elif kind == "peirce":
-        if len(rest) != 2 or rest[1] not in PEIRCE_PLACES:
-            raise CatalogParseError(line_no, "usage: expect peirce LABEL PLACE")
-        exp["peirce"].append((rest[0], rest[1]))
-    elif kind == "radical":
-        exp["radical"] = tuple(t for t in "".join(rest).split("+") if t)
-        if not exp["radical"]:
-            raise CatalogParseError(line_no, "usage: expect radical NAME [+ NAME ...]")
-    elif kind == "h2":
-        if len(rest) != 1 or not (rest[0] in ("zero", "nonzero") or rest[0].isdigit()):
-            raise CatalogParseError(line_no, "usage: expect h2 zero|nonzero|K")
-        exp["h2"] = rest[0]
-    elif kind == "b2":
-        if len(rest) != 1 or rest[0] not in ("yes", "no"):
-            raise CatalogParseError(line_no, "usage: expect b2 yes|no")
-        exp["b2"] = rest[0]
-    else:
-        raise CatalogParseError(line_no, f"unknown expect kind {kind!r}")
-
-
-def _finish_entry(current: dict) -> CatalogEntry:
-    exp = current["expected"]
-    expected = Expected(
-        aut=exp.get("aut"),
-        ann=exp.get("ann"),
-        sq=exp.get("sq"),
-        flags=exp.get("flags", ()),
-        niltype=exp.get("niltype"),
-        peirce=tuple(exp.get("peirce", [])),
-        radical_expr=exp.get("radical"),
-        h2=exp.get("h2"),
-        b2=exp.get("b2"),
-    )
-    if current["summands"] is not None:
-        return CatalogEntry(
-            name=current["name"],
-            summands=current["summands"],
-            labels_override=current["labels"],
-            expected=expected,
-        )
-    dim = current["dim"]
-    basis = current["basis"]
+def _finish_entry(current: _OpenEntry) -> CatalogEntry:
+    expected = current.expected
+    expected[_PEIRCE_SLOT] = tuple(current.peirce)
+    expected = Expected(*expected)
+    if current.summands is not None:
+        return CatalogEntry(current.name, current.summands, None, None, (), current.labels,
+                            expected)
+    dim = current.dim
+    basis = current.basis
     if dim is None or basis is None:
-        raise CatalogParseError(current["line"], f"entry {current['name']!r} needs dim and basis")
+        raise CatalogParseError(current.line_no, f"entry {current.name!r} needs dim and basis")
     if len(basis) != dim:
-        raise CatalogParseError(current["line"], f"entry {current['name']!r}: basis size != dim")
+        raise CatalogParseError(current.line_no, f"entry {current.name!r}: basis size != dim")
+    labels = set(basis)
     products = []
     seen_pairs = set()
-    for la, lb, terms, line_no in current["products"]:
+    for (la, lb, terms), line_no in current.products:
         for _, lc in terms:
-            if lc not in basis:
+            if lc not in labels:
                 raise CatalogParseError(line_no, f"unknown label {lc!r} in product")
-        if la not in basis or lb not in basis:
+        if la not in labels or lb not in labels:
             raise CatalogParseError(line_no, f"unknown label in product {la}*{lb}")
         pair = (la, lb) if la <= lb else (lb, la)
         if pair in seen_pairs:
             raise CatalogParseError(line_no, f"product {la}*{lb} listed twice")
         seen_pairs.add(pair)
         products.append((la, lb, terms))
-    return CatalogEntry(
-        name=current["name"],
-        dim=dim,
-        basis=basis,
-        products=tuple(products),
-        expected=expected,
-    )
+    return CatalogEntry(current.name, None, dim, basis, tuple(products), None, expected)
 
 
 def _require_defined(names: Sequence[str], known: Mapping[str, object]) -> None:
@@ -459,7 +486,7 @@ def catalog_order(entries: Sequence[CatalogEntry]) -> list[CatalogEntry]:
     def key(e: CatalogEntry):
         head = e.name[0]
         tail = e.name[1:]
-        num = int(tail) if tail.isdigit() else 0
+        num = int(tail) if tail.isdecimal() else 0  # `isdigit` takes `²`, `int` does not
         return (group_rank.get(head, 9), num, e.name)
 
     return sorted(entries, key=key)

@@ -20,9 +20,10 @@ as soon as that kernel is empty, before the rest of the cocycle rows are
 read.
 
 The dense size of the cocycle system, n^2 C(n+2, 3) rows times
-n^2 (n+1)/2 unknowns, grows like n^8 / 12.  It is estimated before the
-Jordan scan and the assembly, and a system above `MAX_COCYCLE_CELLS` is
-refused with an AlgebraError instead of running for hours.
+n^2 (n+1)/2 unknowns, grows like n^8 / 12.  `check_cocycle_cells` estimates
+it before the Jordan scan and the assembly, and a system above
+`MAX_COCYCLE_CELLS` is refused with an AlgebraError instead of running for
+hours; `fingerprint` runs the same check before its other invariants.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
@@ -158,6 +159,18 @@ def cocycle_cells(n: int) -> int:
     return n * n * comb(n + 2, 3) * (n * n * (n + 1) // 2)
 
 
+def check_cocycle_cells(a: Algebra) -> None:
+    """Raise AlgebraError, naming the estimate and the limit, when the
+    cocycle system of `a` has more than `MAX_COCYCLE_CELLS` dense cells.
+    It reads only `a.dim`, so it can run before any other work on `a`."""
+    n = a.dim
+    cells = cocycle_cells(n)
+    if cells > MAX_COCYCLE_CELLS:
+        raise AlgebraError(
+            f"the cocycle system of a {n}-dimensional algebra has {cells:,} dense cells,"
+            f" over the limit of {MAX_COCYCLE_CELLS:,}")
+
+
 def _column_picker(cols: Sequence[int]):
     """Row -> tuple of its entries on `cols`, for any number of columns."""
     if len(cols) > 1:
@@ -278,14 +291,10 @@ def _cocycle_system(a: Algebra, complement: bool = False) -> tuple[int, list[tup
     The size of the system is checked first: above `MAX_COCYCLE_CELLS`
     this raises AlgebraError before the Jordan scan and the assembly.
     """
-    n = a.dim
-    cells = cocycle_cells(n)
-    if cells > MAX_COCYCLE_CELLS:
-        raise AlgebraError(
-            f"the cocycle system of a {n}-dimensional algebra has {cells:,} dense cells,"
-            f" over the limit of {MAX_COCYCLE_CELLS:,}")
+    check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
+    n = a.dim
     nunk = n * (n + 1) // 2 * n
     return nunk, _assemble_cocycle_rows(a, _complement_columns(a) if complement else range(nunk))
 

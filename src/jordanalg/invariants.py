@@ -435,10 +435,12 @@ def fingerprint(a: Algebra) -> Fingerprint:
     Each invariant is computed once: `dim_der` is n^2 - dim B2 from
     `cocycle_space`, and the radical record, the semisimple quotient and
     the first annihilator quotient when Ann J = rad J come from the one
-    `radical_split` kept on the algebra.
+    `radical_split` kept on the algebra.  A table whose cocycle system
+    `cocycle_space` would refuse is refused first, before any of that work.
     """
-    from .cohomology import cocycle_space
+    from .cohomology import check_cocycle_cells, cocycle_space
 
+    check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
     _, rad_alg, quot = radical_split(a)

@@ -1,7 +1,25 @@
 """Shared check routines used by the property and acceptance suites, and
 reference implementations that faster code in `jordanalg` must match."""
 
-from jordanalg.algebra import Algebra, AlgebraError, _int_bb, _int_mul_bv, is_jordan, product_span
+from typing import Optional
+
+from jordanalg.algebra import (
+    Algebra,
+    AlgebraError,
+    _int_bb,
+    _int_mul_bv,
+    is_jordan,
+    parse_terms,
+    product_span,
+)
+from jordanalg.catalog import (
+    FLAG_NAMES,
+    MAX_CATALOG_DIM,
+    PEIRCE_PLACES,
+    CatalogEntry,
+    CatalogParseError,
+    Expected,
+)
 from jordanalg.peirce import eigenspace, peirce_multi_unitalized, peirce_single
 from jordanalg.invariants import (
     NonJordanError,
@@ -178,3 +196,188 @@ def reference_radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
     if reference_trace_rank(quot) != quot.dim:
         raise RadicalVerificationError("quotient trace form is degenerate")
     return rad, rad_alg, quot
+
+
+# The catalog parser that `catalog.parse_catalog` replaced, kept verbatim:
+# one dict per entry, and every body line parsed where it stands.  Apart
+# from counts written in non-ASCII digits (`dim ²`, which it sends to
+# `int`), the new parser must give equal entries or the same error.
+
+def reference_parse_catalog(text: str) -> list[CatalogEntry]:
+    """Parse entries in file order; duplicate names are rejected."""
+    entries: list[CatalogEntry] = []
+    seen: set[str] = set()
+    current: Optional[dict] = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if current is None:
+            if not line.startswith("algebra "):
+                raise CatalogParseError(line_no, f"expected 'algebra', got {line!r}")
+            header = line[len("algebra ") :].strip()
+            if "=" in header:
+                name, _, rhs = header.partition("=")
+                name = name.strip()
+                summands = tuple(s.strip() for s in rhs.split("+"))
+                if not all(summands):
+                    raise CatalogParseError(line_no, "empty summand in sum expression")
+            else:
+                name, summands = header, None
+            if not name or " " in name:
+                raise CatalogParseError(line_no, "bad algebra name")
+            if name in seen:
+                raise CatalogParseError(line_no, f"duplicate algebra name {name!r}")
+            seen.add(name)
+            current = {
+                "name": name,
+                "summands": summands,
+                "dim": None,
+                "basis": None,
+                "products": [],
+                "labels": None,
+                "expected": {"flags": (), "peirce": []},
+                "line": line_no,
+            }
+            continue
+        if line == "end":
+            entries.append(_reference_finish_entry(current))
+            current = None
+            continue
+        _reference_parse_body_line(current, line, line_no)
+    if current is not None:
+        raise CatalogParseError(current["line"], f"entry {current['name']!r} missing 'end'")
+    return entries
+
+
+def _reference_parse_body_line(current: dict, line: str, line_no: int) -> None:
+    # the line kinds are disjoint; the most frequent are tested first
+    tokens = line.split()
+    head = tokens[0]
+    if head == "expect":
+        _reference_parse_expect(current, tokens[1:], line_no)
+    elif "*" in head and "=" in line:
+        lhs, _, rhs = line.partition("=")
+        la, star, lb = lhs.partition("*")
+        la, lb = la.strip(), lb.strip()
+        if not star or not la or not lb:
+            raise CatalogParseError(line_no, "product line must look like li*lj = ...")
+        try:
+            terms = tuple(parse_terms(rhs))
+        except AlgebraError as exc:
+            raise CatalogParseError(line_no, str(exc)) from None
+        current["products"].append((la, lb, terms, line_no))
+    elif head == "dim":
+        if current["summands"] is not None:
+            raise CatalogParseError(line_no, "'dim' not allowed in a sum entry")
+        if len(tokens) != 2 or not tokens[1].isdigit():
+            raise CatalogParseError(line_no, "usage: dim N")
+        current["dim"] = int(tokens[1])
+        if current["dim"] > MAX_CATALOG_DIM:
+            raise CatalogParseError(line_no, f"dim {tokens[1]} exceeds the limit {MAX_CATALOG_DIM}")
+    elif head == "basis":
+        if current["summands"] is not None:
+            raise CatalogParseError(line_no, "'basis' not allowed in a sum entry")
+        labels = tuple(tokens[1:])
+        if len(set(labels)) != len(labels):
+            raise CatalogParseError(line_no, "duplicate basis labels")
+        current["basis"] = labels
+    elif head == "labels":
+        if current["summands"] is None:
+            raise CatalogParseError(line_no, "'labels' only allowed in a sum entry")
+        labels = tuple(tokens[1:])
+        if len(set(labels)) != len(labels):
+            raise CatalogParseError(line_no, "duplicate labels")
+        current["labels"] = labels
+    else:
+        raise CatalogParseError(line_no, f"unrecognized line {line!r}")
+
+
+def _reference_parse_expect(current: dict, tokens: list[str], line_no: int) -> None:
+    if not tokens:
+        raise CatalogParseError(line_no, "empty expect line")
+    kind, rest = tokens[0], tokens[1:]
+    exp = current["expected"]
+    if kind in ("aut", "ann", "sq"):
+        if len(rest) != 1 or not rest[0].isdigit():
+            raise CatalogParseError(line_no, f"usage: expect {kind} K")
+        exp[kind] = int(rest[0])
+    elif kind == "flags":
+        bad = [f for f in rest if f not in FLAG_NAMES]
+        if bad:
+            raise CatalogParseError(line_no, f"unknown flags {bad}")
+        exp["flags"] = tuple(rest)
+    elif kind == "niltype":
+        body = "".join(rest)
+        if not (body.startswith("(") and body.endswith(")")):
+            raise CatalogParseError(line_no, "usage: expect niltype (a,b,...)")
+        try:
+            exp["niltype"] = tuple(int(x) for x in body[1:-1].split(",") if x)
+        except ValueError:
+            raise CatalogParseError(line_no, "niltype entries must be integers") from None
+    elif kind == "peirce":
+        if len(rest) != 2 or rest[1] not in PEIRCE_PLACES:
+            raise CatalogParseError(line_no, "usage: expect peirce LABEL PLACE")
+        exp["peirce"].append((rest[0], rest[1]))
+    elif kind == "radical":
+        exp["radical"] = tuple(t for t in "".join(rest).split("+") if t)
+        if not exp["radical"]:
+            raise CatalogParseError(line_no, "usage: expect radical NAME [+ NAME ...]")
+    elif kind == "h2":
+        if len(rest) != 1 or not (rest[0] in ("zero", "nonzero") or rest[0].isdigit()):
+            raise CatalogParseError(line_no, "usage: expect h2 zero|nonzero|K")
+        exp["h2"] = rest[0]
+    elif kind == "b2":
+        if len(rest) != 1 or rest[0] not in ("yes", "no"):
+            raise CatalogParseError(line_no, "usage: expect b2 yes|no")
+        exp["b2"] = rest[0]
+    else:
+        raise CatalogParseError(line_no, f"unknown expect kind {kind!r}")
+
+
+def _reference_finish_entry(current: dict) -> CatalogEntry:
+    exp = current["expected"]
+    expected = Expected(
+        aut=exp.get("aut"),
+        ann=exp.get("ann"),
+        sq=exp.get("sq"),
+        flags=exp.get("flags", ()),
+        niltype=exp.get("niltype"),
+        peirce=tuple(exp.get("peirce", [])),
+        radical_expr=exp.get("radical"),
+        h2=exp.get("h2"),
+        b2=exp.get("b2"),
+    )
+    if current["summands"] is not None:
+        return CatalogEntry(
+            name=current["name"],
+            summands=current["summands"],
+            labels_override=current["labels"],
+            expected=expected,
+        )
+    dim = current["dim"]
+    basis = current["basis"]
+    if dim is None or basis is None:
+        raise CatalogParseError(current["line"], f"entry {current['name']!r} needs dim and basis")
+    if len(basis) != dim:
+        raise CatalogParseError(current["line"], f"entry {current['name']!r}: basis size != dim")
+    products = []
+    seen_pairs = set()
+    for la, lb, terms, line_no in current["products"]:
+        for _, lc in terms:
+            if lc not in basis:
+                raise CatalogParseError(line_no, f"unknown label {lc!r} in product")
+        if la not in basis or lb not in basis:
+            raise CatalogParseError(line_no, f"unknown label in product {la}*{lb}")
+        pair = (la, lb) if la <= lb else (lb, la)
+        if pair in seen_pairs:
+            raise CatalogParseError(line_no, f"product {la}*{lb} listed twice")
+        seen_pairs.add(pair)
+        products.append((la, lb, terms))
+    return CatalogEntry(
+        name=current["name"],
+        dim=dim,
+        basis=basis,
+        products=tuple(products),
+        expected=expected,
+    )

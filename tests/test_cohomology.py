@@ -322,3 +322,17 @@ def test_large_table_is_refused_before_any_work():
         assert f"{cocycle_cells(n):,}" in str(exc.value), fn
         assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value), fn
         assert "_jordan_defect" not in a.__dict__ and "_assoc_table" not in a.__dict__
+
+
+def test_fingerprint_refuses_a_large_table_before_any_work():
+    # `fingerprint` runs the cocycle bound first: a 30-dimensional sparse
+    # table is refused before the Jordan scan, the radical split or any
+    # other invariant is kept on it
+    n = 30
+    a = Algebra.from_products(tuple(f"n{i}" for i in range(n)), {("n0", "n0"): {"n1": 1}})
+    with pytest.raises(AlgebraError) as exc:
+        fingerprint(a)
+    assert f"{cocycle_cells(n):,}" in str(exc.value)
+    assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value)
+    for name in ("_jordan_defect", "_assoc_table", "_memo"):
+        assert name not in a.__dict__, name
