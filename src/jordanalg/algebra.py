@@ -344,6 +344,10 @@ def jordan_violation(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], Ve
     return quad, tuple(Fraction(x, den**3) for x in defect)
 
 
+class NonJordanError(AlgebraError):
+    pass
+
+
 def is_jordan(a: Algebra) -> bool:
     """Commutativity plus the linearized Jordan identity on basis quadruples."""
     return is_commutative(a) and a._jordan_defect is None

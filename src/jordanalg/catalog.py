@@ -16,11 +16,17 @@ The format is line oriented and bit exact so the files diff cleanly:
       expect b2 yes|no
     end
 
-Counts N and K are ASCII digits.  Omitted products are zero and products
+Counts N and K and niltype parts are ASCII digits.  Omitted products are zero and products
 are mirrored, so only pairs i <= j are listed.  Direct-sum entries may only reference previously defined
 names.  The recorded `expect` values are transcribed as-is from the source
 tables; verification recomputes every invariant and reports disagreements
-as errata rather than editing the records.
+as errata rather than editing the records.  The one exception is `expect
+peirce`: `verify` ignores it, and only the test suite checks it, through
+`check_peirce_placements`.  The 78 recorded placements take about half
+the time of `verify --deep` itself (46 ms against 93 ms in process, best
+of five, Python 3.11 on a shared 2-CPU x86_64 host), so checking them in
+`verify` would grow the `catalog` workload's `certify_s` far past the 15%
+bound that `BENCHMARK.json` sets on it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .algebra import (
     jordan_violation,
     parse_terms,
 )
+from .cohomology import cocycle_space
 from .invariants import (
     annihilator,
     derivation_dim,
@@ -50,7 +57,8 @@ from .invariants import (
     radical,
     radical_split,
 )
-from .polysolve import DEFAULT_BUDGET
+from .peirce import component_of, peirce_multi_unitalized
+from .polysolve import DEFAULT_BUDGET, embeds_b2
 from .ratlin import ZERO, zero_vec
 
 
@@ -75,7 +83,12 @@ class CatalogParseError(CatalogError):
 MAX_CATALOG_DIM = 16
 
 FLAG_NAMES = {"unitary", "associative", "nonassociative", "nilpotent", "semisimple"}
-PEIRCE_PLACES = {"N0", "Nhalf", "N1"} | {f"N{i}{j}" for i in range(4) for j in range(4) if i <= j}
+# the single-index places of an idempotent e, by their component in the
+# grid of the family [e]
+_SINGLE_PLACES = {(0, 0): "N0", (0, 1): "Nhalf", (1, 1): "N1"}
+PEIRCE_PLACES = set(_SINGLE_PLACES.values()) | {
+    f"N{i}{j}" for i in range(4) for j in range(4) if i <= j
+}
 
 
 # Named tuples rather than frozen dataclasses: the catalog makes 176 of
@@ -168,12 +181,11 @@ def _parse_expect(tokens: list[str]) -> tuple[Optional[str], object, Optional[st
         return kind, tuple(rest), None
     if kind == "niltype":
         body = "".join(rest)
-        if not (body.startswith("(") and body.endswith(")")):
+        parts = [x for x in body[1:-1].split(",") if x]
+        # the parts are counts: `int` alone would take `-1`, `+2` and `٣`
+        if not (body.startswith("(") and body.endswith(")") and all(map(_is_count, parts))):
             return kind, None, "usage: expect niltype (a,b,...)"
-        try:
-            return kind, tuple(int(x) for x in body[1:-1].split(",") if x), None
-        except ValueError:
-            return kind, None, "niltype entries must be integers"
+        return kind, tuple(map(int, parts)), None
     if kind == "peirce":
         if len(rest) != 2 or rest[1] not in PEIRCE_PLACES:
             return kind, None, "usage: expect peirce LABEL PLACE"
@@ -666,9 +678,6 @@ def _deep_checks(
     entry: CatalogEntry, a: Algebra, env: dict[str, Algebra], budget: int
 ) -> tuple[list[str], Optional[int], Optional[str]]:
     """Deep-check failures, plus the h2 and b2 values the checks computed."""
-    from .cohomology import cocycle_space
-    from .polysolve import embeds_b2
-
     failures = []
     exp = entry.expected
     h2 = b2 = None
@@ -724,45 +733,31 @@ def check_peirce_placements(
 ) -> list[tuple[str, str, Optional[str], bool]]:
     """Re-derive each recorded 'label lies in N_place' annotation.
 
-    Two-index places are read in the grid decomposition of the unital hull
+    Every place is read in the grid decomposition of the unital hull
     relative to the basis idempotents e1..ek plus the complement idempotent
-    (index 0); single-index places in the eigenspace decomposition for the
-    unique basis idempotent.  Returns (label, expected, computed, ok) rows.
+    (index 0).  A single-index place names a component for the one basis
+    idempotent e: N0, Nhalf and N1 are N00, N01 and N11 of the family [e].
+    A place that names an index with no basis idempotent is never computed,
+    so its row is a mismatch.  Returns (label, expected, computed, ok) rows.
     """
-    from .peirce import component_of, peirce_multi_unitalized, peirce_single
-
     if not entry.expected.peirce:
         return []
     idem = {}
     for i, label in enumerate(a.labels):
         if a.table[i][i] == a.basis_vector(i) and label.startswith("e"):
             idem[int(label[1:])] = a.basis_vector(i)
+    if len(idem) != 1 and any(p in _SINGLE_PLACES.values() for _, p in entry.expected.peirce):
+        raise CatalogError(f"{entry.name}: single-index places need one idempotent")
+    shown = [0] + sorted(idem)  # the index that places use, by family position
+    decomp, _ = peirce_multi_unitalized(a, [idem[k] for k in shown[1:]])
     results = []
-    grid_places = [p for _, p in entry.expected.peirce if p not in ("N0", "Nhalf", "N1")]
-    if grid_places:
-        family = [idem[k] for k in sorted(idem)]
-        decomp, hull = peirce_multi_unitalized(a, family)
-        pos_of_display = {k: pos + 1 for pos, k in enumerate(sorted(idem))}
-        pos_of_display[0] = 0
-        for label, place in entry.expected.peirce:
-            want = (int(place[1]), int(place[2]))
-            want_pos = tuple(sorted((pos_of_display[want[0]], pos_of_display[want[1]])))
-            v = tuple(a.basis_vector(a.label_index(label))) + (ZERO,)
-            got = component_of(decomp, v)
+    for label, place in entry.expected.peirce:
+        got = component_of(decomp, tuple(a.basis_vector(a.label_index(label))) + (ZERO,))
+        if got is None:
             display = None
-            if got is not None:
-                back = {v: k for k, v in pos_of_display.items()}
-                display = f"N{min(back[got[0]], back[got[1]])}{max(back[got[0]], back[got[1]])}"
-            results.append((label, place, display, got == want_pos))
-    else:
-        if len(idem) != 1:
-            raise CatalogError(f"{entry.name}: single-index places need one idempotent")
-        (e,) = idem.values()
-        decomp = peirce_single(a, e)
-        names = {Fraction(0): "N0", Fraction(1, 2): "Nhalf", Fraction(1): "N1"}
-        for label, place in entry.expected.peirce:
-            v = a.basis_vector(a.label_index(label))
-            got = component_of(decomp, v)
-            display = names.get(got) if got is not None else None
-            results.append((label, place, display, display == place))
+        elif place in _SINGLE_PLACES.values():
+            display = _SINGLE_PLACES[got]
+        else:
+            display = f"N{shown[got[0]]}{shown[got[1]]}"
+        results.append((label, place, display, display == place))
     return results

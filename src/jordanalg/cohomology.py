@@ -62,8 +62,7 @@ from math import comb
 from operator import itemgetter
 from typing import Sequence
 
-from .algebra import Algebra, AlgebraError, _int_bb, _int_mul_bv, is_jordan
-from .invariants import NonJordanError
+from .algebra import Algebra, AlgebraError, NonJordanError, _int_bb, _int_mul_bv, is_jordan
 from .ratlin import (
     Matrix,
     Subspace,

@@ -22,6 +22,7 @@ from typing import Optional
 from .algebra import (
     Algebra,
     AlgebraError,
+    NonJordanError,
     _int_products,
     find_identity,
     is_associative,
@@ -30,11 +31,8 @@ from .algebra import (
     per_algebra,
     product_span,
 )
+from .cohomology import check_cocycle_cells, cocycle_space
 from .ratlin import Matrix, Subspace, _int_echelon, _int_kernel, int_rows_rank, kernel, rank as matrix_rank
-
-
-class NonJordanError(AlgebraError):
-    pass
 
 
 class NotNilpotentError(AlgebraError):
@@ -438,8 +436,6 @@ def fingerprint(a: Algebra) -> Fingerprint:
     `radical_split` kept on the algebra.  A table whose cocycle system
     `cocycle_space` would refuse is refused first, before any of that work.
     """
-    from .cohomology import check_cocycle_cells, cocycle_space
-
     check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")

@@ -3,9 +3,10 @@
 For a single idempotent e the eigenspaces of L_e for the eigenvalues 0, 1/2
 and 1 are computed as kernels; no other eigenvalue can occur in a Jordan
 algebra, which is detected by a dimension count rather than root finding.
-The multiplication rules between components are verified and any violation
-raises.  The grid decomposition relative to pairwise orthogonal idempotents
-summing to the identity follows the same pattern.
+The grid decomposition relative to pairwise orthogonal idempotents summing
+to the identity follows the same pattern.  One law checks both: the single
+decomposition is the grid of the family (1 - e, e), and the multiplication
+rules between its components are verified, any violation raising.
 """
 
 from __future__ import annotations
@@ -15,8 +16,15 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .algebra import Algebra, AlgebraError, find_identity, is_jordan, product_span, unitalization
-from .invariants import NonJordanError
+from .algebra import (
+    Algebra,
+    AlgebraError,
+    NonJordanError,
+    find_identity,
+    is_jordan,
+    product_span,
+    unitalization,
+)
 from .ratlin import HALF, ONE, ZERO, Subspace, Vector, _int_kernel, is_zero_vec, rat, sub_vec, vec
 
 
@@ -70,6 +78,41 @@ def eigenspace(a: Algebra, e: Sequence[Fraction], lam: Fraction) -> Subspace:
     return Subspace.span(n, _int_kernel(rows, n))
 
 
+def _check_peirce_law(a: Algebra, comps: dict) -> None:
+    """The Peirce multiplication law (Jacobson) on components keyed (i, j),
+    i <= j, each given as (name, Subspace): J_ij*J_jk <= J_ik,
+    J_ij*J_ij <= J_ii + J_jj, and J_ij*J_kl = 0 for disjoint {i, j} and
+    {k, l}.  A commutative product needs each unordered pair once."""
+    keys = list(comps)
+    for x, p in enumerate(keys):
+        for q in keys[x:]:
+            shared = set(p) & set(q)
+            if len(shared) == 2:  # p == q, i < j
+                bound = [(i, i) for i in p]
+            elif shared:
+                (s,) = shared
+                # the index of each pair besides the shared one
+                u, v = sum(p) - s, sum(q) - s
+                bound = [(min(u, v), max(u, v))]
+            else:
+                bound = []
+            got = product_span(a, comps[p][1], comps[q][1])
+            if not bound:
+                ok, rule = got.dim == 0, "= 0"
+            else:
+                space = comps[bound[0]][1]
+                if len(bound) == 2:
+                    space = space.add(comps[bound[1]][1])
+                ok, rule = space.contains(got), "<= " + "+".join(comps[b][0] for b in bound)
+            if not ok:
+                raise PeirceRuleError(f"Peirce rule violated: {comps[p][0]}*{comps[q][0]} {rule}")
+
+
+# J_1, J_0 and J_1/2 of e are the components (1, 1), (0, 0) and (0, 1) of
+# the family (1 - e, e); this order names the products J1*J0 and J0*J1/2
+_SINGLE_GRID = {(1, 1): (ONE, "J1"), (0, 0): (ZERO, "J0"), (0, 1): (HALF, "J1/2")}
+
+
 def peirce_single(a: Algebra, e: Sequence[Fraction]) -> PeirceDecomposition:
     """Decomposition J = J_1 + J_1/2 + J_0 relative to an idempotent e."""
     if not is_jordan(a):
@@ -80,23 +123,8 @@ def peirce_single(a: Algebra, e: Sequence[Fraction]) -> PeirceDecomposition:
     spaces = {lam: eigenspace(a, e, lam) for lam in EIGENVALUES}
     if sum(s.dim for s in spaces.values()) != a.dim:
         raise PeirceSpectrumError("not a Jordan Peirce spectrum: eigenvalue outside {0, 1/2, 1}")
-    _check_single_rules(a, spaces)
+    _check_peirce_law(a, {k: (name, spaces[lam]) for k, (lam, name) in _SINGLE_GRID.items()})
     return PeirceDecomposition((e,), spaces)
-
-
-def _check_single_rules(a: Algebra, spaces: dict) -> None:
-    one, half, zero = (spaces[lam] for lam in EIGENVALUES)
-    rules = [
-        ("J1*J1 <= J1", product_span(a, one, one), one),
-        ("J1*J0 = 0", product_span(a, one, zero), Subspace.zero(a.dim)),
-        ("J0*J0 <= J0", product_span(a, zero, zero), zero),
-        ("J0*J1/2 <= J1/2", product_span(a, zero, half), half),
-        ("J1*J1/2 <= J1/2", product_span(a, one, half), half),
-        ("J1/2*J1/2 <= J0+J1", product_span(a, half, half), zero.add(one)),
-    ]
-    for name, got, bound in rules:
-        if not bound.contains(got):
-            raise PeirceRuleError(f"Peirce rule violated: {name}")
 
 
 def peirce_multi(a: Algebra, es: Sequence[Sequence[Fraction]]) -> PeirceDecomposition:
@@ -128,70 +156,8 @@ def peirce_multi(a: Algebra, es: Sequence[Sequence[Fraction]]) -> PeirceDecompos
             comps[(i, j)] = halves[i].intersect(halves[j])
     if sum(s.dim for s in comps.values()) != a.dim:
         raise PeirceSpectrumError("Peirce grid does not cover the space")
-    _check_multi_rules(a, comps, len(es))
+    _check_peirce_law(a, {(i, j): (f"J{i}{j}", s) for (i, j), s in comps.items()})
     return PeirceDecomposition(tuple(es), comps)
-
-
-def _comp(comps: dict, i: int, j: int) -> Subspace:
-    return comps[(min(i, j), max(i, j))]
-
-
-def _check_multi_rules(a: Algebra, comps: dict, m: int) -> None:
-    zero = Subspace.zero(a.dim)
-
-    def check(name: str, got: Subspace, bound: Subspace) -> None:
-        if not bound.contains(got):
-            raise PeirceRuleError(f"Peirce rule violated: {name}")
-
-    for i in range(m):
-        check(f"J{i}{i}^2 <= J{i}{i}", product_span(a, comps[(i, i)], comps[(i, i)]), comps[(i, i)])
-        for j in range(m):
-            if j == i:
-                continue
-            check(
-                f"J{min(i,j)}{max(i,j)}*J{i}{i} <= J{min(i,j)}{max(i,j)}",
-                product_span(a, _comp(comps, i, j), comps[(i, i)]),
-                _comp(comps, i, j),
-            )
-            check(
-                f"J{i}{i}*J{j}{j} = 0",
-                product_span(a, comps[(i, i)], comps[(j, j)]),
-                zero,
-            )
-    for i in range(m):
-        for j in range(i + 1, m):
-            check(
-                f"J{i}{j}^2 <= J{i}{i}+J{j}{j}",
-                product_span(a, comps[(i, j)], comps[(i, j)]),
-                comps[(i, i)].add(comps[(j, j)]),
-            )
-            for k in range(m):
-                if k in (i, j):
-                    continue
-                # one shared index, in either slot of the (i, j) pair
-                check(
-                    f"J{i}{j}*J{min(j,k)}{max(j,k)} <= J{min(i,k)}{max(i,k)}",
-                    product_span(a, comps[(i, j)], _comp(comps, j, k)),
-                    _comp(comps, i, k),
-                )
-                check(
-                    f"J{i}{j}*J{min(i,k)}{max(i,k)} <= J{min(j,k)}{max(j,k)}",
-                    product_span(a, comps[(i, j)], _comp(comps, i, k)),
-                    _comp(comps, j, k),
-                )
-                check(
-                    f"J{k}{k}*J{i}{j} = 0",
-                    product_span(a, comps[(k, k)], comps[(i, j)]),
-                    zero,
-                )
-                for l in range(k + 1, m):
-                    if l in (i, j):
-                        continue
-                    check(
-                        f"J{i}{j}*J{k}{l} = 0",
-                        product_span(a, comps[(i, j)], comps[(k, l)]),
-                        zero,
-                    )
 
 
 def peirce_multi_unitalized(

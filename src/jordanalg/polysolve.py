@@ -27,7 +27,9 @@ from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import Optional, Sequence
 
-from .algebra import Algebra, is_jordan
+from .algebra import Algebra, NonJordanError, is_jordan
+from .invariants import is_nilpotent
+from .peirce import eigenspace
 from .ratlin import HALF, ONE, ZERO, Vector, is_zero_vec, rat, vec
 
 Monomial = tuple[int, ...]
@@ -508,8 +510,6 @@ def check_b2_witness(a: Algebra, e: Sequence[Fraction], y: Sequence[Fraction]) -
 
 def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
     """Look for a rational witness in the half eigenspace of a table idempotent."""
-    from .peirce import eigenspace
-
     small = [rat(c) for c in (1, -1, 2, -2, Fraction(1, 2))]
     for i in range(a.dim):
         e = a.basis_vector(i)
@@ -578,8 +578,6 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     answering 'yes' settles the question; 'no' requires every chart to
     answer 'no'.  `B2Result.charts` records each chart's completion.
     """
-    from .invariants import NonJordanError, is_nilpotent
-
     if not is_jordan(a):
         raise NonJordanError("subalgebra detection requires a Jordan algebra")
     if is_nilpotent(a):

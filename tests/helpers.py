@@ -309,12 +309,12 @@ def _reference_parse_expect(current: dict, tokens: list[str], line_no: int) -> N
         exp["flags"] = tuple(rest)
     elif kind == "niltype":
         body = "".join(rest)
-        if not (body.startswith("(") and body.endswith(")")):
+        parts = [x for x in body[1:-1].split(",") if x]
+        # niltype parts are ASCII-digit counts, as in `catalog._parse_expect`
+        if not (body.startswith("(") and body.endswith(")")
+                and all(x.isascii() and x.isdigit() for x in parts)):
             raise CatalogParseError(line_no, "usage: expect niltype (a,b,...)")
-        try:
-            exp["niltype"] = tuple(int(x) for x in body[1:-1].split(",") if x)
-        except ValueError:
-            raise CatalogParseError(line_no, "niltype entries must be integers") from None
+        exp["niltype"] = tuple(int(x) for x in parts)
     elif kind == "peirce":
         if len(rest) != 2 or rest[1] not in PEIRCE_PLACES:
             raise CatalogParseError(line_no, "usage: expect peirce LABEL PLACE")

@@ -248,6 +248,31 @@ def test_peirce_placements_all_annotated_rows(entries, env):
     assert len(annotated) == 36
 
 
+def test_peirce_place_of_a_missing_idempotent_is_a_mismatch(entries, env):
+    # J10 has the basis idempotents e1 and e2; N03 names an e3 it does not
+    # have, so the row is a mismatch that still shows where n1 lies
+    (entry,) = [e for e in entries if e.name == "J10"]
+    wrong = entry._replace(expected=entry.expected._replace(peirce=(("n1", "N03"),)))
+    assert check_peirce_placements(wrong, env["J10"]) == [("n1", "N03", "N01", False)]
+
+
+def test_single_places_are_the_grid_of_one_idempotent(entries, env):
+    # N0, Nhalf and N1 of the one idempotent e1 are N00, N01 and N11
+    grid = {"N0": "N00", "Nhalf": "N01", "N1": "N11"}
+    checked = 0
+    for entry in entries:
+        places = entry.expected.peirce
+        if not places or not all(p in grid for _, p in places):
+            continue
+        a = env[entry.name]
+        as_grid = entry._replace(expected=entry.expected._replace(
+            peirce=tuple((label, grid[p]) for label, p in places)))
+        rows = check_peirce_placements(as_grid, a)
+        assert rows == [(label, grid[p], grid[p], True) for label, p in places], entry.name
+        checked += len(rows)
+    assert checked == 36
+
+
 def test_labels_override_length_checked(env):
     (entry,) = parse_catalog("algebra X = B3 + B3\n  labels a b c\nend\n")
     with pytest.raises(Exception):

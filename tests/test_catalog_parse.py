@@ -118,12 +118,24 @@ def test_each_distinct_body_line_is_parsed_once_per_call(monkeypatch):
     ("expect sq ²", "usage: expect sq K"),
     ("expect h2 ²", "usage: expect h2 zero|nonzero|K"),
     ("expect aut ٣", "usage: expect aut K"),
+    ("expect niltype (-1,+2,٣)", "usage: expect niltype (a,b,...)"),
+    ("expect niltype (1,-1)", "usage: expect niltype (a,b,...)"),
 ])
 def test_counts_are_ascii_digits(line, message):
     text = f"algebra A\n  {line}\n  dim 1\n  basis x\nend\n"
     with pytest.raises(CatalogParseError) as err:
         parse_catalog(text)
     assert (err.value.line_no, err.value.message) == (2, message)
+
+
+def test_cli_reports_a_signed_niltype_part_as_a_usage_error(capsys, tmp_path):
+    # `int` took `-1` as a part, which `verify` then reported as an erratum
+    path = tmp_path / "bad.alg"
+    path.write_text("algebra A\n  dim 1\n  basis x\n  expect niltype (-1)\nend\n")
+    assert cli.main(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: {path}: line 4: usage: expect niltype (a,b,...)\n")
 
 
 def test_names_with_non_ascii_digits_sort_as_unnumbered():

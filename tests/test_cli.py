@@ -69,7 +69,7 @@ def test_verify_deep(capsys):
 def test_verify_deep_computes_h2_and_b2_once(capsys, monkeypatch, entries, env):
     # each qualifying entry gets one cocycle_space and one embeds_b2 call;
     # the calls inside fingerprint belong to the radical-type check
-    from jordanalg import cli, cohomology, polysolve
+    from jordanalg import catalog, cli, cohomology, polysolve
 
     calls = {"cocycle_space": Counter(), "embeds_b2": Counter()}
     name_of = {env[e.name].table: e.name for e in entries}
@@ -86,6 +86,7 @@ def test_verify_deep_computes_h2_and_b2_once(capsys, monkeypatch, entries, env):
         wrapper = counting(name, getattr(module, name))
         monkeypatch.setattr(module, name, wrapper)
         monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(catalog, name, wrapper)
     code, out, _ = run(capsys, "verify", "--deep")
     assert code == 0
     assert calls["cocycle_space"] == Counter(e.name for e in entries if e.expected.h2)

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import find_identity, unitalization
+from jordanalg.algebra import find_identity, product_span, unitalization
 from jordanalg.peirce import (
     NotIdempotentError,
+    PeirceRuleError,
+    _check_peirce_law,
     component_of,
     eigenspace,
     is_idempotent,
@@ -12,7 +14,7 @@ from jordanalg.peirce import (
     peirce_multi_unitalized,
     peirce_single,
 )
-from jordanalg.ratlin import ZERO, Matrix, invert, kernel, zero_vec
+from jordanalg.ratlin import ZERO, Matrix, Subspace, invert, kernel, zero_vec
 
 F = Fraction
 HALF = F(1, 2)
@@ -133,11 +135,6 @@ def test_eigenspace_is_kernel(env):
 def test_multi_rules_cover_shared_smallest_index(env):
     # white-box: fabricate a grid whose only violation is
     # J01 * J02 not contained in J12, and confirm the checker catches it
-    import pytest as _pytest
-
-    from jordanalg.peirce import PeirceRuleError, _check_multi_rules
-    from jordanalg.ratlin import Subspace
-
     a = env["J2"]  # any 4-dim product table with e3*e4 = (e1+e2)/2
     comps = {
         (0, 0): Subspace.zero(4),
@@ -147,9 +144,25 @@ def test_multi_rules_cover_shared_smallest_index(env):
         (0, 2): Subspace.span(4, [a.element({"e4": 1})]),
         (1, 2): Subspace.zero(4),
     }
-    with _pytest.raises(PeirceRuleError) as err:
-        _check_multi_rules(a, comps, 3)
+    with pytest.raises(PeirceRuleError) as err:
+        _check_peirce_law(a, {(i, j): (f"J{i}{j}", s) for (i, j), s in comps.items()})
     assert "J01*J02 <= J12" in str(err.value)
+
+
+def test_single_rules_share_the_grid_checker(env):
+    # white-box: J_1 and J_0 of a single decomposition fabricated so that
+    # J1*J0 = span(e1 + e2) is nonzero; the single decomposition is read as
+    # the grid (1, 1), (0, 1), (0, 0) of the family (1 - e, e)
+    a = env["J2"]
+    comps = {
+        (1, 1): ("J1", Subspace.span(4, [a.element({"e3": 1})])),
+        (0, 0): ("J0", Subspace.span(4, [a.element({"e4": 1})])),
+        (0, 1): ("J1/2", Subspace.span(4, [a.element({"e1": 1, "e2": 1})])),
+    }
+    assert product_span(a, comps[(1, 1)][1], comps[(0, 0)][1]).dim == 1
+    with pytest.raises(PeirceRuleError) as err:
+        _check_peirce_law(a, comps)
+    assert str(err.value) == "Peirce rule violated: J1*J0 = 0"
 
 
 def fraction_eigenspace(a, e, lam):
