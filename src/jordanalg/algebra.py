@@ -30,6 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
@@ -167,8 +168,6 @@ class Algebra:
         """(denominator, sparse integer table): table entries scaled by the
         global lcm of denominators, for fast zero-tests of multilinear
         expressions (which only rescale under the scaling)."""
-        from math import lcm
-
         den = 1
         for row in self.table:
             for entry in row:
@@ -454,19 +453,37 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     """Algebra in the basis given by the columns of p (in a's coordinates).
 
     check_isomorphism(change_basis(a, p), a, p) always holds.
+
+    The work is in integers: p = P / dp and its inverse Q / dq for integer
+    matrices P and Q, the products of the columns of P are taken on the
+    integer-scaled constants (each is den dp^2 times the true one), and
+    only the n^3 entries of Q times those products become Fractions.
     """
-    if p.rows != a.dim or p.cols != a.dim:
+    n = a.dim
+    if p.rows != n or p.cols != n:
         raise AlgebraError("basis-change matrix has wrong shape")
     p_inv = invert(p)
     if p_inv is None:
         raise AlgebraError("basis-change matrix is singular")
-    cols = [p.apply(unit_vec(a.dim, i)) for i in range(a.dim)]
+    dp, pint = _int_scaled(p)
+    dq, qint = _int_scaled(p_inv)
+    cols = [[pint[k * n + i] for k in range(n)] for i in range(n)]
+    qrows = [[(k, x) for k, x in enumerate(qint[r * n:(r + 1) * n]) if x] for r in range(n)]
+    scale = a._int_structure[0] * dp * dp * dq
+    prods = _int_products(a, cols, cols)
     table = tuple(
-        tuple(p_inv.apply(a.mul(cols[i], cols[j])) for j in range(a.dim))
-        for i in range(a.dim)
+        tuple(tuple(Fraction(sum(x * v[k] for k, x in qr), scale) for qr in qrows)
+              for v in prods[i * n:(i + 1) * n])
+        for i in range(n)
     )
-    labels = tuple(f"b{i+1}" for i in range(a.dim))
+    labels = tuple(f"b{i+1}" for i in range(n))
     return Algebra(labels, table)
+
+
+def _int_scaled(m: Matrix) -> tuple[int, list[int]]:
+    """(d, entries of d m): d the lcm of the denominators of m's entries."""
+    d = lcm(*(x.denominator for x in m.entries))
+    return d, [x.numerator * (d // x.denominator) for x in m.entries]
 
 
 def _int_products(a: Algebra, us, vs) -> list[list[int]]:

@@ -735,8 +735,10 @@ def check_peirce_placements(
 
     Every place is read in the grid decomposition of the unital hull
     relative to the basis idempotents e1..ek plus the complement idempotent
-    (index 0).  A single-index place names a component for the one basis
-    idempotent e: N0, Nhalf and N1 are N00, N01 and N11 of the family [e].
+    (index 0).  A basis idempotent is one labelled `e` and a count; others,
+    such as `e` or `e_2`, have no index for a place to name.  A
+    single-index place names a component for the one basis idempotent e:
+    N0, Nhalf and N1 are N00, N01 and N11 of the family [e].
     A place that names an index with no basis idempotent is never computed,
     so its row is a mismatch.  Returns (label, expected, computed, ok) rows.
     """
@@ -744,7 +746,7 @@ def check_peirce_placements(
         return []
     idem = {}
     for i, label in enumerate(a.labels):
-        if a.table[i][i] == a.basis_vector(i) and label.startswith("e"):
+        if a.table[i][i] == a.basis_vector(i) and label[:1] == "e" and _is_count(label[1:]):
             idem[int(label[1:])] = a.basis_vector(i)
     if len(idem) != 1 and any(p in _SINGLE_PLACES.values() for _, p in entry.expected.peirce):
         raise CatalogError(f"{entry.name}: single-index places need one idempotent")

@@ -57,7 +57,6 @@ nonzero sum is spread over the n coordinates once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from operator import itemgetter
 from typing import Sequence
@@ -100,10 +99,6 @@ class CocycleSpace:
 def grid_from_function(a: Algebra, fn) -> SymGrid:
     n = a.dim
     return tuple(tuple(vec(fn(i, j)) for j in range(n)) for i in range(n))
-
-
-def zero_grid(a: Algebra) -> SymGrid:
-    return grid_from_function(a, lambda i, j: zero_vec(a.dim))
 
 
 def null_extension(a: Algebra, h: SymGrid) -> Algebra:
@@ -267,19 +262,6 @@ def grid_to_vec(a: Algebra, h: SymGrid) -> Vector:
         for q in range(p, n):
             out.extend(h[p][q])
     return tuple(out)
-
-
-def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
-    n = a.dim
-    grid = [[None] * n for _ in range(n)]
-    pos = 0
-    for p in range(n):
-        for q in range(p, n):
-            entry = tuple(v[pos : pos + n])
-            grid[p][q] = entry
-            grid[q][p] = entry
-            pos += n
-    return tuple(tuple(row) for row in grid)
 
 
 def _cocycle_system(a: Algebra, complement: bool = False) -> tuple[int, list[tuple[int, ...]]]:

@@ -10,7 +10,14 @@ split and the quotient it builds span rad * J once.
 
 The `Fingerprint` record collects every invariant used to separate algebras,
 totally ordered by a fixed field order so fingerprint sets deduplicate
-deterministically.
+deterministically.  Its fields are isomorphism invariants, so any basis
+gives the same record.  The derivation, centroid and H2 systems cost more
+the more nonzero structure constants a table has, so `fingerprint` reads
+those three dimensions on `_adapted_table`: the table in a basis built
+from the radical and the right powers, both already kept on the algebra,
+when it is sparser than the given one.  A table entered in a dense basis
+is thus fingerprinted on sparser systems; the catalog bases are adapted
+already and are used as they are.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .algebra import (
     AlgebraError,
     NonJordanError,
     _int_products,
+    change_basis,
     find_identity,
     is_associative,
     is_commutative,
@@ -32,7 +40,16 @@ from .algebra import (
     product_span,
 )
 from .cohomology import check_cocycle_cells, cocycle_space
-from .ratlin import Matrix, Subspace, _int_echelon, _int_kernel, int_rows_rank, kernel, rank as matrix_rank
+from .ratlin import (
+    Matrix,
+    Subspace,
+    _int_echelon,
+    _int_echelon_add,
+    _int_kernel,
+    int_rows_rank,
+    kernel,
+    rank as matrix_rank,
+)
 
 
 class NotNilpotentError(AlgebraError):
@@ -427,20 +444,65 @@ def radical_record(rad_alg: Algebra) -> RadicalRecord:
     )
 
 
+def _nonzero_constants(a: Algebra) -> int:
+    return sum(len(entry) for row in a._int_structure[1] for entry in row)
+
+
+def _adapted_basis(a: Algebra) -> Optional[Matrix]:
+    """A basis of `a` adapted to its flag of ideals, as the columns of a
+    matrix in a's coordinates, or None when a's own basis, up to order, is
+    one.
+
+    The flag is the radical of `radical_split` and the right powers of
+    `lcs_chain`, in order of dimension.  Their primitive integer RREF rows
+    are read in that order, ending with those of J<1> = J, the unit
+    vectors, and a row is kept when it is independent of those kept before
+    it (one incremental integer echelon).  The basis is None when every
+    kept row is a unit vector.
+    """
+    n = a.dim
+    flag = sorted((radical_split(a)[0],) + lcs_chain(a), key=lambda s: s.dim)
+    pivots: dict[int, list[int]] = {}
+    kept = []
+    for row in [r for s in flag for r in s.int_rows]:
+        if _int_echelon_add(pivots, row, n):
+            kept.append(row)
+            if len(kept) == n:
+                break
+    if all(sum(map(bool, row)) == 1 for row in kept):
+        return None
+    return Matrix.from_rows(list(zip(*kept)))
+
+
+def _adapted_table(a: Algebra) -> Algebra:
+    """`a` in the basis of `_adapted_basis` when that table has fewer nonzero
+    structure constants than a's own, else `a` itself.  The two are
+    isomorphic, so every invariant of one is that of the other."""
+    p = _adapted_basis(a)
+    if p is None:
+        return a
+    b = change_basis(a, p)
+    return b if _nonzero_constants(b) < _nonzero_constants(a) else a
+
+
 def fingerprint(a: Algebra) -> Fingerprint:
     """Assemble the invariant record of a Jordan algebra, `b2_embeds` unset.
 
     Each invariant is computed once: `dim_der` is n^2 - dim B2 from
     `cocycle_space`, and the radical record, the semisimple quotient and
     the first annihilator quotient when Ann J = rad J come from the one
-    `radical_split` kept on the algebra.  A table whose cocycle system
-    `cocycle_space` would refuse is refused first, before any of that work.
+    `radical_split` kept on the algebra.  `dim_der`, `dim_centroid` and
+    `dim_h2` are read on `_adapted_table(a)`, whose sparser constants make
+    their linear systems cheaper; every other field is computed on `a`.  A
+    table whose cocycle system `cocycle_space` would refuse is refused
+    first, before any of that work.
     """
     check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
     _, rad_alg, quot = radical_split(a)
-    cocycles = cocycle_space(a)
+    b = _adapted_table(a)
+    cocycles = cocycle_space(b)
     return Fingerprint(
         dim=a.dim,
         power_profile=power_profile(a),
@@ -448,7 +510,7 @@ def fingerprint(a: Algebra) -> Fingerprint:
         unital=find_identity(a) is not None,
         associative=is_associative(a),
         dim_der=a.dim * a.dim - cocycles.b2_dim,
-        dim_centroid=centroid_dim(a),
+        dim_centroid=centroid_dim(b),
         dim_h2=cocycles.h2_dim,
         rad_record=radical_record(rad_alg),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),

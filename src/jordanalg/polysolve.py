@@ -337,12 +337,6 @@ def _s_poly(f: Lead, g: Lead) -> tuple[dict, int]:
     return {t: x for t, x in terms.items() if x}, den
 
 
-def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
-    """Full remainder of p modulo basis (leading and tail terms reduced)."""
-    terms, den = _reduce(*_integer_terms(p), _leads(basis))
-    return Polynomial._of(p.names, {m: Fraction(x, den) for m, x in terms.items()})
-
-
 def _divides_a_term(leads: Sequence[Lead], g: Lead) -> bool:
     """Whether a lead monomial of `leads` divides a term of g."""
     for m in [g[0]] + [m for m, _ in g[2]]:

@@ -148,36 +148,42 @@ def _normalize_int_row(row: list[int]) -> Optional[list[int]]:
     return row
 
 
-def _int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[int]]:
-    """Incremental integer echelon form: pivot column -> primitive row.
+def _int_echelon_add(pivots: dict[int, list[int]], raw: Sequence[int], ncols: int) -> bool:
+    """Reduce one row against the echelon `pivots` (pivot column ->
+    primitive row) and add what is left as a new pivot row; True iff the
+    row was independent of the rows already there.
 
     Rows are combined only from the current column onward (both operands
     are zero to its left), which keeps the elimination cheap on the long
     sparse rows produced by the assembled linear systems.
     """
+    row = list(raw)
+    c = 0
+    while c < ncols:
+        v = row[c]
+        if v == 0:
+            c += 1
+            continue
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = _normalize_int_row(row)
+            return True
+        pl = p[c]
+        g = gcd(pl, v)
+        a, b = pl // g, v // g
+        if a == 1:
+            row[c:] = [x - b * y for x, y in zip(row[c:], p[c:])]
+        else:
+            row[c:] = [a * x - b * y for x, y in zip(row[c:], p[c:])]
+        c += 1
+    return False
+
+
+def _int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[int]]:
+    """Incremental integer echelon form: pivot column -> primitive row."""
     pivots: dict[int, list[int]] = {}
     for raw in rows:
-        row = list(raw)
-        c = 0
-        while c < ncols:
-            v = row[c]
-            if v == 0:
-                c += 1
-                continue
-            p = pivots.get(c)
-            if p is None:
-                norm = _normalize_int_row(row)
-                if norm is not None:
-                    pivots[c] = norm
-                break
-            pl = p[c]
-            g = gcd(pl, v)
-            a, b = pl // g, v // g
-            if a == 1:
-                row[c:] = [x - b * y for x, y in zip(row[c:], p[c:])]
-            else:
-                row[c:] = [a * x - b * y for x, y in zip(row[c:], p[c:])]
-            c += 1
+        _int_echelon_add(pivots, raw, ncols)
     return pivots
 
 
@@ -384,20 +390,6 @@ class Subspace:
                 for j in range(c, self.ambient):
                     w[j] -= f * row[j]
         return tuple(w)
-
-    def coords(self, v: Sequence[Fraction]) -> Vector:
-        """Coordinates of v in the RREF basis; requires containment."""
-        if not self.contains_vector(v):
-            raise ValueError("vector not in subspace")
-        return tuple(vec(v)[c] for c in self._pivot_cols())
-
-    def from_coords(self, coeffs: Sequence[Fraction]) -> Vector:
-        out = [ZERO] * self.ambient
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for j, x in enumerate(row):
-                    out[j] += c * x
-        return tuple(out)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce_vector(v))

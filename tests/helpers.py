@@ -1,7 +1,8 @@
 """Shared check routines used by the property and acceptance suites, and
 reference implementations that faster code in `jordanalg` must match."""
 
-from typing import Optional
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from jordanalg.algebra import (
     Algebra,
@@ -20,7 +21,9 @@ from jordanalg.catalog import (
     CatalogParseError,
     Expected,
 )
+from jordanalg.cohomology import SymGrid, grid_from_function
 from jordanalg.peirce import eigenspace, peirce_multi_unitalized, peirce_single
+from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
     NonJordanError,
     RadicalVerificationError,
@@ -29,7 +32,62 @@ from jordanalg.invariants import (
     quotient_algebra,
     radical,
 )
-from jordanalg.ratlin import HALF, ONE, ZERO, Matrix, Subspace, kernel, rank as matrix_rank
+from jordanalg.ratlin import (
+    HALF,
+    ONE,
+    ZERO,
+    Matrix,
+    Subspace,
+    Vector,
+    invert,
+    kernel,
+    rank as matrix_rank,
+    unit_vec,
+    vec,
+    zero_vec,
+)
+
+
+# Small conversions that only the tests read.
+
+def zero_grid(a: Algebra) -> SymGrid:
+    return grid_from_function(a, lambda i, j: zero_vec(a.dim))
+
+
+def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
+    """Symmetric grid of a vector in the coordinates of `grid_to_vec`."""
+    n = a.dim
+    grid = [[None] * n for _ in range(n)]
+    pos = 0
+    for p in range(n):
+        for q in range(p, n):
+            entry = tuple(v[pos : pos + n])
+            grid[p][q] = entry
+            grid[q][p] = entry
+            pos += n
+    return tuple(tuple(row) for row in grid)
+
+
+def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
+    """Full remainder of p modulo basis (leading and tail terms reduced)."""
+    terms, den = _reduce(*_integer_terms(p), _leads(basis))
+    return Polynomial._of(p.names, {m: Fraction(x, den) for m, x in terms.items()})
+
+
+def coords(s: Subspace, v: Sequence[Fraction]) -> Vector:
+    """Coordinates of v in the RREF basis of s; requires containment."""
+    if not s.contains_vector(v):
+        raise ValueError("vector not in subspace")
+    return tuple(vec(v)[c] for c in s._pivot_cols())
+
+
+def from_coords(s: Subspace, coeffs: Sequence[Fraction]) -> Vector:
+    out = [ZERO] * s.ambient
+    for c, row in zip(coeffs, s.rows):
+        if c:
+            for j, x in enumerate(row):
+                out[j] += c * x
+    return tuple(out)
 
 
 def table_idempotents(a):
@@ -144,7 +202,25 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
 
 
 # The Fraction versions of the trace form, the induced algebra and the
-# radical split that the integer ones in `jordanalg.invariants` replaced.
+# radical split that the integer ones in `jordanalg.invariants` replaced,
+# and of the change of basis that `jordanalg.algebra.change_basis` replaced.
+
+def reference_change_basis(a: Algebra, p: Matrix) -> Algebra:
+    """Algebra in the basis given by the columns of p, in Fractions: each
+    product of two columns mapped back by the inverse of p."""
+    if p.rows != a.dim or p.cols != a.dim:
+        raise AlgebraError("basis-change matrix has wrong shape")
+    p_inv = invert(p)
+    if p_inv is None:
+        raise AlgebraError("basis-change matrix is singular")
+    cols = [p.apply(unit_vec(a.dim, i)) for i in range(a.dim)]
+    table = tuple(
+        tuple(p_inv.apply(a.mul(cols[i], cols[j])) for j in range(a.dim))
+        for i in range(a.dim)
+    )
+    labels = tuple(f"b{i+1}" for i in range(a.dim))
+    return Algebra(labels, table)
+
 
 def reference_trace_form(a: Algebra) -> Matrix:
     """Gram matrix T[i][j] = tr L_{b_i * b_j}; tr L_{b_m} = sum_k c[m][k][k]
@@ -168,7 +244,7 @@ def reference_induced_algebra(a: Algebra, s: Subspace) -> Algebra:
             p = a.mul(u, v)
             if not s.contains_vector(p):
                 raise AlgebraError("subspace is not closed under the product")
-            prods[(i, j)] = s.coords(p)
+            prods[(i, j)] = coords(s, p)
     labels = tuple(f"r{i+1}" for i in range(s.dim))
     table = tuple(
         tuple(prods[(i, j)] for j in range(s.dim)) for i in range(s.dim)

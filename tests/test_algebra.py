@@ -23,6 +23,7 @@ from jordanalg.algebra import (
 )
 from jordanalg.ratlin import Matrix, Subspace, invert, is_zero_vec, vec, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
+from helpers import reference_change_basis
 
 F = Fraction
 HALF = F(1, 2)
@@ -400,6 +401,32 @@ def test_change_basis_is_isomorphic(env):
         p = random_invertible_matrix(a.dim, rng)
         b = change_basis(a, p)
         assert check_isomorphism(b, a, p)
+
+
+def test_integer_change_basis_matches_the_fraction_reference(env, large_algebras):
+    # the same table as the Fraction version, on the catalog (whose
+    # constants include halves) in sparse bases with halves and in dense
+    # bases, on tables of dimension 7 to 9, and on the noncommutative 2 x 2
+    # matrix algebra and its plus algebra; bad matrices raise the same errors
+    rng = seeded_rng("integer-change-basis")
+    cases = list(env.values()) + list(large_algebras.values())
+    cases += [matrix_algebra(2), plus_algebra(matrix_algebra(2)), zero_algebra(0)]
+    checked = 0
+    for a in cases:
+        for dense in (False, True):
+            p = random_invertible_matrix(a.dim, rng, dense=dense)
+            b = change_basis(a, p)
+            assert b == reference_change_basis(a, p), a.labels
+            assert all(type(x) is Fraction for row in b.table for v in row for x in v)
+            checked += any(x.denominator > 1 for x in p.entries)
+    assert checked > 30
+    assert not is_commutative(change_basis(matrix_algebra(2), random_invertible_matrix(4, rng)))
+    a = env["J9"]
+    for p in (Matrix.zero(4, 4), Matrix.identity(3)):
+        with pytest.raises(AlgebraError) as want:
+            reference_change_basis(a, p)
+        with pytest.raises(AlgebraError, match=f"^{want.value}$"):
+            change_basis(a, p)
 
 
 def test_jordan_random_substitution(env):

@@ -256,6 +256,28 @@ def test_peirce_place_of_a_missing_idempotent_is_a_mismatch(entries, env):
     assert check_peirce_placements(wrong, env["J10"]) == [("n1", "N03", "N01", False)]
 
 
+def test_an_idempotent_labelled_e_has_no_place_index(env):
+    # F1's idempotent is labelled e, not e<count>, so the entry has no basis
+    # idempotent and a single-index place is refused as for several
+    (entry,) = parse_catalog("algebra F1E\n  dim 1\n  basis e\n  e*e = e\n"
+                             "  expect peirce e N1\nend\n")
+    with pytest.raises(CatalogError, match="^F1E: single-index places need one idempotent$"):
+        check_peirce_placements(entry, resolve(entry, env))
+
+
+def test_an_idempotent_labelled_e_2_has_no_place_index(env):
+    # F1 + F1 labels its idempotents e and e_2: neither is a basis
+    # idempotent, so a grid place is a mismatch row and a single-index
+    # place is refused
+    (grid,) = parse_catalog("algebra Q = F1 + F1\n  expect peirce e_2 N11\nend\n")
+    a = resolve(grid, env)
+    assert a.labels == ("e", "e_2")
+    assert check_peirce_placements(grid, a) == [("e_2", "N11", "N00", False)]
+    (single,) = parse_catalog("algebra Q = F1 + F1\n  expect peirce e_2 N1\nend\n")
+    with pytest.raises(CatalogError, match="^Q: single-index places need one idempotent$"):
+        check_peirce_placements(single, resolve(single, env))
+
+
 def test_single_places_are_the_grid_of_one_idempotent(entries, env):
     # N0, Nhalf and N1 of the one idempotent e1 are N00, N01 and N11
     grid = {"N0": "N00", "Nhalf": "N01", "N1": "N11"}

@@ -27,13 +27,11 @@ from jordanalg.cohomology import (
     grid_from_function,
     grid_to_vec,
     null_extension,
-    vec_to_grid,
-    zero_grid,
 )
 from jordanalg.invariants import derivation_dim, fingerprint
 from jordanalg.ratlin import Matrix, _int_kernel, _int_row, int_rows_rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import reference_cocycle_rows
+from helpers import reference_cocycle_rows, vec_to_grid, zero_grid
 
 F = Fraction
 

@@ -3,10 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, AlgebraError, change_basis, matrix_algebra, per_algebra
+from jordanalg.algebra import (
+    Algebra,
+    AlgebraError,
+    change_basis,
+    check_isomorphism,
+    matrix_algebra,
+    per_algebra,
+)
+from jordanalg.cohomology import cocycle_space
 from jordanalg.invariants import (
     NonJordanError,
     NotNilpotentError,
+    _adapted_basis,
+    _adapted_table,
+    _nonzero_constants,
     annihilator,
     annihilator_series,
     centroid_dim,
@@ -29,6 +40,7 @@ from jordanalg.invariants import (
 from jordanalg.polysolve import embeds_b2
 from jordanalg.ratlin import ZERO, Matrix, Subspace, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
+from gen import dense_basis, spin_factor
 from helpers import reference_induced_algebra, reference_radical_split, reference_trace_form
 
 F = Fraction
@@ -459,3 +471,44 @@ def test_integer_invariant_rows_match_fraction_references(env, dense_env, large_
         assert centroid_dim(a) == fraction_centroid_dim(a), a.labels
         assert annihilator(a) == fraction_annihilator(a), a.labels
     assert any(annihilator(a).dim not in (0, a.dim) for a in cases)
+
+
+def degenerate_spin_factors():
+    """Spin factors whose form has a kernel, so their radical is not zero."""
+    diag = lambda *d: [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    return [spin_factor(2, diag(0, 0)), spin_factor(3, diag(1, 0, 0)),
+            spin_factor(3, diag(1, 1, 0)), spin_factor(4, diag(1, -1, 2, 0))]
+
+
+def test_adapted_table_gives_the_dimensions_of_the_table_itself(env, dense_env):
+    # dim_h2, dim_der and dim_centroid of a fingerprint are read on the
+    # adapted table; they equal the values computed on the table itself, on
+    # the catalog in two seeded dense bases and on spin factors in a dense
+    # basis, and the adapted table is isomorphic to it by the adapted basis
+    rng = seeded_rng("adapted-dense")
+    cases = [fresh(b) for b, _ in dense_env.values()]
+    cases += [change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))
+              for a in env.values()]
+    spins = [spin_factor(m) for m in (2, 3, 4)] + degenerate_spin_factors()
+    cases += [dense_basis(a, f"adapted-spin-{i}")[0] for i, a in enumerate(spins)]
+    adapted = 0
+    for a in cases:
+        fp = fingerprint(a)
+        cs = cocycle_space(a)
+        assert (fp.dim_h2, fp.dim_der, fp.dim_centroid) == (
+            cs.h2_dim, derivation_dim(a), centroid_dim(a)), a.labels
+        b = _adapted_table(a)
+        if b is not a:
+            adapted += 1
+            assert check_isomorphism(b, a, _adapted_basis(a)), a.labels
+            assert _nonzero_constants(b) < _nonzero_constants(a), a.labels
+    assert adapted > 100
+
+
+def test_catalog_tables_and_a_dense_spin_factor_keep_their_own_table(env):
+    # the catalog bases are adapted already, and a simple table's flag is
+    # only the whole space
+    for name, a in env.items():
+        assert _adapted_basis(a) is None and _adapted_table(a) is a, name
+    b, _ = dense_basis(spin_factor(4), "adapted-own")
+    assert _adapted_basis(b) is None and _adapted_table(b) is b

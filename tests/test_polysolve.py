@@ -16,9 +16,9 @@ from jordanalg.polysolve import (
     embeds_b2,
     has_solution,
     is_groebner_basis,
-    normal_form,
 )
 from conftest import random_invertible_matrix, seeded_rng
+from helpers import normal_form
 
 F = Fraction
 

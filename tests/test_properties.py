@@ -13,7 +13,6 @@ from jordanalg.cohomology import (
     coboundary,
     cocycle_subspaces,
     null_extension,
-    zero_grid,
 )
 from jordanalg.invariants import (
     annihilator,
@@ -29,6 +28,7 @@ from jordanalg.invariants import (
 )
 from jordanalg.ratlin import Matrix, vec
 from conftest import seeded_rng
+from helpers import zero_grid
 
 F = Fraction
 

@@ -22,6 +22,7 @@ from jordanalg.ratlin import (
     vec,
 )
 from conftest import random_invertible_matrix, seeded_rng
+from helpers import coords, from_coords
 
 F = Fraction
 
@@ -164,9 +165,9 @@ def test_subspace_ambient_mismatch():
 
 def test_subspace_coords_round_trip():
     s = Subspace.span(4, [[1, 2, 0, 0], [0, 0, 1, 3]])
-    v = s.from_coords(vec([2, -1]))
+    v = from_coords(s, vec([2, -1]))
     assert s.contains_vector(v)
-    assert s.coords(v) == (F(2), F(-1))
+    assert coords(s, v) == (F(2), F(-1))
 
 
 def free_column_kernel(m, pivots):
