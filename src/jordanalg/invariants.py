@@ -15,21 +15,24 @@ gives the same record.  The derivation, centroid and H2 systems cost more
 the more nonzero structure constants a table has, so `fingerprint` reads
 those three dimensions on `_adapted_table`: the table in a basis built
 from the radical and the right powers, both already kept on the algebra,
-when it is sparser than the given one.  A table entered in a dense basis
-is thus fingerprinted on sparser systems; the catalog bases are adapted
-already and are used as they are.
+and split into the Peirce spaces of an idempotent lifted from the unit of
+J / rad J, when it is sparser than the given one.  A table entered in a
+dense basis is thus fingerprinted on sparser systems; the catalog bases
+are adapted already and are used as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, is_dataclass
 from fractions import Fraction
-from typing import Optional
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
     AlgebraError,
     NonJordanError,
+    _int_mul_bv,
     _int_products,
     change_basis,
     find_identity,
@@ -41,11 +44,13 @@ from .algebra import (
 )
 from .cohomology import check_cocycle_cells, cocycle_space
 from .ratlin import (
+    ZERO,
     Matrix,
     Subspace,
     _int_echelon,
     _int_echelon_add,
     _int_kernel,
+    _normalize_int_row,
     int_rows_rank,
     kernel,
     rank as matrix_rank,
@@ -448,40 +453,114 @@ def _nonzero_constants(a: Algebra) -> int:
     return sum(len(entry) for row in a._int_structure[1] for entry in row)
 
 
+def _lift_idempotent(a: Algebra, start: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(E, d) with e = E / d the idempotent that e -> 3e^2 - 2e^3 reaches
+    from `start`, on the integer-scaled constants.
+
+    When z = e^2 - e lies in the radical, the next e has error z^2 (4z - 3)
+    in the associative subalgebra Q[e] (Jordan algebras are power
+    associative), and a proper radical is nilpotent of index at most dim,
+    so dim.bit_length() steps reach an idempotent.  The iteration stops
+    after dim.bit_length() + 1 rounds: past that the start was not the lift
+    of an idempotent of J / rad J, and RadicalVerificationError is raised.
+    """
+    den = a._int_structure[0]
+    d = lcm(*(x.denominator for x in start))
+    e = [x.numerator * (d // x.denominator) for x in start]
+    for _ in range(a.dim.bit_length() + 1):
+        e2 = _int_products(a, [e], [e])[0]  # den d^2 e^2
+        if e2 == [den * d * x for x in e]:
+            return e, d
+        e3 = _int_products(a, [e2], [e])[0]  # den^2 d^3 e^3
+        e = [3 * den * d * x - 2 * y for x, y in zip(e2, e3)]
+        d = den * den * d ** 3
+        g = gcd(d, *e)
+        e, d = [x // g for x in e], d // g
+    raise RadicalVerificationError("the unit of J / rad J did not lift to an idempotent")
+
+
+def _lifted_unit(a: Algebra) -> tuple[list[int], int]:
+    """`_lift_idempotent` of the unit of J / rad J, put on the non-pivot
+    columns of the radical as in `quotient_algebra`.  J / rad J is
+    semisimple, so it has a unit unless it is zero."""
+    rad, _, quot = radical_split(a)
+    unit = find_identity(quot)
+    if unit is None:
+        raise RadicalVerificationError("J / rad J has no unit")
+    pivot_cols = set(rad._pivot_cols())
+    start = [ZERO] * a.dim
+    for c, x in zip([c for c in range(a.dim) if c not in pivot_cols], unit):
+        start[c] = x
+    return _lift_idempotent(a, start)
+
+
 def _adapted_basis(a: Algebra) -> Optional[Matrix]:
-    """A basis of `a` adapted to its flag of ideals, as the columns of a
-    matrix in a's coordinates, or None when a's own basis, up to order, is
-    one.
+    """A basis of `a` adapted to its flag of ideals and to the Peirce
+    decomposition of a lifted unit, as the columns of a matrix in a's
+    coordinates, or None when a's own basis, up to order, is adapted to
+    the flag.
 
     The flag is the radical of `radical_split` and the right powers of
     `lcs_chain`, in order of dimension.  Their primitive integer RREF rows
     are read in that order, ending with those of J<1> = J, the unit
     vectors, and a row is kept when it is independent of those kept before
     it (one incremental integer echelon).  The basis is None when every
-    kept row is a unit vector.
+    kept row is a unit vector.  A nilpotent table keeps those rows.
+    Otherwise e = `_lifted_unit(a)` splits each proper flag ideal into its
+    Peirce spaces J_1(e), J_1/2(e) and J_0(e): with M = k L_e an integer
+    matrix, the projections k^2 L(2L - 1), 4 k^2 L(1 - L) and
+    k^2 (1 - L)(1 - 2L) of each ideal's rows are read, then e and the unit
+    vectors, and the independent ones kept as before.
     """
     n = a.dim
-    flag = sorted((radical_split(a)[0],) + lcs_chain(a), key=lambda s: s.dim)
-    pivots: dict[int, list[int]] = {}
-    kept = []
-    for row in [r for s in flag for r in s.int_rows]:
-        if _int_echelon_add(pivots, row, n):
-            kept.append(row)
-            if len(kept) == n:
-                break
+    rad, _, quot = radical_split(a)
+    flag = sorted((rad,) + lcs_chain(a), key=lambda s: s.dim)
+    kept = _independent_rows((r for s in flag for r in s.int_rows), n)
     if all(sum(map(bool, row)) == 1 for row in kept):
         return None
+    if quot.dim:  # a nilpotent table has no unit to lift
+        e, d = _lifted_unit(a)
+        k = a._int_structure[0] * d
+        srows = a._int_structure[1]
+        m = [list(row) for row in zip(*(_int_mul_bv(srows, j, e) for j in range(n)))]
+        m2 = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in m]
+
+        def projections(r):
+            mr = [sum(x * y for x, y in zip(row, r)) for row in m]
+            m2r = [sum(x * y for x, y in zip(row, r)) for row in m2]
+            yield [2 * y - k * x for x, y in zip(mr, m2r)]
+            yield [4 * (k * x - y) for x, y in zip(mr, m2r)]
+            yield [k * k * z - 3 * k * x + 2 * y for x, y, z in zip(mr, m2r, r)]
+
+        rows = [p for s in flag if s.dim < n for r in s.int_rows for p in projections(r)]
+        # then e and the rows of J<1> = J, the unit vectors
+        kept = _independent_rows(rows + [e] + list(flag[-1].int_rows), n)
     return Matrix.from_rows(list(zip(*kept)))
+
+
+def _independent_rows(rows, n: int) -> list[list[int]]:
+    """The rows independent of those before them, each divided by its
+    content, up to n of them (one incremental integer echelon)."""
+    pivots: dict[int, list[int]] = {}
+    kept = []
+    for row in rows:
+        if _int_echelon_add(pivots, row, n):
+            kept.append(_normalize_int_row(list(row)))
+            if len(kept) == n:
+                break
+    return kept
 
 
 def _adapted_table(a: Algebra) -> Algebra:
     """`a` in the basis of `_adapted_basis` when that table has fewer nonzero
     structure constants than a's own, else `a` itself.  The two are
-    isomorphic, so every invariant of one is that of the other."""
+    isomorphic, so every invariant of one is that of the other, and the
+    new table takes a's Jordan verdict instead of a second scan."""
     p = _adapted_basis(a)
     if p is None:
         return a
     b = change_basis(a, p)
+    b.__dict__["_jordan_defect"] = a._jordan_defect  # b is a in another basis
     return b if _nonzero_constants(b) < _nonzero_constants(a) else a
 
 

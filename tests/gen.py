@@ -6,7 +6,7 @@ a stdlib `random.Random` seeded by a tag, so each case is reproducible.
 
 from fractions import Fraction
 
-from jordanalg.algebra import Algebra, change_basis
+from jordanalg.algebra import Algebra, change_basis, direct_sum
 from conftest import random_invertible_matrix, seeded_rng
 
 
@@ -32,6 +32,25 @@ def spin_factor(m, form=None):
             if form[i][j]:
                 products[(f"v{i + 1}", f"v{j + 1}")] = {"e": Fraction(form[i][j])}
     return Algebra.from_products(labels, products)
+
+
+def truncated_polynomial(m):
+    """x Q[x] / (x^(m+1)), basis x1..xm with xi xj = x(i+j), zero past m:
+    associative, hence Jordan, and nilpotent, so rad J = J; Ann J is the
+    line of xm and the nilindex is m + 1."""
+    labels = tuple(f"x{i}" for i in range(1, m + 1))
+    products = {(f"x{i}", f"x{j}"): {f"x{i + j}": 1}
+                for i in range(1, m + 1) for j in range(i, m + 1 - i)}
+    return Algebra.from_products(labels, products)
+
+
+def field_sum(n):
+    """F1 + N: the field Q as a direct summand next to N.  Under the direct
+    sum the radical and annihilator dimensions add, and F1 has neither, so
+    for nilpotent N both are those of N, and J / rad J = F1.  Its companion
+    family is `algebra.unitalization(N)`: rad J = N, J / rad J = F1, and
+    the unit leaves Ann J = 0."""
+    return direct_sum(Algebra(("f",), (((Fraction(1),),),)), n)
 
 
 def dense_basis(a, tag):

@@ -3,10 +3,17 @@ given basis and in one seeded dense basis."""
 
 import pytest
 
+from jordanalg.algebra import unitalization
 from jordanalg.cohomology import cocycle_space
-from jordanalg.invariants import fingerprint, radical_split
+from jordanalg.invariants import (
+    _adapted_table,
+    annihilator,
+    fingerprint,
+    is_nilpotent,
+    radical_split,
+)
 from jordanalg.ratlin import Subspace, invert, unit_vec
-from gen import dense_basis, spin_factor
+from gen import dense_basis, field_sum, spin_factor, truncated_polynomial
 
 
 def both_bases(a, tag):
@@ -52,3 +59,22 @@ def test_spin_factor_rejects_a_bad_form():
         spin_factor(2, [[1, 1], [0, 1]])
     with pytest.raises(ValueError):
         spin_factor(3, [[1, 0], [0, 1]])
+
+
+def test_a_field_summand_or_a_unit_on_a_nilpotent_algebra(env):
+    # for nilpotent N, F1 + N has rad J = N and Ann J = Ann N (both add
+    # under the direct sum, and F1 has neither), and the unitalization has
+    # rad J = N and Ann J = 0; both have J / rad J = F1, so in a dense basis
+    # their fingerprint is read on the Peirce basis of the lifted unit
+    nilpotents = [truncated_polynomial(m) for m in (1, 2, 3, 4)]
+    nilpotents += [a for a in env.values() if is_nilpotent(a)]
+    adapted = 0
+    for i, n in enumerate(nilpotents):
+        for a, dim_ann in ((field_sum(n), annihilator(n).dim), (unitalization(n), 0)):
+            b, _ = dense_basis(a, f"nil-ext-{i}")
+            fps = [fingerprint(a), fingerprint(b)]
+            for fp in fps:
+                assert (fp.dim_rad, fp.dim_ann, fp.ss_record.dim) == (n.dim, dim_ann, 1)
+            assert fps[0] == fps[1]
+            adapted += _adapted_table(b) is not b
+    assert adapted > len(nilpotents)

@@ -8,6 +8,7 @@ from jordanalg.algebra import (
     AlgebraError,
     change_basis,
     check_isomorphism,
+    find_identity,
     matrix_algebra,
     per_algebra,
 )
@@ -15,8 +16,11 @@ from jordanalg.cohomology import cocycle_space
 from jordanalg.invariants import (
     NonJordanError,
     NotNilpotentError,
+    RadicalVerificationError,
     _adapted_basis,
     _adapted_table,
+    _lift_idempotent,
+    _lifted_unit,
     _nonzero_constants,
     annihilator,
     annihilator_series,
@@ -37,6 +41,7 @@ from jordanalg.invariants import (
     trace_form,
     trace_rank,
 )
+from jordanalg.peirce import EIGENVALUES, eigenspace, is_idempotent
 from jordanalg.polysolve import embeds_b2
 from jordanalg.ratlin import ZERO, Matrix, Subspace, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
@@ -512,3 +517,94 @@ def test_catalog_tables_and_a_dense_spin_factor_keep_their_own_table(env):
         assert _adapted_basis(a) is None and _adapted_table(a) is a, name
     b, _ = dense_basis(spin_factor(4), "adapted-own")
     assert _adapted_basis(b) is None and _adapted_table(b) is b
+
+
+def test_lifted_unit_is_an_idempotent_over_the_unit_of_the_quotient(env, dense_env):
+    # e = E / d is idempotent, and modulo the radical it is the unit of
+    # J / rad J, read on the quotient's basis, the non-pivot columns
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    lifted = 0
+    for a in cases:
+        rad, _, quot = radical_split(a)
+        if not quot.dim:
+            continue
+        e_int, d = _lifted_unit(a)
+        e = tuple(F(x, d) for x in e_int)
+        assert is_idempotent(a, e), a.labels
+        pivots = set(rad._pivot_cols())
+        residue = rad.reduce_vector(e)
+        assert tuple(residue[c] for c in range(a.dim) if c not in pivots) == find_identity(quot)
+        lifted += 1
+    assert lifted > 100
+
+
+def test_the_lift_stops_on_a_start_that_is_no_lift():
+    # in F1 the unit e is reached at once, while 2e runs off to -4, 176, ...
+    # and the iteration gives up after dim.bit_length() + 1 rounds
+    f1 = Algebra(("e",), (((F(1),),),))
+    assert _lift_idempotent(f1, (F(1),)) == ([1], 1)
+    with pytest.raises(RadicalVerificationError):
+        _lift_idempotent(f1, (F(2),))
+
+
+def test_projected_rows_of_the_adapted_basis_lie_in_peirce_spaces(dense_env, large_algebras):
+    # the adapted basis begins with the Peirce projections of the proper
+    # flag ideals: its first columns span their sum, and each lies in one
+    # Peirce space of the lifted unit
+    cases = [b for b, _ in dense_env.values()]
+    cases += [dense_basis(a, f"peirce-rows-{name}")[0] for name, a in large_algebras.items()]
+    checked = 0
+    for a in cases:
+        p = _adapted_basis(a)
+        rad, _, quot = radical_split(a)
+        if p is None or not quot.dim:
+            continue
+        e_int, d = _lifted_unit(a)
+        e = tuple(F(x, d) for x in e_int)
+        spaces = [eigenspace(a, e, lam) for lam in EIGENVALUES]
+        proper = [s for s in (rad,) + lcs_chain(a) if s.dim < a.dim]
+        top = Subspace.span(a.dim, [r for s in proper for r in s.int_rows])
+        columns = [tuple(p.entry(i, j) for i in range(a.dim)) for j in range(top.dim)]
+        assert Subspace.span(a.dim, columns) == top, a.labels
+        for v in columns:
+            assert any(s.contains_vector(v) for s in spaces), a.labels
+        checked += 1
+    assert checked > 50
+
+
+def test_dense_tables_of_higher_dimension_keep_their_fingerprint(large_algebras):
+    # J56+T5 (dim 7) and J56+J59 (dim 8) in a dense basis are fingerprinted
+    # on the Peirce-adapted table and give the record of the given basis
+    for name in ("J56+T5", "J56+J59"):
+        a = large_algebras[name]
+        b, _ = dense_basis(a, f"large-{name}")
+        assert _adapted_table(b) is not b
+        assert fingerprint(b) == fingerprint(fresh(a)), name
+
+
+def test_a_dense_table_is_scanned_for_the_jordan_identity_once(env, monkeypatch):
+    # the adapted table takes the verdict of the table it came from; a
+    # dense copy of a non-Jordan table is still refused
+    import jordanalg.algebra as alg
+
+    scans = []
+
+    def counting_scan(b, _orig=alg._int_defect_scan):
+        scans.append(b)
+        return _orig(b)
+
+    monkeypatch.setattr(alg, "_int_defect_scan", counting_scan)
+    for name in ("J8", "J56", "J63"):
+        a, _ = dense_basis(env[name], f"one-scan-{name}")
+        copy = fresh(a)
+        assert _adapted_table(copy) is not copy
+        scans.clear()
+        fingerprint(a)
+        assert scans == [a], name
+    bad = Algebra.from_products(
+        ("e1", "n1", "n2", "n3"),
+        {("e1", "e1"): {"e1": 1}, ("e1", "n1"): {"n1": F(1, 2)},
+         ("e1", "n3"): {"n3": F(1, 2)},
+         ("n1", "n1"): {"n2": 1}, ("n1", "n2"): {"n3": 1}})
+    with pytest.raises(NonJordanError):
+        fingerprint(dense_basis(bad, "one-scan-bad")[0])
