@@ -6,17 +6,23 @@ of Fractions in that basis.  Commutative tables are the main case, but the
 storage is general enough for, e.g., full matrix algebras, which is what the
 symmetrized `plus_algebra` construction consumes.
 
-The identity checks run on integer-scaled constants: `_int_structure`
-multiplies every constant by the lcm `den` of their denominators.  An
-associator of basis elements carries two constants, so it scales by den**2,
-and the linearized Jordan defect carries three, so it scales by den**3;
-neither scaling changes which of them vanish.  `_assoc_table` holds the
-associator of every basis triple on those constants, n**4 integers built
-once per algebra and cached like `_int_structure`; the Jordan scan, the
-associativity test and the cocycle rows read it, and the associator is
-linear in each argument, so it extends to any element.  Subspace products,
-from the integer rows a `Subspace` stores, and the derivation, centroid,
-annihilator and Peirce systems are written on those constants as well.
+Products are taken on integer-scaled constants: `_int_structure`
+multiplies every constant by the lcm `den` of their denominators, and it
+is the one cached copy of the table besides `table` itself.
+`_int_products` is the one routine that multiplies elements.  It takes
+integer rows, which `_int_vec` makes of rational vectors, and gives each
+product times den; `Algebra.mul`, the change of basis, subspace products,
+the coboundary and cocycle rows and the Peirce systems all call it.  The
+annihilator, centroid and trace-form systems are written on the constants
+themselves, as are the associator table and the Jordan scan below.
+
+An associator of basis elements carries two constants, so it scales by
+den**2, and the linearized Jordan defect carries three, so it scales by
+den**3; neither scaling changes which of them vanish.  `_assoc_table`
+holds the associator of every basis triple on those constants, n**4
+integers built once per algebra and cached like `_int_structure`.  The
+Jordan scan, the associativity test and the cocycle rows read it, and the
+associator is linear in each argument, so it extends to any element.
 
 All values are immutable and every operation is a pure function.  A
 derived invariant that several callers read is wrapped in `per_algebra`,
@@ -157,13 +163,6 @@ class Algebra:
     # -- products ----------------------------------------------------------
 
     @cached_property
-    def _sparse(self) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-        return tuple(
-            tuple(tuple((k, c) for k, c in enumerate(entry) if c) for entry in row)
-            for row in self.table
-        )
-
-    @cached_property
     def _int_structure(self):
         """(denominator, sparse integer table): table entries scaled by the
         global lcm of denominators, for fast zero-tests of multilinear
@@ -214,17 +213,12 @@ class Algebra:
         return _int_echelon(coboundary_int_rows(self), n * (n + 1) // 2 * n)
 
     def mul(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-        out = [ZERO] * self.dim
-        sparse = self._sparse
-        for i, a in enumerate(u):
-            if a:
-                row = sparse[i]
-                for j, b in enumerate(v):
-                    if b:
-                        ab = a * b
-                        for k, x in row[j]:
-                            out[k] += ab * x
-        return tuple(out)
+        """u v, from the integer product of d_u u and d_v v: `_int_products`
+        scales it by den d_u d_v, which is divided out here."""
+        du, iu = _int_vec(u)
+        dv, iv = _int_vec(v)
+        scale = self._int_structure[0] * du * dv
+        return tuple(Fraction(x, scale) for x in _int_products(self, [iu], [iv])[0])
 
 
 def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
@@ -252,25 +246,6 @@ def is_commutative(a: Algebra) -> bool:
     return commutativity_violation(a) is None
 
 
-def _int_bb(srows, i: int, j: int) -> list[int]:
-    """b_i b_j as a dense vector, on integer-scaled constants."""
-    out = [0] * len(srows)
-    for k, x in srows[i][j]:
-        out[k] = x
-    return out
-
-
-def _int_mul_bv(srows, i: int, v: Sequence[int]) -> list[int]:
-    """b_i v for a dense integer vector v, on integer-scaled constants."""
-    out = [0] * len(srows)
-    row = srows[i]
-    for j, c in enumerate(v):
-        if c:
-            for k, x in row[j]:
-                out[k] += c * x
-    return out
-
-
 def coboundary_int_rows(a: Algebra) -> list[list[int]]:
     """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
 
@@ -281,8 +256,8 @@ def coboundary_int_rows(a: Algebra) -> list[list[int]]:
     Der J and its image is B2.
     """
     n = a.dim
-    _, srows = a._int_structure
-    dense = [[_int_bb(srows, i, j) for j in range(n)] for i in range(n)]
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+    prods = _int_products(a, units, units)  # b_i b_j at i n + j
     rows = []
     for r in range(n):
         for s in range(n):
@@ -291,12 +266,12 @@ def coboundary_int_rows(a: Algebra) -> list[list[int]]:
                 for j in range(i, n):
                     v = [0] * n
                     if i == s:
-                        for k, x in enumerate(dense[r][j]):
+                        for k, x in enumerate(prods[r * n + j]):
                             v[k] += x
                     if j == s:
-                        for k, x in enumerate(dense[i][r]):
+                        for k, x in enumerate(prods[i * n + r]):
                             v[k] += x
-                    v[r] -= dense[i][j][s]
+                    v[r] -= prods[i * n + j][s]
                     row.extend(v)
             rows.append(row)
     return rows
@@ -465,8 +440,8 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     p_inv = invert(p)
     if p_inv is None:
         raise AlgebraError("basis-change matrix is singular")
-    dp, pint = _int_scaled(p)
-    dq, qint = _int_scaled(p_inv)
+    dp, pint = _int_vec(p.entries)
+    dq, qint = _int_vec(p_inv.entries)
     cols = [[pint[k * n + i] for k in range(n)] for i in range(n)]
     qrows = [[(k, x) for k, x in enumerate(qint[r * n:(r + 1) * n]) if x] for r in range(n)]
     scale = a._int_structure[0] * dp * dp * dq
@@ -480,15 +455,17 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     return Algebra(labels, table)
 
 
-def _int_scaled(m: Matrix) -> tuple[int, list[int]]:
-    """(d, entries of d m): d the lcm of the denominators of m's entries."""
-    d = lcm(*(x.denominator for x in m.entries))
-    return d, [x.numerator * (d // x.denominator) for x in m.entries]
+def _int_vec(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, d v): d the lcm of the denominators of v's entries, so that d v
+    is an integer vector."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [x.numerator * (d // x.denominator) for x in v]
 
 
 def _int_products(a: Algebra, us, vs) -> list[list[int]]:
     """u v for each u in `us` and v in `vs`, u-major, for integer rows u, v,
-    on the integer-scaled constants: each product is den times the true one."""
+    on the integer-scaled constants: each product is den times the true one.
+    Every product of elements in this package is taken here."""
     _, srows = a._int_structure
     gens = []
     for u in us:

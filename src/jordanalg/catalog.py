@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import (
+    _RATIONAL_LITERAL,
     Algebra,
     AlgebraError,
     commutativity_violation,
@@ -433,12 +434,26 @@ def resolve_expr(names: Sequence[str], env: dict[str, Algebra]) -> Algebra:
     return Algebra(_dedupe_labels(alg.labels), alg.table)
 
 
+def _unreadable(text: str, breaks: str) -> bool:
+    """Empty, or holding whitespace or a character of `breaks`."""
+    return not text or any(c.isspace() or c in breaks for c in text)
+
+
 def serialize(a: Algebra) -> str:
-    """Inline catalog body for a commutative table (round-trips through parse)."""
+    """Inline catalog body for a commutative table (round-trips through parse).
+    What the parser would not read back raises CatalogError: a dimension
+    above `MAX_CATALOG_DIM`, or a label holding whitespace, `*`, `=`, `+` or
+    `-`, a rational literal, or one starting with `#`, which makes its
+    product lines comments."""
     if commutativity_violation(a) is not None:
         raise CatalogError("only commutative tables serialize to catalog format")
     if len(set(a.labels)) != a.dim:
         raise CatalogError("serialization needs distinct labels")
+    if a.dim > MAX_CATALOG_DIM:
+        raise CatalogError(f"dim {a.dim} exceeds the limit {MAX_CATALOG_DIM}")
+    for label in a.labels:
+        if _unreadable(label, "*=+-") or label[0] == "#" or _RATIONAL_LITERAL.fullmatch(label):
+            raise CatalogError(f"label {label!r} does not read back from catalog format")
     lines = [f"dim {a.dim}", "basis " + " ".join(a.labels)]
     for i in range(a.dim):
         for j in range(i, a.dim):
@@ -449,6 +464,9 @@ def serialize(a: Algebra) -> str:
 
 
 def serialize_entry(name: str, a: Algebra) -> str:
+    """`serialize(a)` as the entry `name`, which holds no whitespace or `=`."""
+    if _unreadable(name, "="):
+        raise CatalogError(f"name {name!r} does not read back from catalog format")
     body = serialize(a)
     indented = "\n".join("  " + l for l in body.splitlines())
     return f"algebra {name}\n{indented}\nend\n"
@@ -715,12 +733,13 @@ def verify_catalog(
     Jordan-identity failures are fatal; invariant mismatches are reported as
     errata (the recorded values are transcriptions and may contain typos,
     the recomputation is the arbiter).  With `deep`, the h2 / b2 / radical
-    expectations are also checked and treated as fatal.
+    expectations are also checked and treated as fatal.  The entries are
+    resolved in the given order and reported in `catalog_order`.
     """
-    ordered = catalog_order(list(entries))
-    env = resolve_all(ordered)
+    env = resolve_all(entries)
     results = [
-        verify_entry(e, env[e.name], env, deep=deep, budget=budget) for e in ordered
+        verify_entry(e, env[e.name], env, deep=deep, budget=budget)
+        for e in catalog_order(entries)
     ]
     return CatalogReport(results, deep)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,7 +35,7 @@ from .invariants import (
     power_profile,
     radical_split,
 )
-from .peirce import PeirceRuleError, is_idempotent, peirce_single
+from .peirce import EIGENVALUES, PeirceRuleError, is_idempotent, peirce_single
 from .polysolve import DEFAULT_BUDGET, embeds_b2
 
 
@@ -43,8 +44,10 @@ class UsageError(Exception):
 
 
 def _load_entries(directory: Optional[str]) -> list[cat.CatalogEntry]:
+    """The catalog's entries in load order, the order their sums are
+    checked and resolved in; only printed lines are sorted."""
     try:
-        return cat.catalog_order(cat.load_catalog(Path(directory) if directory else None))
+        return cat.load_catalog(Path(directory) if directory else None)
     except (OSError, cat.CatalogError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -123,7 +126,7 @@ def cmd_fingerprint(args) -> int:
 def cmd_fingerprint_all(args) -> int:
     entries = _load_entries(args.dir)
     env = cat.resolve_all(entries)
-    dim4 = [e.name for e in entries if env[e.name].dim == 4]
+    dim4 = [e.name for e in cat.catalog_order(entries) if env[e.name].dim == 4]
     fps: dict[str, Fingerprint] = {name: fingerprint(env[name]) for name in dim4}
     groups: dict[tuple, list[str]] = {}
     for name in dim4:
@@ -188,10 +191,8 @@ def cmd_peirce(args) -> int:
     except PeirceRuleError as exc:
         print(str(exc))
         return 1
-    from fractions import Fraction
-
     names = {Fraction(1): "J_1", Fraction(1, 2): "J_1/2", Fraction(0): "J_0"}
-    for lam in (Fraction(1), Fraction(1, 2), Fraction(0)):
+    for lam in EIGENVALUES:
         space = decomp.components[lam]
         if space.dim == 0:
             print(f"{names[lam]}: 0")

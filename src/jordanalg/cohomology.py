@@ -48,10 +48,13 @@ uniformly and leaves kernels and ranks unchanged.
 The actions in this operator do not depend on the quadruple.  Once per
 table the assembly lists the nonzero entries of h -> (x, y, h),
 h -> (zw) h and h -> x h, and the sparse products y(zw); the quadruple scan
-only adds those entries.  The terms h(xy, zw) and -h(x, y(zw)) are
-multiples of the identity on one block h(p, q): over the three associator
-terms of a quadruple their coefficients are summed per block, and each
-nonzero sum is spread over the n coordinates once.
+only adds those entries.  Each product is taken once, by
+`algebra._int_products`: one call gives every b_p b_q, and one more every
+b_j (b_z b_w), which both h -> (zw) h and y(zw) read.  The terms
+h(xy, zw) and -h(x, y(zw)) are multiples of the identity on one block
+h(p, q): over the three associator terms of a quadruple their
+coefficients are summed per block, and each nonzero sum is spread over
+the n coordinates once.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from math import comb
 from operator import itemgetter
 from typing import Sequence
 
-from .algebra import Algebra, AlgebraError, NonJordanError, _int_bb, _int_mul_bv, is_jordan
+from .algebra import Algebra, AlgebraError, NonJordanError, _int_products, is_jordan
 from .ratlin import (
     Matrix,
     Subspace,
@@ -188,13 +191,14 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
     Everything that does not depend on the quadruple is built once per
     call: the nonzeros (m, j, c) of the actions h -> (x, y, h), h -> (zw) h
     and h -> x h (column j, output coordinate m), and the sparse products
-    y(zw).  The terms h(xy, zw) and -h(x, y(zw)) put one coefficient on the
-    diagonal of a block h(p, q); over the three associator terms of a
-    quadruple these are summed per block first and each nonzero sum is
-    spread over the n coordinates once.
+    y(zw), from one `_int_products` call for every b_p b_q and one for
+    every b_j (b_z b_w).  The terms h(xy, zw) and -h(x, y(zw)) put one
+    coefficient on the diagonal of a block h(p, q); over the three
+    associator terms of a quadruple these are summed per block first and
+    each nonzero sum is spread over the n coordinates once.
     """
     n = a.dim
-    _, srows = a._int_structure
+    nsq = n * n
     base = [[0] * n for _ in range(n)]
     nunk = 0
     for p in range(n):
@@ -206,15 +210,16 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
         # (m, j, c) for each nonzero entry c of column j, coordinate m
         return [(m, j, c) for j, col in enumerate(cols) for m, c in enumerate(col) if c]
 
-    prod = [[_int_bb(srows, p, q) for q in range(n)] for p in range(n)]
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+    prod = _int_products(a, units, units)  # b_p b_q at p n + q
+    triple = _int_products(a, units, prod)  # b_j (b_z b_w) at j n^2 + z n + w
+    sparse = [[(k, c) for k, c in enumerate(v) if c] for v in prod]
     # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
     # b_j (zw), and of h -> x h it is b_x b_j
     assoc_ops = [[nonzeros(cols) for cols in row] for row in a._assoc_table]
-    prod_ops = [[nonzeros([_int_mul_bv(srows, j, zw) for j in range(n)]) for zw in row]
-                for row in prod]
-    left_ops = [nonzeros(row) for row in prod]
-    y_zw = [[[[(q, c) for q, c in enumerate(_int_mul_bv(srows, y, zw)) if c] for zw in row]
-             for row in prod] for y in range(n)]
+    prod_ops = [nonzeros(triple[zw::nsq]) for zw in range(nsq)]
+    left_ops = [nonzeros(prod[x * n:(x + 1) * n]) for x in range(n)]
+    y_zw = [[(q, c) for q, c in enumerate(v) if c] for v in triple]
 
     pick = _column_picker(cols)
     rows: set[tuple[int, ...]] = set()
@@ -227,19 +232,20 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
                     # M-part of (b_x, b_y, b_z b_w) in the null extension,
                     # for each associator term of the linearized identity
                     for x_, z_, w_ in ((x, z, w), (w, z, x), (z, x, w)):
-                        zw = srows[z_][w_]
+                        zw_i = z_ * n + w_
+                        zw = sparse[zw_i]
                         off = base[z_][w_]
                         for m, j, c in assoc_ops[x_][y]:  # (x, y, h(z, w))
                             form[m][off + j] += c
                         off = base[x_][y]
-                        for m, j, c in prod_ops[z_][w_]:  # (zw) h(x, y)
+                        for m, j, c in prod_ops[zw_i]:  # (zw) h(x, y)
                             form[m][off + j] += c
-                        for p, c in srows[x_][y]:
+                        for p, c in sparse[x_ * n + y]:
                             bp = base[p]
                             for q, d in zw:  # h(xy, zw)
                                 diag[bp[q]] = diag.get(bp[q], 0) + c * d
                         bx = base[x_]
-                        for q, c in y_zw[y][z_][w_]:  # - h(x, y(zw))
+                        for q, c in y_zw[y * nsq + zw_i]:  # - h(x, y(zw))
                             diag[bx[q]] = diag.get(bx[q], 0) - c
                         by = base[y]
                         for q, c in zw:  # - x h(y, zw)
@@ -264,10 +270,9 @@ def grid_to_vec(a: Algebra, h: SymGrid) -> Vector:
     return tuple(out)
 
 
-def _cocycle_system(a: Algebra, complement: bool = False) -> tuple[int, list[tuple[int, ...]]]:
-    """Unknown count and cocycle rows of a Jordan algebra, on every column,
-    or with `complement` on the columns of `_complement_columns` only.  The
-    H2 cut reads the latter; the full system is what tests check it against.
+def _cocycle_system(a: Algebra) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """Unknown count, the columns of `_complement_columns` and the cocycle
+    rows of a Jordan algebra on those columns, which the H2 cut reads.
 
     The size of the system is checked first: above `MAX_COCYCLE_CELLS`
     this raises AlgebraError before the Jordan scan and the assembly.
@@ -276,8 +281,8 @@ def _cocycle_system(a: Algebra, complement: bool = False) -> tuple[int, list[tup
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
     n = a.dim
-    nunk = n * (n + 1) // 2 * n
-    return nunk, _assemble_cocycle_rows(a, _complement_columns(a) if complement else range(nunk))
+    cols = _complement_columns(a)
+    return n * (n + 1) // 2 * n, cols, _assemble_cocycle_rows(a, cols)
 
 
 def _complement_columns(a: Algebra) -> list[int]:
@@ -290,8 +295,7 @@ def _complement_columns(a: Algebra) -> list[int]:
 
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
-    nunk, rows = _cocycle_system(a, complement=True)
-    cols = _complement_columns(a)
+    nunk, cols, rows = _cocycle_system(a)
     b2 = list(a._coboundary_echelon.values())
     meet = []  # Z2 meet C, with zeros put back on the pivot columns
     for k in _int_kernel(rows, len(cols)):
@@ -304,8 +308,7 @@ def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
 
 def cocycle_space(a: Algebra) -> CocycleSpace:
     """Dimensions of 2-cocycles, 2-coboundaries and their quotient."""
-    nunk, rows = _cocycle_system(a, complement=True)
+    _, cols, rows = _cocycle_system(a)
     b2 = len(a._coboundary_echelon)
-    ncomp = nunk - b2  # the columns of C
-    h2 = ncomp - int_rows_rank(rows, ncomp)
+    h2 = len(cols) - int_rows_rank(rows, len(cols))
     return CocycleSpace(b2 + h2, b2, h2)

@@ -25,15 +25,15 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
     AlgebraError,
     NonJordanError,
-    _int_mul_bv,
     _int_products,
+    _int_vec,
     change_basis,
     find_identity,
     is_associative,
@@ -465,8 +465,7 @@ def _lift_idempotent(a: Algebra, start: Sequence[Fraction]) -> tuple[list[int], 
     of an idempotent of J / rad J, and RadicalVerificationError is raised.
     """
     den = a._int_structure[0]
-    d = lcm(*(x.denominator for x in start))
-    e = [x.numerator * (d // x.denominator) for x in start]
+    d, e = _int_vec(start)
     for _ in range(a.dim.bit_length() + 1):
         e2 = _int_products(a, [e], [e])[0]  # den d^2 e^2
         if e2 == [den * d * x for x in e]:
@@ -507,10 +506,12 @@ def _adapted_basis(a: Algebra) -> Optional[Matrix]:
     it (one incremental integer echelon).  The basis is None when every
     kept row is a unit vector.  A nilpotent table keeps those rows.
     Otherwise e = `_lifted_unit(a)` splits each proper flag ideal into its
-    Peirce spaces J_1(e), J_1/2(e) and J_0(e): with M = k L_e an integer
-    matrix, the projections k^2 L(2L - 1), 4 k^2 L(1 - L) and
-    k^2 (1 - L)(1 - 2L) of each ideal's rows are read, then e and the unit
-    vectors, and the independent ones kept as before.
+    Peirce spaces J_1(e), J_1/2(e) and J_0(e): the projections
+    k^2 L(2L - 1), 4 k^2 L(1 - L) and k^2 (1 - L)(1 - 2L), L = L_e, of each
+    ideal's rows r are read, then e and the unit vectors, and the
+    independent ones kept as before.  With e = E / d and k = den d, k L r
+    and k^2 L^2 r are the integer products E r and E (E r) that
+    `_int_products` gives, so no matrix of L_e is built.
     """
     n = a.dim
     rad, _, quot = radical_split(a)
@@ -521,20 +522,16 @@ def _adapted_basis(a: Algebra) -> Optional[Matrix]:
     if quot.dim:  # a nilpotent table has no unit to lift
         e, d = _lifted_unit(a)
         k = a._int_structure[0] * d
-        srows = a._int_structure[1]
-        m = [list(row) for row in zip(*(_int_mul_bv(srows, j, e) for j in range(n)))]
-        m2 = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in m]
-
-        def projections(r):
-            mr = [sum(x * y for x, y in zip(row, r)) for row in m]
-            m2r = [sum(x * y for x, y in zip(row, r)) for row in m2]
-            yield [2 * y - k * x for x, y in zip(mr, m2r)]
-            yield [4 * (k * x - y) for x, y in zip(mr, m2r)]
-            yield [k * k * z - 3 * k * x + 2 * y for x, y, z in zip(mr, m2r, r)]
-
-        rows = [p for s in flag if s.dim < n for r in s.int_rows for p in projections(r)]
+        rows = [r for s in flag if s.dim < n for r in s.int_rows]
+        mrs = _int_products(a, [e], rows)  # k L r
+        m2rs = _int_products(a, [e], mrs)  # k^2 L^2 r
+        projected = []
+        for r, mr, m2r in zip(rows, mrs, m2rs):
+            projected += ([2 * y - k * x for x, y in zip(mr, m2r)],
+                          [4 * (k * x - y) for x, y in zip(mr, m2r)],
+                          [k * k * z - 3 * k * x + 2 * y for x, y, z in zip(mr, m2r, r)])
         # then e and the rows of J<1> = J, the unit vectors
-        kept = _independent_rows(rows + [e] + list(flag[-1].int_rows), n)
+        kept = _independent_rows(projected + [e] + list(flag[-1].int_rows), n)
     return Matrix.from_rows(list(zip(*kept)))
 
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .algebra import (
     Algebra,
     AlgebraError,
     NonJordanError,
+    _int_products,
+    _int_vec,
     find_identity,
     is_jordan,
     product_span,
@@ -58,23 +59,17 @@ def is_idempotent(a: Algebra, e: Sequence[Fraction]) -> bool:
 
 def eigenspace(a: Algebra, e: Sequence[Fraction], lam: Fraction) -> Subspace:
     """Kernel of L_e - lam * id, from the integer rows q * D * den * (L_e - lam),
-    lam = p/q, D the lcm of the denominators of e and den that of the
-    structure constants."""
+    lam = p/q, D the lcm of the denominators of e (`_int_vec`) and den that
+    of the structure constants."""
     n = a.dim
-    e, lam = vec(e), rat(lam)
-    den, srows = a._int_structure
-    d = lcm(*(x.denominator for x in e))
+    lam = rat(lam)
+    d, e = _int_vec(vec(e))
     p, q = lam.numerator, lam.denominator
-    # row k, column j: coordinate k of e b_j, less lam at k == j
-    rows = [[0] * n for _ in range(n)]
-    for i, x in enumerate(e):
-        if x:
-            c = q * x.numerator * (d // x.denominator)
-            for j in range(n):
-                for k, y in srows[i][j]:
-                    rows[k][j] += c * y
+    # column j is den D e b_j; row k, column j: its coordinate k, less lam at k == j
+    cols = _int_products(a, [e], [[int(i == j) for i in range(n)] for j in range(n)])
+    rows = [[q * col[k] for col in cols] for k in range(n)]
     for k in range(n):
-        rows[k][k] -= p * d * den
+        rows[k][k] -= p * d * a._int_structure[0]
     return Subspace.span(n, _int_kernel(rows, n))
 
 

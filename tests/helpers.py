@@ -7,8 +7,6 @@ from typing import Optional, Sequence
 from jordanalg.algebra import (
     Algebra,
     AlgebraError,
-    _int_bb,
-    _int_mul_bv,
     is_jordan,
     parse_terms,
     product_span,
@@ -42,6 +40,7 @@ from jordanalg.ratlin import (
     invert,
     kernel,
     rank as matrix_rank,
+    sub_vec,
     unit_vec,
     vec,
     zero_vec,
@@ -135,6 +134,48 @@ def sweep_radical_peirce_products(env):
     return checked
 
 
+# Products read straight off the table, apart from `algebra._int_products`,
+# through which `jordanalg` takes every product: Fraction ones for the
+# references below, and the integer ones `reference_cocycle_rows` uses.
+
+def reference_mul(a: Algebra, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    """u v = sum of u_i v_j c[i][j], in Fractions: what `Algebra.mul` must give."""
+    out = [ZERO] * a.dim
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            if x and y:
+                xy = x * y
+                for k, c in enumerate(a.table[i][j]):
+                    if c:
+                        out[k] += xy * c
+    return tuple(out)
+
+
+def reference_associator(a: Algebra, x, y, z) -> Vector:
+    """(x y) z - x (y z) by `reference_mul`."""
+    return sub_vec(reference_mul(a, reference_mul(a, x, y), z),
+                   reference_mul(a, x, reference_mul(a, y, z)))
+
+
+def _int_bb(srows, i: int, j: int) -> list[int]:
+    """b_i b_j as a dense vector, on integer-scaled constants."""
+    out = [0] * len(srows)
+    for k, x in srows[i][j]:
+        out[k] = x
+    return out
+
+
+def _int_mul_bv(srows, i: int, v: Sequence[int]) -> list[int]:
+    """b_i v for a dense integer vector v, on integer-scaled constants."""
+    out = [0] * len(srows)
+    row = srows[i]
+    for j, c in enumerate(v):
+        if c:
+            for k, x in row[j]:
+                out[k] += c * x
+    return out
+
+
 def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     """Unknown count and integer rows of the cocycle condition, assembled
     entry by entry over every action matrix: the reference that
@@ -215,7 +256,7 @@ def reference_change_basis(a: Algebra, p: Matrix) -> Algebra:
         raise AlgebraError("basis-change matrix is singular")
     cols = [p.apply(unit_vec(a.dim, i)) for i in range(a.dim)]
     table = tuple(
-        tuple(p_inv.apply(a.mul(cols[i], cols[j])) for j in range(a.dim))
+        tuple(p_inv.apply(reference_mul(a, cols[i], cols[j])) for j in range(a.dim))
         for i in range(a.dim)
     )
     labels = tuple(f"b{i+1}" for i in range(a.dim))
@@ -241,7 +282,7 @@ def reference_induced_algebra(a: Algebra, s: Subspace) -> Algebra:
     prods = {}
     for i, u in enumerate(s.rows):
         for j, v in enumerate(s.rows):
-            p = a.mul(u, v)
+            p = reference_mul(a, u, v)
             if not s.contains_vector(p):
                 raise AlgebraError("subspace is not closed under the product")
             prods[(i, j)] = coords(s, p)

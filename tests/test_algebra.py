@@ -23,7 +23,7 @@ from jordanalg.algebra import (
 )
 from jordanalg.ratlin import Matrix, Subspace, invert, is_zero_vec, vec, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import reference_change_basis
+from helpers import reference_associator, reference_change_basis, reference_mul
 
 F = Fraction
 HALF = F(1, 2)
@@ -132,16 +132,18 @@ def test_non_jordan_witnesses():
 
 
 def fraction_is_associative(a):
-    # oracle: the public Fraction associator on every basis triple
+    # oracle: the Fraction reference associator on every basis triple
     basis = [a.basis_vector(i) for i in range(a.dim)]
-    return all(is_zero_vec(associator(a, x, y, z)) for x in basis for y in basis for z in basis)
+    return all(is_zero_vec(reference_associator(a, x, y, z))
+               for x in basis for y in basis for z in basis)
 
 
 def fraction_defect(a, x, y, z, w):
-    # oracle: (x, y, zw) + (w, y, zx) + (z, y, xw) with the Fraction associator
+    # oracle: (x, y, zw) + (w, y, zx) + (z, y, xw) with the Fraction reference associator
     bx, by, bz, bw = (a.basis_vector(t) for t in (x, y, z, w))
-    terms = (associator(a, bx, by, a.table[z][w]), associator(a, bw, by, a.table[z][x]),
-             associator(a, bz, by, a.table[x][w]))
+    terms = (reference_associator(a, bx, by, a.table[z][w]),
+             reference_associator(a, bw, by, a.table[z][x]),
+             reference_associator(a, bz, by, a.table[x][w]))
     return tuple(sum(t) for t in zip(*terms))
 
 
@@ -219,13 +221,39 @@ def test_assoc_table_matches_fraction_associator(env):
                 for k, bk in enumerate(basis):
                     t = a._assoc_table[x][y][k]
                     assert all(type(e) is int for e in t)
-                    assert t == [den**2 * f for f in associator(a, bx, by, bk)], (a.labels, x, y, k)
+                    want = reference_associator(a, bx, by, bk)
+                    assert t == [den**2 * f for f in want], (a.labels, x, y, k)
     assert any(a._int_structure[0] > 1 for a in cases)
+
+
+def test_mul_matches_the_fraction_reference(env, dense_env):
+    # `Algebra.mul` scales both factors to integers and takes one
+    # `_int_products`; on seeded random rational vectors it gives the
+    # Fraction products of the table, for every catalog table in its own
+    # basis and in a dense one, and keeps the factor order of the
+    # noncommutative 2 x 2 matrix algebra
+    rng = seeded_rng("mul-reference")
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    assert len(cases) == 2 * 88
+    cases.append(matrix_algebra(2))
+
+    def rand_vec(n):
+        return [F(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+
+    for a in cases:
+        for u, v in [(rand_vec(a.dim), rand_vec(a.dim)) for _ in range(3)] + [
+                (zero_vec(a.dim), rand_vec(a.dim))]:
+            got = a.mul(u, v)
+            assert got == reference_mul(a, u, v), a.labels
+            assert all(type(x) is Fraction for x in got), a.labels
+    m2 = matrix_algebra(2)
+    u, v = rand_vec(4), rand_vec(4)
+    assert m2.mul(u, v) != m2.mul(v, u)
 
 
 def fraction_product_span(a, s, t):
     # reference: the span of Fraction products of the basis rows, factor from s on the left
-    return Subspace.span(a.dim, [a.mul(u, v) for u in s.rows for v in t.rows])
+    return Subspace.span(a.dim, [reference_mul(a, u, v) for u in s.rows for v in t.rows])
 
 
 def random_subspace(rng, n):

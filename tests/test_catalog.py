@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import direct_sum
+from jordanalg.algebra import Algebra, direct_sum
 from jordanalg.catalog import (
     MAX_CATALOG_DIM,
     CatalogError,
@@ -185,6 +186,28 @@ def test_serialize_round_trip(entries, env):
         (reparsed,) = parse_catalog(text)
         b = resolve(reparsed, {})
         assert b.labels == a.labels and b.table == a.table
+
+
+def test_serialize_refuses_a_label_or_name_that_does_not_read_back():
+    # whitespace and the characters of a product line break the line, a
+    # rational literal reads as a coefficient, and with the label `#x` the
+    # line `#x*#x = y` reads as a comment, so the table would come back
+    # different without an error
+    for bad in ("a b", "x\ty", "a*b", "a=b", "a+b", "a-b", "2", "1/2", "#x", ""):
+        a = Algebra.from_products((bad, "y"), {(bad, bad): {"y": 1}})
+        for write in (serialize, lambda a: serialize_entry("X", a)):
+            with pytest.raises(CatalogError, match=re.escape(f"label {bad!r}")):
+                write(a)
+    good = Algebra.from_products(("x_2", "1/2x", "x#", "e1'"), {("x_2", "x#"): {"1/2x": 1}})
+    (entry,) = parse_catalog(serialize_entry("X", good))
+    assert resolve(entry, {}) == good
+    for bad in ("a b", "X=Y", ""):
+        with pytest.raises(CatalogError, match=re.escape(f"name {bad!r}")):
+            serialize_entry(bad, good)
+    n = MAX_CATALOG_DIM + 1
+    big = Algebra.from_products([f"x{i}" for i in range(n)], {("x0", "x0"): {"x0": 1}})
+    with pytest.raises(CatalogError, match=f"^dim {n} exceeds the limit {MAX_CATALOG_DIM}$"):
+        serialize(big)
 
 
 def test_serialize_rejects_noncommutative():

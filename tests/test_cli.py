@@ -163,6 +163,24 @@ def test_name_commands_on_non_jordan_file(capsys, tmp_path):
     assert code == 0 and err == "" and out.startswith("algebra Bad\n")
 
 
+def test_dir_catalog_resolves_sums_in_file_order(capsys, tmp_path):
+    # B9 sorts before X1 but names it, and the file defines X1 first: the
+    # sum is checked and resolved in file order, as `show FILE` does, and
+    # `verify` still prints its lines sorted
+    order = tmp_path / "order.alg"
+    order.write_text("algebra X1\n  dim 1\n  basis x\n  x*x = x\nend\n"
+                     "algebra B9 = X1 + X1\nend\n")
+    code, out, err = run(capsys, "verify", "--dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert [line.split(":")[0] for line in out.splitlines()[:2]] == ["B9", "X1"]
+    code, out, err = run(capsys, "show", "B9", "--dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "show", str(order))
+    assert out.startswith("algebra B9\n  dim 2\n  basis x x_2\n")
+    code, out, err = run(capsys, "fingerprint-all", "--dir", str(tmp_path))
+    assert (code, err) == (0, "") and out.endswith("0 fingerprints, pairwise distinct: yes\n")
+
+
 def test_verify_deep_unknown_radical_name(capsys, tmp_path):
     (tmp_path / "mine.alg").write_text(
         "algebra B2\n  dim 2\n  basis e1 n1\n  e1*e1 = e1\n  e1*n1 = 1/2 n1\n"

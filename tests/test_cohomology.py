@@ -218,7 +218,8 @@ def full_cut_reference(a):
     kernel cut from the columns of the delta^1 rows (the transposed
     system).  Returns (nunk, (z2, b2, h2), Z2 basis, B2 generators, dim Der J)
     with integer vectors, so no rational echelon is built."""
-    nunk, rows = _cocycle_system(a)
+    nunk = a.dim * (a.dim + 1) // 2 * a.dim
+    rows = _assemble_cocycle_rows(a, range(nunk))
     delta = coboundary_int_rows(a)
     der = len(_int_kernel(zip(*delta), a.dim * a.dim))
     z2_basis = _int_kernel(rows, nunk)
@@ -258,8 +259,9 @@ def test_h2_zero_cut_stops_before_the_cocycle_rows_run_out(env):
     # on J59, H2 = 0: the first cocycle rows on the columns of C empty the
     # kernel basis, and the rows after them are never read
     a = env["J59"]
-    nunk, rows = _cocycle_system(a, complement=True)
-    ncomp = len(_complement_columns(a))
+    nunk, cols, rows = _cocycle_system(a)
+    ncomp = len(cols)
+    assert cols == _complement_columns(a)
     assert ncomp < nunk and all(len(row) == ncomp for row in rows)
     read = []
 

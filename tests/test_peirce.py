@@ -15,6 +15,7 @@ from jordanalg.peirce import (
     peirce_single,
 )
 from jordanalg.ratlin import ZERO, Matrix, Subspace, invert, kernel, zero_vec
+from helpers import reference_mul
 
 F = Fraction
 HALF = F(1, 2)
@@ -168,7 +169,7 @@ def test_single_rules_share_the_grid_checker(env):
 def fraction_eigenspace(a, e, lam):
     # reference: the kernel of the Fraction matrix of L_e - lam
     n = a.dim
-    cols = [a.mul(e, a.basis_vector(j)) for j in range(n)]
+    cols = [reference_mul(a, e, a.basis_vector(j)) for j in range(n)]
     return kernel(Matrix.from_rows(
         [[cols[j][k] - (lam if j == k else 0) for j in range(n)] for k in range(n)]))
 

@@ -6,7 +6,7 @@ import pytest
 
 from jordanalg import ratlin
 from jordanalg.algebra import change_basis, coboundary_int_rows
-from jordanalg.cohomology import _cocycle_system
+from jordanalg.cohomology import _assemble_cocycle_rows
 from jordanalg.ratlin import (
     Matrix,
     Subspace,
@@ -195,17 +195,21 @@ def planted_rank_rows(rng, nrows, ncols, r):
     return rows
 
 
+def full_cocycle_system(a):
+    # (rows, nunk): the cocycle rows on every column
+    nunk = a.dim * (a.dim + 1) // 2 * a.dim
+    return _assemble_cocycle_rows(a, range(nunk)), nunk
+
+
 def kernel_oracle_cases(env):
     rng = seeded_rng("kernel-oracle")
     cases = [([], 3), ([[]], 0), ([], 0), ([[0, 0, 0]] * 4, 3),
              ([[1, 2], [3, 4]], 2), ([[2, 0, 0], [0, 3, 0], [0, 0, 5], [1, 1, 1]], 3)]
     for a in env.values():
-        nunk, rows = _cocycle_system(a)
-        cases.append((rows, nunk))
+        cases.append(full_cocycle_system(a))
     for name in rng.sample(sorted(env), 12):
         b = change_basis(env[name], random_invertible_matrix(env[name].dim, rng, dense=True))
-        nunk, rows = _cocycle_system(b)
-        cases.append((rows, nunk))
+        cases.append(full_cocycle_system(b))
     for _ in range(40):
         ncols = rng.randint(1, 9)
         cases.append((planted_rank_rows(rng, rng.randint(1, 12), ncols,
@@ -257,7 +261,7 @@ def test_span_of_int_rows_matches_fraction_path(env):
     rng = seeded_rng("span-int")
     cases = [([], 3), ([[]], 0), ([[0, 0, 0]] * 4, 3), ([[2, 4], [-1, -2], [0, 6]], 2)]
     for name in rng.sample(sorted(env), 8):
-        nunk, rows = _cocycle_system(env[name])
+        rows, nunk = full_cocycle_system(env[name])
         cases += [(coboundary_int_rows(env[name]), nunk), (_int_kernel(rows, nunk), nunk)]
     for _ in range(30):
         ncols = rng.randint(1, 8)
