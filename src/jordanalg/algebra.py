@@ -4,14 +4,16 @@ An `Algebra` stores a basis (labels are for reporting only) and the full
 table c[i][j] = coefficient vector of b_i * b_j.  Elements are plain tuples
 of Fractions in that basis.  Commutative tables are the main case, but the
 storage is general enough for, e.g., full matrix algebras, which is what the
-symmetrized `plus_algebra` construction consumes.
+symmetrized `plus_algebra` construction consumes.  `Algebra.from_products`
+is the one routine that builds a table from sparse products: the catalog's
+inline entries and `matrix_algebra` both go through it.
 
-Products are taken on integer-scaled constants: `_int_structure`
-multiplies every constant by the lcm `den` of their denominators, and it
-is the one cached copy of the table besides `table` itself.
-`_int_products` is the one routine that multiplies elements.  It takes
-integer rows, which `_int_vec` makes of rational vectors, and gives each
-product times den; `Algebra.mul`, the change of basis, subspace products,
+Products are taken on integer-scaled constants: `_int_structure` scales
+all of them with one call of `ratlin._int_vec`, by the lcm `den` of their
+denominators, and it is the one cached copy of the table besides `table`
+itself.  `_int_products` is the one routine that multiplies elements.  It
+takes integer rows, which `_int_vec` makes of rational vectors, and gives
+each product times den; `Algebra.mul`, the change of basis, subspace products,
 the coboundary and cocycle rows and the Peirce systems all call it.  The
 annihilator, centroid and trace-form systems are written on the constants
 themselves, as are the associator table and the Jordan scan below.
@@ -36,7 +38,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
@@ -47,6 +48,7 @@ from .ratlin import (
     Subspace,
     Vector,
     _int_echelon,
+    _int_vec,
     invert,
     rat,
     solve,
@@ -107,7 +109,7 @@ class Algebra:
         if len(index) != len(labels):
             raise AlgebraError("duplicate basis labels")
         n = len(labels)
-        table = [[list(zero_vec(n)) for _ in range(n)] for _ in range(n)]
+        table = [[zero_vec(n)] * n for _ in range(n)]
         for (la, lb), rhs in products.items():
             try:
                 i, j = index[la], index[lb]
@@ -116,10 +118,10 @@ class Algebra:
                     v[index[lc]] = rat(coeff)
             except KeyError as exc:
                 raise AlgebraError(f"unknown basis label {exc.args[0]!r}") from None
-            table[i][j] = v
+            table[i][j] = v = tuple(v)
             if symmetric:
-                table[j][i] = list(v)
-        return cls(labels, tuple(tuple(tuple(r) for r in row) for row in table))
+                table[j][i] = v
+        return cls(labels, tuple(map(tuple, table)))
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vec(self.dim, i)
@@ -164,22 +166,15 @@ class Algebra:
 
     @cached_property
     def _int_structure(self):
-        """(denominator, sparse integer table): table entries scaled by the
-        global lcm of denominators, for fast zero-tests of multilinear
-        expressions (which only rescale under the scaling)."""
-        den = 1
-        for row in self.table:
-            for entry in row:
-                for x in entry:
-                    den = lcm(den, x.denominator)
-        srows = tuple(
-            tuple(
-                tuple((k, int(x * den)) for k, x in enumerate(entry) if x)
-                for entry in row
-            )
-            for row in self.table
-        )
-        return den, srows
+        """(den, srows): one `_int_vec` of all n**3 constants, den the lcm
+        of their denominators and srows[i][j] the nonzero (k, den c_ijk) of
+        b_i b_j, for fast zero-tests of multilinear expressions (which only
+        rescale under the scaling)."""
+        n = self.dim
+        den, flat = _int_vec([x for row in self.table for entry in row for x in entry])
+        entries = [tuple((k, x) for k, x in enumerate(flat[ij * n:(ij + 1) * n]) if x)
+                   for ij in range(n * n)]
+        return den, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
 
     @cached_property
     def _assoc_table(self) -> list[list[list[list[int]]]]:
@@ -253,8 +248,11 @@ def coboundary_int_rows(a: Algebra) -> list[list[int]]:
     over basis pairs i <= j as in `cohomology.grid_to_vec`, on integer-scaled
     structure constants: every entry carries one structure constant, so the
     scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
-    Der J and its image is B2.
+    Der J and its image is B2.  Pairs i <= j cover every pair only on a
+    commutative table, so any other raises AlgebraError.
     """
+    if not is_commutative(a):
+        raise AlgebraError("delta^1 rows cover pairs i <= j only: the table must be commutative")
     n = a.dim
     units = [[int(i == k) for k in range(n)] for i in range(n)]
     prods = _int_products(a, units, units)  # b_i b_j at i n + j
@@ -455,13 +453,6 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     return Algebra(labels, table)
 
 
-def _int_vec(v: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, d v): d the lcm of the denominators of v's entries, so that d v
-    is an integer vector."""
-    d = lcm(*(x.denominator for x in v))
-    return d, [x.numerator * (d // x.denominator) for x in v]
-
-
 def _int_products(a: Algebra, us, vs) -> list[list[int]]:
     """u v for each u in `us` and v in `vs`, u-major, for integer rows u, v,
     on the integer-scaled constants: each product is den times the true one.
@@ -494,17 +485,10 @@ def product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
 
 def matrix_algebra(n: int) -> Algebra:
     """Full associative algebra of n x n matrix units E_ij (noncommutative table)."""
-    labels = tuple(f"E{i+1}{j+1}" for i in range(n) for j in range(n))
-    index = {(i, j): i * n + j for i in range(n) for j in range(n)}
-    dim = n * n
-    table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for (i, j), p in index.items():
-        for (k, l), q in index.items():
-            if j == k:
-                v = [ZERO] * dim
-                v[index[(i, l)]] = ONE
-                table[p][q] = tuple(v)
-    return Algebra(labels, tuple(tuple(row) for row in table))
+    units = [[f"E{i+1}{j+1}" for j in range(n)] for i in range(n)]
+    products = {(units[i][j], units[j][k]): {units[i][k]: 1}
+                for i in range(n) for j in range(n) for k in range(n)}
+    return Algebra.from_products([e for row in units for e in row], products, symmetric=False)
 
 
 _RATIONAL_LITERAL = re.compile(r"([0-9]+)(?:/([0-9]+))?")

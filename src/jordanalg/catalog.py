@@ -16,17 +16,20 @@ The format is line oriented and bit exact so the files diff cleanly:
       expect b2 yes|no
     end
 
-Counts N and K and niltype parts are ASCII digits.  Omitted products are zero and products
-are mirrored, so only pairs i <= j are listed.  Direct-sum entries may only reference previously defined
-names.  The recorded `expect` values are transcribed as-is from the source
-tables; verification recomputes every invariant and reports disagreements
-as errata rather than editing the records.  The one exception is `expect
-peirce`: `verify` ignores it, and only the test suite checks it, through
-`check_peirce_placements`.  The 78 recorded placements take about half
-the time of `verify --deep` itself (46 ms against 93 ms in process, best
-of five, Python 3.11 on a shared 2-CPU x86_64 host), so checking them in
-`verify` would grow the `catalog` workload's `certify_s` far past the 15%
-bound that `BENCHMARK.json` sets on it.
+Counts N and K and niltype parts are ASCII digits.  Omitted products are
+zero and products are mirrored, so only pairs i <= j are listed: `resolve`
+sums the terms of a product line per label and builds the table with
+`Algebra.from_products`, which mirrors it.  Direct-sum entries may only
+reference previously defined names.  The recorded `expect` values are
+transcribed as-is from the source tables; verification recomputes every
+invariant and reports disagreements as errata rather than editing the
+records.  The one exception is `expect peirce`: `verify` ignores it, and
+only the test suite checks it, through `check_peirce_placements`.  The 78
+recorded placements take about half the time of `verify --deep` itself
+(46 ms against 93 ms in process, best of five, Python 3.11 on a shared 2-CPU
+x86_64 host), so checking them in `verify` would grow the `catalog`
+workload's `certify_s` far past the 15% bound that `BENCHMARK.json` sets
+on it.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .invariants import (
 )
 from .peirce import component_of, peirce_multi_unitalized
 from .polysolve import DEFAULT_BUDGET, embeds_b2
-from .ratlin import ZERO, zero_vec
+from .ratlin import ZERO
 
 
 class CatalogError(ValueError):
@@ -365,20 +368,12 @@ def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
         alg = resolve_expr(entry.summands, env)
         labels = entry.labels_override
         return alg if labels is None else Algebra(tuple(labels), alg.table)
-    index = {l: i for i, l in enumerate(entry.basis)}
-    n = entry.dim
-    table = [[list(zero_vec(n)) for _ in range(n)] for _ in range(n)]
+    products = {}
     for la, lb, terms in entry.products:
-        i, j = index[la], index[lb]
-        v = [ZERO] * n
+        rhs = products[la, lb] = {}
         for coeff, lc in terms:
-            v[index[lc]] += coeff
-        table[i][j] = v
-        table[j][i] = list(v)
-    return Algebra(
-        tuple(entry.basis),
-        tuple(tuple(tuple(r) for r in row) for row in table),
-    )
+            rhs[lc] = rhs.get(lc, 0) + coeff
+    return Algebra.from_products(entry.basis, products)
 
 
 def _dedupe_labels(labels: Sequence[str]) -> tuple[str, ...]:
@@ -654,14 +649,13 @@ def verify_entry(
     aut = derivation_dim(a)
     ann = annihilator(a).dim
     sq = power_chain(a, 2)[1].dim
-    mismatches: list[str] = []
     exp = entry.expected
-    if exp.aut is not None and exp.aut != aut:
-        mismatches.append(f"aut: recorded {exp.aut}, computed {aut}")
-    if exp.ann is not None and exp.ann != ann:
-        mismatches.append(f"ann: recorded {exp.ann}, computed {ann}")
-    if exp.sq is not None and exp.sq != sq:
-        mismatches.append(f"sq: recorded {exp.sq}, computed {sq}")
+    mismatches = [
+        f"{kind}: recorded {recorded}, computed {computed}"
+        for kind, recorded, computed in (("aut", exp.aut, aut), ("ann", exp.ann, ann),
+                                         ("sq", exp.sq, sq))
+        if recorded is not None and recorded != computed
+    ]
     if jordan_ok:
         flags = computed_flags(a)
         for flag in exp.flags:

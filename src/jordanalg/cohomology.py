@@ -192,7 +192,8 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
     call: the nonzeros (m, j, c) of the actions h -> (x, y, h), h -> (zw) h
     and h -> x h (column j, output coordinate m), and the sparse products
     y(zw), from one `_int_products` call for every b_p b_q and one for
-    every b_j (b_z b_w).  The terms h(xy, zw) and -h(x, y(zw)) put one
+    every b_j (b_z b_w); the sparse b_p b_q themselves are the rows of
+    `Algebra._int_structure`.  The terms h(xy, zw) and -h(x, y(zw)) put one
     coefficient on the diagonal of a block h(p, q); over the three
     associator terms of a quadruple these are summed per block first and
     each nonzero sum is spread over the n coordinates once.
@@ -213,7 +214,7 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
     units = [[int(i == k) for k in range(n)] for i in range(n)]
     prod = _int_products(a, units, units)  # b_p b_q at p n + q
     triple = _int_products(a, units, prod)  # b_j (b_z b_w) at j n^2 + z n + w
-    sparse = [[(k, c) for k, c in enumerate(v) if c] for v in prod]
+    sparse = [entry for row in a._int_structure[1] for entry in row]  # b_p b_q at p n + q
     # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
     # b_j (zw), and of h -> x h it is b_x b_j
     assoc_ops = [[nonzeros(cols) for cols in row] for row in a._assoc_table]

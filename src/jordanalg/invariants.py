@@ -33,7 +33,6 @@ from .algebra import (
     AlgebraError,
     NonJordanError,
     _int_products,
-    _int_vec,
     change_basis,
     find_identity,
     is_associative,
@@ -50,6 +49,7 @@ from .ratlin import (
     _int_echelon,
     _int_echelon_add,
     _int_kernel,
+    _int_vec,
     _normalize_int_row,
     int_rows_rank,
     kernel,

@@ -20,13 +20,14 @@ from .algebra import (
     AlgebraError,
     NonJordanError,
     _int_products,
-    _int_vec,
     find_identity,
     is_jordan,
     product_span,
     unitalization,
 )
-from .ratlin import HALF, ONE, ZERO, Subspace, Vector, _int_kernel, is_zero_vec, rat, sub_vec, vec
+from .ratlin import (
+    HALF, ONE, ZERO, Subspace, Vector, _int_kernel, _int_vec, is_zero_vec, rat, sub_vec, vec,
+)
 
 
 class NotIdempotentError(AlgebraError):

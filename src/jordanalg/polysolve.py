@@ -231,6 +231,7 @@ def _support(m: Monomial) -> int:
 
 def _integer_terms(p: Polynomial) -> tuple[dict, int]:
     """({m: numerator}, d) with p.terms[m] == numerator / d."""
+    # not `ratlin._int_vec`: the terms are keyed by monomial, and lists cost 25% more a call
     d = lcm(*(c.denominator for c in p.terms.values()))
     return {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d
 

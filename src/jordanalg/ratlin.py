@@ -2,9 +2,10 @@
 
 Everything in this package reduces to rank, kernel and span computations
 over Q, and every result is exact.  The work runs fraction-free on integer
-rows in two exact cores: the callers write their systems on integer-scaled
-constants, and the public `Matrix` functions scale each rational row by the
-lcm of its denominators and divide it by its content (`_int_row`).
+rows in two exact cores.  `_int_vec` scales every rational vector to
+integers: the callers write their systems on the structure constants it
+scaled, and the public `Matrix` functions divide each row it scaled by its
+content (`_int_row`).
 `_int_kernel` cuts a kernel basis down row by row, so a row dependent on
 earlier ones costs one test and no reduction; `rank`, `int_rows_rank` and
 `kernel` use it.  `_int_echelon` builds the echelon basis that `rref`,
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -114,38 +115,30 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # fraction-free elimination core
 
+def _int_vec(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, d v): d the lcm of the denominators of v's entries, so that d v
+    is an integer vector.  The structure constants, elements and matrix rows
+    are all scaled to integers here."""
+    d = lcm(*(x.denominator for x in v))
+    return d, [x.numerator * (d // x.denominator) for x in v]
+
+
 def _int_row(frac_row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row to a primitive integer row (same span)."""
-    den = 1
-    for x in frac_row:
-        d = x.denominator
-        den = den // gcd(den, d) * d
-    row = [x.numerator * (den // x.denominator) for x in frac_row]
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    if g > 1:
-        row = [x // g for x in row]
-    return row
+    """Scale a rational row to a primitive integer row (same span):
+    `_int_vec`, divided by its content."""
+    row = _int_vec(frac_row)[1]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _normalize_int_row(row: list[int]) -> Optional[list[int]]:
     """Divide by content, make the leading entry positive; None if zero."""
-    g = 0
-    lead = 0
-    for x in row:
-        if x and lead == 0:
-            lead = x
-        g = gcd(g, x)
+    g = gcd(*row)
     if g == 0:
         return None
-    if lead < 0:
+    if next(x for x in row if x) < 0:
         g = -g
-    if g != 1:
-        row = [x // g for x in row]
-    return row
+    return [x // g for x in row] if g != 1 else row
 
 
 def _int_echelon_add(pivots: dict[int, list[int]], raw: Sequence[int], ncols: int) -> bool:
@@ -366,7 +359,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, tuple(tuple(map(int, unit_vec(ambient, i))) for i in range(ambient)))
+        units = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        return cls(ambient, units)
 
     @cached_property
     def rows(self) -> tuple[Vector, ...]:

@@ -2,6 +2,7 @@
 reference implementations that faster code in `jordanalg` must match."""
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from jordanalg.algebra import (
@@ -240,6 +241,42 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
                     add_associator(form, z, y, x, w)
                     rows.update(tuple(r) for r in form if any(r))
     return nunk, list(rows)
+
+
+# The scalings of rationals to integers that `ratlin._int_vec` replaced:
+# the integer structure constants, and `ratlin._int_row` as it was before it
+# called `_int_vec`, kept verbatim.
+
+def reference_int_structure(a: Algebra) -> tuple[int, tuple]:
+    """(den, srows) of `Algebra._int_structure`, in Fractions: den the lcm
+    of every denominator of the table, and each nonzero constant times den."""
+    den = 1
+    for row in a.table:
+        for entry in row:
+            for x in entry:
+                den = lcm(den, x.denominator)
+    srows = tuple(
+        tuple(tuple((k, int(x * den)) for k, x in enumerate(entry) if x) for entry in row)
+        for row in a.table
+    )
+    return den, srows
+
+
+def reference_int_row(frac_row: Sequence[Fraction]) -> list[int]:
+    """Scale a rational row to a primitive integer row (same span)."""
+    den = 1
+    for x in frac_row:
+        d = x.denominator
+        den = den // gcd(den, d) * d
+    row = [x.numerator * (den // x.denominator) for x in frac_row]
+    g = 0
+    for x in row:
+        g = gcd(g, x)
+        if g == 1:
+            break
+    if g > 1:
+        row = [x // g for x in row]
+    return row
 
 
 # The Fraction versions of the trace form, the induced algebra and the

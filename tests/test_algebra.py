@@ -23,7 +23,12 @@ from jordanalg.algebra import (
 )
 from jordanalg.ratlin import Matrix, Subspace, invert, is_zero_vec, vec, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import reference_associator, reference_change_basis, reference_mul
+from helpers import (
+    reference_associator,
+    reference_change_basis,
+    reference_int_structure,
+    reference_mul,
+)
 
 F = Fraction
 HALF = F(1, 2)
@@ -310,6 +315,40 @@ def test_integer_rows_stay_integer(env, monkeypatch):
     monkeypatch.setattr(ratlin, "_int_row", fail)
     assert answers() == want
     assert any(s.dim and t.dim and s.intersect(t).dim for _, s, t in cases)
+
+
+def test_int_structure_matches_the_fraction_reference(env, dense_env):
+    # one `_int_vec` of all n**3 constants gives the lcm of their
+    # denominators and each constant times it, as the Fraction reference
+    # does, on the catalog, a dense basis of each table, and a table whose
+    # denominators 2, 3, 9 and 2**70 + 1 have an lcm wider than 64 bits
+    wide = 2**70 + 1
+    odd = Algebra.from_products(("x", "y", "z"), {
+        ("x", "x"): {"x": F(1, 2), "y": F(-5, 9)},
+        ("x", "y"): {"z": F(7, 3)},
+        ("y", "z"): {"x": F(3, wide), "z": -4},
+        ("z", "z"): {"y": F(1, 9)},
+    }, symmetric=False)
+    cases = list(env.values()) + [b for b, _ in dense_env.values()] + [odd]
+    assert len(cases) == 2 * 88 + 1
+    for a in cases:
+        assert a._int_structure == reference_int_structure(a), a.labels
+    assert odd._int_structure[0] == 18 * wide
+    assert any(b._int_structure[0] > 1 for b, _ in dense_env.values())
+
+
+def test_matrix_units_multiply_as_matrices():
+    # E_ij E_jk = E_ik, and E_ij E_lk = 0 for j != l
+    n = 3
+    m3 = matrix_algebra(n)
+    assert m3.labels == tuple(f"E{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+    e = [[m3.basis_vector(i * n + j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                for k in range(n):
+                    want = e[i][k] if j == l else zero_vec(n * n)
+                    assert m3.mul(e[i][j], e[l][k]) == want, (i, j, l, k)
 
 
 def test_from_products_unknown_label():

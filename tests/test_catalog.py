@@ -37,6 +37,23 @@ end
     assert a.table[0][1] == (F(0), F(0))
 
 
+def test_inline_terms_are_summed_per_label(env):
+    # the two terms on n1 add up before the table is built, and the product
+    # is mirrored: the entry is B2's table under another name
+    text = """
+algebra R
+  dim 2
+  basis e1 n1
+  e1*e1 = e1
+  e1*n1 = 1/4 n1 + 1/4 n1
+end
+"""
+    (entry,) = parse_catalog(text)
+    a = resolve(entry, {})
+    assert a == env["B2"]
+    assert a.table[1][0] == a.table[0][1] == (F(0), F(1, 2))
+
+
 def test_parse_sum_entry(env):
     text = "algebra X = B3 + B3\nend\n"
     (entry,) = parse_catalog(text)

@@ -161,6 +161,27 @@ def test_derivation_dims(env):
     assert derivation_dim(env["J3"]) == 0
 
 
+def test_derivation_dim_refuses_a_noncommutative_table():
+    # y x = y and every other product 0: D(x) = 0 and D(y) in Q y, so
+    # dim Der = 1, but delta^1 on the pairs i <= j alone misses y x and
+    # gives 2; such a table is refused rather than answered wrongly
+    a = Algebra.from_products(("x", "y"), {("y", "x"): {"y": 1}}, symmetric=False)
+    rows = []  # D(b_i b_j) - D(b_i) b_j - b_i D(b_j) on every ordered pair
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                row = [F(0)] * 4  # D b_s = sum_r d_rs b_r, at column r * 2 + s
+                for m, c in enumerate(a.table[i][j]):
+                    row[k * 2 + m] += c
+                for r in range(2):
+                    row[r * 2 + i] -= a.table[r][j][k]
+                    row[r * 2 + j] -= a.table[i][r][k]
+                rows.append(row)
+    assert kernel(Matrix.from_rows(rows)).dim == 1
+    with pytest.raises(AlgebraError, match="commutative"):
+        derivation_dim(a)
+
+
 def test_centroid_dims(env):
     # decomposable algebras carry their summand projections in the centroid
     assert centroid_dim(env["J13"]) == 2

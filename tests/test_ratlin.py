@@ -22,7 +22,7 @@ from jordanalg.ratlin import (
     vec,
 )
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import coords, from_coords
+from helpers import coords, from_coords, reference_int_row
 
 F = Fraction
 
@@ -370,3 +370,23 @@ def test_subspace_stores_primitive_integer_rref_rows():
         rng.shuffle(scaled)
         assert Subspace.span(n, scaled) == s
         assert Subspace.span(n, s.rows) == s == Subspace.span(n, s.int_rows)
+
+
+def test_int_row_matches_the_reference():
+    # `_int_row` is `_int_vec` divided by its content: it gives the row
+    # the scaling before it gave, on seeded rows with zeros, negative
+    # entries, wide denominators and all-zero rows, and on the empty row
+    rng = seeded_rng("int-row")
+    rows = [[], [F(0)] * 5, [F(-3, 4)], [F(0), F(-6), F(4), F(0)]]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        if rng.random() < 0.1:
+            rows.append([F(0)] * n)
+            continue
+        rows.append([F(rng.choice([0, 0, rng.randint(-12, 12), rng.randint(-(2**70), 2**70)]),
+                       rng.choice([1, 2, 3, 4, 9, 2**70 + 1])) for _ in range(n)])
+    assert any(x < 0 for r in rows for x in r) and sum(not any(r) for r in rows) > 10
+    for row in rows:
+        got = ratlin._int_row(row)
+        assert got == reference_int_row(row), row
+        assert all(type(x) is int for x in got)
