@@ -44,6 +44,7 @@ from .invariants import (
     annihilator,
     derivation_dim,
     fingerprint,
+    h2_dims,
     induced_algebra,
     is_ideal,
     is_nilpotent,

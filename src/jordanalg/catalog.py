@@ -50,11 +50,11 @@ from .algebra import (
     jordan_violation,
     parse_terms,
 )
-from .cohomology import cocycle_space
 from .invariants import (
     annihilator,
     derivation_dim,
     fingerprint,
+    h2_dims,
     is_nilpotent,
     nilpotency_type,
     power_chain,
@@ -524,7 +524,6 @@ def catalog_order(entries: Sequence[CatalogEntry]) -> list[CatalogEntry]:
 class EntryResult:
     name: str
     dim: int
-    commutative: bool
     jordan_ok: bool
     violation: Optional[str]
     computed_aut: int
@@ -537,7 +536,7 @@ class EntryResult:
 
     @property
     def fatal(self) -> bool:
-        return not (self.commutative and self.jordan_ok) or bool(self.deep_failures)
+        return not self.jordan_ok or bool(self.deep_failures)
 
     @property
     def passed(self) -> bool:
@@ -562,12 +561,10 @@ class CatalogReport:
         jordan_pass = 0
         for r in self.results:
             status = []
-            if not r.commutative:
-                status.append("COMMUTATIVITY FAIL")
-            if r.commutative and not r.jordan_ok:
-                status.append(f"JORDAN FAIL ({r.violation})")
-            if r.commutative and r.jordan_ok:
+            if r.jordan_ok:
                 jordan_pass += 1
+            else:
+                status.append(f"JORDAN FAIL ({r.violation})")
             if r.mismatches:
                 status.append(f"{len(r.mismatches)} invariant mismatch(es)")
             if r.deep_failures:
@@ -634,18 +631,11 @@ def verify_entry(
     deep: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> EntryResult:
-    comm = commutativity_violation(a) is None
-    violation = None
-    jordan_ok = False
-    if comm:
-        jv = jordan_violation(a)
-        jordan_ok = jv is None
-        if jv is not None:
-            quad, _ = jv
-            labels = ",".join(a.labels[i] for i in quad)
-            violation = f"quadruple ({labels})"
-    else:
-        violation = "not commutative"
+    # catalog tables are mirrored, so commutative: only the Jordan identity
+    # is scanned, and `derivation_dim` raises on a noncommutative table
+    jv = jordan_violation(a)
+    jordan_ok = jv is None
+    violation = None if jordan_ok else f"quadruple ({','.join(a.labels[i] for i in jv[0])})"
     aut = derivation_dim(a)
     ann = annihilator(a).dim
     sq = power_chain(a, 2)[1].dim
@@ -673,7 +663,6 @@ def verify_entry(
     return EntryResult(
         name=entry.name,
         dim=a.dim,
-        commutative=comm,
         jordan_ok=jordan_ok,
         violation=violation,
         computed_aut=aut,
@@ -694,7 +683,7 @@ def _deep_checks(
     exp = entry.expected
     h2 = b2 = None
     if exp.h2 is not None:
-        h2 = cocycle_space(a).h2_dim
+        h2 = h2_dims(a).h2_dim
         if exp.h2 == "zero" and h2 != 0:
             failures.append(f"h2: expected 0, computed {h2}")
         elif exp.h2 == "nonzero" and h2 == 0:

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 from . import catalog as cat
 from .algebra import Algebra, AlgebraError, parse_linear_combination
-from .cohomology import cocycle_space
 from .invariants import (
     Fingerprint,
     annihilator,
@@ -31,6 +30,7 @@ from .invariants import (
     difference_message,
     fingerprint,
     first_fingerprint_difference,
+    h2_dims,
     nilpotency_type,
     power_profile,
     radical_split,
@@ -205,7 +205,7 @@ def cmd_peirce(args) -> int:
 
 def cmd_h2(args) -> int:
     [(_, a)] = _lookup_named(args.dir, args.name)
-    cs = cocycle_space(a)
+    cs = h2_dims(a)
     print(f"z2={cs.z2_dim} b2={cs.b2_dim} h2={cs.h2_dim}")
     return 0
 

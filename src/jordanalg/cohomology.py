@@ -23,7 +23,9 @@ The dense size of the cocycle system, n^2 C(n+2, 3) rows times
 n^2 (n+1)/2 unknowns, grows like n^8 / 12.  `check_cocycle_cells` estimates
 it before the Jordan scan and the assembly, and a system above
 `MAX_COCYCLE_CELLS` is refused with an AlgebraError instead of running for
-hours; `fingerprint` runs the same check before its other invariants.
+hours.  `cocycle_space` works on the table as given; `invariants.h2_dims`
+runs the same check first and reads the same dimensions on a sparser
+isomorphic table when there is one.
 
 On basis elements b_x, b_y, b_z, b_w of J the M-part of (b_x, b_y, b_z b_w) is
 
@@ -67,9 +69,7 @@ from typing import Sequence
 from .algebra import Algebra, AlgebraError, NonJordanError, _int_products, is_jordan
 from .ratlin import (
     Matrix,
-    Subspace,
     Vector,
-    _int_kernel,
     int_rows_rank,
     unit_vec,
     vec,
@@ -79,8 +79,8 @@ from .ratlin import (
 SymGrid = tuple[tuple[Vector, ...], ...]
 
 # Largest cocycle system, in dense cells (`cocycle_cells`), that
-# `cocycle_space` and `cocycle_subspaces` assemble: every table of
-# dimension up to 12 (4.9e7 cells) passes, dimension 13 (9.1e7) is refused.
+# `_cocycle_system` assembles for `cocycle_space`: every table of dimension
+# up to 12 (4.9e7 cells) passes, dimension 13 (9.1e7) is refused.
 # Measured on Python 3.11, 2-CPU x86_64: the identity spin factor of dim 12
 # takes 1.3 s and 57 MB; in a dense basis, dims 9 and 10 take 2.4 s / 114 MB
 # and 6.8 s / 240 MB, and each further dimension about 3x the time and 2x
@@ -292,19 +292,6 @@ def _complement_columns(a: Algebra) -> list[int]:
     n = a.dim
     pivots = a._coboundary_echelon
     return [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
-
-
-def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
-    """(Z2, B2) as subspaces of the flattened symmetric-map coordinates."""
-    nunk, cols, rows = _cocycle_system(a)
-    b2 = list(a._coboundary_echelon.values())
-    meet = []  # Z2 meet C, with zeros put back on the pivot columns
-    for k in _int_kernel(rows, len(cols)):
-        v = [0] * nunk
-        for c, x in zip(cols, k):
-            v[c] = x
-        meet.append(v)
-    return Subspace.span(nunk, b2 + meet), Subspace.span(nunk, b2)
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:

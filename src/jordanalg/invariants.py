@@ -12,13 +12,14 @@ The `Fingerprint` record collects every invariant used to separate algebras,
 totally ordered by a fixed field order so fingerprint sets deduplicate
 deterministically.  Its fields are isomorphism invariants, so any basis
 gives the same record.  The derivation, centroid and H2 systems cost more
-the more nonzero structure constants a table has, so `fingerprint` reads
-those three dimensions on `_adapted_table`: the table in a basis built
-from the radical and the right powers, both already kept on the algebra,
-and split into the Peirce spaces of an idempotent lifted from the unit of
-J / rad J, when it is sparser than the given one.  A table entered in a
-dense basis is thus fingerprinted on sparser systems; the catalog bases
-are adapted already and are used as they are.
+the more nonzero structure constants a table has, so `h2_dims`, the one
+entry point for H2, and `fingerprint` read them on `_adapted_table`: the
+table in a basis built from the radical and the right powers, both already
+kept on the algebra, and split into the Peirce spaces of an idempotent
+lifted from the unit of J / rad J, when it is sparser than the given one.
+The catalog bases are adapted already and are used as they are.  The
+public `derivation_dim`, `centroid_dim` and `cocycle_space` work on the
+table as given.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .algebra import (
     per_algebra,
     product_span,
 )
-from .cohomology import check_cocycle_cells, cocycle_space
+from .cohomology import CocycleSpace, check_cocycle_cells, cocycle_space
 from .ratlin import (
     ZERO,
     Matrix,
@@ -548,37 +549,51 @@ def _independent_rows(rows, n: int) -> list[list[int]]:
     return kept
 
 
-def _adapted_table(a: Algebra) -> Algebra:
+@per_algebra
+def _sparser_table(a: Algebra) -> Optional[Algebra]:
     """`a` in the basis of `_adapted_basis` when that table has fewer nonzero
-    structure constants than a's own, else `a` itself.  The two are
-    isomorphic, so every invariant of one is that of the other, and the
-    new table takes a's Jordan verdict instead of a second scan."""
+    structure constants than a's own, else None (never `a`, whose memo would
+    then hold `a`: a reference cycle).  The two are isomorphic, so every
+    invariant of one is that of the other, and the new table takes a's
+    Jordan verdict instead of a second scan."""
     p = _adapted_basis(a)
     if p is None:
-        return a
+        return None
     b = change_basis(a, p)
     b.__dict__["_jordan_defect"] = a._jordan_defect  # b is a in another basis
-    return b if _nonzero_constants(b) < _nonzero_constants(a) else a
+    return b if _nonzero_constants(b) < _nonzero_constants(a) else None
+
+
+def _adapted_table(a: Algebra) -> Algebra:
+    """`_sparser_table(a)` if there is one, else `a`."""
+    return _sparser_table(a) or a
+
+
+def h2_dims(a: Algebra) -> CocycleSpace:
+    """`cocycle_space` of `_adapted_table(a)`: the same dimensions as on `a`,
+    from a sparser system.  A table too large for it, then a non-Jordan
+    table, is refused before the radical split."""
+    check_cocycle_cells(a)
+    if not is_jordan(a):
+        raise NonJordanError("cocycles are only computed for Jordan algebras")
+    return cocycle_space(_adapted_table(a))
 
 
 def fingerprint(a: Algebra) -> Fingerprint:
     """Assemble the invariant record of a Jordan algebra, `b2_embeds` unset.
 
-    Each invariant is computed once: `dim_der` is n^2 - dim B2 from
-    `cocycle_space`, and the radical record, the semisimple quotient and
-    the first annihilator quotient when Ann J = rad J come from the one
-    `radical_split` kept on the algebra.  `dim_der`, `dim_centroid` and
-    `dim_h2` are read on `_adapted_table(a)`, whose sparser constants make
-    their linear systems cheaper; every other field is computed on `a`.  A
-    table whose cocycle system `cocycle_space` would refuse is refused
-    first, before any of that work.
+    Each invariant is computed once: `dim_h2` and `dim_der` = n^2 - dim B2
+    come from `h2_dims`, `dim_centroid` is read on the same
+    `_adapted_table(a)`, and the radical record, the semisimple quotient
+    and the first annihilator quotient when Ann J = rad J come from the one
+    `radical_split` kept on the algebra.  A table whose cocycle system
+    `h2_dims` would refuse is refused first, before any of that work.
     """
     check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
     _, rad_alg, quot = radical_split(a)
-    b = _adapted_table(a)
-    cocycles = cocycle_space(b)
+    cocycles = h2_dims(a)
     return Fingerprint(
         dim=a.dim,
         power_profile=power_profile(a),
@@ -586,7 +601,7 @@ def fingerprint(a: Algebra) -> Fingerprint:
         unital=find_identity(a) is not None,
         associative=is_associative(a),
         dim_der=a.dim * a.dim - cocycles.b2_dim,
-        dim_centroid=centroid_dim(b),
+        dim_centroid=centroid_dim(_adapted_table(a)),
         dim_h2=cocycles.h2_dim,
         rad_record=radical_record(rad_alg),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),

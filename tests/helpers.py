@@ -20,7 +20,7 @@ from jordanalg.catalog import (
     CatalogParseError,
     Expected,
 )
-from jordanalg.cohomology import SymGrid, grid_from_function
+from jordanalg.cohomology import SymGrid, _cocycle_system, grid_from_function
 from jordanalg.peirce import eigenspace, peirce_multi_unitalized, peirce_single
 from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
@@ -38,6 +38,7 @@ from jordanalg.ratlin import (
     Matrix,
     Subspace,
     Vector,
+    _int_kernel,
     invert,
     kernel,
     rank as matrix_rank,
@@ -66,6 +67,21 @@ def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
             grid[q][p] = entry
             pos += n
     return tuple(tuple(row) for row in grid)
+
+
+def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
+    """(Z2, B2) as subspaces of the flattened symmetric-map coordinates,
+    from the system `cohomology.cocycle_space` cuts, so a table over
+    `MAX_COCYCLE_CELLS` is refused alike."""
+    nunk, cols, rows = _cocycle_system(a)
+    b2 = list(a._coboundary_echelon.values())
+    meet = []  # Z2 meet C, with zeros put back on the pivot columns
+    for k in _int_kernel(rows, len(cols)):
+        v = [0] * nunk
+        for c, x in zip(cols, k):
+            v[c] = x
+        meet.append(v)
+    return Subspace.span(nunk, b2 + meet), Subspace.span(nunk, b2)
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:

@@ -27,7 +27,7 @@ from jordanalg.catalog import (
     resolve_all,
     verify_catalog,
 )
-from jordanalg.cohomology import cocycle_space, cocycle_subspaces
+from jordanalg.cohomology import cocycle_space
 from jordanalg.invariants import (
     annihilator,
     derivation_dim,
@@ -50,7 +50,7 @@ from jordanalg.polysolve import (
 )
 from jordanalg.ratlin import Matrix
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import sweep_peirce_rules, sweep_radical_peirce_products
+from helpers import cocycle_subspaces, sweep_peirce_rules, sweep_radical_peirce_products
 
 F = Fraction
 HALF = F(1, 2)

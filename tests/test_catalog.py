@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, direct_sum
+from jordanalg.algebra import Algebra, AlgebraError, direct_sum
 from jordanalg.catalog import (
     MAX_CATALOG_DIM,
     CatalogError,
@@ -18,6 +18,7 @@ from jordanalg.catalog import (
     serialize,
     serialize_entry,
     verify_catalog,
+    verify_entry,
 )
 
 F = Fraction
@@ -237,7 +238,16 @@ def test_serialize_rejects_noncommutative():
 def test_verify_catalog_no_fatal(entries):
     report = verify_catalog(entries)
     assert not report.fatal
-    assert all(r.jordan_ok and r.commutative for r in report.results)
+    assert all(r.jordan_ok for r in report.results)
+
+
+def test_verify_entry_refuses_a_noncommutative_table():
+    # catalog tables are mirrored, so commutative; a table built in code
+    # with y*x = y and x*y = 0 is refused, not reported
+    a = Algebra.from_products(("x", "y"), {("y", "x"): {"y": 1}}, symmetric=False)
+    [entry] = parse_catalog("algebra N\n  dim 2\n  basis x y\nend\n")
+    with pytest.raises(AlgebraError):
+        verify_entry(entry, a, {})
 
 
 def test_verify_reports_mismatch_with_both_values():

@@ -67,11 +67,11 @@ def test_verify_deep(capsys):
 
 
 def test_verify_deep_computes_h2_and_b2_once(capsys, monkeypatch, entries, env):
-    # each qualifying entry gets one cocycle_space and one embeds_b2 call;
+    # each qualifying entry gets one h2_dims and one embeds_b2 call;
     # the calls inside fingerprint belong to the radical-type check
-    from jordanalg import catalog, cli, cohomology, polysolve
+    from jordanalg import catalog, cli, invariants, polysolve
 
-    calls = {"cocycle_space": Counter(), "embeds_b2": Counter()}
+    calls = {"h2_dims": Counter(), "embeds_b2": Counter()}
     name_of = {env[e.name].table: e.name for e in entries}
 
     def counting(name, original):
@@ -82,16 +82,16 @@ def test_verify_deep_computes_h2_and_b2_once(capsys, monkeypatch, entries, env):
 
         return wrapper
 
-    for module, name in ((cohomology, "cocycle_space"), (polysolve, "embeds_b2")):
+    for module, name in ((invariants, "h2_dims"), (polysolve, "embeds_b2")):
         wrapper = counting(name, getattr(module, name))
         monkeypatch.setattr(module, name, wrapper)
         monkeypatch.setattr(cli, name, wrapper)
         monkeypatch.setattr(catalog, name, wrapper)
     code, out, _ = run(capsys, "verify", "--deep")
     assert code == 0
-    assert calls["cocycle_space"] == Counter(e.name for e in entries if e.expected.h2)
+    assert calls["h2_dims"] == Counter(e.name for e in entries if e.expected.h2)
     assert calls["embeds_b2"] == Counter(e.name for e in entries if e.expected.b2)
-    assert out.count("H2(") == sum(calls["cocycle_space"].values())
+    assert out.count("H2(") == sum(calls["h2_dims"].values())
 
 
 def test_verify_deep_scans_each_algebra_once(capsys, monkeypatch):
@@ -110,7 +110,7 @@ def test_verify_deep_scans_each_algebra_once(capsys, monkeypatch):
 
 def test_verify_deep_echelons_delta1_once_per_algebra(capsys, monkeypatch):
     # the delta^1 echelon is cached on the algebra, so the aut column's
-    # derivation_dim and the h2 check's cocycle_space share one echelon
+    # derivation_dim and the h2 check's h2_dims share one echelon
     from jordanalg import algebra
 
     built = []

@@ -23,7 +23,6 @@ from jordanalg.cohomology import (
     cocycle_cells,
     coboundary,
     cocycle_space,
-    cocycle_subspaces,
     grid_from_function,
     grid_to_vec,
     null_extension,
@@ -31,7 +30,7 @@ from jordanalg.cohomology import (
 from jordanalg.invariants import derivation_dim, fingerprint
 from jordanalg.ratlin import Matrix, _int_kernel, _int_row, int_rows_rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import reference_cocycle_rows, vec_to_grid, zero_grid
+from helpers import cocycle_subspaces, reference_cocycle_rows, vec_to_grid, zero_grid
 
 F = Fraction
 

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +14,12 @@ from jordanalg.algebra import (
     matrix_algebra,
     per_algebra,
 )
-from jordanalg.cohomology import cocycle_space
+from jordanalg.cohomology import (
+    MAX_COCYCLE_CELLS,
+    CocycleSpace,
+    cocycle_cells,
+    cocycle_space,
+)
 from jordanalg.invariants import (
     NonJordanError,
     NotNilpotentError,
@@ -29,6 +36,7 @@ from jordanalg.invariants import (
     difference_message,
     fingerprint,
     first_fingerprint_difference,
+    h2_dims,
     induced_algebra,
     is_ideal,
     lcs_chain,
@@ -507,10 +515,11 @@ def degenerate_spin_factors():
 
 
 def test_adapted_table_gives_the_dimensions_of_the_table_itself(env, dense_env):
-    # dim_h2, dim_der and dim_centroid of a fingerprint are read on the
-    # adapted table; they equal the values computed on the table itself, on
-    # the catalog in two seeded dense bases and on spin factors in a dense
-    # basis, and the adapted table is isomorphic to it by the adapted basis
+    # dim_h2, dim_der and dim_centroid of a fingerprint, and h2_dims, are
+    # read on the adapted table; they equal the values computed on the table
+    # itself, on the catalog in two seeded dense bases and on spin factors in
+    # a dense basis, and the adapted table is isomorphic to it by the
+    # adapted basis
     rng = seeded_rng("adapted-dense")
     cases = [fresh(b) for b, _ in dense_env.values()]
     cases += [change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))
@@ -523,6 +532,7 @@ def test_adapted_table_gives_the_dimensions_of_the_table_itself(env, dense_env):
         cs = cocycle_space(a)
         assert (fp.dim_h2, fp.dim_der, fp.dim_centroid) == (
             cs.h2_dim, derivation_dim(a), centroid_dim(a)), a.labels
+        assert h2_dims(a) == cs, a.labels
         b = _adapted_table(a)
         if b is not a:
             adapted += 1
@@ -629,3 +639,78 @@ def test_a_dense_table_is_scanned_for_the_jordan_identity_once(env, monkeypatch)
          ("n1", "n1"): {"n2": 1}, ("n1", "n2"): {"n3": 1}})
     with pytest.raises(NonJordanError):
         fingerprint(dense_basis(bad, "one-scan-bad")[0])
+
+
+def ci_dense_basis(a):
+    """`a` in the basis of the console step's dense `J56+J59` file: the
+    columns of p, p[i][j] = (3 i j + i + 2 j) mod 11 - 5."""
+    n = a.dim
+    return change_basis(a, Matrix.from_rows(
+        [[(3 * i * j + i + 2 * j) % 11 - 5 for j in range(n)] for i in range(n)]))
+
+
+def test_h2_dims_of_dense_tables_of_higher_dimension(large_algebras):
+    # h2_dims reads the adapted table; the basis-literal cocycle_space of
+    # the given table is the reference
+    for name in ("J56+T5", "J56+J59"):
+        b = ci_dense_basis(large_algebras[name])
+        assert h2_dims(b) == cocycle_space(fresh(b)), name
+
+
+def test_h2_dims_hands_cocycle_space_a_sparser_table(large_algebras, monkeypatch):
+    import jordanalg.invariants as inv
+
+    handed = []
+    monkeypatch.setattr(inv, "cocycle_space",
+                        lambda t, _orig=inv.cocycle_space: handed.append(t) or _orig(t))
+    b = ci_dense_basis(large_algebras["J56+J59"])
+    assert h2_dims(b) == CocycleSpace(59, 56, 3)
+    assert len(handed) == 1
+    assert _nonzero_constants(handed[0]) < _nonzero_constants(b)
+
+
+def test_h2_dims_refuses_a_13_dimensional_table_before_the_jordan_scan(monkeypatch):
+    import jordanalg.algebra as alg
+
+    scans = []
+    monkeypatch.setattr(alg, "_int_defect_scan", lambda b: scans.append(b))
+    n = 13
+    a = Algebra.from_products(tuple(f"n{i}" for i in range(n)), {("n0", "n0"): {"n1": 1}})
+    with pytest.raises(AlgebraError) as exc:
+        h2_dims(a)
+    assert f"{cocycle_cells(n):,}" in str(exc.value)
+    assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value)
+    assert scans == []
+
+
+def test_fingerprint_and_h2_dims_share_one_change_basis(env, monkeypatch):
+    import jordanalg.invariants as inv
+
+    built = []
+    monkeypatch.setattr(inv, "change_basis",
+                        lambda a, p, _orig=inv.change_basis: built.append(a) or _orig(a, p))
+    b, _ = dense_basis(env["J56"], "share-change-basis")
+    fp = fingerprint(b)
+    assert h2_dims(b).h2_dim == fp.dim_h2
+    assert built == [b]
+
+
+def test_a_fingerprinted_algebra_is_freed_by_reference_counting(env):
+    # the memo of the adapted table holds the sparser table or None, never
+    # the algebra itself, so no reference cycle keeps it alive: one table
+    # that gets a sparser basis and one that keeps its own
+    dense, _ = dense_basis(env["J56"], "freed-dense")
+    assert _adapted_table(dense) is not dense
+    cases = [dense, fresh(env["J56"])]
+    del dense
+    gc.disable()
+    try:
+        for i in range(len(cases)):
+            a = cases.pop()
+            fingerprint(a)
+            h2_dims(a)
+            ref = weakref.ref(a)
+            del a
+            assert ref() is None, i
+    finally:
+        gc.enable()

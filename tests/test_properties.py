@@ -9,11 +9,7 @@ from jordanalg.algebra import (
     is_commutative,
     is_jordan,
 )
-from jordanalg.cohomology import (
-    coboundary,
-    cocycle_subspaces,
-    null_extension,
-)
+from jordanalg.cohomology import coboundary, null_extension
 from jordanalg.invariants import (
     annihilator,
     induced_algebra,
@@ -28,7 +24,7 @@ from jordanalg.invariants import (
 )
 from jordanalg.ratlin import Matrix, vec
 from conftest import seeded_rng
-from helpers import zero_grid
+from helpers import cocycle_subspaces, zero_grid
 
 F = Fraction
 
