@@ -23,13 +23,8 @@ sums the terms of a product line per label and builds the table with
 reference previously defined names.  The recorded `expect` values are
 transcribed as-is from the source tables; verification recomputes every
 invariant and reports disagreements as errata rather than editing the
-records.  The one exception is `expect peirce`: `verify` ignores it, and
-only the test suite checks it, through `check_peirce_placements`.  The 78
-recorded placements take about half the time of `verify --deep` itself
-(46 ms against 93 ms in process, best of five, Python 3.11 on a shared 2-CPU
-x86_64 host), so checking them in `verify` would grow the `catalog`
-workload's `certify_s` far past the 15% bound that `BENCHMARK.json` sets
-on it.
+records.  `verify` checks every `expect` kind; `h2`, `b2` and `radical`
+only with `--deep`.
 """
 
 from __future__ import annotations
@@ -43,10 +38,12 @@ from .algebra import (
     _RATIONAL_LITERAL,
     Algebra,
     AlgebraError,
+    NonJordanError,
     commutativity_violation,
     direct_sum,
     find_identity,
     is_associative,
+    is_jordan,
     jordan_violation,
     parse_terms,
 )
@@ -61,9 +58,8 @@ from .invariants import (
     radical,
     radical_split,
 )
-from .peirce import component_of, peirce_multi_unitalized
 from .polysolve import DEFAULT_BUDGET, embeds_b2
-from .ratlin import ZERO
+from .ratlin import HALF
 
 
 class CatalogError(ValueError):
@@ -287,7 +283,7 @@ def _open_entry(line: str, line_no: int, seen: set[str]) -> _OpenEntry:
             raise CatalogParseError(line_no, "empty summand in sum expression")
     else:
         name, summands = header, None
-    if not name or " " in name:
+    if _unreadable(name, "="):  # the rule by which `serialize_entry` writes names
         raise CatalogParseError(line_no, "bad algebra name")
     if name in seen:
         raise CatalogParseError(line_no, f"duplicate algebra name {name!r}")
@@ -656,6 +652,9 @@ def verify_entry(
                 mismatches.append("niltype: algebra is not nilpotent")
             elif (nt := nilpotency_type(a)) != exp.niltype:
                 mismatches.append(f"niltype: recorded {exp.niltype}, computed {nt}")
+        for label, place, got, ok in check_peirce_placements(entry, a):
+            if not ok:
+                mismatches.append(f"peirce {label}: recorded {place}, computed {got}")
     deep_failures: list[str] = []
     h2 = b2 = None
     if deep and jordan_ok:
@@ -735,33 +734,51 @@ def check_peirce_placements(
 ) -> list[tuple[str, str, Optional[str], bool]]:
     """Re-derive each recorded 'label lies in N_place' annotation.
 
-    Every place is read in the grid decomposition of the unital hull
-    relative to the basis idempotents e1..ek plus the complement idempotent
-    (index 0).  A basis idempotent is one labelled `e` and a count; others,
-    such as `e` or `e_2`, have no index for a place to name.  A
-    single-index place names a component for the one basis idempotent e:
-    N0, Nhalf and N1 are N00, N01 and N11 of the family [e].
-    A place that names an index with no basis idempotent is never computed,
-    so its row is a mismatch.  Returns (label, expected, computed, ok) rows.
+    Every place is read in the grid of the unital hull relative to the
+    basis idempotents e1..ek, which must be pairwise orthogonal, plus the
+    complement idempotent (index 0), off the products e_k b in the table
+    rows of the idempotents (Jacobson's characterization of the grid).  A
+    basis idempotent is one labelled `e` and a count; others, such as `e` or
+    `e_2`, have no index for a place to name.  A single-index place names a
+    component for the one basis idempotent e: N0, Nhalf and N1 are N00, N01
+    and N11 of the family [e].  A place that names an index with no basis
+    idempotent is never computed, so its row is a mismatch.  Returns
+    (label, expected, computed, ok) rows.
     """
     if not entry.expected.peirce:
         return []
     idem = {}
     for i, label in enumerate(a.labels):
         if a.table[i][i] == a.basis_vector(i) and label[:1] == "e" and _is_count(label[1:]):
-            idem[int(label[1:])] = a.basis_vector(i)
+            idem[int(label[1:])] = i
     if len(idem) != 1 and any(p in _SINGLE_PLACES.values() for _, p in entry.expected.peirce):
         raise CatalogError(f"{entry.name}: single-index places need one idempotent")
+    if not is_jordan(a):
+        raise NonJordanError("Peirce decomposition requires a Jordan algebra")
     shown = [0] + sorted(idem)  # the index that places use, by family position
-    decomp, _ = peirce_multi_unitalized(a, [idem[k] for k in shown[1:]])
+    family = [idem[k] for k in shown[1:]]
+    for x, i in enumerate(family):
+        for j in family[x + 1:]:
+            if any(a.table[i][j]):
+                raise CatalogError(f"{entry.name}: basis idempotents {a.labels[i]}"
+                                   f" and {a.labels[j]} are not orthogonal")
     results = []
     for label, place in entry.expected.peirce:
-        got = component_of(decomp, tuple(a.basis_vector(a.label_index(label))) + (ZERO,))
-        if got is None:
+        if label not in a.labels:
+            raise CatalogError(f"{entry.name}: unknown basis label {label!r} in expect peirce")
+        v = a.labels.index(label)
+        # b = b_v lies in N_pq when e_p b = c_p b for every family position p,
+        # c_0 = 1 - sum c_k for the complement, and either c_p = c_q = 1/2
+        # (p < q) or c_p = 1 (p = q), every other c being 0
+        prods = [a.table[i][v] for i in family]
+        cs = [prod[v] for prod in prods]
+        cs.insert(0, 1 - sum(cs))
+        held = [p for p, c in enumerate(cs) if c]
+        if any(any(prod[:v] + prod[v + 1:]) for prod in prods) or not {0, HALF, 1} >= set(cs):
             display = None
         elif place in _SINGLE_PLACES.values():
-            display = _SINGLE_PLACES[got]
+            display = _SINGLE_PLACES[held[0], held[-1]]
         else:
-            display = f"N{shown[got[0]]}{shown[got[1]]}"
+            display = f"N{shown[held[0]]}{shown[held[-1]]}"
         results.append((label, place, display, display == place))
     return results

@@ -23,10 +23,9 @@ from .algebra import (
     find_identity,
     is_jordan,
     product_span,
-    unitalization,
 )
 from .ratlin import (
-    HALF, ONE, ZERO, Subspace, Vector, _int_kernel, _int_vec, is_zero_vec, rat, sub_vec, vec,
+    HALF, ONE, ZERO, Subspace, Vector, _int_kernel, _int_vec, is_zero_vec, rat, vec,
 )
 
 
@@ -154,31 +153,3 @@ def peirce_multi(a: Algebra, es: Sequence[Sequence[Fraction]]) -> PeirceDecompos
         raise PeirceSpectrumError("Peirce grid does not cover the space")
     _check_peirce_law(a, {(i, j): (f"J{i}{j}", s) for (i, j), s in comps.items()})
     return PeirceDecomposition(tuple(es), comps)
-
-
-def peirce_multi_unitalized(
-    a: Algebra, es: Sequence[Sequence[Fraction]]
-) -> tuple[PeirceDecomposition, Algebra]:
-    """Grid decomposition inside the unital hull a + k*1.
-
-    The idempotent family becomes [e0, e1, ..., ek] with e0 = 1 - sum(e_i)
-    the complement idempotent, so component indices match the convention
-    that index 0 refers to the complement.  Returns the decomposition and
-    the unital hull (elements of `a` embed with a trailing 0 coordinate).
-    """
-    hull = unitalization(a)
-    lifted = [tuple(e) + (ZERO,) for e in (vec(e) for e in es)]
-    unit = hull.basis_vector(hull.dim - 1)
-    e0 = unit
-    for e in lifted:
-        e0 = sub_vec(e0, e)
-    family = [e0] + lifted
-    return peirce_multi(hull, family), hull
-
-
-def component_of(decomp: PeirceDecomposition, v: Sequence[Fraction]):
-    """Key of the unique component containing v, or None."""
-    for key, space in decomp.components.items():
-        if space.contains_vector(v):
-            return key
-    return None

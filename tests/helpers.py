@@ -11,17 +11,21 @@ from jordanalg.algebra import (
     is_jordan,
     parse_terms,
     product_span,
+    unitalization,
 )
 from jordanalg.catalog import (
     FLAG_NAMES,
     MAX_CATALOG_DIM,
     PEIRCE_PLACES,
+    _SINGLE_PLACES,
     CatalogEntry,
+    CatalogError,
     CatalogParseError,
     Expected,
+    _is_count,
 )
 from jordanalg.cohomology import SymGrid, _cocycle_system, grid_from_function
-from jordanalg.peirce import eigenspace, peirce_multi_unitalized, peirce_single
+from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peirce_single
 from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
     NonJordanError,
@@ -104,6 +108,109 @@ def from_coords(s: Subspace, coeffs: Sequence[Fraction]) -> Vector:
             for j, x in enumerate(row):
                 out[j] += c * x
     return tuple(out)
+
+
+# The Peirce grid of the unital hull, and the placement reading that
+# `catalog.check_peirce_placements` must match.
+
+def peirce_multi_unitalized(
+    a: Algebra, es: Sequence[Sequence[Fraction]]
+) -> tuple[PeirceDecomposition, Algebra]:
+    """Grid decomposition inside the unital hull a + k*1.
+
+    The idempotent family becomes [e0, e1, ..., ek] with e0 = 1 - sum(e_i)
+    the complement idempotent, so component indices match the convention
+    that index 0 refers to the complement.  Returns the decomposition and
+    the unital hull (elements of `a` embed with a trailing 0 coordinate).
+    """
+    hull = unitalization(a)
+    lifted = [tuple(e) + (ZERO,) for e in (vec(e) for e in es)]
+    unit = hull.basis_vector(hull.dim - 1)
+    e0 = unit
+    for e in lifted:
+        e0 = sub_vec(e0, e)
+    family = [e0] + lifted
+    return peirce_multi(hull, family), hull
+
+
+def component_of(decomp: PeirceDecomposition, v: Sequence[Fraction]):
+    """Key of the unique component containing v, or None."""
+    for key, space in decomp.components.items():
+        if space.contains_vector(v):
+            return key
+    return None
+
+
+def reference_peirce_placements(
+    entry: CatalogEntry, a: Algebra
+) -> list[tuple[str, str, Optional[str], bool]]:
+    """Re-derive each recorded 'label lies in N_place' annotation.
+
+    Every place is read in the grid decomposition of the unital hull
+    relative to the basis idempotents e1..ek plus the complement idempotent
+    (index 0).  A basis idempotent is one labelled `e` and a count; others,
+    such as `e` or `e_2`, have no index for a place to name.  A
+    single-index place names a component for the one basis idempotent e:
+    N0, Nhalf and N1 are N00, N01 and N11 of the family [e].
+    A place that names an index with no basis idempotent is never computed,
+    so its row is a mismatch.  Returns (label, expected, computed, ok) rows.
+    """
+    if not entry.expected.peirce:
+        return []
+    idem = {}
+    for i, label in enumerate(a.labels):
+        if a.table[i][i] == a.basis_vector(i) and label[:1] == "e" and _is_count(label[1:]):
+            idem[int(label[1:])] = a.basis_vector(i)
+    if len(idem) != 1 and any(p in _SINGLE_PLACES.values() for _, p in entry.expected.peirce):
+        raise CatalogError(f"{entry.name}: single-index places need one idempotent")
+    shown = [0] + sorted(idem)  # the index that places use, by family position
+    decomp, _ = peirce_multi_unitalized(a, [idem[k] for k in shown[1:]])
+    results = []
+    for label, place in entry.expected.peirce:
+        got = component_of(decomp, tuple(a.basis_vector(a.label_index(label))) + (ZERO,))
+        if got is None:
+            display = None
+        elif place in _SINGLE_PLACES.values():
+            display = _SINGLE_PLACES[got]
+        else:
+            display = f"N{shown[got[0]]}{shown[got[1]]}"
+        results.append((label, place, display, display == place))
+    return results
+
+
+# One-entry catalogs whose `expect peirce` record is wrong or unreadable.
+
+WRONG_PLACE = """algebra W
+  dim 2
+  basis e1 n1
+  e1*e1 = e1
+  e1*n1 = 1/2 n1
+  expect peirce n1 N11
+end
+"""
+# e2 is the unit and e1 an idempotent under it: a Jordan table whose two
+# basis idempotents are not orthogonal
+NOT_ORTHOGONAL = """algebra O
+  dim 2
+  basis e1 e2
+  e1*e1 = e1
+  e2*e2 = e2
+  e1*e2 = e1
+  expect peirce e1 N11
+end
+"""
+UNKNOWN_LABEL = WRONG_PLACE.replace("peirce n1 N11", "peirce q N01")
+NOT_JORDAN = """algebra Bad
+  dim 4
+  basis e1 n1 n2 n3
+  e1*e1 = e1
+  e1*n1 = 1/2 n1
+  e1*n3 = 1/2 n3
+  n1*n1 = n2
+  n1*n2 = n3
+  expect peirce n1 N01
+end
+"""
 
 
 def table_idempotents(a):

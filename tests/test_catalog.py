@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, AlgebraError, direct_sum
+from jordanalg.algebra import Algebra, AlgebraError, NonJordanError, direct_sum
 from jordanalg.catalog import (
     MAX_CATALOG_DIM,
     CatalogError,
@@ -19,6 +19,14 @@ from jordanalg.catalog import (
     serialize_entry,
     verify_catalog,
     verify_entry,
+    _is_count,
+)
+from helpers import (
+    NOT_JORDAN,
+    NOT_ORTHOGONAL,
+    UNKNOWN_LABEL,
+    WRONG_PLACE,
+    reference_peirce_placements,
 )
 
 F = Fraction
@@ -122,6 +130,18 @@ def test_dimension_limit(env):
         resolve_expr(["J1"] * 4 + ["F1"], env)
     # algebras built in code are not limited
     assert direct_sum(resolve(entry, {}), env["F1"]).dim == MAX_CATALOG_DIM + 1
+
+
+def test_parse_refuses_a_name_that_does_not_read_back():
+    # the parser takes a name by the rule `serialize_entry` writes it by: a
+    # tab or other whitespace in it is refused, as a space is
+    for bad in ("X\tY", "X\u00a0Y", "X\u2003Y", "X Y"):
+        with pytest.raises(CatalogParseError, match="^line 1: bad algebra name$"):
+            parse_catalog(f"algebra {bad}\n  dim 1\n  basis x\nend\n")
+        with pytest.raises(CatalogParseError, match="^line 1: bad algebra name$"):
+            parse_catalog(f"algebra {bad} = F1\nend\n")
+    (entry,) = parse_catalog("algebra X_2'\n  dim 1\n  basis x\nend\n")
+    assert entry.name == "X_2'"
 
 
 def test_parse_rejects_repeated_product_pair():
@@ -343,6 +363,58 @@ def test_single_places_are_the_grid_of_one_idempotent(entries, env):
         assert rows == [(label, grid[p], grid[p], True) for label, p in places], entry.name
         checked += len(rows)
     assert checked == 36
+
+
+def test_peirce_reader_matches_the_hull_grid(entries, env):
+    # every basis label of every entry, as a grid place, and as a single
+    # place where the entry has one basis idempotent, reads as in the grid
+    # of the unital hull
+    singles = 0
+    for entry in entries:
+        a = env[entry.name]
+        places = ["N00"]
+        if sum(l[:1] == "e" and _is_count(l[1:]) and a.table[i][i] == a.basis_vector(i)
+               for i, l in enumerate(a.labels)) == 1:
+            places.append("N0")
+            singles += 1
+        for place in places:
+            probe = entry._replace(expected=entry.expected._replace(
+                peirce=tuple((label, place) for label in a.labels)))
+            rows = check_peirce_placements(probe, a)
+            assert len(rows) == a.dim
+            assert rows == reference_peirce_placements(probe, a), (entry.name, place)
+    assert singles > 0
+
+
+def placements_of(text):
+    (entry,) = parse_catalog(text)
+    return check_peirce_placements(entry, resolve(entry, {}))
+
+
+def test_a_basis_element_across_two_peirce_spaces_is_in_no_place():
+    # m = e1 + n1 for B2's e1, n1: e1 m = (e1 + m)/2 is no multiple of m
+    (entry,) = parse_catalog("algebra M\n  dim 2\n  basis e1 m\n  e1*e1 = e1\n"
+                             "  e1*m = 1/2 e1 + 1/2 m\n  m*m = m\n"
+                             "  expect peirce m N01\n  expect peirce e1 N11\nend\n")
+    a = resolve(entry, {})
+    rows = [("m", "N01", None, False), ("e1", "N11", "N11", True)]
+    assert check_peirce_placements(entry, a) == reference_peirce_placements(entry, a) == rows
+    assert verify_catalog([entry]).errata == [("M", "peirce m: recorded N01, computed None")]
+
+
+def test_hostile_peirce_records():
+    # a wrong place is a mismatch row; a record that cannot be read at all
+    # raises an error that names the entry
+    assert placements_of(WRONG_PLACE) == [("n1", "N11", "N01", False)]
+    with pytest.raises(CatalogError,
+                       match="^O: basis idempotents e1 and e2 are not orthogonal$"):
+        placements_of(NOT_ORTHOGONAL)
+    with pytest.raises(CatalogError,
+                       match="^W: unknown basis label 'q' in expect peirce$"):
+        placements_of(UNKNOWN_LABEL)
+    with pytest.raises(NonJordanError,
+                       match="^Peirce decomposition requires a Jordan algebra$"):
+        placements_of(NOT_JORDAN)
 
 
 def test_labels_override_length_checked(env):

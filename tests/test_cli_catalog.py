@@ -12,6 +12,7 @@ import pytest
 
 from jordanalg import catalog, cli
 from jordanalg.cli import main
+from helpers import NOT_JORDAN, NOT_ORTHOGONAL, UNKNOWN_LABEL, WRONG_PLACE
 
 NAME_COMMANDS = (("h2", "J1"), ("show", "F1"), ("invariants", "J73"))
 
@@ -247,3 +248,34 @@ def test_file_entries_see_the_names_defined_before_them(capsys, tmp_path):
     code, out, err = run(capsys, "show", str(f))
     assert (code, err) == (0, "")
     assert out == "algebra Mine\n  dim 2\n  basis m e\n  m*m = m\n  e*e = e\nend\n"
+
+
+def verify_dir(capsys, tmp_path, text):
+    directory = tmp_path / "one"
+    directory.mkdir()
+    (directory / "one.alg").write_text(text)
+    return run(capsys, "verify", "--dir", str(directory))
+
+
+def test_verify_lists_a_wrong_peirce_place(capsys, tmp_path):
+    code, out, err = verify_dir(capsys, tmp_path, WRONG_PLACE)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "W: 1 invariant mismatch(es)  [aut=2 ann=0 sq=2]"
+    assert "  W: peirce n1: recorded N11, computed N01" in out.splitlines()
+
+
+@pytest.mark.parametrize("text, message", (
+    (NOT_ORTHOGONAL, "O: basis idempotents e1 and e2 are not orthogonal"),
+    (UNKNOWN_LABEL, "W: unknown basis label 'q' in expect peirce"),
+), ids=("not_orthogonal", "unknown_label"))
+def test_verify_names_the_entry_of_a_hostile_peirce_record(capsys, tmp_path, text, message):
+    code, out, err = verify_dir(capsys, tmp_path, text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_verify_of_a_non_jordan_table_with_a_peirce_record(capsys, tmp_path):
+    code, out, err = verify_dir(capsys, tmp_path, NOT_JORDAN)
+    # placements are read only on a Jordan table: the scan is fatal first
+    assert (code, err) == (1, "")
+    assert out.startswith("Bad: JORDAN FAIL (quadruple ")
+    assert "peirce" not in out

@@ -7,15 +7,13 @@ from jordanalg.peirce import (
     NotIdempotentError,
     PeirceRuleError,
     _check_peirce_law,
-    component_of,
     eigenspace,
     is_idempotent,
     peirce_multi,
-    peirce_multi_unitalized,
     peirce_single,
 )
 from jordanalg.ratlin import ZERO, Matrix, Subspace, invert, kernel, zero_vec
-from helpers import reference_mul
+from helpers import component_of, peirce_multi_unitalized, reference_mul
 
 F = Fraction
 HALF = F(1, 2)
