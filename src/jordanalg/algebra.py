@@ -14,9 +14,9 @@ denominators, and it is the one cached copy of the table besides `table`
 itself.  `_int_products` is the one routine that multiplies elements.  It
 takes integer rows, which `_int_vec` makes of rational vectors, and gives
 each product times den; `Algebra.mul`, the change of basis, subspace products,
-the coboundary and cocycle rows and the Peirce systems all call it.  The
-annihilator, centroid and trace-form systems are written on the constants
-themselves, as are the associator table and the Jordan scan below.
+the delta^1 and cocycle rows of `cohomology` and the Peirce systems all call
+it.  The annihilator, centroid and trace-form systems are written on the
+constants themselves, as are the associator table and the Jordan scan below.
 
 An associator of basis elements carries two constants, so it scales by
 den**2, and the linearized Jordan defect carries three, so it scales by
@@ -29,7 +29,8 @@ associator is linear in each argument, so it extends to any element.
 All values are immutable and every operation is a pure function.  A
 derived invariant that several callers read is wrapped in `per_algebra`,
 which keeps it next to the cached properties in the algebra's `__dict__`:
-callers call it again rather than pass its value on.
+callers call it again rather than pass its value on.  The delta^1 echelon
+is one, kept by `cohomology`, which owns the cochain space C2(J, J).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
-    _int_echelon,
     _int_vec,
     invert,
     rat,
@@ -199,14 +199,6 @@ class Algebra:
         """`_int_defect_scan` of this table, run once."""
         return _int_defect_scan(self)
 
-    @cached_property
-    def _coboundary_echelon(self) -> dict[int, list[int]]:
-        """`_int_echelon` of `coboundary_int_rows`, run once: pivot column ->
-        row.  Its rows span B2, its size is dim B2 = n^2 - dim Der J, and the
-        unit vectors off its pivot columns span a complement of B2."""
-        n = self.dim
-        return _int_echelon(coboundary_int_rows(self), n * (n + 1) // 2 * n)
-
     def mul(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """u v, from the integer product of d_u u and d_v v: `_int_products`
         scales it by den d_u d_v, which is divided out here."""
@@ -239,40 +231,6 @@ def commutativity_violation(a: Algebra) -> Optional[tuple[int, int]]:
 
 def is_commutative(a: Algebra) -> bool:
     return commutativity_violation(a) is None
-
-
-def coboundary_int_rows(a: Algebra) -> list[list[int]]:
-    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
-
-    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
-    over basis pairs i <= j as in `cohomology.grid_to_vec`, on integer-scaled
-    structure constants: every entry carries one structure constant, so the
-    scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
-    Der J and its image is B2.  Pairs i <= j cover every pair only on a
-    commutative table, so any other raises AlgebraError.
-    """
-    if not is_commutative(a):
-        raise AlgebraError("delta^1 rows cover pairs i <= j only: the table must be commutative")
-    n = a.dim
-    units = [[int(i == k) for k in range(n)] for i in range(n)]
-    prods = _int_products(a, units, units)  # b_i b_j at i n + j
-    rows = []
-    for r in range(n):
-        for s in range(n):
-            row: list[int] = []
-            for i in range(n):
-                for j in range(i, n):
-                    v = [0] * n
-                    if i == s:
-                        for k, x in enumerate(prods[r * n + j]):
-                            v[k] += x
-                    if j == s:
-                        for k, x in enumerate(prods[i * n + r]):
-                            v[k] += x
-                    v[r] -= prods[i * n + j][s]
-                    row.extend(v)
-            rows.append(row)
-    return rows
 
 
 def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], list[int]]]:

@@ -16,9 +16,11 @@ The format is line oriented and bit exact so the files diff cleanly:
       expect b2 yes|no
     end
 
-Counts N and K and niltype parts are ASCII digits.  Omitted products are
-zero and products are mirrored, so only pairs i <= j are listed: `resolve`
-sums the terms of a product line per label and builds the table with
+Counts N and K and niltype parts are ASCII digits.  A label holds no `*`,
+`=`, `+` or `-`, is no rational literal and does not start with `#`, or
+the line that lists it is an error.  Omitted products are zero and
+products are mirrored, so only pairs i <= j are listed: `resolve` sums
+the terms of a product line per label and builds the table with
 `Algebra.from_products`, which mirrors it.  Direct-sum entries may only
 reference previously defined names.  The recorded `expect` values are
 transcribed as-is from the source tables; verification recomputes every
@@ -162,6 +164,9 @@ def _parse_line(line: str) -> tuple[Optional[str], object, Optional[str]]:
         labels = tuple(tokens[1:])
         if len(set(labels)) != len(labels):
             return head, None, "duplicate basis labels" if head == "basis" else "duplicate labels"
+        for label in labels:
+            if _bad_label(label):
+                return head, None, f"bad label {label!r}"
         return head, labels, None
     return None, None, f"unrecognized line {line!r}"
 
@@ -430,12 +435,19 @@ def _unreadable(text: str, breaks: str) -> bool:
     return not text or any(c.isspace() or c in breaks for c in text)
 
 
+def _bad_label(label: str) -> bool:
+    """A basis label that would not read back: one holding whitespace, `*`,
+    `=`, `+` or `-`, a rational literal, or one starting with `#`, which
+    makes its product lines comments.  `parse_catalog` and `serialize`
+    both refuse it."""
+    return (_unreadable(label, "*=+-") or label[0] == "#"
+            or _RATIONAL_LITERAL.fullmatch(label) is not None)
+
+
 def serialize(a: Algebra) -> str:
     """Inline catalog body for a commutative table (round-trips through parse).
     What the parser would not read back raises CatalogError: a dimension
-    above `MAX_CATALOG_DIM`, or a label holding whitespace, `*`, `=`, `+` or
-    `-`, a rational literal, or one starting with `#`, which makes its
-    product lines comments."""
+    above `MAX_CATALOG_DIM`, or a `_bad_label`."""
     if commutativity_violation(a) is not None:
         raise CatalogError("only commutative tables serialize to catalog format")
     if len(set(a.labels)) != a.dim:
@@ -443,7 +455,7 @@ def serialize(a: Algebra) -> str:
     if a.dim > MAX_CATALOG_DIM:
         raise CatalogError(f"dim {a.dim} exceeds the limit {MAX_CATALOG_DIM}")
     for label in a.labels:
-        if _unreadable(label, "*=+-") or label[0] == "#" or _RATIONAL_LITERAL.fullmatch(label):
+        if _bad_label(label):
             raise CatalogError(f"label {label!r} does not read back from catalog format")
     lines = [f"dim {a.dim}", "basis " + " ".join(a.labels)]
     for i in range(a.dim):
@@ -738,19 +750,27 @@ def check_peirce_placements(
     basis idempotents e1..ek, which must be pairwise orthogonal, plus the
     complement idempotent (index 0), off the products e_k b in the table
     rows of the idempotents (Jacobson's characterization of the grid).  A
-    basis idempotent is one labelled `e` and a count; others, such as `e` or
-    `e_2`, have no index for a place to name.  A single-index place names a
-    component for the one basis idempotent e: N0, Nhalf and N1 are N00, N01
-    and N11 of the family [e].  A place that names an index with no basis
-    idempotent is never computed, so its row is a mismatch.  Returns
-    (label, expected, computed, ok) rows.
+    basis idempotent is one labelled `e` and a count, its index, which must
+    be nonzero and its own; others, such as `e` or `e_2`, have no index for
+    a place to name.  A single-index place names a component for the one
+    basis idempotent e: N0, Nhalf and N1 are N00, N01 and N11 of the family
+    [e].  A place that names an index with no basis idempotent is never
+    computed, so its row is a mismatch.  Returns (label, expected, computed,
+    ok) rows.
     """
     if not entry.expected.peirce:
         return []
     idem = {}
     for i, label in enumerate(a.labels):
         if a.table[i][i] == a.basis_vector(i) and label[:1] == "e" and _is_count(label[1:]):
-            idem[int(label[1:])] = i
+            k = int(label[1:])
+            if k == 0:
+                raise CatalogError(f"{entry.name}: basis idempotent {label} has index 0,"
+                                   " which places keep for the complement")
+            if k in idem:
+                raise CatalogError(f"{entry.name}: basis idempotents {a.labels[idem[k]]}"
+                                   f" and {label} share index {k}")
+            idem[k] = i
     if len(idem) != 1 and any(p in _SINGLE_PLACES.values() for _, p in entry.expected.peirce):
         raise CatalogError(f"{entry.name}: single-index places need one idempotent")
     if not is_jordan(a):

@@ -7,8 +7,10 @@ identity (x, y, zw) + (w, y, zx) + (z, y, xw) = 0, ( , , ) the associator.
 Coboundaries are the maps h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear
 mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.  B2 is the
 image of the operator delta^1 : mu -> h_mu, whose kernel is Der J; one
-integer echelon of the delta^1 rows, `Algebra._coboundary_echelon`, gives
-dim B2 as its size and dim Der J = n^2 - dim B2.
+integer echelon of the delta^1 rows, `coboundary_echelon`, kept per
+algebra, gives dim B2 as its size and dim Der J = n^2 - dim B2.  This
+module writes both the delta^1 rows and the cocycle rows, on the
+coordinates of `grid_to_vec`.
 
 Every coboundary is a cocycle, so Z2 = B2 + (Z2 meet C), a direct sum, for
 any complement C of B2.  The unit vectors off the echelon's pivot columns
@@ -66,10 +68,19 @@ from math import comb
 from operator import itemgetter
 from typing import Sequence
 
-from .algebra import Algebra, AlgebraError, NonJordanError, _int_products, is_jordan
+from .algebra import (
+    Algebra,
+    AlgebraError,
+    NonJordanError,
+    _int_products,
+    is_commutative,
+    is_jordan,
+    per_algebra,
+)
 from .ratlin import (
     Matrix,
     Vector,
+    _int_echelon,
     int_rows_rank,
     unit_vec,
     vec,
@@ -79,12 +90,14 @@ from .ratlin import (
 SymGrid = tuple[tuple[Vector, ...], ...]
 
 # Largest cocycle system, in dense cells (`cocycle_cells`), that
-# `_cocycle_system` assembles for `cocycle_space`: every table of dimension
-# up to 12 (4.9e7 cells) passes, dimension 13 (9.1e7) is refused.
-# Measured on Python 3.11, 2-CPU x86_64: the identity spin factor of dim 12
-# takes 1.3 s and 57 MB; in a dense basis, dims 9 and 10 take 2.4 s / 114 MB
-# and 6.8 s / 240 MB, and each further dimension about 3x the time and 2x
-# the memory, so a dense table of dim 13 would take minutes and gigabytes.
+# `cocycle_space` assembles: every table of dimension up to 12 (4.9e7
+# cells) passes, dimension 13 (9.1e7) is refused.  Measured on Python 3.11,
+# shared 2-CPU x86_64, one fresh process per table (`time.process_time`,
+# peak RSS from `resource.getrusage`, 26 MB before the call): the identity
+# spin factor of dim 12 takes 1.3-1.5 s and 58 MB; in a dense basis, dims 9
+# and 10 take 1.3-1.8 s / 105 MB and 4.5-4.8 s / 239 MB, and each further
+# dimension about 3x the time and 2x the memory, so a dense table of dim 13
+# would take minutes and gigabytes.
 MAX_COCYCLE_CELLS = 6 * 10**7
 
 
@@ -144,6 +157,49 @@ def coboundary(a: Algebra, mu: Matrix) -> SymGrid:
         return tuple(x - y for x, y in zip(t, mu.apply(a.table[i][j])))
 
     return grid_from_function(a, entry)
+
+
+def coboundary_int_rows(a: Algebra) -> list[list[int]]:
+    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
+
+    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
+    over basis pairs i <= j as in `grid_to_vec`, on integer-scaled
+    structure constants: every entry carries one structure constant, so the
+    scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
+    Der J and its image is B2.  Pairs i <= j cover every pair only on a
+    commutative table, so any other raises AlgebraError.
+    """
+    if not is_commutative(a):
+        raise AlgebraError("delta^1 rows cover pairs i <= j only: the table must be commutative")
+    n = a.dim
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+    prods = _int_products(a, units, units)  # b_i b_j at i n + j
+    rows = []
+    for r in range(n):
+        for s in range(n):
+            row: list[int] = []
+            for i in range(n):
+                for j in range(i, n):
+                    v = [0] * n
+                    if i == s:
+                        for k, x in enumerate(prods[r * n + j]):
+                            v[k] += x
+                    if j == s:
+                        for k, x in enumerate(prods[i * n + r]):
+                            v[k] += x
+                    v[r] -= prods[i * n + j][s]
+                    row.extend(v)
+            rows.append(row)
+    return rows
+
+
+@per_algebra
+def coboundary_echelon(a: Algebra) -> dict[int, list[int]]:
+    """`_int_echelon` of `coboundary_int_rows`, run once per algebra: pivot
+    column -> row.  Its rows span B2, its size is dim B2 = n^2 - dim Der J,
+    and the unit vectors off its pivot columns span a complement of B2."""
+    n = a.dim
+    return _int_echelon(coboundary_int_rows(a), n * (n + 1) // 2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +327,8 @@ def grid_to_vec(a: Algebra, h: SymGrid) -> Vector:
     return tuple(out)
 
 
-def _cocycle_system(a: Algebra) -> tuple[int, list[int], list[tuple[int, ...]]]:
-    """Unknown count, the columns of `_complement_columns` and the cocycle
-    rows of a Jordan algebra on those columns, which the H2 cut reads.
+def cocycle_space(a: Algebra) -> CocycleSpace:
+    """Dimensions of 2-cocycles, 2-coboundaries and their quotient.
 
     The size of the system is checked first: above `MAX_COCYCLE_CELLS`
     this raises AlgebraError before the Jordan scan and the assembly.
@@ -282,21 +337,7 @@ def _cocycle_system(a: Algebra) -> tuple[int, list[int], list[tuple[int, ...]]]:
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
     n = a.dim
-    cols = _complement_columns(a)
-    return n * (n + 1) // 2 * n, cols, _assemble_cocycle_rows(a, cols)
-
-
-def _complement_columns(a: Algebra) -> list[int]:
-    """The columns off the pivot columns of the delta^1 echelon: the unit
-    vectors on them span the complement C of B2."""
-    n = a.dim
-    pivots = a._coboundary_echelon
-    return [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
-
-
-def cocycle_space(a: Algebra) -> CocycleSpace:
-    """Dimensions of 2-cocycles, 2-coboundaries and their quotient."""
-    _, cols, rows = _cocycle_system(a)
-    b2 = len(a._coboundary_echelon)
-    h2 = len(cols) - int_rows_rank(rows, len(cols))
-    return CocycleSpace(b2 + h2, b2, h2)
+    pivots = coboundary_echelon(a)
+    cols = [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
+    h2 = len(cols) - int_rows_rank(_assemble_cocycle_rows(a, cols), len(cols))
+    return CocycleSpace(len(pivots) + h2, len(pivots), h2)

@@ -19,7 +19,7 @@ kept on the algebra, and split into the Peirce spaces of an idempotent
 lifted from the unit of J / rad J, when it is sparser than the given one.
 The catalog bases are adapted already and are used as they are.  The
 public `derivation_dim`, `centroid_dim` and `cocycle_space` work on the
-table as given.
+table as given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .algebra import (
     per_algebra,
     product_span,
 )
-from .cohomology import CocycleSpace, check_cocycle_cells, cocycle_space
+from .cohomology import CocycleSpace, check_cocycle_cells, coboundary_echelon, cocycle_space
 from .ratlin import (
     ZERO,
     Matrix,
@@ -248,9 +248,9 @@ def derivation_dim(a: Algebra) -> int:
     """dim Der J: D is a derivation iff delta^1(D) = 0, D(xy) = D(x)y + xD(y)
     on basis pairs, so Der J is the kernel of delta^1 and
     dim Der J = n^2 - dim B2, read from the one `_int_echelon` of the
-    delta^1 rows that `Algebra._coboundary_echelon` caches and
-    `cohomology.cocycle_space` shares."""
-    return a.dim * a.dim - len(a._coboundary_echelon)
+    delta^1 rows that `cohomology.coboundary_echelon` keeps on the algebra
+    and `cohomology.cocycle_space` shares."""
+    return a.dim * a.dim - len(coboundary_echelon(a))
 
 
 def centroid_dim(a: Algebra) -> int:

@@ -24,7 +24,13 @@ from jordanalg.catalog import (
     Expected,
     _is_count,
 )
-from jordanalg.cohomology import SymGrid, _cocycle_system, grid_from_function
+from jordanalg.cohomology import (
+    SymGrid,
+    _assemble_cocycle_rows,
+    check_cocycle_cells,
+    coboundary_echelon,
+    grid_from_function,
+)
 from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peirce_single
 from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
@@ -73,12 +79,32 @@ def vec_to_grid(a: Algebra, v: Sequence[Fraction]) -> SymGrid:
     return tuple(tuple(row) for row in grid)
 
 
+def complement_columns(a: Algebra) -> list[int]:
+    """The columns off the pivots of `coboundary_echelon`, the ones that
+    `cohomology.cocycle_space` writes the cocycle rows on."""
+    n = a.dim
+    pivots = coboundary_echelon(a)
+    return [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
+
+
+def cocycle_system(a: Algebra) -> tuple[int, list[int], list[tuple[int, ...]]]:
+    """Unknown count, `complement_columns` and the cocycle rows on them:
+    the system `cohomology.cocycle_space` cuts, with its size check and
+    then its Jordan check before any work."""
+    check_cocycle_cells(a)
+    if not is_jordan(a):
+        raise NonJordanError("cocycles are only computed for Jordan algebras")
+    n = a.dim
+    cols = complement_columns(a)
+    return n * (n + 1) // 2 * n, cols, _assemble_cocycle_rows(a, cols)
+
+
 def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     """(Z2, B2) as subspaces of the flattened symmetric-map coordinates,
     from the system `cohomology.cocycle_space` cuts, so a table over
     `MAX_COCYCLE_CELLS` is refused alike."""
-    nunk, cols, rows = _cocycle_system(a)
-    b2 = list(a._coboundary_echelon.values())
+    nunk, cols, rows = cocycle_system(a)
+    b2 = list(coboundary_echelon(a).values())
     meet = []  # Z2 meet C, with zeros put back on the pivot columns
     for k in _int_kernel(rows, len(cols)):
         v = [0] * nunk
@@ -200,6 +226,27 @@ NOT_ORTHOGONAL = """algebra O
 end
 """
 UNKNOWN_LABEL = WRONG_PLACE.replace("peirce n1 N11", "peirce q N01")
+# e0 would take index 0, which names the complement idempotent in a place
+INDEX_ZERO = """algebra Z
+  dim 2
+  basis e0 n1
+  e0*e0 = e0
+  e0*n1 = 1/2 n1
+  expect peirce n1 N01
+  expect peirce e0 N11
+end
+"""
+# e1 and e01 both count 1; n1 lies in N12 of the pair
+SHARED_INDEX = """algebra S
+  dim 3
+  basis e1 e01 n1
+  e1*e1 = e1
+  e01*e01 = e01
+  e1*n1 = 1/2 n1
+  e01*n1 = 1/2 n1
+  expect peirce n1 N12
+end
+"""
 NOT_JORDAN = """algebra Bad
   dim 4
   basis e1 n1 n2 n3

@@ -22,8 +22,10 @@ from jordanalg.catalog import (
     _is_count,
 )
 from helpers import (
+    INDEX_ZERO,
     NOT_JORDAN,
     NOT_ORTHOGONAL,
+    SHARED_INDEX,
     UNKNOWN_LABEL,
     WRONG_PLACE,
     reference_peirce_placements,
@@ -236,6 +238,13 @@ def test_serialize_refuses_a_label_or_name_that_does_not_read_back():
         for write in (serialize, lambda a: serialize_entry("X", a)):
             with pytest.raises(CatalogError, match=re.escape(f"label {bad!r}")):
                 write(a)
+        # the parser refuses the same labels, as a basis or a labels token
+        if bad and bad.split() == [bad]:
+            for text, line_no in ((f"algebra X\n  dim 2\n  basis {bad} y\nend\n", 3),
+                                  (f"algebra X = F2 + F1\n  labels y {bad}\nend\n", 2)):
+                with pytest.raises(CatalogParseError) as err:
+                    parse_catalog(text)
+                assert (err.value.line_no, err.value.message) == (line_no, f"bad label {bad!r}")
     good = Algebra.from_products(("x_2", "1/2x", "x#", "e1'"), {("x_2", "x#"): {"1/2x": 1}})
     (entry,) = parse_catalog(serialize_entry("X", good))
     assert resolve(entry, {}) == good
@@ -415,6 +424,13 @@ def test_hostile_peirce_records():
     with pytest.raises(NonJordanError,
                        match="^Peirce decomposition requires a Jordan algebra$"):
         placements_of(NOT_JORDAN)
+    # e0 would name the complement, and of e1 and e01, both index 1, the
+    # later would hide the other
+    with pytest.raises(CatalogError, match="^Z: basis idempotent e0 has index 0,"
+                                           " which places keep for the complement$"):
+        placements_of(INDEX_ZERO)
+    with pytest.raises(CatalogError, match="^S: basis idempotents e1 and e01 share index 1$"):
+        placements_of(SHARED_INDEX)
 
 
 def test_labels_override_length_checked(env):

@@ -3,6 +3,7 @@
 the shipped files and on seeded mutants of them."""
 
 import random
+import re
 import shutil
 
 import pytest
@@ -65,6 +66,11 @@ def non_ascii_digits(text):
     return any(c.isdigit() and not c.isascii() for c in text)
 
 
+def unreadable_label(token):
+    return token[0] == "#" or any(c in "*=+-" for c in token) or \
+        re.fullmatch(r"[0-9]+(/[0-9]+)?", token) is not None
+
+
 def test_shipped_files_parse_as_the_reference():
     for path in FILES:
         text = path.read_text()
@@ -75,8 +81,9 @@ def test_shipped_files_parse_as_the_reference():
                          ids=lambda m: m.__name__)
 def test_mutants_parse_as_the_reference(mutate):
     # each mutant gives equal entries or the same error at the same line;
-    # a count in non-ASCII digits is the one intended difference: it is a
-    # usage error now, where the reference crashed or took it
+    # two differences are intended: a count in non-ASCII digits is a usage
+    # error now, where the reference crashed or took it, and so is a basis
+    # or labels token that `serialize` would refuse, which the reference took
     rng = random.Random(f"jordanalg:parse-mutants:{mutate.__name__}")
     kinds = set()
     for path in FILES:
@@ -88,6 +95,11 @@ def test_mutants_parse_as_the_reference(mutate):
             new, old = outcome(parse_catalog, text), outcome(reference_parse_catalog, text)
             kinds.add(new[0])
             if new == old:
+                continue
+            tokens = lines[new[1] - 1].split() if new[0] == "error" else [""]
+            if tokens[0] in ("basis", "labels") and new[2].startswith("bad label "):
+                bad = [t for t in tokens[1:] if unreadable_label(t)]
+                assert bad and new[2] == f"bad label {bad[0]!r}", (path.name, new, old)
                 continue
             assert new[0] == "error" and new[2].startswith("usage: "), (path.name, new, old)
             assert non_ascii_digits(lines[new[1] - 1]), (path.name, new, old)
@@ -159,3 +171,16 @@ def test_cli_reports_a_non_ascii_count_as_a_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.endswith("dim1.alg: line 18: usage: expect h2 zero|nonzero|K\n")
     assert captured.err.count("\n") == 1
+
+
+def test_cli_refuses_a_label_starting_with_a_hash(capsys, tmp_path):
+    # the idempotent F1 with the label `#a`: were the basis line taken, its
+    # product line would read as a comment and leave the zero algebra
+    (tmp_path / "one").mkdir()
+    path = tmp_path / "one" / "x.alg"
+    path.write_text("algebra X\n  dim 1\n  basis #a\n  #a*#a = #a\nend\n")
+    for argv in (["verify", "--dir", str(tmp_path / "one")], ["invariants", str(path)],
+                 ["show", str(path)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: line 3: bad label '#a'\n")

@@ -109,13 +109,13 @@ def test_verify_deep_scans_each_algebra_once(capsys, monkeypatch):
 
 
 def test_verify_deep_echelons_delta1_once_per_algebra(capsys, monkeypatch):
-    # the delta^1 echelon is cached on the algebra, so the aut column's
+    # the delta^1 echelon is kept on the algebra, so the aut column's
     # derivation_dim and the h2 check's h2_dims share one echelon
-    from jordanalg import algebra
+    from jordanalg import cohomology
 
     built = []
-    original = algebra.coboundary_int_rows
-    monkeypatch.setattr(algebra, "coboundary_int_rows",
+    original = cohomology.coboundary_int_rows
+    monkeypatch.setattr(cohomology, "coboundary_int_rows",
                         lambda a: built.append(a) or original(a))
     code, _, _ = run(capsys, "verify", "--deep")
     assert code == 0

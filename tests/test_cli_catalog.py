@@ -12,7 +12,14 @@ import pytest
 
 from jordanalg import catalog, cli
 from jordanalg.cli import main
-from helpers import NOT_JORDAN, NOT_ORTHOGONAL, UNKNOWN_LABEL, WRONG_PLACE
+from helpers import (
+    INDEX_ZERO,
+    NOT_JORDAN,
+    NOT_ORTHOGONAL,
+    SHARED_INDEX,
+    UNKNOWN_LABEL,
+    WRONG_PLACE,
+)
 
 NAME_COMMANDS = (("h2", "J1"), ("show", "F1"), ("invariants", "J73"))
 
@@ -267,7 +274,9 @@ def test_verify_lists_a_wrong_peirce_place(capsys, tmp_path):
 @pytest.mark.parametrize("text, message", (
     (NOT_ORTHOGONAL, "O: basis idempotents e1 and e2 are not orthogonal"),
     (UNKNOWN_LABEL, "W: unknown basis label 'q' in expect peirce"),
-), ids=("not_orthogonal", "unknown_label"))
+    (INDEX_ZERO, "Z: basis idempotent e0 has index 0, which places keep for the complement"),
+    (SHARED_INDEX, "S: basis idempotents e1 and e01 share index 1"),
+), ids=("not_orthogonal", "unknown_label", "index_zero", "shared_index"))
 def test_verify_names_the_entry_of_a_hostile_peirce_record(capsys, tmp_path, text, message):
     code, out, err = verify_dir(capsys, tmp_path, text)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -7,7 +7,6 @@ from jordanalg.algebra import (
     AlgebraError,
     change_basis,
     check_isomorphism,
-    coboundary_int_rows,
     direct_sum,
     is_jordan,
     matrix_algebra,
@@ -17,11 +16,10 @@ from jordanalg.cohomology import (
     CocycleSpace,
     MAX_COCYCLE_CELLS,
     _assemble_cocycle_rows,
-    _cocycle_system,
     _column_picker,
-    _complement_columns,
     cocycle_cells,
     coboundary,
+    coboundary_int_rows,
     cocycle_space,
     grid_from_function,
     grid_to_vec,
@@ -30,7 +28,14 @@ from jordanalg.cohomology import (
 from jordanalg.invariants import derivation_dim, fingerprint
 from jordanalg.ratlin import Matrix, _int_kernel, _int_row, int_rows_rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import cocycle_subspaces, reference_cocycle_rows, vec_to_grid, zero_grid
+from helpers import (
+    cocycle_subspaces,
+    cocycle_system,
+    complement_columns,
+    reference_cocycle_rows,
+    vec_to_grid,
+    zero_grid,
+)
 
 F = Fraction
 
@@ -258,9 +263,10 @@ def test_h2_zero_cut_stops_before_the_cocycle_rows_run_out(env):
     # on J59, H2 = 0: the first cocycle rows on the columns of C empty the
     # kernel basis, and the rows after them are never read
     a = env["J59"]
-    nunk, cols, rows = _cocycle_system(a)
+    nunk, cols, rows = cocycle_system(a)
     ncomp = len(cols)
-    assert cols == _complement_columns(a)
+    assert cols == complement_columns(a)
+    assert ncomp == nunk - cocycle_space(a).b2_dim
     assert ncomp < nunk and all(len(row) == ncomp for row in rows)
     read = []
 
@@ -283,7 +289,7 @@ def test_assembled_rows_match_the_reference(env, dense_env, large_algebras):
     cases.update(large_algebras)
     for name, a in cases.items():
         ref_nunk, ref_rows = reference_cocycle_rows(a)
-        for cols in (range(ref_nunk), _complement_columns(a)):
+        for cols in (range(ref_nunk), complement_columns(a)):
             pick = _column_picker(cols)
             rows = _assemble_cocycle_rows(a, cols)
             assert len(rows) == len(set(rows)), name
@@ -295,7 +301,7 @@ def test_complements_of_one_and_of_no_column(env):
     # line F2 has Der = gl(1), B2 = 0 and C of one column
     for name, ncomp, dims in (("F1", 0, (1, 1, 0)), ("F2", 1, (1, 0, 1))):
         a = env[name]
-        assert len(_complement_columns(a)) == ncomp, name
+        assert len(complement_columns(a)) == ncomp, name
         cs = cocycle_space(a)
         assert (cs.z2_dim, cs.b2_dim, cs.h2_dim) == dims, name
         z2, b2 = cocycle_subspaces(a)
@@ -335,3 +341,17 @@ def test_fingerprint_refuses_a_large_table_before_any_work():
     assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value)
     for name in ("_jordan_defect", "_assoc_table", "_memo"):
         assert name not in a.__dict__, name
+
+
+def test_derivation_dim_and_cocycle_space_build_delta1_rows_once(env, monkeypatch):
+    # both read the delta^1 echelon that `coboundary_echelon` keeps on the
+    # algebra, so a fresh table has its delta^1 rows written once
+    from jordanalg import cohomology
+
+    built = []
+    original = cohomology.coboundary_int_rows
+    monkeypatch.setattr(cohomology, "coboundary_int_rows",
+                        lambda a: built.append(a) or original(a))
+    a = Algebra(env["J55"].labels, env["J55"].table)
+    assert derivation_dim(a) == a.dim * a.dim - cocycle_space(a).b2_dim
+    assert len(built) == 1 and built[0] is a

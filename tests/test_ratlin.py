@@ -5,8 +5,8 @@ from operator import mul
 import pytest
 
 from jordanalg import ratlin
-from jordanalg.algebra import change_basis, coboundary_int_rows
-from jordanalg.cohomology import _assemble_cocycle_rows
+from jordanalg.algebra import change_basis
+from jordanalg.cohomology import _assemble_cocycle_rows, coboundary_int_rows
 from jordanalg.ratlin import (
     Matrix,
     Subspace,
