@@ -26,13 +26,16 @@ reference previously defined names.  The recorded `expect` values are
 transcribed as-is from the source tables; verification recomputes every
 invariant and reports disagreements as errata rather than editing the
 records.  `verify` checks every `expect` kind; `h2`, `b2` and `radical`
-only with `--deep`.
+only with `--deep`.  Files are read as UTF-8, and the entries parsed from
+a file's text are kept for the process, so a text read again is not
+parsed again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -482,14 +485,28 @@ def data_dir() -> Path:
     return Path(__file__).with_name("data")
 
 
+# The bound holds the bundled catalog's 8 files with room for a `--dir`
+# catalog and FILE arguments.
+@lru_cache(maxsize=64)
+def _parse_text(text: str) -> tuple[CatalogEntry, ...]:
+    """`parse_catalog(text)`, kept per text.  The entries are immutable
+    (named tuples of tuples, strings and `Fraction`s), so every caller may
+    share them; a parse error is raised again on each call."""
+    return tuple(parse_catalog(text))
+
+
 def parse_catalog_file(path: Path) -> list[CatalogEntry]:
-    """Read and parse one .alg file; a parse error names the file."""
+    """Read and parse one .alg file, as UTF-8; a parse error names the file.
+
+    The file is read on every call, and a text parsed before in this
+    process is not parsed again.
+    """
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CatalogError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_catalog(text)
+        return list(_parse_text(text))
     except CatalogParseError as exc:
         raise CatalogParseError(exc.line_no, exc.message, source=path) from None
 

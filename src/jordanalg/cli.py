@@ -5,8 +5,9 @@ peirce, h2, embed-b2, show.  Exit status: 0 all fatal checks pass,
 1 verification failure, 2 usage or I/O error.  Output is deterministic for
 a fixed catalog.
 
-Every command parses the whole catalog and checks its references, so a
-malformed catalog is reported by each of them alike.  A command on one or
+Every command reads every catalog file and checks it and its references,
+so a malformed catalog is reported by each of them alike; a file text
+already parsed in this process is not parsed again.  A command on one or
 two names then builds only the tables it needs: the named entries and the
 summands their `sum` lines name.  The argument parser is built once, at
 import.
@@ -55,7 +56,7 @@ def _load_entries(directory: Optional[str]) -> list[cat.CatalogEntry]:
 def _lookup_named(directory: Optional[str], *names: str) -> list[tuple[str, Algebra]]:
     """Each name as a catalog entry, or as the last entry of a catalog file.
 
-    The whole catalog is parsed and its references checked, once for all
+    The whole catalog is read and its references checked, once for all
     the names, so a malformed catalog fails here as it fails `verify`; only
     the named tables and the summands they use are built.
     """
@@ -91,7 +92,8 @@ def cmd_verify(args) -> int:
     print(report.text())
     if args.summary:
         try:
-            Path(args.summary).write_text("\n".join(report.summary_lines()) + "\n")
+            Path(args.summary).write_text("\n".join(report.summary_lines()) + "\n",
+                                          encoding="utf-8")
         except OSError as exc:
             raise UsageError(f"cannot write {args.summary}: {exc}") from exc
     return 1 if report.fatal else 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordanalg import catalog
 from jordanalg.algebra import change_basis, direct_sum, matrix_algebra, plus_algebra
 from jordanalg.catalog import catalog_order, load_catalog, resolve_all
 from jordanalg.ratlin import Matrix, invert
@@ -16,6 +17,16 @@ def entries():
 @pytest.fixture(scope="session")
 def env(entries):
     return resolve_all(entries)
+
+
+@pytest.fixture
+def cleared_parse_memo():
+    """Empties the memo of parsed catalog texts before and after the test, so
+    that a test which counts or patches the parser sees every file parsed,
+    whichever test ran before it."""
+    catalog._parse_text.cache_clear()
+    yield
+    catalog._parse_text.cache_clear()
 
 
 @pytest.fixture(scope="session")

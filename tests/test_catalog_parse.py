@@ -2,13 +2,18 @@
 (`helpers.reference_parse_catalog`): equal entries or the same error, on
 the shipped files and on seeded mutants of them."""
 
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from helpers import reference_parse_catalog
 
+import jordanalg
 from jordanalg import catalog as cat
 from jordanalg import cli
 from jordanalg.catalog import CatalogParseError, catalog_order, parse_catalog
@@ -171,6 +176,36 @@ def test_cli_reports_a_non_ascii_count_as_a_usage_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.endswith("dim1.alg: line 18: usage: expect h2 zero|nonzero|K\n")
     assert captured.err.count("\n") == 1
+
+
+def run_in_c_locale(*argv, **env):
+    """The CLI in a C locale without UTF-8 mode or locale coercion, where
+    `open` and `Path.read_text` default to ASCII."""
+    environ = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    src = str(Path(jordanalg.__file__).resolve().parents[1])
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, environ.get("PYTHONPATH"))))
+    environ.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C", **env)
+    return subprocess.run([sys.executable, "-m", "jordanalg", *argv], env=environ,
+                          capture_output=True, encoding="utf-8", timeout=60)
+
+
+def test_catalog_files_are_utf8_in_every_locale(tmp_path):
+    # the locale's ASCII codec refused the file before its line was parsed
+    path = tmp_path / "digit.alg"
+    path.write_text("algebra D\n  dim ²\n  basis x\nend\n", encoding="utf-8")
+    done = run_in_c_locale("invariants", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", f"error: {path}: line 2: usage: dim N\n")
+    # a non-ASCII name reads, and the summary file is written as UTF-8;
+    # stdout is set to UTF-8, since the printed report names the entry
+    (tmp_path / "named").mkdir()
+    (tmp_path / "named" / "a.alg").write_text(
+        "algebra Ä\n  dim 1\n  basis x\n  x*x = x\nend\n", encoding="utf-8")
+    summary = tmp_path / "summary.txt"
+    done = run_in_c_locale("verify", "--dir", str(tmp_path / "named"),
+                           "--summary", str(summary), PYTHONIOENCODING="utf-8")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert summary.read_text(encoding="utf-8").startswith("Ä PASS ")
 
 
 def test_cli_refuses_a_label_starting_with_a_hash(capsys, tmp_path):

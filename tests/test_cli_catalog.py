@@ -1,7 +1,9 @@
 """How CLI commands read the catalog: every command reports a malformed
-catalog as `verify` does, and a command on one name builds only the tables
-that name needs."""
+catalog as `verify` does, a command on one name builds only the tables
+that name needs, and a file text parsed before in the process is reused
+but never stale."""
 
+import os
 import random
 import re
 import shutil
@@ -288,3 +290,84 @@ def test_verify_of_a_non_jordan_table_with_a_peirce_record(capsys, tmp_path):
     assert (code, err) == (1, "")
     assert out.startswith("Bad: JORDAN FAIL (quadruple ")
     assert "peirce" not in out
+
+
+# Two tables of the same byte length: F1 plus a null line, and the null
+# algebra x*x = y.
+SAME_LENGTH = ("algebra X\n  dim 2\n  basis x y\n  x*x = x\nend\n",
+               "algebra X\n  dim 2\n  basis x y\n  x*x = y\nend\n")
+
+
+def test_a_rewritten_file_gives_the_new_answer(capsys, tmp_path):
+    # the memo is keyed on the text, so a rewrite that keeps the size and
+    # the modification time is still seen
+    directory = tmp_path / "catalog"
+    directory.mkdir()
+    path = directory / "x.alg"
+    path.write_text(SAME_LENGTH[0])
+    first = run(capsys, "h2", "X", "--dir", str(directory))
+    stat = path.stat()
+    path.write_text(SAME_LENGTH[1])
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    second = run(capsys, "h2", "X", "--dir", str(directory))
+    assert (first, second) == ((0, "z2=4 b2=3 h2=1\n", ""), (0, "z2=4 b2=2 h2=2\n", ""))
+
+
+def test_a_malformed_file_fails_alike_on_every_call(tmp_path):
+    # a parse error is never kept: each call raises it again, with the file
+    path = tmp_path / "zero.alg"
+    path.write_text("algebra Z\n  dim 1\n  basis e\n  e*e = 1/0 e\nend\n")
+    for load, arg in ((catalog.parse_catalog_file, path), (catalog.load_catalog, tmp_path)) * 2:
+        with pytest.raises(catalog.CatalogParseError) as err:
+            load(arg)
+        assert (str(err.value), err.value.line_no) == (f"{path}: line 4: zero denominator", 4)
+
+
+def test_returned_lists_belong_to_the_caller():
+    want = catalog.load_catalog()
+    hash(tuple(want))  # no list, dict or set inside an entry
+    for load, arg in ((catalog.load_catalog, None),
+                      (catalog.parse_catalog_file, catalog.data_dir() / "dim1.alg")):
+        expected = load(arg)
+        got = load(arg)
+        got.append(got[0])
+        assert load(arg) == expected
+        got.clear()
+        assert load(arg) == expected
+    assert catalog.load_catalog() == want
+
+
+def test_files_added_or_removed_between_loads(tmp_path):
+    directory = copy_catalog(tmp_path)
+    names = [e.name for e in catalog.load_catalog(directory)]
+    (directory / "zz.alg").write_text(SAME_LENGTH[0])
+    assert [e.name for e in catalog.load_catalog(directory)] == names + ["X"]
+    dim1 = {e.name for e in catalog.parse_catalog_file(directory / "dim1.alg")}
+    (directory / "dim1.alg").unlink()
+    assert [e.name for e in catalog.load_catalog(directory)] == \
+        [n for n in names if n not in dim1] + ["X"]
+
+
+REUSE_COMMANDS = (("h2", "J50"), ("invariants", "J50"), ("fingerprint", "J2"),
+                  ("peirce", "J56", "e1"), ("distinguish", "J58", "J60"))
+
+
+def test_commands_in_one_process_parse_each_bundled_file_once(capsys, monkeypatch,
+                                                              cleared_parse_memo):
+    calls = []
+    parse = catalog.parse_catalog
+
+    def counting(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(catalog, "parse_catalog", counting)
+    outputs = [run(capsys, *argv) for argv in REUSE_COMMANDS]
+    files = sorted(catalog.data_dir().glob("*.alg"))
+    assert len(files) == 8
+    assert sorted(calls) == sorted(f.read_text(encoding="utf-8") for f in files)
+    for argv, output in zip(REUSE_COMMANDS, outputs):
+        catalog._parse_text.cache_clear()
+        assert run(capsys, *argv) == output, argv
+    assert all(code == 0 for code, _, _ in outputs)
