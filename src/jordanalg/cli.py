@@ -2,13 +2,14 @@
 
 Subcommands: verify, invariants, fingerprint, fingerprint-all, distinguish,
 peirce, h2, embed-b2, show.  Exit status: 0 all fatal checks pass,
-1 verification failure, 2 usage or I/O error.  Output is deterministic for
-a fixed catalog.
+1 verification failure, 2 usage or I/O error, including output that the
+stdout encoding cannot print.  Output is deterministic for a fixed catalog.
 
 Every command reads every catalog file and checks it and its references,
 so a malformed catalog is reported by each of them alike; a file text
-already parsed in this process is not parsed again.  A command on one or
-two names then builds only the tables it needs: the named entries and the
+already parsed in this process is not parsed again, which only callers
+running several commands in one process notice.  A command on one or two
+names then builds only the tables it needs: the named entries and the
 summands their `sum` lines name.  The argument parser is built once, at
 import.
 """
@@ -300,6 +301,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:
+        # a non-ASCII name printed under a locale that cannot encode it
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (cat.CatalogError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)

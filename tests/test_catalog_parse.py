@@ -196,14 +196,23 @@ def test_catalog_files_are_utf8_in_every_locale(tmp_path):
     done = run_in_c_locale("invariants", str(path))
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", f"error: {path}: line 2: usage: dim N\n")
-    # a non-ASCII name reads, and the summary file is written as UTF-8;
-    # stdout is set to UTF-8, since the printed report names the entry
-    (tmp_path / "named").mkdir()
-    (tmp_path / "named" / "a.alg").write_text(
-        "algebra Ä\n  dim 1\n  basis x\n  x*x = x\nend\n", encoding="utf-8")
+    # a non-ASCII name reads, but an ASCII stdout cannot print it: the
+    # command ends in an error line, not a traceback
+    named = tmp_path / "named"
+    named.mkdir()
+    (named / "a.alg").write_text("algebra Ä\n  dim 1\n  basis x\n  x*x = x\nend\n",
+                                 encoding="utf-8")
     summary = tmp_path / "summary.txt"
-    done = run_in_c_locale("verify", "--dir", str(tmp_path / "named"),
-                           "--summary", str(summary), PYTHONIOENCODING="utf-8")
+    unprintable = "error: cannot write output: 'ascii' codec can't encode character '\\xc4'"
+    for argv in (("verify", "--dir", str(named), "--summary", str(summary)),
+                 ("show", str(named / "a.alg"))):
+        done = run_in_c_locale(*argv)
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        assert done.stderr.startswith(unprintable) and done.stderr.count("\n") == 1, argv
+    # where stdout is UTF-8 and the locale is not, the summary file is
+    # written as UTF-8 too
+    done = run_in_c_locale("verify", "--dir", str(named), "--summary", str(summary),
+                           PYTHONIOENCODING="utf-8")
     assert (done.returncode, done.stderr) == (0, "")
     assert summary.read_text(encoding="utf-8").startswith("Ä PASS ")
 
