@@ -96,8 +96,8 @@ PEIRCE_PLACES = set(_SINGLE_PLACES.values()) | {
 }
 
 
-# Named tuples rather than frozen dataclasses: the catalog makes 176 of
-# them per load, and a frozen dataclass costs several times more to build.
+# Immutable, as the parse memo `_parse_text` shares each entry with every
+# caller that loads the same text.
 class Expected(NamedTuple):
     aut: Optional[int] = None
     ann: Optional[int] = None
@@ -124,13 +124,6 @@ def _is_count(token: str) -> bool:
     """A count is written in ASCII digits: `str.isdigit` alone also takes
     `²`, which `int` then refuses."""
     return token.isascii() and token.isdigit()
-
-
-# Slot of each `expect` kind in `Expected`; `_parse_line` names a parsed
-# expectation by its field.  `_UNSET` is an entry with no `expect` lines.
-_EXPECT_SLOTS = {field: i for i, field in enumerate(Expected._fields)}
-_PEIRCE_SLOT = _EXPECT_SLOTS["peirce"]
-_UNSET = tuple(Expected())
 
 
 def _parse_line(line: str) -> tuple[Optional[str], object, Optional[str]]:
@@ -226,7 +219,7 @@ class _OpenEntry:
         self.line_no = line_no
         self.dim = self.basis = self.labels = None
         self.products: list = []  # ((la, lb, terms), line number)
-        self.expected = list(_UNSET)
+        self.expected: dict = {}  # value by `Expected` field, peirce aside
         self.peirce: list = []
 
 
@@ -261,8 +254,8 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             current.products.append((value, line_no))
         elif error is None and kind == "peirce":
             current.peirce.append(value)
-        elif error is None and kind in _EXPECT_SLOTS:
-            current.expected[_EXPECT_SLOTS[kind]] = value
+        elif error is None and kind in Expected._fields:
+            current.expected[kind] = value
         else:
             # a kind not allowed in this entry is reported before the
             # line's own error: `dim x` in a sum entry names the `dim`
@@ -300,12 +293,10 @@ def _open_entry(line: str, line_no: int, seen: set[str]) -> _OpenEntry:
 
 
 def _finish_entry(current: _OpenEntry) -> CatalogEntry:
-    expected = current.expected
-    expected[_PEIRCE_SLOT] = tuple(current.peirce)
-    expected = Expected(*expected)
+    expected = Expected(**current.expected, peirce=tuple(current.peirce))
     if current.summands is not None:
-        return CatalogEntry(current.name, current.summands, None, None, (), current.labels,
-                            expected)
+        return CatalogEntry(current.name, summands=current.summands,
+                            labels_override=current.labels, expected=expected)
     dim = current.dim
     basis = current.basis
     if dim is None or basis is None:
@@ -326,7 +317,8 @@ def _finish_entry(current: _OpenEntry) -> CatalogEntry:
             raise CatalogParseError(line_no, f"product {la}*{lb} listed twice")
         seen_pairs.add(pair)
         products.append((la, lb, terms))
-    return CatalogEntry(current.name, None, dim, basis, tuple(products), None, expected)
+    return CatalogEntry(current.name, dim=dim, basis=basis, products=tuple(products),
+                        expected=expected)
 
 
 def _require_defined(names: Sequence[str], known: Mapping[str, object]) -> None:
@@ -548,9 +540,7 @@ def catalog_order(entries: Sequence[CatalogEntry]) -> list[CatalogEntry]:
 @dataclass
 class EntryResult:
     name: str
-    dim: int
-    jordan_ok: bool
-    violation: Optional[str]
+    violation: Optional[str]  # a quadruple that breaks the Jordan identity
     computed_aut: int
     computed_ann: int
     computed_sq: int
@@ -558,6 +548,10 @@ class EntryResult:
     deep_failures: list[str]
     h2: Optional[int] = None  # computed by the deep checks when `expect h2` is set
     b2: Optional[str] = None  # likewise for `expect b2`
+
+    @property
+    def jordan_ok(self) -> bool:
+        return self.violation is None
 
     @property
     def fatal(self) -> bool:
@@ -659,8 +653,7 @@ def verify_entry(
     # catalog tables are mirrored, so commutative: only the Jordan identity
     # is scanned, and `derivation_dim` raises on a noncommutative table
     jv = jordan_violation(a)
-    jordan_ok = jv is None
-    violation = None if jordan_ok else f"quadruple ({','.join(a.labels[i] for i in jv[0])})"
+    violation = None if jv is None else f"quadruple ({','.join(a.labels[i] for i in jv[0])})"
     aut = derivation_dim(a)
     ann = annihilator(a).dim
     sq = power_chain(a, 2)[1].dim
@@ -671,7 +664,7 @@ def verify_entry(
                                          ("sq", exp.sq, sq))
         if recorded is not None and recorded != computed
     ]
-    if jordan_ok:
+    if violation is None:
         flags = computed_flags(a)
         for flag in exp.flags:
             if flag not in flags:
@@ -680,18 +673,18 @@ def verify_entry(
             if not is_nilpotent(a):
                 mismatches.append("niltype: algebra is not nilpotent")
             elif (nt := nilpotency_type(a)) != exp.niltype:
-                mismatches.append(f"niltype: recorded {exp.niltype}, computed {nt}")
+                # written as the catalog writes it: (3,1), not (3, 1)
+                mismatches.append(f"niltype: recorded ({','.join(map(str, exp.niltype))}),"
+                                  f" computed ({','.join(map(str, nt))})")
         for label, place, got, ok in check_peirce_placements(entry, a):
             if not ok:
                 mismatches.append(f"peirce {label}: recorded {place}, computed {got}")
     deep_failures: list[str] = []
     h2 = b2 = None
-    if deep and jordan_ok:
+    if deep and violation is None:
         deep_failures, h2, b2 = _deep_checks(entry, a, env, budget)
     return EntryResult(
         name=entry.name,
-        dim=a.dim,
-        jordan_ok=jordan_ok,
         violation=violation,
         computed_aut=aut,
         computed_ann=ann,

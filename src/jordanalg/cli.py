@@ -17,6 +17,7 @@ import.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -66,12 +67,22 @@ def _lookup_named(directory: Optional[str], *names: str) -> list[tuple[str, Alge
     return [_lookup(name, entries, dims) for name in names]
 
 
+def _as_utf8(arg: str) -> str:
+    """A command-line argument as UTF-8 text, as catalog files are read,
+    whatever locale decoded the command line."""
+    try:
+        return os.fsencode(arg).decode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:  # text passed in process, not from the command line
+        return arg
+
+
 def _lookup(
-    name: str, entries: list[cat.CatalogEntry], dims: dict[str, int]
+    arg: str, entries: list[cat.CatalogEntry], dims: dict[str, int]
 ) -> tuple[str, Algebra]:
+    name = _as_utf8(arg)
     if name in dims:
         return name, cat.resolve_named(entries, name)
-    p = Path(name)
+    p = Path(arg)
     if not p.exists():
         raise UsageError(f"unknown algebra {name!r}")
     try:
@@ -80,9 +91,9 @@ def _lookup(
     except cat.CatalogError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
-        raise UsageError(f"cannot read {name}: {exc}") from exc
+        raise UsageError(f"cannot read {arg}: {exc}") from exc
     if not file_entries:
-        raise UsageError(f"no entries in {name}")
+        raise UsageError(f"no entries in {arg}")
     last = file_entries[-1].name
     return last, cat.resolve_named(entries + file_entries, last)
 
@@ -182,7 +193,7 @@ def cmd_distinguish(args) -> int:
 def cmd_peirce(args) -> int:
     [(_, a)] = _lookup_named(args.dir, args.name)
     try:
-        e = parse_linear_combination(a, args.idempotent)
+        e = parse_linear_combination(a, _as_utf8(args.idempotent))
     except AlgebraError as exc:
         raise UsageError(str(exc)) from exc
     if not is_idempotent(a, e):

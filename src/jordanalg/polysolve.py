@@ -200,9 +200,12 @@ class GroebnerResult:
     `COEFF_BIT_GUARD`); it is None when the completion finished."""
 
     basis: Optional[tuple[Polynomial, ...]]
-    exhausted: bool
     pairs_reduced: int
     reason: Optional[str] = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.reason is not None
 
     @property
     def trivial(self) -> Optional[bool]:
@@ -388,13 +391,13 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
     """
     leads = _leads(system.polynomials)
     if not leads:
-        return GroebnerResult((), False, 0)
+        return GroebnerResult((), 0)
     one = (Polynomial.const(system.names, 1),)
     reduced_count = 0
     try:
         leads = _interreduce(leads)
         if not any(leads[0][0]):
-            return GroebnerResult(one, False, 0)
+            return GroebnerResult(one, 0)
         lms = [g[0] for g in leads]
         queue: list[tuple[tuple, int, int, Monomial]] = []
         done: set[tuple[int, int]] = set()
@@ -419,7 +422,7 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
             ):
                 continue  # chain criterion
             if reduced_count >= budget:
-                return GroebnerResult(None, True, reduced_count, "budget")
+                return GroebnerResult(None, reduced_count, "budget")
             reduced_count += 1
             r, den = _reduce(*_s_poly(leads[i], leads[j]), leads)
             _check_coeffs(r, den, r)
@@ -428,14 +431,14 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
             leads.append(_lead(r))
             lms.append(leads[-1][0])
             if not any(lms[-1]):
-                return GroebnerResult(one, False, reduced_count)
+                return GroebnerResult(one, reduced_count)
             new = len(lms) - 1
             for k in range(new):
                 push(k, new)
         basis = tuple(_monic(g, system.names) for g in _interreduce(leads))
-        return GroebnerResult(basis, False, reduced_count)
+        return GroebnerResult(basis, reduced_count)
     except _CoeffBitsExceeded:
-        return GroebnerResult(None, True, reduced_count, "coeff_bits")
+        return GroebnerResult(None, reduced_count, "coeff_bits")
 
 
 def has_solution(system: PolySystem, budget: int = DEFAULT_BUDGET) -> str:

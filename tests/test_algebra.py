@@ -461,6 +461,16 @@ def test_check_isomorphism_rejects_singular(env):
     assert not check_isomorphism(a, a, Matrix.zero(4, 4))
 
 
+def test_check_isomorphism_rejects_a_wrong_shape_and_non_isomorphisms(env):
+    j55, j56 = env["J55"], env["J56"]
+    assert not check_isomorphism(j56, j56, Matrix.identity(3))
+    # invertible maps that do not carry the product: J55 and J56 share a
+    # basis and differ in one product, and scaling e1 breaks e1*e1 = e1
+    assert not check_isomorphism(j55, j56, Matrix.identity(4))
+    assert not check_isomorphism(j56, j56, Matrix.from_rows(
+        [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
 def test_change_basis_is_isomorphic(env):
     rng = seeded_rng("changebasis")
     for name in ("J2", "J33", "J63"):

@@ -178,14 +178,15 @@ def test_cli_reports_a_non_ascii_count_as_a_usage_error(capsys, tmp_path):
     assert captured.err.count("\n") == 1
 
 
-def run_in_c_locale(*argv, **env):
-    """The CLI in a C locale without UTF-8 mode or locale coercion, where
-    `open` and `Path.read_text` default to ASCII."""
+def run_in_c_locale(*argv, command=("-m", "jordanalg"), **env):
+    """The CLI, or another Python `command`, in a C locale without UTF-8
+    mode or locale coercion, where `open` and `Path.read_text` default to
+    ASCII."""
     environ = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
     src = str(Path(jordanalg.__file__).resolve().parents[1])
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, environ.get("PYTHONPATH"))))
     environ.update(PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="C", **env)
-    return subprocess.run([sys.executable, "-m", "jordanalg", *argv], env=environ,
+    return subprocess.run([sys.executable, *command, *argv], env=environ,
                           capture_output=True, encoding="utf-8", timeout=60)
 
 
@@ -215,6 +216,36 @@ def test_catalog_files_are_utf8_in_every_locale(tmp_path):
                            PYTHONIOENCODING="utf-8")
     assert (done.returncode, done.stderr) == (0, "")
     assert summary.read_text(encoding="utf-8").startswith("Ä PASS ")
+
+
+def test_command_line_names_are_utf8_in_every_locale(tmp_path):
+    # the C locale leaves the bytes of `Ä` in argv as surrogates, which
+    # matched no name or label read from a UTF-8 file
+    named = tmp_path / "named"
+    named.mkdir()
+    (named / "Ä.alg").write_text("algebra Ä\n  dim 1\n  basis x\n  x*x = x\nend\n",
+                                 encoding="utf-8")
+    done = run_in_c_locale("h2", "Ä", "--dir", str(named))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "z2=1 b2=1 h2=0\n", "")
+    labelled = tmp_path / "labelled"
+    labelled.mkdir()
+    (labelled / "a.alg").write_text("algebra A\n  dim 2\n  basis ä n\n  ä*ä = ä\n"
+                                    "  ä*n = 1/2 n\nend\n", encoding="utf-8")
+    # stdout is UTF-8 here, so that the label prints; argv still follows the locale
+    done = run_in_c_locale("peirce", "A", "ä", "--dir", str(labelled),
+                           PYTHONIOENCODING="utf-8")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["J_1: dim 1, span {ä}", "J_1/2: dim 1, span {n}",
+                                        "J_0: 0", "eigenspace multiplication rules: all confirmed"]
+    # a FILE argument is opened by the bytes it was given
+    done = run_in_c_locale("h2", str(named / "Ä.alg"))
+    assert (done.returncode, done.stdout) == (0, "z2=1 b2=1 h2=0\n")
+    # a name passed to `cli.main` in process is text already, which the
+    # locale could not encode back to bytes
+    main = ("import sys; from jordanalg import cli;"
+            f" sys.exit(cli.main(['h2', '\\xc4', '--dir', {str(named)!r}]))")
+    done = run_in_c_locale(command=("-c", main))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "z2=1 b2=1 h2=0\n", "")
 
 
 def test_cli_refuses_a_label_starting_with_a_hash(capsys, tmp_path):

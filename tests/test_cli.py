@@ -1,9 +1,16 @@
 import json
+import shutil
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+from jordanalg import catalog as cat
+from jordanalg import cli
+from jordanalg.algebra import change_basis
 from jordanalg.cli import main
+from jordanalg.ratlin import Matrix
 
 
 def run(capsys, *argv):
@@ -132,6 +139,106 @@ def test_verify_deep_non_jordan_entry(capsys, tmp_path):
     assert code == 1 and err == ""
     assert "Bad: JORDAN FAIL" in out
     assert "H2(" not in out and "embed-b2(" not in out
+
+
+# Records that the recomputation refutes: J55 has h2 = 2, holds no B2 and
+# its radical is not B3; J56 is not nilpotent, has h2 = 3 and holds B2; J59
+# has h2 = 0; J70 has nilpotency type (3,1).
+WRONG_RECORDS = (
+    "algebra W55 = J55\n  expect h2 zero\n  expect b2 yes\n  expect radical B3\nend\n"
+    "algebra W56 = J56\n  expect flags nilpotent\n  expect niltype (1)\n"
+    "  expect h2 7\n  expect b2 no\nend\n"
+    "algebra W59 = J59\n  expect h2 nonzero\nend\n"
+    "algebra N70 = J70\n  expect niltype (1)\nend\n"
+)
+
+
+def test_verify_reports_every_refuted_record(capsys, tmp_path):
+    for path in cat.data_dir().glob("*.alg"):
+        shutil.copy(path, tmp_path)
+    (tmp_path / "wrong.alg").write_text(WRONG_RECORDS)
+    summary = tmp_path / "summary.txt"
+    code, out, err = run(capsys, "verify", "--deep", "--dir", str(tmp_path),
+                         "--summary", str(summary))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    for line in ("W55: DEEP FAIL  [aut=4 ann=0 sq=4]",
+                 "W56: 2 invariant mismatch(es); DEEP FAIL  [aut=4 ann=0 sq=4]",
+                 "W59: DEEP FAIL  [aut=4 ann=0 sq=4]",
+                 "  W56: flag nilpotent: not confirmed by computation",
+                 "  W56: niltype: algebra is not nilpotent"):
+        assert line in lines, line
+    failures = lines[lines.index("DEEP CHECK FAILURES:") + 1:]
+    assert failures[:failures.index("")] == [
+        "  W55: h2: expected 0, computed 2",
+        "  W55: b2: expected yes, computed no",
+        "  W55: radical: fingerprint differs from B3",
+        "  W56: h2: expected 7, computed 3",
+        "  W56: b2: expected no, computed yes",
+        "  W59: h2: expected nonzero, computed 0",
+    ]
+    assert summary.read_text().splitlines()[-4:] == [
+        "W55 FATAL aut=4 ann=0 sq=4", "W56 FATAL aut=4 ann=0 sq=4",
+        "W59 FATAL aut=4 ann=0 sq=4", "N70 ERRATUM aut=7 ann=1 sq=1"]
+    # without --deep only the flag and niltype records are checked, and
+    # they are errata, not failures; a niltype is written as the catalog
+    # writes it
+    code, out, err = run(capsys, "verify", "--dir", str(tmp_path), "--summary", str(summary))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "DEEP" not in out and "  W56: niltype: algebra is not nilpotent" in lines
+    assert "  N70: niltype: recorded (1), computed (3,1)" in lines
+    assert summary.read_text().splitlines()[-4:] == [
+        "W55 PASS aut=4 ann=0 sq=4", "W56 ERRATUM aut=4 ann=0 sq=4",
+        "W59 PASS aut=4 ann=0 sq=4", "N70 ERRATUM aut=7 ann=1 sq=1"]
+
+
+def write_tables(path, **tables):
+    """A catalog directory at `path` of one file holding `tables` by name."""
+    path.mkdir()
+    (path / "t.alg").write_text("".join(cat.serialize_entry(name, a)
+                                        for name, a in tables.items()))
+    return str(path)
+
+
+def test_fingerprint_all_reports_a_collision(capsys, tmp_path, env):
+    # X55 is J55 in a dense basis: the two tie on every field, B2 included
+    p = Matrix.from_rows([[2, -1, 3, 1], [1, 3, -2, 0], [-3, 1, 1, 2], [1, 2, 3, -1]])
+    d = write_tables(tmp_path / "c", J55=env["J55"], X55=change_basis(env["J55"], p),
+                     J56=env["J56"])
+    code, out, err = run(capsys, "fingerprint-all", "--dir", d)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:3]] == ["J55", "J56", "X55"]
+    assert lines[0].endswith(" b2=no") and lines[2].endswith(" b2=no")
+    assert lines[1].endswith(" b2=-")  # J56 ties with nothing
+    assert lines[3:] == ["", "COLLISION: J55 and X55 share a fingerprint",
+                         "3 fingerprints, pairwise distinct: NO"]
+
+
+def test_fingerprint_all_settles_a_tie_with_b2_only_when_decided(capsys, tmp_path, env,
+                                                                 monkeypatch):
+    # J55 and J56 differ only in h2; with h2 hidden they tie, and B2 (no
+    # against yes) tells them apart
+    d = write_tables(tmp_path / "t", J55=env["J55"], J56=env["J56"])
+    real = cli.fingerprint
+    monkeypatch.setattr(cli, "fingerprint", lambda a: replace(real(a), dim_h2=0))
+    code, out, err = run(capsys, "fingerprint-all", "--dir", d)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0].endswith(" h2=0 rad[dim=3 lcs=3,1,0,0 type=(2,1) ann=2 der=5 assoc=y]"
+                             " ss=(1,0,y) b2=no")
+    assert lines[1].endswith(" b2=yes") and lines[1].split()[1:-1] == lines[0].split()[1:-1]
+    assert lines[2:] == ["", "2 fingerprints, pairwise distinct: yes"]
+    # an inconclusive B2 answer must not count as a distinction
+    monkeypatch.setattr(cli, "embeds_b2",
+                        lambda a, budget: SimpleNamespace(answer="inconclusive"))
+    code, out, err = run(capsys, "fingerprint-all", "--dir", d)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].endswith(" b2=-") and lines[1].endswith(" b2=-")
+    assert lines[2:] == ["", "COLLISION: J55 and J56 share a fingerprint",
+                         "2 fingerprints, pairwise distinct: NO"]
 
 
 NON_JORDAN_TABLE = (

@@ -132,6 +132,23 @@ def test_radical_nilpotent_is_everything(env):
         assert radical(env[name]) == Subspace.full(env[name].dim)
 
 
+@pytest.mark.parametrize("kernel, message", [
+    (lambda n: Subspace.span(n, [[0, 1, 0, 0]]), "trace-form kernel is not an ideal"),
+    (Subspace.full, "trace-form kernel is not nilpotent"),
+    (Subspace.zero, "quotient trace form is degenerate"),
+], ids=["span-n1", "whole-space", "zero"])
+def test_radical_split_refuses_a_wrong_trace_form_kernel(env, monkeypatch, kernel, message):
+    # the three postconditions, each failed by one wrong kernel of J56's
+    # trace form (its radical is span(n1, n2, n3)); the table is fresh, so
+    # no certified split is kept on it
+    import jordanalg.invariants as inv
+
+    j56 = Algebra(env["J56"].labels, env["J56"].table)
+    monkeypatch.setattr(inv, "kernel", lambda form: kernel(4))
+    with pytest.raises(RadicalVerificationError, match=f"^{message}$"):
+        radical_split(j56)
+
+
 def test_radical_requires_jordan():
     bad = Algebra.from_products(("b1", "b2"), {("b1", "b2"): {"b1": 1}}, symmetric=False)
     with pytest.raises(NonJordanError):
