@@ -17,9 +17,12 @@ any complement C of B2.  The unit vectors off the echelon's pivot columns
 span one: a vector of B2 that vanishes on every pivot column is zero.  So
 the cocycle rows are written only on the columns of C, the other
 coordinates of a vector of C being zero; the kernel of those rows is
-Z2 meet C, its dimension is h2, and z2 = b2 + h2.  When H2 = 0 the cut ends
-as soon as that kernel is empty, before the rest of the cocycle rows are
-read.
+Z2 meet C, its dimension is h2, and z2 = b2 + h2.  Each row is a pair row,
+the sorted (column of C, value) pairs of its nonzero entries, so both the
+assembly and the cut `ratlin._int_kernel` cost a table's nonzero constants
+and not the n^2 (n+1)/2 unknowns of every form.  The cut reads the rows
+shortest first, and when H2 = 0 it ends as soon as the kernel is empty,
+before the rest of the cocycle rows are read.
 
 The dense size of the cocycle system, n^2 C(n+2, 3) rows times
 n^2 (n+1)/2 unknowns, grows like n^8 / 12.  `check_cocycle_cells` estimates
@@ -54,18 +57,20 @@ table the assembly lists the nonzero entries of h -> (x, y, h),
 h -> (zw) h and h -> x h, and the sparse products y(zw); the quadruple scan
 only adds those entries.  Each product is taken once, by
 `algebra._int_products`: one call gives every b_p b_q, and one more every
-b_j (b_z b_w), which both h -> (zw) h and y(zw) read.  The terms
+b_j (b_z b_w) with b_z b_w nonzero, which both h -> (zw) h and y(zw) read.  The terms
 h(xy, zw) and -h(x, y(zw)) are multiples of the identity on one block
 h(p, q): over the three associator terms of a quadruple their
 coefficients are summed per block, and each nonzero sum is spread over
-the n coordinates once.
+the n coordinates once.  Every term of an associator term carries either
+an associator column (b_x, b_y, b_j) or the product b_z b_w, so a
+quadruple whose three terms have neither writes nothing and is skipped
+before any form is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
 from typing import Sequence
 
 from .algebra import (
@@ -81,7 +86,7 @@ from .ratlin import (
     Matrix,
     Vector,
     _int_echelon,
-    int_rows_rank,
+    _int_kernel,
     unit_vec,
     vec,
     zero_vec,
@@ -92,12 +97,13 @@ SymGrid = tuple[tuple[Vector, ...], ...]
 # Largest cocycle system, in dense cells (`cocycle_cells`), that
 # `cocycle_space` assembles: every table of dimension up to 12 (4.9e7
 # cells) passes, dimension 13 (9.1e7) is refused.  Measured on Python 3.11,
-# shared 2-CPU x86_64, one fresh process per table (`time.process_time`,
-# peak RSS from `resource.getrusage`, 26 MB before the call): the identity
-# spin factor of dim 12 takes 1.3-1.5 s and 58 MB; in a dense basis, dims 9
-# and 10 take 1.3-1.8 s / 105 MB and 4.5-4.8 s / 239 MB, and each further
-# dimension about 3x the time and 2x the memory, so a dense table of dim 13
-# would take minutes and gigabytes.
+# shared 2-CPU x86_64, one fresh process per table, three runs each
+# (`time.process_time`, peak RSS from `resource.getrusage`, 26 MB before
+# the call): the identity spin factor of dim 12 takes 0.07-0.09 s and
+# 29 MB; in a dense basis (`tests/gen.py` `dense_basis`, tags scale-sp8 and
+# scale-sp9), the spin factors of dims 9 and 10 take 3.4-3.8 s / 195 MB and
+# 7.5-8.1 s / 375 MB, and each further dimension about 2x the time and 2x
+# the memory, so a dense table of dim 13 would take minutes and gigabytes.
 MAX_COCYCLE_CELLS = 6 * 10**7
 
 
@@ -224,35 +230,29 @@ def check_cocycle_cells(a: Algebra) -> None:
             f" over the limit of {MAX_COCYCLE_CELLS:,}")
 
 
-def _column_picker(cols: Sequence[int]):
-    """Row -> tuple of its entries on `cols`, for any number of columns."""
-    if len(cols) > 1:
-        return itemgetter(*cols)
-    if cols:
-        c = cols[0]
-        return lambda row: (row[c],)
-    return lambda row: ()
-
-
-def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, ...]]:
+def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
     """Distinct nonzero integer rows of the cocycle condition, written on the
-    columns `cols` only.
+    columns `cols` only, as pair rows: sorted tuples of (index in `cols`,
+    nonzero value).
 
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
     h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`, of
     which the entries on `cols` are kept.  A row that is zero there is
-    dropped.
+    dropped.  The n forms of a quadruple are one dict keyed by the flat
+    index m nunk + u of unknown u in the form of coordinate m, and a
+    quadruple whose three associator terms have neither a nonzero
+    associator column nor a nonzero b_z b_w writes nothing and is skipped.
 
     Everything that does not depend on the quadruple is built once per
-    call: the nonzeros (m, j, c) of the actions h -> (x, y, h), h -> (zw) h
-    and h -> x h (column j, output coordinate m), and the sparse products
-    y(zw), from one `_int_products` call for every b_p b_q and one for
-    every b_j (b_z b_w); the sparse b_p b_q themselves are the rows of
-    `Algebra._int_structure`.  The terms h(xy, zw) and -h(x, y(zw)) put one
-    coefficient on the diagonal of a block h(p, q); over the three
-    associator terms of a quadruple these are summed per block first and
-    each nonzero sum is spread over the n coordinates once.
+    call: the nonzeros (m nunk + j, c) of the actions h -> (x, y, h),
+    h -> (zw) h and h -> x h (column j, output coordinate m), and the
+    sparse products y(zw), from one `_int_products` call for every b_p b_q
+    and one for every b_j (b_z b_w) with b_z b_w nonzero; the sparse b_p b_q
+    themselves are the rows of `Algebra._int_structure`.  The terms h(xy, zw) and
+    -h(x, y(zw)) put one coefficient on the diagonal of a block h(p, q);
+    over the three associator terms of a quadruple these are summed per
+    block first and each nonzero sum is spread over the n coordinates once.
     """
     n = a.dim
     nsq = n * n
@@ -264,39 +264,57 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
             nunk += n
 
     def nonzeros(cols):
-        # (m, j, c) for each nonzero entry c of column j, coordinate m
-        return [(m, j, c) for j, col in enumerate(cols) for m, c in enumerate(col) if c]
+        # (m nunk + j, c) for each nonzero entry c of column j, coordinate m
+        return [(m * nunk + j, c) for j, col in enumerate(cols) for m, c in enumerate(col) if c]
 
     units = [[int(i == k) for k in range(n)] for i in range(n)]
     prod = _int_products(a, units, units)  # b_p b_q at p n + q
-    triple = _int_products(a, units, prod)  # b_j (b_z b_w) at j n^2 + z n + w
     sparse = [entry for row in a._int_structure[1] for entry in row]  # b_p b_q at p n + q
+    zws = [zw for zw in range(nsq) if sparse[zw]]  # the nonzero b_z b_w
     # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
     # b_j (zw), and of h -> x h it is b_x b_j
-    assoc_ops = [[nonzeros(cols) for cols in row] for row in a._assoc_table]
-    prod_ops = [nonzeros(triple[zw::nsq]) for zw in range(nsq)]
+    assoc_ops = [[nonzeros(cols) if any(map(any, cols)) else [] for cols in row]
+                 for row in a._assoc_table]
     left_ops = [nonzeros(prod[x * n:(x + 1) * n]) for x in range(n)]
-    y_zw = [[(q, c) for q, c in enumerate(v) if c] for v in triple]
+    prod_ops = [[] for _ in range(nsq)]
+    y_zw = [[] for _ in range(n * nsq)]  # sparse b_y (b_z b_w) at y n^2 + z n + w
+    triple = _int_products(a, units, [prod[zw] for zw in zws])  # b_j (b_z b_w), j-major
+    for i, zw in enumerate(zws):
+        cols_zw = triple[i::len(zws)]
+        prod_ops[zw] = nonzeros(cols_zw)
+        for y, v in enumerate(cols_zw):
+            y_zw[y * nsq + zw] = [(q, c) for q, c in enumerate(v) if c]
+    spread = [m * (nunk + 1) for m in range(n)]  # h(p, q)_m in the form of m
+    # flat index -> (m, index in cols), None off `cols`
+    comp = [None] * nunk
+    for i, u in enumerate(cols):
+        comp[u] = i
+    place = [None if i is None else (m, i) for m in range(n) for i in comp]
 
-    pick = _column_picker(cols)
-    rows: set[tuple[int, ...]] = set()
+    rows: set[tuple[tuple[int, int], ...]] = set()
     for x in range(n):
         for z in range(x, n):
             for w in range(z, n):
+                terms = ((x, z, w), (w, z, x), (z, x, w))
+                any_zw = any(sparse[z_ * n + w_] for _, z_, w_ in terms)
                 for y in range(n):
-                    form = [[0] * nunk for _ in range(n)]
+                    if not (any_zw or assoc_ops[x][y] or assoc_ops[w][y] or assoc_ops[z][y]):
+                        continue
+                    form: dict[int, int] = {}
                     diag: dict[int, int] = {}
                     # M-part of (b_x, b_y, b_z b_w) in the null extension,
                     # for each associator term of the linearized identity
-                    for x_, z_, w_ in ((x, z, w), (w, z, x), (z, x, w)):
+                    for x_, z_, w_ in terms:
                         zw_i = z_ * n + w_
                         zw = sparse[zw_i]
                         off = base[z_][w_]
-                        for m, j, c in assoc_ops[x_][y]:  # (x, y, h(z, w))
-                            form[m][off + j] += c
+                        for k, c in assoc_ops[x_][y]:  # (x, y, h(z, w))
+                            k += off
+                            form[k] = form.get(k, 0) + c
                         off = base[x_][y]
-                        for m, j, c in prod_ops[zw_i]:  # (zw) h(x, y)
-                            form[m][off + j] += c
+                        for k, c in prod_ops[zw_i]:  # (zw) h(x, y)
+                            k += off
+                            form[k] = form.get(k, 0) + c
                         for p, c in sparse[x_ * n + y]:
                             bp = base[p]
                             for q, d in zw:  # h(xy, zw)
@@ -307,13 +325,19 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[int, .
                         by = base[y]
                         for q, c in zw:  # - x h(y, zw)
                             off = by[q]
-                            for m, j, d in left_ops[x_]:
-                                form[m][off + j] -= c * d
+                            for k, d in left_ops[x_]:
+                                k += off
+                                form[k] = form.get(k, 0) - c * d
                     for off, c in diag.items():
                         if c:
-                            for m in range(n):
-                                form[m][off + m] += c
-                    rows.update(r for r in map(pick, form) if any(r))
+                            for s in spread:
+                                k = off + s
+                                form[k] = form.get(k, 0) + c
+                    out = [[] for _ in range(n)]
+                    for k, c in form.items():
+                        if c and (p := place[k]):
+                            out[p[0]].append((p[1], c))
+                    rows.update(tuple(sorted(r)) for r in out if r)
     return list(rows)
 
 
@@ -339,5 +363,7 @@ def cocycle_space(a: Algebra) -> CocycleSpace:
     n = a.dim
     pivots = coboundary_echelon(a)
     cols = [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
-    h2 = len(cols) - int_rows_rank(_assemble_cocycle_rows(a, cols), len(cols))
+    # sparser rows first keep the kernel basis sparse for longer
+    rows = sorted(_assemble_cocycle_rows(a, cols), key=len)
+    h2 = len(_int_kernel(rows, len(cols)))
     return CocycleSpace(len(pivots) + h2, len(pivots), h2)

@@ -24,7 +24,7 @@ table as given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -136,14 +136,14 @@ def nilpotency_type(a: Algebra) -> tuple[int, ...]:
 def annihilator(a: Algebra) -> Subspace:
     """{x : x * J = 0}, the kernel of the stacked left-multiplication
     operators: row (j, k) holds the k-th coordinate of b_i b_j over i, on
-    integer-scaled constants."""
+    integer-scaled constants, as the pairs (i, x) of its nonzeros."""
     n = a.dim
     _, srows = a._int_structure
-    rows = [[0] * n for _ in range(n * n)]
+    rows = [[] for _ in range(n * n)]
     for i in range(n):
         for j in range(n):
             for k, x in srows[i][j]:
-                rows[j * n + k][i] = x
+                rows[j * n + k].append((i, x))
     return Subspace.span(n, _int_kernel(rows, n))
 
 
@@ -398,7 +398,8 @@ class Fingerprint:
     def field_key(self, name: str):
         value = getattr(self, name)
         if is_dataclass(value):  # a record: its fields in order, None as 0
-            return tuple(0 if v is None else v for v in astuple(value))
+            values = (getattr(value, f.name) for f in fields(value))
+            return tuple(0 if v is None else v for v in values)
         if name == "b2_embeds":
             return B2_ORDER[value]
         return value

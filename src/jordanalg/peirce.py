@@ -25,7 +25,7 @@ from .algebra import (
     product_span,
 )
 from .ratlin import (
-    HALF, ONE, ZERO, Subspace, Vector, _int_kernel, _int_vec, is_zero_vec, rat, vec,
+    HALF, ONE, ZERO, Subspace, Vector, _int_kernel, _int_vec, _pairs, is_zero_vec, rat, vec,
 )
 
 
@@ -70,7 +70,7 @@ def eigenspace(a: Algebra, e: Sequence[Fraction], lam: Fraction) -> Subspace:
     rows = [[q * col[k] for col in cols] for k in range(n)]
     for k in range(n):
         rows[k][k] -= p * d * a._int_structure[0]
-    return Subspace.span(n, _int_kernel(rows, n))
+    return Subspace.span(n, _int_kernel(map(_pairs, rows), n))
 
 
 def _check_peirce_law(a: Algebra, comps: dict) -> None:

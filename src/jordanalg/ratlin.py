@@ -7,9 +7,12 @@ integers: the callers write their systems on the structure constants it
 scaled, and the public `Matrix` functions divide each row it scaled by its
 content (`_int_row`).
 `_int_kernel` cuts a kernel basis down row by row, so a row dependent on
-earlier ones costs one test and no reduction; `rank`, `int_rows_rank` and
-`kernel` use it.  `_int_echelon` builds the echelon basis that `rref`,
-`solve`, `invert` and `Subspace` need, and `_int_rref` back-substitutes it in
+earlier ones costs one test and no reduction.  It reads pair rows, the
+(column, value) pairs of a row's nonzero entries, so a row costs its
+nonzeros and not its length: the cocycle assembly writes its rows that way,
+and `rank`, `int_rows_rank` and `kernel` turn their dense rows into pairs
+(`_pairs`).  `_int_echelon` builds the echelon basis that `rref`, `solve`,
+`invert` and `Subspace` need, and `_int_rref` back-substitutes it in
 integers.
 
 Matrices are immutable.  A subspace is stored as its RREF basis with each
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -117,8 +121,7 @@ class Matrix:
 
 def _int_vec(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(d, d v): d the lcm of the denominators of v's entries, so that d v
-    is an integer vector.  The structure constants, elements and matrix rows
-    are all scaled to integers here."""
+    is an integer vector."""
     d = lcm(*(x.denominator for x in v))
     return d, [x.numerator * (d // x.denominator) for x in v]
 
@@ -180,8 +183,9 @@ def _int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[in
     return pivots
 
 
-def _int_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
-    """Integer basis of the right kernel {v : r . v = 0 for every row r}.
+def _int_kernel(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> list[list[int]]:
+    """Integer basis of the right kernel {v : r . v = 0 for every row r}, each
+    row given as pairs (column, value) of its nonzero entries.
 
     From the unit vectors on, a row orthogonal to every basis vector lies in
     the span of the rows before it and is skipped; otherwise the vector k0
@@ -195,10 +199,9 @@ def _int_kernel(rows: Iterable[Sequence[int]], ncols: int) -> list[list[int]]:
     cols = [{j: 1} for j in range(ncols)]  # cols[c][i] == basis[i][c]
     for row in rows:
         dots: dict[int, int] = {}
-        for c, x in enumerate(row):
-            if x:
-                for i, y in cols[c].items():
-                    dots[i] = dots.get(i, 0) + x * y
+        for c, x in row:
+            for i, y in cols[c].items():
+                dots[i] = dots.get(i, 0) + x * y
         hit = [(i, d) for i, d in dots.items() if d]
         if not hit:
             continue
@@ -282,23 +285,29 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix.from_rows(rows) if m.rows else m, rank
 
 
+def _pairs(row: Sequence[int]) -> Iterable[tuple[int, int]]:
+    """The (column, value) pairs of a dense row's nonzero entries."""
+    return compress(enumerate(row), row)
+
+
 def rank(m: Matrix) -> int:
-    return m.cols - len(_int_kernel((_int_row(m.row(i)) for i in range(m.rows)), m.cols))
+    rows = (_pairs(_int_row(m.row(i))) for i in range(m.rows))
+    return m.cols - len(_int_kernel(rows, m.cols))
 
 
 def int_rows_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:
-    """Rank of a collection of integer rows (the assembled cocycle systems).
+    """Rank of a collection of dense integer rows (the centroid system).
 
-    Sparser rows are processed first, which keeps the kernel basis sparse
-    for longer.
+    Each row is read as its pairs; sparser rows are processed first, which
+    keeps the kernel basis sparse for longer.
     """
-    ordered = sorted(rows, key=lambda r: len(r) - r.count(0))
+    ordered = sorted((tuple(_pairs(r)) for r in rows), key=len)
     return ncols - len(_int_kernel(ordered, ncols))
 
 
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right kernel {v : m v = 0}."""
-    rows = (_int_row(m.row(i)) for i in range(m.rows))
+    rows = (_pairs(_int_row(m.row(i))) for i in range(m.rows))
     return Subspace.span(m.cols, _int_kernel(rows, m.cols))
 
 

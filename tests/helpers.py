@@ -1,6 +1,7 @@
 """Shared check routines used by the property and acceptance suites, and
 reference implementations that faster code in `jordanalg` must match."""
 
+from dataclasses import astuple, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -34,6 +35,7 @@ from jordanalg.cohomology import (
 from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peirce_single
 from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
+    B2_ORDER,
     NonJordanError,
     RadicalVerificationError,
     is_ideal,
@@ -87,10 +89,11 @@ def complement_columns(a: Algebra) -> list[int]:
     return [c for c in range(n * (n + 1) // 2 * n) if c not in pivots]
 
 
-def cocycle_system(a: Algebra) -> tuple[int, list[int], list[tuple[int, ...]]]:
-    """Unknown count, `complement_columns` and the cocycle rows on them:
-    the system `cohomology.cocycle_space` cuts, with its size check and
-    then its Jordan check before any work."""
+def cocycle_system(a: Algebra) -> tuple[int, list[int], list[tuple[tuple[int, int], ...]]]:
+    """Unknown count, `complement_columns` and the cocycle rows on them, as
+    pair rows (index in the columns, value): the system
+    `cohomology.cocycle_space` cuts, with its size check and then its
+    Jordan check before any work."""
     check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("cocycles are only computed for Jordan algebras")
@@ -411,6 +414,22 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
                     add_associator(form, z, y, x, w)
                     rows.update(tuple(r) for r in form if any(r))
     return nunk, list(rows)
+
+
+def reference_fingerprint_key(fp) -> tuple:
+    """`Fingerprint.key()` as it was written before it read each record's
+    fields shallowly: a record field through `dataclasses.astuple`, None read
+    as 0, and `b2_embeds` by `B2_ORDER`."""
+    out = []
+    for name in fp.SHALLOW_FIELDS + fp.DEEP_FIELDS:
+        value = getattr(fp, name)
+        if is_dataclass(value):
+            out.append(tuple(0 if v is None else v for v in astuple(value)))
+        elif name == "b2_embeds":
+            out.append(B2_ORDER[value])
+        else:
+            out.append(value)
+    return tuple(out)
 
 
 # The scalings of rationals to integers that `ratlin._int_vec` replaced:

@@ -54,7 +54,12 @@ from jordanalg.polysolve import embeds_b2
 from jordanalg.ratlin import ZERO, Matrix, Subspace, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 from gen import dense_basis, spin_factor
-from helpers import reference_induced_algebra, reference_radical_split, reference_trace_form
+from helpers import (
+    reference_fingerprint_key,
+    reference_induced_algebra,
+    reference_radical_split,
+    reference_trace_form,
+)
 
 F = Fraction
 
@@ -263,6 +268,19 @@ def test_fingerprint_keys_sort_deterministically(env):
     once = sorted(keys)
     assert sorted(reversed(keys)) == once
     assert len(set(keys)) == len(keys)
+
+
+def test_fingerprint_keys_match_the_deep_copied_records(entries, env):
+    # `key()` reads each record's fields shallowly; on the 73 four-dimensional
+    # fingerprints, with `b2_embeds` unset and set, it gives the tuples that
+    # `dataclasses.astuple` gave, down to their repr
+    dim4 = [e.name for e in entries if env[e.name].dim == 4]
+    assert len(dim4) == 73
+    for i, name in enumerate(dim4):
+        fp = fingerprint(env[name])
+        for b2 in (None, ("yes", "no", "inconclusive")[i % 3]):
+            fp = replace(fp, b2_embeds=b2)
+            assert repr(fp.key()) == repr(reference_fingerprint_key(fp)), name
 
 
 def test_fingerprint_invariant_under_permutation(env):

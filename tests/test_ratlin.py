@@ -195,10 +195,22 @@ def planted_rank_rows(rng, nrows, ncols, r):
     return rows
 
 
+def pair_rows(rows):
+    # each dense row as the (column, value) pairs of its nonzero entries,
+    # the rows `_int_kernel` reads
+    return [[(c, x) for c, x in enumerate(r) if x] for r in rows]
+
+
 def full_cocycle_system(a):
-    # (rows, nunk): the cocycle rows on every column
+    # (rows, nunk): the cocycle rows on every column, written out densely
     nunk = a.dim * (a.dim + 1) // 2 * a.dim
-    return _assemble_cocycle_rows(a, range(nunk)), nunk
+    rows = []
+    for pairs in _assemble_cocycle_rows(a, range(nunk)):
+        row = [0] * nunk
+        for c, x in pairs:
+            row[c] = x
+        rows.append(row)
+    return rows, nunk
 
 
 def kernel_oracle_cases(env):
@@ -224,7 +236,7 @@ def test_kernel_core_matches_echelon(env):
         pivots = _int_echelon(sorted(rows, key=lambda r: len(r) - r.count(0)), ncols)
         r = len(pivots)
         assert int_rows_rank(rows, ncols) == r
-        basis = _int_kernel(rows, ncols)
+        basis = _int_kernel(pair_rows(rows), ncols)
         assert len(basis) == ncols - r
         assert not any(sum(map(mul, v, row)) for v in basis for row in rows)
         m = Matrix(len(rows), ncols, tuple(F(x) for row in rows for x in row))
@@ -234,9 +246,9 @@ def test_kernel_core_matches_echelon(env):
 
 def test_kernel_reads_no_row_after_the_basis_empties():
     def rows():
-        yield [0, 2, 0]
-        yield [1, 0, 1]
-        yield [3, 1, -1]  # empties the basis
+        yield [(1, 2)]
+        yield [(0, 1), (2, 1)]
+        yield [(0, 3), (1, 1), (2, -1)]  # empties the basis
         raise AssertionError("row read after the kernel basis emptied")
 
     assert _int_kernel(rows(), 3) == []
@@ -255,6 +267,39 @@ def test_kernel_matches_sympy():
         assert kernel(m) == Subspace.span(ncols, null)
 
 
+def test_pair_kernel_matches_echelon_and_sympy():
+    # the pair rows `_int_kernel` reads, against the echelon rank and the
+    # sympy nullspace of the same rows written densely: empty rows, columns
+    # no row touches, duplicate rows and coefficients of 60 to 80 bits
+    sympy = pytest.importorskip("sympy")
+    rng = seeded_rng("pair-kernel")
+    assert _int_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert _int_kernel([[], [], [(1, 5)]], 2) == [[1, 0]]
+    assert _int_kernel([[]], 0) == []
+    big = (3**50, -(2**70) + 3, 10**20 + 1)
+    for _ in range(30):
+        ncols = rng.randint(1, 9)
+        rows = planted_rank_rows(rng, rng.randint(1, 12), ncols, rng.randint(0, ncols))
+        unused = rng.sample(range(ncols), rng.randint(0, ncols // 2))
+        for row in rows:
+            for c in unused:
+                row[c] = 0
+            if rng.random() < 0.4:
+                k = rng.choice(big)
+                row[:] = [k * x for x in row]
+        rows += [list(rng.choice(rows)), [0] * ncols]
+        rng.shuffle(rows)
+        r = len(_int_echelon(rows, ncols))
+        basis = _int_kernel(pair_rows(rows), ncols)
+        assert len(basis) == ncols - r == ncols - sympy.Matrix(rows).rank()
+        assert not any(sum(map(mul, v, row)) for v in basis for row in rows)
+        space = Subspace.span(ncols, basis)
+        assert all(space.contains_vector([F(int(j == c)) for j in range(ncols)]) for c in unused)
+        null = [[F(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(rows).nullspace()]
+        assert space == Subspace.span(ncols, null)
+        assert int_rows_rank(rows, ncols) == r
+
+
 def test_span_of_int_rows_matches_fraction_path(env):
     # integer generators go straight to primitive rows; the subspace is the
     # one their Fraction copies span, zero and duplicate rows included
@@ -262,7 +307,8 @@ def test_span_of_int_rows_matches_fraction_path(env):
     cases = [([], 3), ([[]], 0), ([[0, 0, 0]] * 4, 3), ([[2, 4], [-1, -2], [0, 6]], 2)]
     for name in rng.sample(sorted(env), 8):
         rows, nunk = full_cocycle_system(env[name])
-        cases += [(coboundary_int_rows(env[name]), nunk), (_int_kernel(rows, nunk), nunk)]
+        cases += [(coboundary_int_rows(env[name]), nunk),
+                  (_int_kernel(pair_rows(rows), nunk), nunk)]
     for _ in range(30):
         ncols = rng.randint(1, 8)
         k = rng.choice([1, 2, 6, -3])
