@@ -20,7 +20,6 @@ from .algebra import (
     is_jordan,
     jordan_violation,
     matrix_algebra,
-    multiply,
     plus_algebra,
     product_span,
     unitalization,
@@ -37,7 +36,7 @@ from .catalog import (
     serialize,
     verify_catalog,
 )
-from .cohomology import CocycleSpace, cocycle_space, coboundary, null_extension
+from .cohomology import CocycleSpace, cocycle_space
 from .invariants import (
     Fingerprint,
     PowerProfile,
@@ -66,6 +65,6 @@ from .polysolve import (
     embeds_b2,
     has_solution,
 )
-from .ratlin import Matrix, Rational, Subspace, kernel, rref, solve
+from .ratlin import Matrix, Rational, Subspace, kernel, solve
 
 __version__ = "0.1.0"

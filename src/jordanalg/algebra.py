@@ -14,17 +14,19 @@ denominators, and it is the one cached copy of the table besides `table`
 itself.  `_int_products` is the one routine that multiplies elements.  It
 takes integer rows, which `_int_vec` makes of rational vectors, and gives
 each product times den; `Algebra.mul`, the change of basis, subspace products,
-the delta^1 and cocycle rows of `cohomology` and the Peirce systems all call
-it.  The annihilator, centroid and trace-form systems are written on the
-constants themselves, as are the associator table and the Jordan scan below.
+the cocycle rows of `cohomology` and the Peirce systems all call it.  The
+annihilator, centroid, trace-form and identity systems and the delta^1 rows
+are written on the constants themselves, as are the associator table and
+the Jordan scan below.
 
 An associator of basis elements carries two constants, so it scales by
 den**2, and the linearized Jordan defect carries three, so it scales by
 den**3; neither scaling changes which of them vanish.  `_assoc_table`
-holds the associator of every basis triple on those constants, n**4
-integers built once per algebra and cached like `_int_structure`.  The
-Jordan scan, the associativity test and the cocycle rows read it, and the
-associator is linear in each argument, so it extends to any element.
+holds the associator of every basis triple on those constants, as the
+(coordinate, value) pairs of its nonzero entries, built once per algebra
+and cached like `_int_structure`.  The Jordan scan, the associativity test
+and the cocycle rows read only those pairs, and the associator is linear in
+each argument, so it extends to any element.
 
 All values are immutable and every operation is a pure function.  A
 derived invariant that several callers read is wrapped in `per_algebra`,
@@ -39,6 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import compress
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
@@ -48,10 +51,11 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
+    _int_echelon,
+    _int_rref,
     _int_vec,
     invert,
     rat,
-    solve,
     sub_vec,
     unit_vec,
     zero_vec,
@@ -177,21 +181,25 @@ class Algebra:
         return den, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
 
     @cached_property
-    def _assoc_table(self) -> list[list[list[list[int]]]]:
-        """T[x][y][k] = (b_x b_y) b_k - b_x (b_y b_k), on integer-scaled
-        constants."""
+    def _assoc_table(self) -> list[list[list[tuple[tuple[int, int], ...]]]]:
+        """T[x][y][k]: the (m, e) pairs of the nonzero entries e of
+        (b_x b_y) b_k - b_x (b_y b_k), on integer-scaled constants, m
+        ascending."""
         n = self.dim
         _, srows = self._int_structure
-        table = [[[[0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        table = [[[None] * n for _ in range(n)] for _ in range(n)]
         for x in range(n):
             for y in range(n):
-                for k, v in enumerate(table[x][y]):
+                txy = table[x][y]
+                for k in range(n):
+                    v = [0] * n
                     for p, c in srows[x][y]:
                         for m, d in srows[p][k]:
                             v[m] += c * d
                     for q, c in srows[y][k]:
                         for m, d in srows[x][q]:
                             v[m] -= c * d
+                    txy[k] = tuple(compress(enumerate(v), v))
         return table
 
     @cached_property
@@ -250,9 +258,8 @@ def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], li
                     for t, prod in terms:
                         ty = t[y]
                         for k, c in prod:
-                            for m, e in enumerate(ty[k]):
-                                if e:
-                                    defect[m] += c * e
+                            for m, e in ty[k]:
+                                defect[m] += c * e
                     if any(defect):
                         return (x, y, z, w), defect
     return None
@@ -285,7 +292,7 @@ def is_jordan(a: Algebra) -> bool:
 
 def is_associative(a: Algebra) -> bool:
     """(b_i, b_j, b_k) = 0 for all basis triples, on integer-scaled constants."""
-    return not any(any(v) for tx in a._assoc_table for txy in tx for v in txy)
+    return not any(v for tx in a._assoc_table for txy in tx for v in txy)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -344,25 +351,36 @@ def unitalization(a: Algebra, unit_label: str = "one") -> Algebra:
 def find_identity(a: Algebra) -> Optional[Vector]:
     """The unique two-sided identity, or None.
 
-    Solves u * b_i = b_i for all i; in a commutative algebra an identity is
-    unique, and for noncommutative tables the solution is verified on the
-    right as well.
+    Solves u * b_i = b_i for all i on the integer-scaled constants: row
+    (i, k) is sum_j den c_ji^k u_j = den [i = k], its right-hand side at
+    column n.  A two-sided identity is the unique left identity, and the
+    solution read off the integer RREF sets the free unknowns to zero, as
+    `ratlin.solve` does.  In a commutative algebra a left identity is
+    two-sided; for noncommutative tables it is verified on the right.
     """
     n = a.dim
     if n == 0:
         return ()
+    den, srows = a._int_structure
     rows = []
-    rhs = []
     for i in range(n):
-        for k in range(n):
-            rows.append([a.table[j][i][k] for j in range(n)])
-            rhs.append(ONE if i == k else ZERO)
-    u = solve(Matrix.from_rows(rows), rhs)
-    if u is None:
+        block = [[0] * (n + 1) for _ in range(n)]
+        block[i][n] = den
+        for j in range(n):
+            for k, c in srows[j][i]:
+                block[k][j] = c
+        rows += block
+    pivots = _int_echelon(rows, n + 1)
+    if n in pivots:
         return None
-    for i in range(n):
-        if a.mul(a.basis_vector(i), u) != a.basis_vector(i):
-            return None
+    u = [ZERO] * n
+    for r, c in zip(_int_rref(pivots), sorted(pivots)):
+        u[c] = Fraction(r[n], r[c])
+    u = tuple(u)
+    if not is_commutative(a):
+        for i in range(n):
+            if a.mul(a.basis_vector(i), u) != a.basis_vector(i):
+                return None
     return u
 
 

@@ -6,11 +6,13 @@ extension J + M (M a copy of J with M*M = 0, products
 identity (x, y, zw) + (w, y, zx) + (z, y, xw) = 0, ( , , ) the associator.
 Coboundaries are the maps h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) for linear
 mu, and h2 = dim Z2 - dim B2 counts extensions up to equivalence.  B2 is the
-image of the operator delta^1 : mu -> h_mu, whose kernel is Der J; one
-integer echelon of the delta^1 rows, `coboundary_echelon`, kept per
-algebra, gives dim B2 as its size and dim Der J = n^2 - dim B2.  This
-module writes both the delta^1 rows and the cocycle rows, on the
-coordinates of `grid_to_vec`.
+image of the operator delta^1 : mu -> h_mu, whose kernel is Der J.  This
+module writes both the delta^1 rows and the cocycle rows, on the unknowns
+h(p, q)_k, pairs p <= q in order and then the coordinate k.  Both are pair
+rows, the sorted (column, value) pairs of a row's nonzero entries, read off
+the sparse integer constants.  One pair-row echelon of the delta^1 rows,
+`coboundary_echelon`, kept per algebra, gives dim B2 as its size and
+dim Der J = n^2 - dim B2; only its pivot columns are read.
 
 Every coboundary is a cocycle, so Z2 = B2 + (Z2 meet C), a direct sum, for
 any complement C of B2.  The unit vectors off the echelon's pivot columns
@@ -82,17 +84,7 @@ from .algebra import (
     is_jordan,
     per_algebra,
 )
-from .ratlin import (
-    Matrix,
-    Vector,
-    _int_echelon,
-    _int_kernel,
-    unit_vec,
-    vec,
-    zero_vec,
-)
-
-SymGrid = tuple[tuple[Vector, ...], ...]
+from .ratlin import _int_kernel, _pair_echelon, _pairs
 
 # Largest cocycle system, in dense cells (`cocycle_cells`), that
 # `cocycle_space` assembles: every table of dimension up to 12 (4.9e7
@@ -118,94 +110,68 @@ class CocycleSpace:
             raise AlgebraError("inconsistent cocycle dimensions")
 
 
-def grid_from_function(a: Algebra, fn) -> SymGrid:
-    n = a.dim
-    return tuple(tuple(vec(fn(i, j)) for j in range(n)) for i in range(n))
+def _pair_bases(n: int) -> list[list[int]]:
+    """base[p][q] = base[q][p]: the index of unknown h(p, q)_0; h(p, q)_k
+    is at base[p][q] + k, pairs p <= q in order."""
+    base = [[0] * n for _ in range(n)]
+    nunk = 0
+    for p in range(n):
+        for q in range(p, n):
+            base[p][q] = base[q][p] = nunk
+            nunk += n
+    return base
 
 
-def null_extension(a: Algebra, h: SymGrid) -> Algebra:
-    """Algebra on J + M realizing the symmetric bilinear map h."""
-    n = a.dim
-    if len(h) != n or any(len(row) != n or any(len(v) != n for v in row) for row in h):
-        raise AlgebraError("cocycle grid must be n x n with n-vectors")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tuple(h[i][j]) != tuple(h[j][i]):
-                raise AlgebraError("cocycle grid must be symmetric")
-    labels = a.labels + tuple(l + "'" for l in a.labels)
-    zeros = zero_vec(n)
-    table = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j < n:
-                row.append(tuple(a.table[i][j]) + tuple(h[i][j]))
-            elif i < n <= j:
-                row.append(zeros + tuple(a.table[i][j - n]))
-            elif j < n <= i:
-                row.append(zeros + tuple(a.table[i - n][j]))
-            else:
-                row.append(zeros + zeros)
-        table.append(tuple(row))
-    return Algebra(labels, tuple(table))
+def coboundary_pair_rows(a: Algebra) -> list[tuple[tuple[int, int], ...]]:
+    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy),
+    as pair rows: sorted tuples of (unknown, nonzero value).
 
-
-def coboundary(a: Algebra, mu: Matrix) -> SymGrid:
-    """h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) on basis pairs."""
-    if mu.rows != a.dim or mu.cols != a.dim:
-        raise AlgebraError("coboundary map has wrong shape")
-    n = a.dim
-    cols = [mu.apply(unit_vec(n, j)) for j in range(n)]
-
-    def entry(i, j):
-        t = a.mul(cols[i], a.basis_vector(j))
-        t = tuple(x + y for x, y in zip(t, a.mul(a.basis_vector(i), cols[j])))
-        return tuple(x - y for x, y in zip(t, mu.apply(a.table[i][j])))
-
-    return grid_from_function(a, entry)
-
-
-def coboundary_int_rows(a: Algebra) -> list[list[int]]:
-    """Rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy).
-
-    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
-    over basis pairs i <= j as in `grid_to_vec`, on integer-scaled
-    structure constants: every entry carries one structure constant, so the
-    scaling is uniform and the rank is unchanged.  The kernel of delta^1 is
-    Der J and its image is B2.  Pairs i <= j cover every pair only on a
-    commutative table, so any other raises AlgebraError.
+    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r) on the
+    unknowns h(i, j)_k, i <= j, read off the sparse rows of
+    `Algebra._int_structure`: +c_rj^k at pair (s, j) for j >= s, +c_ir^k at
+    pair (i, s) for i <= s (both at pair (s, s)), and -c_ij^s at coordinate
+    r of pair (i, j).  Every entry carries one structure constant, so the
+    scaling is uniform and the row space is unchanged.  The kernel of
+    delta^1 is Der J and its image is B2.  Pairs i <= j cover every pair
+    only on a commutative table, so any other raises AlgebraError.
     """
     if not is_commutative(a):
         raise AlgebraError("delta^1 rows cover pairs i <= j only: the table must be commutative")
     n = a.dim
-    units = [[int(i == k) for k in range(n)] for i in range(n)]
-    prods = _int_products(a, units, units)  # b_i b_j at i n + j
+    srows = a._int_structure[1]
+    base = _pair_bases(n)
+    coord = [[] for _ in range(n)]  # (base of pair (i, j), c_ij^s) at s
+    for i in range(n):
+        for j in range(i, n):
+            for s, c in srows[i][j]:
+                coord[s].append((base[i][j], c))
     rows = []
     for r in range(n):
         for s in range(n):
-            row: list[int] = []
-            for i in range(n):
-                for j in range(i, n):
-                    v = [0] * n
-                    if i == s:
-                        for k, x in enumerate(prods[r * n + j]):
-                            v[k] += x
-                    if j == s:
-                        for k, x in enumerate(prods[i * n + r]):
-                            v[k] += x
-                    v[r] -= prods[i * n + j][s]
-                    row.extend(v)
-            rows.append(row)
+            row: dict[int, int] = {}
+            for j in range(s, n):  # mu(b_s) b_j = b_r b_j, the first term
+                off = base[s][j]
+                for k, c in srows[r][j]:
+                    row[off + k] = c
+            for i in range(s + 1):  # b_i mu(b_s) = b_i b_r
+                off = base[i][s]
+                for k, c in srows[i][r]:
+                    row[off + k] = row.get(off + k, 0) + c
+            for off, c in coord[s]:  # - mu(b_i b_j)
+                row[off + r] = row.get(off + r, 0) - c
+            rows.append(tuple(sorted((k, x) for k, x in row.items() if x)))
     return rows
 
 
 @per_algebra
-def coboundary_echelon(a: Algebra) -> dict[int, list[int]]:
-    """`_int_echelon` of `coboundary_int_rows`, run once per algebra: pivot
-    column -> row.  Its rows span B2, its size is dim B2 = n^2 - dim Der J,
-    and the unit vectors off its pivot columns span a complement of B2."""
-    n = a.dim
-    return _int_echelon(coboundary_int_rows(a), n * (n + 1) // 2 * n)
+def coboundary_echelon(a: Algebra) -> dict[int, dict[int, int]]:
+    """`ratlin._pair_echelon` of `coboundary_pair_rows`, run once per
+    algebra: pivot column -> row.  Only its pivot columns are read: its
+    size is dim B2 = n^2 - dim Der J, and the unit vectors off its pivot
+    columns span a complement of B2.  The pivot columns do not depend on
+    the row order, and sparser rows first keep the echelon rows sparse for
+    longer."""
+    return _pair_echelon(sorted(coboundary_pair_rows(a), key=len))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +203,8 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[
 
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
-    h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`, of
-    which the entries on `cols` are kept.  A row that is zero there is
+    h(p, q)_k, at index base[p][q] + k (`_pair_bases`), of which the
+    entries on `cols` are kept.  A row that is zero there is
     dropped.  The n forms of a quadruple are one dict keyed by the flat
     index m nunk + u of unknown u in the form of coordinate m, and a
     quadruple whose three associator terms have neither a nonzero
@@ -256,16 +222,13 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[
     """
     n = a.dim
     nsq = n * n
-    base = [[0] * n for _ in range(n)]
-    nunk = 0
-    for p in range(n):
-        for q in range(p, n):
-            base[p][q] = base[q][p] = nunk
-            nunk += n
+    base = _pair_bases(n)
+    nunk = n * (n + 1) // 2 * n
 
     def nonzeros(cols):
-        # (m nunk + j, c) for each nonzero entry c of column j, coordinate m
-        return [(m * nunk + j, c) for j, col in enumerate(cols) for m, c in enumerate(col) if c]
+        # (m nunk + j, c) for each pair (m, c) of column j: its nonzero
+        # entry c at coordinate m
+        return [(m * nunk + j, c) for j, col in enumerate(cols) for m, c in col]
 
     units = [[int(i == k) for k in range(n)] for i in range(n)]
     prod = _int_products(a, units, units)  # b_p b_q at p n + q
@@ -273,15 +236,14 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[
     zws = [zw for zw in range(nsq) if sparse[zw]]  # the nonzero b_z b_w
     # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
     # b_j (zw), and of h -> x h it is b_x b_j
-    assoc_ops = [[nonzeros(cols) if any(map(any, cols)) else [] for cols in row]
-                 for row in a._assoc_table]
-    left_ops = [nonzeros(prod[x * n:(x + 1) * n]) for x in range(n)]
+    assoc_ops = [[nonzeros(cols) for cols in row] for row in a._assoc_table]
+    left_ops = [nonzeros(row) for row in a._int_structure[1]]
     prod_ops = [[] for _ in range(nsq)]
     y_zw = [[] for _ in range(n * nsq)]  # sparse b_y (b_z b_w) at y n^2 + z n + w
     triple = _int_products(a, units, [prod[zw] for zw in zws])  # b_j (b_z b_w), j-major
     for i, zw in enumerate(zws):
         cols_zw = triple[i::len(zws)]
-        prod_ops[zw] = nonzeros(cols_zw)
+        prod_ops[zw] = nonzeros(map(_pairs, cols_zw))
         for y, v in enumerate(cols_zw):
             y_zw[y * nsq + zw] = [(q, c) for q, c in enumerate(v) if c]
     spread = [m * (nunk + 1) for m in range(n)]  # h(p, q)_m in the form of m
@@ -339,16 +301,6 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[
                             out[p[0]].append((p[1], c))
                     rows.update(tuple(sorted(r)) for r in out if r)
     return list(rows)
-
-
-def grid_to_vec(a: Algebra, h: SymGrid) -> Vector:
-    """Flatten a symmetric grid to coordinates over pairs p <= q."""
-    n = a.dim
-    out = []
-    for p in range(n):
-        for q in range(p, n):
-            out.extend(h[p][q])
-    return tuple(out)
 
 
 def cocycle_space(a: Algebra) -> CocycleSpace:

@@ -247,9 +247,9 @@ def radical(a: Algebra) -> Subspace:
 def derivation_dim(a: Algebra) -> int:
     """dim Der J: D is a derivation iff delta^1(D) = 0, D(xy) = D(x)y + xD(y)
     on basis pairs, so Der J is the kernel of delta^1 and
-    dim Der J = n^2 - dim B2, read from the one `_int_echelon` of the
-    delta^1 rows that `cohomology.coboundary_echelon` keeps on the algebra
-    and `cohomology.cocycle_space` shares."""
+    dim Der J = n^2 - dim B2, the pivot count of the one pair-row echelon
+    of the delta^1 rows that `cohomology.coboundary_echelon` keeps on the
+    algebra and `cohomology.cocycle_space` shares."""
     return a.dim * a.dim - len(coboundary_echelon(a))
 
 

@@ -12,8 +12,9 @@ earlier ones costs one test and no reduction.  It reads pair rows, the
 nonzeros and not its length: the cocycle assembly writes its rows that way,
 and `rank`, `int_rows_rank` and `kernel` turn their dense rows into pairs
 (`_pairs`).  `_int_echelon` builds the echelon basis that `rref`, `solve`,
-`invert` and `Subspace` need, and `_int_rref` back-substitutes it in
-integers.
+`invert`, `Subspace` and `algebra.find_identity` need, and `_int_rref`
+back-substitutes it in integers.  `_pair_echelon` is its twin on pair rows,
+for the sparse delta^1 rows whose pivot columns `cohomology` reads.
 
 Matrices are immutable.  A subspace is stored as its RREF basis with each
 row scaled to a primitive integer row with a positive pivot; that basis is
@@ -180,6 +181,43 @@ def _int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[in
     pivots: dict[int, list[int]] = {}
     for raw in rows:
         _int_echelon_add(pivots, raw, ncols)
+    return pivots
+
+
+def _pair_echelon(rows: Iterable[Iterable[tuple[int, int]]]) -> dict[int, dict[int, int]]:
+    """Integer echelon form of pair rows: pivot column -> row, a dict
+    column -> nonzero entry, divided by its content and positive at its
+    pivot, the row's smallest column.
+
+    As in `_int_echelon_add`, each row is reduced at its leading column
+    against the pivot row there until it is zero or leads at a new pivot
+    column, but a step costs the nonzeros of the two rows and not the row
+    length.  The pivot columns are the leading columns of the row space,
+    so they are those that `_int_echelon` finds on the dense rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for pairs in rows:
+        row = {c: x for c, x in pairs if x}
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                g = gcd(*row.values())
+                if row[c] < 0:
+                    g = -g
+                pivots[c] = {k: x // g for k, x in row.items()} if g != 1 else row
+                break
+            g = gcd(p[c], row[c])
+            a, b = p[c] // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, y in p.items():
+                x = row.get(k, 0) - b * y
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
     return pivots
 
 

@@ -9,6 +9,8 @@ from typing import Optional, Sequence
 from jordanalg.algebra import (
     Algebra,
     AlgebraError,
+    _int_products,
+    is_commutative,
     is_jordan,
     parse_terms,
     product_span,
@@ -26,11 +28,9 @@ from jordanalg.catalog import (
     _is_count,
 )
 from jordanalg.cohomology import (
-    SymGrid,
     _assemble_cocycle_rows,
     check_cocycle_cells,
     coboundary_echelon,
-    grid_from_function,
 )
 from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peirce_single
 from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
@@ -54,11 +54,131 @@ from jordanalg.ratlin import (
     invert,
     kernel,
     rank as matrix_rank,
+    solve,
     sub_vec,
     unit_vec,
     vec,
     zero_vec,
 )
+
+
+# The Fraction cochain path: symmetric maps h : J x J -> J as n x n grids
+# of vectors, their split null extensions, and the coboundary of a linear
+# map.  `jordanalg.cohomology` works on integer pair rows; these are the
+# slow reference its answers are checked against.
+
+SymGrid = tuple[tuple[Vector, ...], ...]
+
+
+def grid_from_function(a: Algebra, fn) -> SymGrid:
+    n = a.dim
+    return tuple(tuple(vec(fn(i, j)) for j in range(n)) for i in range(n))
+
+
+def null_extension(a: Algebra, h: SymGrid) -> Algebra:
+    """Algebra on J + M realizing the symmetric bilinear map h."""
+    n = a.dim
+    if len(h) != n or any(len(row) != n or any(len(v) != n for v in row) for row in h):
+        raise AlgebraError("cocycle grid must be n x n with n-vectors")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if tuple(h[i][j]) != tuple(h[j][i]):
+                raise AlgebraError("cocycle grid must be symmetric")
+    labels = a.labels + tuple(l + "'" for l in a.labels)
+    zeros = zero_vec(n)
+    table = []
+    for i in range(2 * n):
+        row = []
+        for j in range(2 * n):
+            if i < n and j < n:
+                row.append(tuple(a.table[i][j]) + tuple(h[i][j]))
+            elif i < n <= j:
+                row.append(zeros + tuple(a.table[i][j - n]))
+            elif j < n <= i:
+                row.append(zeros + tuple(a.table[i - n][j]))
+            else:
+                row.append(zeros + zeros)
+        table.append(tuple(row))
+    return Algebra(labels, tuple(table))
+
+
+def coboundary(a: Algebra, mu: Matrix) -> SymGrid:
+    """h_mu(x, y) = mu(x)y + x mu(y) - mu(xy) on basis pairs."""
+    if mu.rows != a.dim or mu.cols != a.dim:
+        raise AlgebraError("coboundary map has wrong shape")
+    n = a.dim
+    cols = [mu.apply(unit_vec(n, j)) for j in range(n)]
+
+    def entry(i, j):
+        t = a.mul(cols[i], a.basis_vector(j))
+        t = tuple(x + y for x, y in zip(t, a.mul(a.basis_vector(i), cols[j])))
+        return tuple(x - y for x, y in zip(t, mu.apply(a.table[i][j])))
+
+    return grid_from_function(a, entry)
+
+
+def grid_to_vec(a: Algebra, h: SymGrid) -> Vector:
+    """Flatten a symmetric grid to coordinates over pairs p <= q."""
+    n = a.dim
+    out = []
+    for p in range(n):
+        for q in range(p, n):
+            out.extend(h[p][q])
+    return tuple(out)
+
+
+def coboundary_int_rows(a: Algebra) -> list[list[int]]:
+    """Dense rows of the coboundary operator delta^1(mu)(x, y) = mu(x)y + x mu(y) - mu(xy):
+    the reference that `cohomology.coboundary_pair_rows` must match row for row.
+
+    Row (r, s) is delta^1 of the unit map mu = E_rs (b_s -> b_r), flattened
+    over basis pairs i <= j as in `grid_to_vec`, on integer-scaled
+    structure constants.  Pairs i <= j cover every pair only on a
+    commutative table, so any other raises AlgebraError.
+    """
+    if not is_commutative(a):
+        raise AlgebraError("delta^1 rows cover pairs i <= j only: the table must be commutative")
+    n = a.dim
+    units = [[int(i == k) for k in range(n)] for i in range(n)]
+    prods = _int_products(a, units, units)  # b_i b_j at i n + j
+    rows = []
+    for r in range(n):
+        for s in range(n):
+            row: list[int] = []
+            for i in range(n):
+                for j in range(i, n):
+                    v = [0] * n
+                    if i == s:
+                        for k, x in enumerate(prods[r * n + j]):
+                            v[k] += x
+                    if j == s:
+                        for k, x in enumerate(prods[i * n + r]):
+                            v[k] += x
+                    v[r] -= prods[i * n + j][s]
+                    row.extend(v)
+            rows.append(row)
+    return rows
+
+
+def reference_identity(a: Algebra) -> Optional[Vector]:
+    """`algebra.find_identity` as it was written on Fractions: `solve` of
+    u * b_i = b_i for all i, checked on the right."""
+    n = a.dim
+    if n == 0:
+        return ()
+    rows = []
+    rhs = []
+    for i in range(n):
+        for k in range(n):
+            rows.append([a.table[j][i][k] for j in range(n)])
+            rhs.append(ONE if i == k else ZERO)
+    u = solve(Matrix.from_rows(rows), rhs)
+    if u is None:
+        return None
+    for i in range(n):
+        if a.mul(a.basis_vector(i), u) != a.basis_vector(i):
+            return None
+    return u
 
 
 # Small conversions that only the tests read.
@@ -107,7 +227,12 @@ def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
     from the system `cohomology.cocycle_space` cuts, so a table over
     `MAX_COCYCLE_CELLS` is refused alike."""
     nunk, cols, rows = cocycle_system(a)
-    b2 = list(coboundary_echelon(a).values())
+    b2 = []  # the pair rows of the delta^1 echelon, made dense
+    for row in coboundary_echelon(a).values():
+        v = [0] * nunk
+        for c, x in row.items():
+            v[c] = x
+        b2.append(v)
     meet = []  # Z2 meet C, with zeros put back on the pivot columns
     for k in _int_kernel(rows, len(cols)):
         v = [0] * nunk
@@ -358,6 +483,7 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
     h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`.
+    `Algebra._assoc_table` gives each associator column as its (m, c) pairs.
     """
     n = a.dim
     _, srows = a._int_structure
@@ -383,6 +509,13 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
                 if c:
                     form[m][off + j] += sign * c
 
+    def act_pairs(form, cols, p, q):
+        # form += K h(p, q), column j of K given as the pairs cols[j]
+        off = base[p][q]
+        for j, col in enumerate(cols):
+            for m, c in col:
+                form[m][off + j] += c
+
     def at(form, c, p, q):
         # form += c * h(p, q)
         off = base[p][q]
@@ -392,7 +525,7 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     def add_associator(form, x, y, z, w):
         # M-part of (b_x, b_y, b_z b_w) in the null extension
         zw = srows[z][w]
-        act(form, 1, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
+        act_pairs(form, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
         act(form, 1, prod_cols[z][w], x, y)  # (zw) h(x, y)
         for p, c in srows[x][y]:
             for q, d in zw:

@@ -26,6 +26,7 @@ from conftest import random_invertible_matrix, seeded_rng
 from helpers import (
     reference_associator,
     reference_change_basis,
+    reference_identity,
     reference_int_structure,
     reference_mul,
 )
@@ -211,7 +212,8 @@ def test_jordan_violation_matches_fraction_oracle():
 
 
 def test_assoc_table_matches_fraction_associator(env):
-    # T[x][y][k] is the associator (b_x, b_y, b_k) scaled by den**2
+    # T[x][y][k] is the associator (b_x, b_y, b_k) scaled by den**2, as the
+    # sorted (coordinate, value) pairs of its nonzero entries
     rng = seeded_rng("assoc-table")
     cases = [matrix_algebra(2), plus_algebra(matrix_algebra(3)),
              rejected_half_action(), rejected_cubed_generator()]
@@ -225,9 +227,13 @@ def test_assoc_table_matches_fraction_associator(env):
             for y, by in enumerate(basis):
                 for k, bk in enumerate(basis):
                     t = a._assoc_table[x][y][k]
-                    assert all(type(e) is int for e in t)
+                    assert all(type(e) is int and e for _, e in t)
+                    assert [m for m, _ in t] == sorted({m for m, _ in t})
                     want = reference_associator(a, bx, by, bk)
-                    assert t == [den**2 * f for f in want], (a.labels, x, y, k)
+                    got = [0] * a.dim
+                    for m, e in t:
+                        got[m] = e
+                    assert got == [den**2 * f for f in want], (a.labels, x, y, k)
     assert any(a._int_structure[0] > 1 for a in cases)
 
 
@@ -438,6 +444,30 @@ def test_find_identity_examples(env):
     assert find_identity(env["J36"]) == env["J36"].element({"e1": 1})
     assert find_identity(env["J5"]) is None
     assert find_identity(env["J1"]) == env["J1"].element({"e1": 1, "e2": 1, "e4": 1})
+
+
+def test_find_identity_matches_the_fraction_reference(env, dense_env):
+    # the integer solve gives the identity, or None, that `solve` gave on
+    # the Fraction table: on every catalog table in its own and a dense
+    # basis, the catalog quotients by the radical, noncommutative matrix
+    # algebras and the unitalizations of the nilpotent tables
+    from jordanalg.invariants import is_nilpotent, radical_split
+
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    cases += [radical_split(a)[2] for a in env.values()]
+    cases += [matrix_algebra(2), plus_algebra(matrix_algebra(3))]
+    cases += [unitalization(a) for a in env.values() if is_nilpotent(a)]
+    # e e = e and e n = n but n e = 0: e is a left identity and no right one
+    left = Algebra.from_products(("e", "n"), {("e", "e"): {"e": 1}, ("e", "n"): {"n": 1}},
+                                 symmetric=False)
+    assert find_identity(left) is None
+    cases.append(left)
+    found = [find_identity(a) for a in cases]
+    assert found == [reference_identity(a) for a in cases]
+    m2 = matrix_algebra(2)
+    assert find_identity(m2) == m2.element({"E11": 1, "E22": 1})
+    assert 0 < sum(u is None for u in found) < len(cases) // 2
+    assert any(a.dim == 0 for a in cases) and any(a._int_structure[0] > 1 for a in cases)
 
 
 def test_check_isomorphism_identity_map(env):

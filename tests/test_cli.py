@@ -121,8 +121,8 @@ def test_verify_deep_echelons_delta1_once_per_algebra(capsys, monkeypatch):
     from jordanalg import cohomology
 
     built = []
-    original = cohomology.coboundary_int_rows
-    monkeypatch.setattr(cohomology, "coboundary_int_rows",
+    original = cohomology.coboundary_pair_rows
+    monkeypatch.setattr(cohomology, "coboundary_pair_rows",
                         lambda a: built.append(a) or original(a))
     code, _, _ = run(capsys, "verify", "--deep")
     assert code == 0

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import compress
+from math import gcd
 
 import pytest
 
@@ -18,20 +19,31 @@ from jordanalg.cohomology import (
     MAX_COCYCLE_CELLS,
     _assemble_cocycle_rows,
     cocycle_cells,
-    coboundary,
-    coboundary_int_rows,
+    coboundary_echelon,
+    coboundary_pair_rows,
     cocycle_space,
-    grid_from_function,
-    grid_to_vec,
-    null_extension,
 )
 from jordanalg.invariants import derivation_dim, fingerprint
-from jordanalg.ratlin import Matrix, _int_kernel, _int_row, int_rows_rank, zero_vec
+from jordanalg.ratlin import (
+    Matrix,
+    _int_echelon,
+    _int_kernel,
+    _int_row,
+    _pairs,
+    int_rows_rank,
+    zero_vec,
+)
 from conftest import random_invertible_matrix, seeded_rng
+from gen import dense_basis, field_sum, spin_factor, truncated_polynomial
 from helpers import (
+    coboundary,
+    coboundary_int_rows,
     cocycle_subspaces,
     cocycle_system,
     complement_columns,
+    grid_from_function,
+    grid_to_vec,
+    null_extension,
     reference_cocycle_rows,
     vec_to_grid,
     zero_grid,
@@ -168,6 +180,32 @@ def test_cocycles_give_jordan_extensions(env):
             assert is_jordan(null_extension(a, vec_to_grid(a, row)))
 
 
+def test_coboundary_pair_rows_match_the_dense_reference(env, dense_env):
+    # each delta^1 pair row is the nonzero pairs of the dense reference row,
+    # and their echelon `coboundary_echelon`, of primitive rows with a positive entry at
+    # the smallest column, has the pivot columns `_int_echelon` finds on
+    # the dense rows: on the catalog in its own and a dense basis, and on
+    # generated families in their given and a dense basis
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    generated = [spin_factor(3, [[1, 0, 0], [0, 2, 0], [0, 0, 0]]), truncated_polynomial(5),
+                 field_sum(env["B3"]), field_sum(truncated_polynomial(3))]
+    for i, a in enumerate(generated):
+        cases += [a, dense_basis(a, f"pair-rows-{i}")[0]]
+    for a in cases:
+        n = a.dim
+        dense = coboundary_int_rows(a)
+        rows = coboundary_pair_rows(a)
+        assert rows == [tuple(_pairs(r)) for r in dense], a.labels
+        pivots = coboundary_echelon(a)
+        assert sorted(pivots) == sorted(_int_echelon(dense, n * (n + 1) // 2 * n)), a.labels
+        for c, row in pivots.items():
+            assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+            assert all(row.values())
+    assert any(len(coboundary_echelon(a)) < a.dim ** 2 for a in cases)
+    with pytest.raises(AlgebraError):
+        coboundary_pair_rows(matrix_algebra(2))
+
+
 def test_fast_assembly_matches_full_extension_scan(env):
     # the assembled system conditions only quadruples of base elements; the
     # defect on mixed quadruples is independent of the cocycle, so nothing
@@ -175,7 +213,7 @@ def test_fast_assembly_matches_full_extension_scan(env):
     # dense bases of B3 and T8 fill in the zero structure constants and
     # bring denominators into the integer scaling
     from jordanalg.algebra import associator
-    from jordanalg.ratlin import _int_echelon, _int_row, unit_vec
+    from jordanalg.ratlin import unit_vec
 
     rng = seeded_rng("assembly-scan")
     cases = [(name, env[name]) for name in ("F1", "F2", "B2", "B3", "T8")]
@@ -356,8 +394,8 @@ def test_derivation_dim_and_cocycle_space_build_delta1_rows_once(env, monkeypatc
     from jordanalg import cohomology
 
     built = []
-    original = cohomology.coboundary_int_rows
-    monkeypatch.setattr(cohomology, "coboundary_int_rows",
+    original = cohomology.coboundary_pair_rows
+    monkeypatch.setattr(cohomology, "coboundary_pair_rows",
                         lambda a: built.append(a) or original(a))
     a = Algebra(env["J55"].labels, env["J55"].table)
     assert derivation_dim(a) == a.dim * a.dim - cocycle_space(a).b2_dim

@@ -9,7 +9,6 @@ from jordanalg.algebra import (
     is_commutative,
     is_jordan,
 )
-from jordanalg.cohomology import coboundary, null_extension
 from jordanalg.invariants import (
     annihilator,
     induced_algebra,
@@ -24,7 +23,7 @@ from jordanalg.invariants import (
 )
 from jordanalg.ratlin import Matrix, vec
 from conftest import seeded_rng
-from helpers import cocycle_subspaces, zero_grid
+from helpers import coboundary, cocycle_subspaces, null_extension, zero_grid
 
 F = Fraction
 

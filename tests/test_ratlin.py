@@ -6,13 +6,15 @@ import pytest
 
 from jordanalg import ratlin
 from jordanalg.algebra import change_basis
-from jordanalg.cohomology import _assemble_cocycle_rows, coboundary_int_rows
+from jordanalg.cohomology import _assemble_cocycle_rows
 from jordanalg.ratlin import (
     Matrix,
     Subspace,
     _echelon_to_rref_rows,
     _int_echelon,
     _int_kernel,
+    _pair_echelon,
+    _pairs,
     int_rows_rank,
     invert,
     kernel,
@@ -22,7 +24,7 @@ from jordanalg.ratlin import (
     vec,
 )
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import coords, from_coords, reference_int_row
+from helpers import coboundary_int_rows, coords, from_coords, reference_int_row
 
 F = Fraction
 
@@ -354,6 +356,19 @@ def back_substitution_cases():
             rows.append([rng.randint(-(2**90), 2**90) for _ in range(ncols)])
         cases.append((rows, ncols))
     return cases
+
+
+def test_pair_echelon_matches_the_dense_echelon():
+    # on the same seeded rows the pair-row echelon has the pivot columns of
+    # `_int_echelon` and its rows, primitive and positive at their pivot,
+    # span the same space
+    for rows, ncols in back_substitution_cases():
+        pivots = _pair_echelon(_pairs(r) for r in rows)
+        assert sorted(pivots) == sorted(_int_echelon(rows, ncols))
+        for c, row in pivots.items():
+            assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in pivots.values()]
+        assert Subspace.span(ncols, dense) == Subspace.span(ncols, rows)
 
 
 def test_back_substitution_matches_fraction_reference(monkeypatch):
