@@ -15,6 +15,10 @@ itself.  `_int_products` is the one routine that multiplies elements.  It
 takes integer rows, which `_int_vec` makes of rational vectors, and gives
 each product times den; `Algebra.mul`, the change of basis, subspace products,
 the cocycle rows of `cohomology` and the Peirce systems all call it.  The
+change of basis, `_int_change_basis`, gives the new table's integer
+constants; `_from_int_structure` makes an algebra of them that keeps them
+as its `_int_structure`, so a caller may count them before it builds one.
+Commutativity is read off those constants once per algebra.  The
 annihilator, centroid, trace-form and identity systems and the delta^1 rows
 are written on the constants themselves, as are the associator table and
 the Jordan scan below.
@@ -42,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import compress
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
@@ -203,6 +208,15 @@ class Algebra:
         return table
 
     @cached_property
+    def _commutativity_violation(self) -> Optional[tuple[int, int]]:
+        """`commutativity_violation`, read once off `_int_structure`: two
+        entries are equal iff their scaled (k, den c_ijk) pairs are."""
+        srows = self._int_structure[1]
+        n = self.dim
+        return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                     if srows[i][j] != srows[j][i]), None)
+
+    @cached_property
     def _jordan_defect(self):
         """`_int_defect_scan` of this table, run once."""
         return _int_defect_scan(self)
@@ -230,15 +244,12 @@ def associator(
 
 
 def commutativity_violation(a: Algebra) -> Optional[tuple[int, int]]:
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if a.table[i][j] != a.table[j][i]:
-                return (i, j)
-    return None
+    """The first (i, j), i < j in row order, with b_i b_j != b_j b_i."""
+    return a._commutativity_violation
 
 
 def is_commutative(a: Algebra) -> bool:
-    return commutativity_violation(a) is None
+    return a._commutativity_violation is None
 
 
 def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], list[int]]]:
@@ -401,32 +412,58 @@ def check_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> bool:
 def change_basis(a: Algebra, p: Matrix) -> Algebra:
     """Algebra in the basis given by the columns of p (in a's coordinates).
 
-    check_isomorphism(change_basis(a, p), a, p) always holds.
-
-    The work is in integers: p = P / dp and its inverse Q / dq for integer
-    matrices P and Q, the products of the columns of P are taken on the
-    integer-scaled constants (each is den dp^2 times the true one), and
-    only the n^3 entries of Q times those products become Fractions.
+    check_isomorphism(change_basis(a, p), a, p) always holds.  p = P / dp
+    for an integer matrix P, and the table is `_int_change_basis` of P's
+    columns, so only its nonzero constants become Fractions.
     """
     n = a.dim
     if p.rows != n or p.cols != n:
         raise AlgebraError("basis-change matrix has wrong shape")
-    p_inv = invert(p)
-    if p_inv is None:
-        raise AlgebraError("basis-change matrix is singular")
     dp, pint = _int_vec(p.entries)
-    dq, qint = _int_vec(p_inv.entries)
-    cols = [[pint[k * n + i] for k in range(n)] for i in range(n)]
-    qrows = [[(k, x) for k, x in enumerate(qint[r * n:(r + 1) * n]) if x] for r in range(n)]
-    scale = a._int_structure[0] * dp * dp * dq
-    prods = _int_products(a, cols, cols)
-    table = tuple(
-        tuple(tuple(Fraction(sum(x * v[k] for k, x in qr), scale) for qr in qrows)
-              for v in prods[i * n:(i + 1) * n])
-        for i in range(n)
-    )
-    labels = tuple(f"b{i+1}" for i in range(n))
-    return Algebra(labels, table)
+    return _from_int_structure(*_int_change_basis(a, [pint[i::n] for i in range(n)], dp))
+
+
+def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
+    """`_int_structure` of `a` in the basis of the vectors col / dp, for
+    integer vectors `cols`, with no Fraction built.
+
+    The inverse of P = [cols] is Q / dq, read off the integer RREF of
+    [P | I].  The products of the columns are taken on the integer-scaled
+    constants (each is den times the true one, and b_i b_j = col_i col_j /
+    dp^2), so the coordinates of b_i b_j are Q (col_i col_j) / S with
+    S = den dq dp, and dividing S and every numerator by their gcd g gives
+    the lcm den' = S / g of the new denominators, as `_int_structure`
+    would.
+    """
+    n = a.dim
+    pivots = _int_echelon([[c[k] for c in cols] + [int(i == k) for i in range(n)]
+                           for k in range(n)], 2 * n)
+    if sorted(pivots) != list(range(n)):
+        raise AlgebraError("basis-change matrix is singular")
+    rref = _int_rref(pivots)
+    dq = lcm(*(r[c] for c, r in enumerate(rref)))
+    qrows = [[(k, x * (dq // r[c])) for k, x in enumerate(r[n:]) if x] for c, r in enumerate(rref)]
+    nums = [[sum(x * v[k] for k, x in qr) for qr in qrows] for v in _int_products(a, cols, cols)]
+    scale = a._int_structure[0] * dq * dp
+    g = gcd(scale, *(x for v in nums for x in v))
+    entries = [tuple((k, x // g) for k, x in enumerate(v) if x) for v in nums]
+    return scale // g, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+
+
+def _from_int_structure(den: int, srows) -> Algebra:
+    """The algebra with basis b1 .. bn whose `_int_structure` is
+    (den, srows), kept on it."""
+    n = len(srows)
+
+    def vector(entry):
+        v = [ZERO] * n
+        for k, x in entry:
+            v[k] = Fraction(x, den)
+        return tuple(v)
+
+    b = Algebra(tuple(f"b{i+1}" for i in range(n)), tuple(tuple(map(vector, row)) for row in srows))
+    b.__dict__["_int_structure"] = (den, srows)
+    return b
 
 
 def _int_products(a: Algebra, us, vs) -> list[list[int]]:

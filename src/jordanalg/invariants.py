@@ -14,27 +14,35 @@ deterministically.  Its fields are isomorphism invariants, so any basis
 gives the same record.  The derivation, centroid and H2 systems cost more
 the more nonzero structure constants a table has, so `h2_dims`, the one
 entry point for H2, and `fingerprint` read them on `_adapted_table`: the
-table in a basis built from the radical and the right powers, both already
-kept on the algebra, and split into the Peirce spaces of an idempotent
-lifted from the unit of J / rad J, when it is sparser than the given one.
-The catalog bases are adapted already and are used as they are.  The
-public `derivation_dim`, `centroid_dim` and `cocycle_space` work on the
-table as given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
+table in a basis built from the flag of the radical, its powers and the
+right powers of J, all already kept on the algebra, and split into the
+Peirce grid of an exact idempotent frame, when it is sparser than the
+given one.  The frame comes from the minimal polynomials of sample
+elements of the semisimple J / rad J: the CRT idempotents of their
+rational roots, lifted to orthogonal idempotents of J (Jacobson, Structure
+and Representations of Jordan Algebras).  The catalog bases are graded by
+such a frame already and are used as they are.  The public
+`derivation_dim`, `centroid_dim` and `cocycle_space` work on the table as
+given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain, count
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
     AlgebraError,
     NonJordanError,
+    _from_int_structure,
+    _int_change_basis,
     _int_products,
-    change_basis,
     find_identity,
     is_associative,
     is_commutative,
@@ -44,6 +52,7 @@ from .algebra import (
 )
 from .cohomology import CocycleSpace, check_cocycle_cells, coboundary_echelon, cocycle_space
 from .ratlin import (
+    ONE,
     ZERO,
     Matrix,
     Subspace,
@@ -52,6 +61,7 @@ from .ratlin import (
     _int_kernel,
     _int_vec,
     _normalize_int_row,
+    _simple_rational_roots,
     int_rows_rank,
     kernel,
     rank as matrix_rank,
@@ -452,7 +462,11 @@ def radical_record(rad_alg: Algebra) -> RadicalRecord:
 
 
 def _nonzero_constants(a: Algebra) -> int:
-    return sum(len(entry) for row in a._int_structure[1] for entry in row)
+    return _count_constants(a._int_structure[1])
+
+
+def _count_constants(srows) -> int:
+    return sum(len(entry) for row in srows for entry in row)
 
 
 def _lift_idempotent(a: Algebra, start: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -477,64 +491,219 @@ def _lift_idempotent(a: Algebra, start: Sequence[Fraction]) -> tuple[list[int], 
         d = den * den * d ** 3
         g = gcd(d, *e)
         e, d = [x // g for x in e], d // g
-    raise RadicalVerificationError("the unit of J / rad J did not lift to an idempotent")
+    raise RadicalVerificationError("an idempotent of J / rad J did not lift to an idempotent")
 
 
-def _lifted_unit(a: Algebra) -> tuple[list[int], int]:
-    """`_lift_idempotent` of the unit of J / rad J, put on the non-pivot
-    columns of the radical as in `quotient_algebra`.  J / rad J is
-    semisimple, so it has a unit unless it is zero."""
-    rad, _, quot = radical_split(a)
-    unit = find_identity(quot)
-    if unit is None:
-        raise RadicalVerificationError("J / rad J has no unit")
-    pivot_cols = set(rad._pivot_cols())
-    start = [ZERO] * a.dim
-    for c, x in zip([c for c in range(a.dim) if c not in pivot_cols], unit):
-        start[c] = x
-    return _lift_idempotent(a, start)
+# the sample elements of `_quotient_frame` after the basis vectors: this
+# many small integer combinations, drawn like the first one from the seed
+FRAME_SAMPLES = 8
+FRAME_SEED = "jordanalg-frame"
 
 
-def _adapted_basis(a: Algebra) -> Optional[Matrix]:
-    """A basis of `a` adapted to its flag of ideals and to the Peirce
-    decomposition of a lifted unit, as the columns of a matrix in a's
-    coordinates, or None when a's own basis, up to order, is adapted to
-    the flag.
+def _minimal_polynomial(q: Algebra, u: list[int], du: int, x: list[int]):
+    """(m, powers, scales): the minimal polynomial sum m_k t^k of x in q,
+    primitive in integers, and P_k = s_k x^k for k < deg m.
 
-    The flag is the radical of `radical_split` and the right powers of
-    `lcs_chain`, in order of dimension.  Their primitive integer RREF rows
-    are read in that order, ending with those of J<1> = J, the unit
-    vectors, and a row is kept when it is independent of those kept before
-    it (one incremental integer echelon).  The basis is None when every
-    kept row is a unit vector.  A nilpotent table keeps those rows.
-    Otherwise e = `_lifted_unit(a)` splits each proper flag ideal into its
-    Peirce spaces J_1(e), J_1/2(e) and J_0(e): the projections
-    k^2 L(2L - 1), 4 k^2 L(1 - L) and k^2 (1 - L)(1 - 2L), L = L_e, of each
-    ideal's rows r are read, then e and the unit vectors, and the
-    independent ones kept as before.  With e = E / d and k = den d, k L r
-    and k^2 L^2 r are the integer products E r and E (E r) that
-    `_int_products` gives, so no matrix of L_e is built.
+    Q[x] is associative (Jordan algebras are power associative).  The
+    powers P_0 = du 1 = u, P_1 = x and P_(j+1) = x P_j on the
+    integer-scaled constants enter one integer echelon, each with a unit
+    tag, until the first relation among them, read off the tag columns.
+    """
+    n = q.dim
+    powers, scales, pivots = [u, x], [du, 1], {}
+    for j in count():
+        _int_echelon_add(pivots, powers[j] + [int(i == j) for i in range(n + 1)], 2 * n + 1)
+        if max(pivots) >= n:  # the tagged row reduced to zero on the powers
+            m = [c * s for c, s in zip(pivots[max(pivots)][n:j + n + 1], scales)]
+            return [c // gcd(*m) for c in m], powers[:j], scales[:j]
+        if j:
+            powers += _int_products(q, [x], [powers[j]])
+            scales.append(scales[j] * q._int_structure[0])
+
+
+def _quotient_frame(q: Algebra) -> list[list[Fraction]]:
+    """Orthogonal idempotents of the semisimple algebra q that sum to its
+    unit: the CRT idempotents of Q[x] = Q[t] / (m), m the minimal
+    polynomial of a sample element x.
+
+    Each simple rational root r of m (`ratlin._simple_rational_roots`)
+    splits off the factor t - r, coprime to the rest of m, and its
+    idempotent is g(x) / g(r), g = m / (t - r); the rest, if any, gives
+    1 less the others.  A repeated root stays in the rest, which costs
+    sparsity only.  The samples are a combination with coefficients up to
+    99, then the basis vectors, then FRAME_SAMPLES combinations with
+    coefficients up to 2; the one with the most factors is kept.  The
+    search ends at the first m that splits into distinct linear factors at
+    the largest degree seen: from the first sample on that is the generic
+    degree, the most idempotents one element gives, with high probability.
+    Where no sample gives two factors (q may have no idempotent but its
+    unit, as Q(sqrt 2) has not) the frame is the unit alone.
+    """
+    n = q.dim
+    unit = find_identity(q)
+    if n == 1:
+        return [list(unit)]
+    du, u = _int_vec(unit)
+    rng = random.Random(FRAME_SEED)
+    samples = [[rng.randint(-99, 99) for _ in range(n)]]
+    samples += [[int(i == j) for i in range(n)] for j in range(n)]
+    samples += [[rng.randint(-2, 2) for _ in range(n)] for _ in range(FRAME_SAMPLES)]
+    best, most, rank = None, 1, 1
+    for x in filter(any, samples):
+        m, powers, scales = _minimal_polynomial(q, u, du, x)
+        rank = max(rank, len(m) - 1)
+        roots = _simple_rational_roots(m) if len(m) > 2 else []
+        factors = len(roots) + (len(roots) < len(m) - 1)  # the rest is one more
+        if factors > most:
+            best, most = (m, powers, scales, roots), factors
+        if len(roots) == rank:
+            break
+    if best is None:
+        return [list(unit)]
+    m, powers, scales, roots = best
+    idems = []
+    for r in roots:
+        g = [Fraction(m[-1])]  # m / (t - r) by synthetic division, highest term first
+        for c in m[-2:0:-1]:
+            g.append(c + r * g[-1])
+        g.reverse()
+        gr = sum(c * r ** k for k, c in enumerate(g))
+        dw, w = _int_vec([c / (gr * s) for c, s in zip(g, scales)])
+        idems.append([Fraction(sum(map(mul, w, col)), dw) for col in zip(*powers)])
+    if len(roots) < len(m) - 1:
+        idems.append([t - sum(col) for t, col in zip(unit, zip(*idems))])
+    return idems
+
+
+def _frame(a: Algebra) -> tuple[list[list[int]], int]:
+    """(F_1 .. F_k, d): pairwise orthogonal idempotents E_i = F_i / d of `a`
+    that lift `_quotient_frame` of J / rad J, so that their sum lifts its
+    unit.
+
+    Each idempotent of the quotient is put on the non-pivot columns of the
+    radical, as in `quotient_algebra`.  E_1 is `_lift_idempotent` of the
+    first; E_k is that of the J_0(f) projection (1 - L)(1 - 2L) of the k-th,
+    L = L_f, f = E_1 + ... + E_(k-1).  J_0(f) is a subalgebra, so the
+    iteration stays in it, and E_k is orthogonal to f, hence to every
+    earlier E_i (J_0(f) is the meet of the J_0(E_i)).  No subalgebra is
+    built.
     """
     n = a.dim
+    den = a._int_structure[0]
     rad, _, quot = radical_split(a)
-    flag = sorted((rad,) + lcs_chain(a), key=lambda s: s.dim)
+    pivot_cols = set(rad._pivot_cols())
+    comp = [c for c in range(n) if c not in pivot_cols]
+    frame, d, total = [], 1, [0] * n
+    for idem in _quotient_frame(quot):
+        dy, coords = _int_vec(idem)
+        y = [0] * n
+        for c, v in zip(comp, coords):
+            y[c] = v
+        if frame:  # k^2 (1 - L)(1 - 2L) y with k = den d, on integers
+            k = den * d
+            ly = _int_products(a, [total], [y])[0]
+            l2y = _int_products(a, [total], [ly])[0]
+            y = [k * k * v - 3 * k * w + 2 * z for v, w, z in zip(y, ly, l2y)]
+            dy *= k * k
+        e, de = _lift_idempotent(a, [Fraction(v, dy) for v in y])
+        m = lcm(d, de)
+        frame = [[v * (m // d) for v in f] for f in frame] + [[v * (m // de) for v in e]]
+        total, d = list(map(sum, zip(*frame))), m
+    return frame, d
+
+
+def _flag(a: Algebra) -> list[Subspace]:
+    """rad J, its right powers (`lcs_chain` of the radical's induced
+    algebra, read back through the RREF rows of rad) and `lcs_chain(a)`,
+    in order of dimension, the zero space left out."""
+    rad, rad_alg, _ = radical_split(a)
+    leads = [next(filter(None, r)) for r in rad.int_rows]
+    scale = lcm(1, *leads)
+    cols = list(zip(*([x * (scale // lead) for x in r] for r, lead in zip(rad.int_rows, leads))))
+    # the rows of rad are zero on each other's pivot columns, so the RREF
+    # rows of a power, taken through them and divided by their content, are
+    # the power's canonical rows in J
+    powers = [Subspace(a.dim, tuple(tuple(_normalize_int_row([sum(map(mul, w, c)) for c in cols]))
+                                    for w in s.int_rows)) for s in lcs_chain(rad_alg)[1:] if s.dim]
+    return sorted((s for s in dict.fromkeys((rad, *powers, *lcs_chain(a))) if s.dim),
+                  key=lambda s: s.dim)
+
+
+def _graded_by_idempotents(a: Algebra) -> bool:
+    """Whether the idempotent basis vectors are pairwise orthogonal, send
+    every basis vector b_k to 0, b_k / 2 or b_k, and sum to the unit of
+    J / rad J modulo the radical: then, with a radical spanned by basis
+    vectors, a's own basis is split by the Peirce grid of a frame.  Read
+    off `_int_structure`.  The sum s then sends b_k to a multiple of b_k,
+    and the b_k off the pivot columns of rad give a basis of J / rad J, as
+    in `quotient_algebra`, so s is its unit iff each of them is fixed."""
+    den, srows = a._int_structure
+    idem = {i for i, row in enumerate(srows) if row[i] == ((i, den),)}
+    for i in idem:
+        for k, entry in enumerate(srows[i]):
+            if entry and (k in idem and k != i or len(entry) != 1 or entry[0][0] != k
+                          or 2 * entry[0][1] not in (den, 2 * den)):
+                return False
+    pivot_cols = set(radical_split(a)[0]._pivot_cols())
+    return all(sum(x for i in idem for _, x in srows[i][k]) == den
+               for k in range(a.dim) if k not in pivot_cols)
+
+
+def _adapted_basis(a: Algebra) -> Optional[list[list[int]]]:
+    """A basis of `a` adapted to its flag of ideals and to the Peirce grid
+    of an idempotent frame, as primitive integer vectors in a's
+    coordinates, or None when a's own basis, up to order, is adapted
+    already.
+
+    The flag is `_flag(a)`.  Its primitive integer RREF rows are read in
+    order, ending with those of J = J<1>, the unit vectors, and a row is
+    kept when it is independent of those kept before it (one incremental
+    integer echelon).  The basis is None when every kept row is a unit
+    vector and either dim J / rad J <= 1 or a's idempotent basis vectors
+    grade it (`_graded_by_idempotents`); a nilpotent table keeps those
+    rows.  Otherwise the frame E_1 .. E_k of `_frame(a)` splits each row r
+    into its Peirce grid pieces.  With E_0 for 1 - (E_1 + ... + E_k), so
+    L_0 = 1 - L_1 - ... - L_k, the piece in J_ij, i <= j, is
+    L_i (2 L_i - 1) r for i = j and 4 L_i L_j r otherwise; the L_i commute,
+    the E_i being orthogonal.  The pieces of the rows of the proper flag
+    ideals are read, then the E_i, then the pieces of the unit vectors, and
+    the independent ones are kept as before, reading stopping at dim a of
+    them.  With E_i = F_i / d and k = den d, k L_i r and k^2 L_i L_j r are
+    the integer products F_i r and F_i (F_j r) of `_int_products`, so no
+    matrix of an L_i is built.  A frame of one, the unit lifted from
+    J / rad J, cuts each row into its pieces in J_1, J_1/2 and J_0.
+    """
+    n = a.dim
+    quot = radical_split(a)[2]
+    flag = _flag(a)
     kept = _independent_rows((r for s in flag for r in s.int_rows), n)
-    if all(sum(map(bool, row)) == 1 for row in kept):
+    if all(sum(map(bool, row)) == 1 for row in kept) and (
+            quot.dim <= 1 or _graded_by_idempotents(a)):
         return None
-    if quot.dim:  # a nilpotent table has no unit to lift
-        e, d = _lifted_unit(a)
-        k = a._int_structure[0] * d
-        rows = [r for s in flag if s.dim < n for r in s.int_rows]
-        mrs = _int_products(a, [e], rows)  # k L r
-        m2rs = _int_products(a, [e], mrs)  # k^2 L^2 r
-        projected = []
-        for r, mr, m2r in zip(rows, mrs, m2rs):
-            projected += ([2 * y - k * x for x, y in zip(mr, m2r)],
-                          [4 * (k * x - y) for x, y in zip(mr, m2r)],
-                          [k * k * z - 3 * k * x + 2 * y for x, y, z in zip(mr, m2r, r)])
-        # then e and the rows of J<1> = J, the unit vectors
-        kept = _independent_rows(projected + [e] + list(flag[-1].int_rows), n)
-    return Matrix.from_rows(list(zip(*kept)))
+    if not quot.dim:  # a nilpotent table has no unit to lift
+        return kept
+    frame, d = _frame(a)
+    k = a._int_structure[0] * d
+    size = len(frame)
+
+    def pieces(rows):
+        for r in rows:
+            ls = _int_products(a, frame, [r])  # k L_i r
+            lls = _int_products(a, frame, ls)  # k^2 L_i L_j r at i * size + j
+            # k^2 L_i L_s r for L_s = L_1 + ... + L_k = 1 - L_0
+            lss = [list(map(sum, zip(*lls[i * size:(i + 1) * size]))) for i in range(size)]
+            for i in range(size):
+                yield [2 * y - k * x for x, y in zip(ls[i], lls[i * size + i])]
+                for j in range(i + 1, size):
+                    yield [4 * y for y in lls[i * size + j]]
+            for i in range(size):
+                yield [4 * (k * x - y) for x, y in zip(ls[i], lss[i])]
+            yield [k * k * z - 3 * k * x + 2 * y
+                   for z, x, y in zip(r, map(sum, zip(*ls)), map(sum, zip(*lss)))]
+
+    units = ([int(i == j) for i in range(n)] for j in range(n))
+    proper = (r for s in flag if s.dim < n for r in s.int_rows)
+    return _independent_rows(chain(pieces(proper), frame, pieces(units)), n)
 
 
 def _independent_rows(rows, n: int) -> list[list[int]]:
@@ -554,15 +723,20 @@ def _independent_rows(rows, n: int) -> list[list[int]]:
 def _sparser_table(a: Algebra) -> Optional[Algebra]:
     """`a` in the basis of `_adapted_basis` when that table has fewer nonzero
     structure constants than a's own, else None (never `a`, whose memo would
-    then hold `a`: a reference cycle).  The two are isomorphic, so every
-    invariant of one is that of the other, and the new table takes a's
-    Jordan verdict instead of a second scan."""
-    p = _adapted_basis(a)
-    if p is None:
+    then hold `a`: a reference cycle).  The constants of the candidate are
+    counted on `algebra._int_change_basis` before any Fraction is built,
+    and only a sparser table becomes an `Algebra`.  The two are isomorphic,
+    so every invariant of one is that of the other, and the new table takes
+    a's Jordan verdict instead of a second scan."""
+    rows = _adapted_basis(a)
+    if rows is None:
         return None
-    b = change_basis(a, p)
+    den, srows = _int_change_basis(a, rows)
+    if _count_constants(srows) >= _nonzero_constants(a):
+        return None
+    b = _from_int_structure(den, srows)
     b.__dict__["_jordan_defect"] = a._jordan_defect  # b is a in another basis
-    return b if _nonzero_constants(b) < _nonzero_constants(a) else None
+    return b
 
 
 def _adapted_table(a: Algebra) -> Algebra:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -331,6 +331,59 @@ def _pairs(row: Sequence[int]) -> Iterable[tuple[int, int]]:
 def rank(m: Matrix) -> int:
     rows = (_pairs(_int_row(m.row(i))) for i in range(m.rows))
     return m.cols - len(_int_kernel(rows, m.cols))
+
+
+def _simple_rational_roots(c: Sequence[int]) -> list[Fraction]:
+    """The simple rational roots, ascending, of the integer polynomial
+    sum c_k t^k of degree d >= 1.
+
+    Candidates come from the near-real roots of a Durand-Kerner iteration
+    in floats on the monic polynomial, started on a circle of Fujiwara's
+    bound on the roots.  With L = c_d a rational root is s / L for an
+    integer s, a root of H(s) = L^d f(s / L) = sum c_k s^k L^(d-k); the
+    rounded float guess for s is polished by integer Newton steps and kept
+    when H(s) = 0 and H'(s) != 0 exactly.  A root that is missed is not
+    reported, and nothing else is.
+    """
+    d, lead = len(c) - 1, c[-1]
+    try:
+        mono = [x / lead for x in c]
+        radius = 2 * max(abs(x) ** (1 / (d - k)) for k, x in enumerate(mono[:-1]))  # Fujiwara
+        z = [radius * complex(0.4, 0.9) ** i for i in range(d)]
+        for _ in range(100):
+            moved = 0.0
+            for i in range(d):
+                p, q = 0j, 1 + 0j
+                for x in reversed(mono):
+                    p = p * z[i] + x
+                for j in range(d):
+                    if j != i:
+                        q *= z[i] - z[j]
+                step = p / q
+                z[i] -= step
+                moved = max(moved, abs(step))
+            if moved <= 1e-13 * radius:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return []
+    coeffs = [x * lead ** (d - k) for k, x in enumerate(c)]  # H(s) = sum coeffs[k] s^k
+    roots = set()
+    for w in z:
+        if not (abs(w.imag) <= 1e-6 * radius and isfinite(w.real)):
+            continue
+        s = round(Fraction(w.real) * lead)
+        for _ in range(4):
+            h = sum(x * s ** k for k, x in enumerate(coeffs))
+            dh = sum(k * x * s ** (k - 1) for k, x in enumerate(coeffs) if k)
+            if h == 0:
+                if dh:
+                    roots.add(Fraction(s, lead))
+                break
+            step = round(Fraction(h, dh)) if dh else 0
+            if not step:
+                break
+            s -= step
+    return sorted(roots)
 
 
 def int_rows_rank(rows: Iterable[Sequence[int]], ncols: int) -> int:

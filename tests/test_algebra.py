@@ -8,6 +8,7 @@ from jordanalg.algebra import (
     associator,
     change_basis,
     check_isomorphism,
+    commutativity_violation,
     direct_sum,
     find_identity,
     is_associative,
@@ -92,6 +93,21 @@ def test_is_commutative_catalog(env):
 def test_is_commutative_counterexample():
     a = Algebra.from_products(("b1", "b2"), {("b1", "b2"): {"b1": 1}}, symmetric=False)
     assert not is_commutative(a)
+
+
+def test_commutativity_violation_is_the_first_pair_and_is_read_once():
+    # the first pair (i, j), i < j in row order, whose products differ, as
+    # the pairwise comparison of the Fraction table finds it; kept on the
+    # algebra, and read off the integer constants
+    a = Algebra.from_products(("b1", "b2", "b3"),
+                              {("b2", "b3"): {"b1": 1}, ("b1", "b3"): {"b2": F(1, 2)},
+                               ("b3", "b1"): {"b2": F(1, 2)}, ("b3", "b2"): {"b1": 2}},
+                              symmetric=False)
+    assert commutativity_violation(a) == (1, 2) == next(
+        (i, j) for i in range(3) for j in range(i + 1, 3) if a.table[i][j] != a.table[j][i])
+    assert a.__dict__["_commutativity_violation"] == (1, 2)
+    assert commutativity_violation(matrix_algebra(2)) == (0, 1)
+    assert commutativity_violation(plus_algebra(matrix_algebra(2))) is None
 
 
 def test_matrix_algebra_not_commutative():
@@ -514,7 +530,8 @@ def test_integer_change_basis_matches_the_fraction_reference(env, large_algebras
     # the same table as the Fraction version, on the catalog (whose
     # constants include halves) in sparse bases with halves and in dense
     # bases, on tables of dimension 7 to 9, and on the noncommutative 2 x 2
-    # matrix algebra and its plus algebra; bad matrices raise the same errors
+    # matrix algebra and its plus algebra, with the integer constants the
+    # table itself gives kept on it; bad matrices raise the same errors
     rng = seeded_rng("integer-change-basis")
     cases = list(env.values()) + list(large_algebras.values())
     cases += [matrix_algebra(2), plus_algebra(matrix_algebra(2)), zero_algebra(0)]
@@ -524,6 +541,7 @@ def test_integer_change_basis_matches_the_fraction_reference(env, large_algebras
             p = random_invertible_matrix(a.dim, rng, dense=dense)
             b = change_basis(a, p)
             assert b == reference_change_basis(a, p), a.labels
+            assert b.__dict__["_int_structure"] == reference_int_structure(b), a.labels
             assert all(type(x) is Fraction for row in b.table for v in row for x in v)
             checked += any(x.denominator > 1 for x in p.entries)
     assert checked > 30

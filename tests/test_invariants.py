@@ -10,9 +10,11 @@ from jordanalg.algebra import (
     AlgebraError,
     change_basis,
     check_isomorphism,
+    direct_sum,
     find_identity,
     matrix_algebra,
     per_algebra,
+    unitalization,
 )
 from jordanalg.cohomology import (
     MAX_COCYCLE_CELLS,
@@ -26,8 +28,8 @@ from jordanalg.invariants import (
     RadicalVerificationError,
     _adapted_basis,
     _adapted_table,
+    _frame,
     _lift_idempotent,
-    _lifted_unit,
     _nonzero_constants,
     annihilator,
     annihilator_series,
@@ -49,7 +51,7 @@ from jordanalg.invariants import (
     trace_form,
     trace_rank,
 )
-from jordanalg.peirce import EIGENVALUES, eigenspace, is_idempotent
+from jordanalg.peirce import is_idempotent, peirce_multi
 from jordanalg.polysolve import embeds_b2
 from jordanalg.ratlin import ZERO, Matrix, Subspace, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
@@ -72,6 +74,11 @@ def zero_algebra(n):
 def fresh(a):
     """An equal algebra with nothing computed on it yet."""
     return Algebra(a.labels, a.table)
+
+
+def basis_matrix(rows):
+    """The matrix whose columns are the basis vectors `rows`."""
+    return Matrix.from_rows(list(zip(*rows)))
 
 
 def count_builds(monkeypatch, module, name, built):
@@ -571,37 +578,143 @@ def test_adapted_table_gives_the_dimensions_of_the_table_itself(env, dense_env):
         b = _adapted_table(a)
         if b is not a:
             adapted += 1
-            assert check_isomorphism(b, a, _adapted_basis(a)), a.labels
+            assert check_isomorphism(b, a, basis_matrix(_adapted_basis(a))), a.labels
             assert _nonzero_constants(b) < _nonzero_constants(a), a.labels
     assert adapted > 100
 
 
-def test_catalog_tables_and_a_dense_spin_factor_keep_their_own_table(env):
-    # the catalog bases are adapted already, and a simple table's flag is
-    # only the whole space
+def test_catalog_tables_keep_their_own_table_and_a_dense_spin_factor_gets_a_frame(
+        env, monkeypatch):
+    # the catalog bases are adapted already: no table searches for a frame,
+    # and every one but J53 builds no basis; in J53 rad^2 is the line of
+    # n2 + n3, and the table of the basis through it is no sparser
+    import jordanalg.invariants as inv
+
+    searched = []
+    monkeypatch.setattr(inv, "_minimal_polynomial",
+                        lambda q, *args, _orig=inv._minimal_polynomial: searched.append(q)
+                        or _orig(q, *args))
     for name, a in env.items():
-        assert _adapted_basis(a) is None and _adapted_table(a) is a, name
+        a = fresh(a)
+        assert (_adapted_basis(a) is None) == (name != "J53"), name
+        assert _adapted_table(a) is a, name
+    assert searched == []
+    # a dense spin factor is fingerprinted on the table of an idempotent
+    # frame, which is sparser, and the basis gives an isomorphism
     b, _ = dense_basis(spin_factor(4), "adapted-own")
-    assert _adapted_basis(b) is None and _adapted_table(b) is b
+    c = _adapted_table(b)
+    assert _nonzero_constants(c) < _nonzero_constants(b)
+    assert check_isomorphism(c, b, basis_matrix(_adapted_basis(b)))
+    assert searched
+
+
+def frame_elements(a):
+    """The frame of `a` as rational vectors E_i = F_i / d."""
+    frame, d = _frame(a)
+    return [tuple(F(x, d) for x in f) for f in frame]
 
 
 def test_lifted_unit_is_an_idempotent_over_the_unit_of_the_quotient(env, dense_env):
-    # e = E / d is idempotent, and modulo the radical it is the unit of
-    # J / rad J, read on the quotient's basis, the non-pivot columns
+    # the sum of the frame is idempotent, and modulo the radical it is the
+    # unit of J / rad J, read on the quotient's basis, the non-pivot columns
     cases = list(env.values()) + [b for b, _ in dense_env.values()]
     lifted = 0
     for a in cases:
         rad, _, quot = radical_split(a)
         if not quot.dim:
             continue
-        e_int, d = _lifted_unit(a)
-        e = tuple(F(x, d) for x in e_int)
+        e = tuple(map(sum, zip(*frame_elements(a))))
         assert is_idempotent(a, e), a.labels
         pivots = set(rad._pivot_cols())
         residue = rad.reduce_vector(e)
         assert tuple(residue[c] for c in range(a.dim) if c not in pivots) == find_identity(quot)
         lifted += 1
     assert lifted > 100
+
+
+def grid_family(a, es):
+    """(b, family): `a` itself and the frame `es` when their sum is a's
+    unit, else the unitalization of `a` and the frame with 1 - sum es
+    appended, so that `peirce_multi(b, family)` applies."""
+    if find_identity(a) is not None:
+        return a, es
+    b = unitalization(a)
+    es = [e + (ZERO,) for e in es]
+    one = (ZERO,) * a.dim + (F(1),)
+    return b, es + [tuple(x - sum(col) for x, col in zip(one, zip(*es)))]
+
+
+def test_frames_of_dense_tables_are_orthogonal_idempotents_over_the_unit(env):
+    # on dense copies of every class with dim J / rad J >= 2, and on T5:
+    # each frame element is idempotent, they are pairwise orthogonal, their
+    # sum lifts the unit of J / rad J, and peirce_multi accepts them
+    checked = 0
+    for name, a in env.items():
+        quot = radical_split(a)[2]
+        if quot.dim < 2 and name != "T5":
+            continue
+        b, _ = dense_basis(a, f"frame-facts-{name}")
+        rad, _, quot = radical_split(b)
+        es = frame_elements(b)
+        for i, e in enumerate(es):
+            assert is_idempotent(b, e), name
+            assert all(b.mul(e, f) == zero_vec(b.dim) for f in es[i + 1:]), name
+        pivots = set(rad._pivot_cols())
+        residue = rad.reduce_vector(tuple(map(sum, zip(*es))))
+        assert tuple(residue[c] for c in range(b.dim) if c not in pivots) == find_identity(quot)
+        assert peirce_multi(*grid_family(b, es)).components, name
+        checked += 1
+    assert checked >= 25
+    assert len(frame_elements(dense_basis(env["J3"], "frame-facts-J3")[0])) == 4
+
+
+def test_a_dense_sum_of_k_fields_gets_a_table_of_k_constants():
+    # F1 + ... + F1 in a dense basis: the frame is the k summands' units,
+    # and its table has exactly their k products e_i e_i = e_i
+    f1 = Algebra(("e",), (((F(1),),),))
+    for k in range(2, 7):
+        a = f1
+        for _ in range(k - 1):
+            a = direct_sum(a, f1)
+        b, _ = dense_basis(a, f"fields-{k}")
+        assert _nonzero_constants(_adapted_table(b)) == k, k
+
+
+def test_a_field_with_no_rational_idempotent_is_not_split(env):
+    # Q(sqrt 2) + F1 + F1: t^2 - 2 has no rational root, so the frame
+    # splits off the two F1 summands and keeps the unit of Q(sqrt 2); the
+    # invariants do not tell the table from J3 = F1^4
+    f1 = Algebra(("e",), (((F(1),),),))
+    a = direct_sum(direct_sum(spin_factor(1, [[2]]), f1), f1)
+    b, _ = dense_basis(a, "no-split")
+    es = frame_elements(b)
+    assert len(es) == 3
+    assert sorted(len(peirce_multi(b, [e, tuple(u - x for u, x in zip(find_identity(b), e))])
+                      .components[(0, 0)].int_rows) for e in es) == [1, 1, 2]
+    assert fingerprint(b) == fingerprint(fresh(env["J3"]))
+
+
+def test_the_adapted_basis_is_deterministic(env):
+    # two fresh copies of a table give the same basis
+    for name in ("J1", "J2", "J3", "T5", "J8", "J56"):
+        b, _ = dense_basis(env[name], f"determinism-{name}")
+        assert _adapted_basis(fresh(b)) == _adapted_basis(fresh(b)), name
+
+
+def test_a_dense_non_jordan_table_is_refused_before_a_frame_search(monkeypatch):
+    import jordanalg.invariants as inv
+
+    searched = []
+    monkeypatch.setattr(inv, "_quotient_frame", lambda q: searched.append(q))
+    bad = Algebra.from_products(
+        ("e1", "e2", "n1"),
+        {("e1", "e1"): {"e1": 1}, ("e2", "e2"): {"e2": 1}, ("e1", "n1"): {"n1": 1},
+         ("e2", "n1"): {"n1": 1}})
+    b, _ = dense_basis(bad, "non-jordan-frame")
+    for call in (fingerprint, h2_dims):
+        with pytest.raises(NonJordanError):
+            call(b)
+    assert searched == []
 
 
 def test_the_lift_stops_on_a_start_that_is_no_lift():
@@ -614,26 +727,25 @@ def test_the_lift_stops_on_a_start_that_is_no_lift():
 
 
 def test_projected_rows_of_the_adapted_basis_lie_in_peirce_spaces(dense_env, large_algebras):
-    # the adapted basis begins with the Peirce projections of the proper
-    # flag ideals: its first columns span their sum, and each lies in one
-    # Peirce space of the lifted unit
+    # the adapted basis begins with the grid pieces of the proper flag
+    # ideals: its first columns span their sum, and each column lies in one
+    # piece of the Peirce grid of the frame
     cases = [b for b, _ in dense_env.values()]
     cases += [dense_basis(a, f"peirce-rows-{name}")[0] for name, a in large_algebras.items()]
     checked = 0
     for a in cases:
-        p = _adapted_basis(a)
+        rows = _adapted_basis(a)
         rad, _, quot = radical_split(a)
-        if p is None or not quot.dim:
+        if rows is None or not quot.dim:
             continue
-        e_int, d = _lifted_unit(a)
-        e = tuple(F(x, d) for x in e_int)
-        spaces = [eigenspace(a, e, lam) for lam in EIGENVALUES]
+        b, family = grid_family(a, frame_elements(a))
+        pieces = peirce_multi(b, family).components.values()
         proper = [s for s in (rad,) + lcs_chain(a) if s.dim < a.dim]
         top = Subspace.span(a.dim, [r for s in proper for r in s.int_rows])
-        columns = [tuple(p.entry(i, j) for i in range(a.dim)) for j in range(top.dim)]
-        assert Subspace.span(a.dim, columns) == top, a.labels
-        for v in columns:
-            assert any(s.contains_vector(v) for s in spaces), a.labels
+        assert Subspace.span(a.dim, rows[:top.dim]) == top, a.labels
+        for v in rows:
+            v = tuple(v) + (0,) * (b.dim - a.dim)
+            assert sum(s.contains_vector(v) for s in pieces) == 1, a.labels
         checked += 1
     assert checked > 50
 
@@ -722,8 +834,9 @@ def test_fingerprint_and_h2_dims_share_one_change_basis(env, monkeypatch):
     import jordanalg.invariants as inv
 
     built = []
-    monkeypatch.setattr(inv, "change_basis",
-                        lambda a, p, _orig=inv.change_basis: built.append(a) or _orig(a, p))
+    monkeypatch.setattr(inv, "_int_change_basis",
+                        lambda a, rows, _orig=inv._int_change_basis:
+                        built.append(a) or _orig(a, rows))
     b, _ = dense_basis(env["J56"], "share-change-basis")
     fp = fingerprint(b)
     assert h2_dims(b).h2_dim == fp.dim_h2

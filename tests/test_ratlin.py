@@ -451,3 +451,37 @@ def test_int_row_matches_the_reference():
         got = ratlin._int_row(row)
         assert got == reference_int_row(row), row
         assert all(type(x) is int for x in got)
+
+
+def poly_from_roots(lead, roots, rest=()):
+    """Integer coefficients, constant first, of lead * prod (t - r) * rest,
+    each root r a Fraction and `rest` an integer polynomial."""
+    f = [F(lead)]
+    for r in roots:
+        f = [a - r * b for a, b in zip([F(0)] + f, f + [F(0)])]
+    for_rest = list(rest) or [1]
+    out = [F(0)] * (len(f) + len(for_rest) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(for_rest):
+            out[i + j] += a * b
+    assert all(x.denominator == 1 for x in out)
+    return [int(x) for x in out]
+
+
+def test_simple_rational_roots_are_exact_and_skip_repeated_and_irrational_roots():
+    # 36 (t - 1/2)(t + 3)(t - 2/3)(t^2 - 2): the irrational pair is not
+    # reported; a repeated root is not simple, so it is not reported either
+    c = poly_from_roots(36, [F(1, 2), F(-3), F(2, 3)], [-2, 0, 1])
+    assert ratlin._simple_rational_roots(c) == [F(-3), F(1, 2), F(2, 3)]
+    assert ratlin._simple_rational_roots(poly_from_roots(1, [F(1), F(1), F(-2)])) == [F(-2)]
+    assert ratlin._simple_rational_roots([2, 0, 1]) == []
+    assert ratlin._simple_rational_roots([-7, 3]) == [F(7, 3)]
+    # roots with large numerators and denominators, found on seeded cases
+    rng = seeded_rng("rational-roots")
+    for _ in range(50):
+        roots = sorted({F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                        for _ in range(rng.randint(1, 5))})
+        lead = 1
+        for r in roots:
+            lead *= r.denominator
+        assert ratlin._simple_rational_roots(poly_from_roots(lead, roots)) == roots
