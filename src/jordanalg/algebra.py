@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
@@ -56,9 +56,10 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
-    _int_echelon,
-    _int_rref,
+    _int_inverse,
+    _int_solve,
     _int_vec,
+    _pairs,
     invert,
     rat,
     sub_vec,
@@ -362,12 +363,12 @@ def unitalization(a: Algebra, unit_label: str = "one") -> Algebra:
 def find_identity(a: Algebra) -> Optional[Vector]:
     """The unique two-sided identity, or None.
 
-    Solves u * b_i = b_i for all i on the integer-scaled constants: row
-    (i, k) is sum_j den c_ji^k u_j = den [i = k], its right-hand side at
-    column n.  A two-sided identity is the unique left identity, and the
-    solution read off the integer RREF sets the free unknowns to zero, as
-    `ratlin.solve` does.  In a commutative algebra a left identity is
-    two-sided; for noncommutative tables it is verified on the right.
+    Solves u * b_i = b_i for all i on the integer-scaled constants: pair
+    row (i, k) is sum_j den c_ji^k u_j = den [i = k], its right-hand side
+    at column n.  A two-sided identity is the unique left identity, and
+    `ratlin._int_solve` reads it off the integer RREF with the free unknowns
+    zero, as `ratlin.solve` does.  In a commutative algebra a left identity
+    is two-sided; for noncommutative tables it is verified on the right.
     """
     n = a.dim
     if n == 0:
@@ -375,19 +376,15 @@ def find_identity(a: Algebra) -> Optional[Vector]:
     den, srows = a._int_structure
     rows = []
     for i in range(n):
-        block = [[0] * (n + 1) for _ in range(n)]
-        block[i][n] = den
+        block = [[] for _ in range(n)]
+        block[i].append((n, den))
         for j in range(n):
             for k, c in srows[j][i]:
-                block[k][j] = c
+                block[k].append((j, c))
         rows += block
-    pivots = _int_echelon(rows, n + 1)
-    if n in pivots:
+    u = _int_solve(rows, n)
+    if u is None:
         return None
-    u = [ZERO] * n
-    for r, c in zip(_int_rref(pivots), sorted(pivots)):
-        u[c] = Fraction(r[n], r[c])
-    u = tuple(u)
     if not is_commutative(a):
         for i in range(n):
             if a.mul(a.basis_vector(i), u) != a.basis_vector(i):
@@ -427,22 +424,20 @@ def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
     """`_int_structure` of `a` in the basis of the vectors col / dp, for
     integer vectors `cols`, with no Fraction built.
 
-    The inverse of P = [cols] is Q / dq, read off the integer RREF of
-    [P | I].  The products of the columns are taken on the integer-scaled
-    constants (each is den times the true one, and b_i b_j = col_i col_j /
-    dp^2), so the coordinates of b_i b_j are Q (col_i col_j) / S with
-    S = den dq dp, and dividing S and every numerator by their gcd g gives
-    the lcm den' = S / g of the new denominators, as `_int_structure`
-    would.
+    The inverse of P = [cols] is Q / dq, `ratlin._int_inverse(P)`, as
+    `ratlin.invert` reads it.  The products of the columns are taken on the
+    integer-scaled constants (each is den times the true one, and
+    b_i b_j = col_i col_j / dp^2), so the coordinates of b_i b_j are
+    Q (col_i col_j) / S with S = den dq dp, and dividing S and every
+    numerator by their gcd g gives the lcm den' = S / g of the new
+    denominators, as `_int_structure` would.
     """
     n = a.dim
-    pivots = _int_echelon([[c[k] for c in cols] + [int(i == k) for i in range(n)]
-                           for k in range(n)], 2 * n)
-    if sorted(pivots) != list(range(n)):
+    inverse = _int_inverse([[c[k] for c in cols] for k in range(n)])
+    if inverse is None:
         raise AlgebraError("basis-change matrix is singular")
-    rref = _int_rref(pivots)
-    dq = lcm(*(r[c] for c, r in enumerate(rref)))
-    qrows = [[(k, x * (dq // r[c])) for k, x in enumerate(r[n:]) if x] for c, r in enumerate(rref)]
+    q, dq = inverse
+    qrows = [tuple(_pairs(r)) for r in q]
     nums = [[sum(x * v[k] for k, x in qr) for qr in qrows] for v in _int_products(a, cols, cols)]
     scale = a._int_structure[0] * dq * dp
     g = gcd(scale, *(x for v in nums for x in v))

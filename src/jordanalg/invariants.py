@@ -56,11 +56,12 @@ from .ratlin import (
     ZERO,
     Matrix,
     Subspace,
-    _int_echelon,
-    _int_echelon_add,
     _int_kernel,
     _int_vec,
     _normalize_int_row,
+    _pair_echelon,
+    _pair_echelon_add,
+    _pairs,
     _simple_rational_roots,
     int_rows_rank,
     kernel,
@@ -198,7 +199,7 @@ def induced_algebra(a: Algebra, s: Subspace) -> Algebra:
     pivots = s._pivot_cols()
     leads = [u[p] for u, p in zip(s.int_rows, pivots)]
     prods = _int_products(a, s.int_rows, s.int_rows)
-    if len(_int_echelon(s.int_rows + tuple(prods), a.dim)) != k:
+    if len(_pair_echelon(map(_pairs, s.int_rows + tuple(prods)))) != k:
         raise AlgebraError("subspace is not closed under the product")
     table = tuple(
         tuple(tuple(Fraction(prods[i * k + j][p], den * leads[i] * leads[j]) for p in pivots)
@@ -512,9 +513,10 @@ def _minimal_polynomial(q: Algebra, u: list[int], du: int, x: list[int]):
     n = q.dim
     powers, scales, pivots = [u, x], [du, 1], {}
     for j in count():
-        _int_echelon_add(pivots, powers[j] + [int(i == j) for i in range(n + 1)], 2 * n + 1)
+        _pair_echelon_add(pivots, chain(_pairs(powers[j]), ((n + j, 1),)))
         if max(pivots) >= n:  # the tagged row reduced to zero on the powers
-            m = [c * s for c, s in zip(pivots[max(pivots)][n:j + n + 1], scales)]
+            tags = pivots[max(pivots)]
+            m = [tags.get(n + i, 0) * s for i, s in enumerate(scales[:j + 1])]
             return [c // gcd(*m) for c in m], powers[:j], scales[:j]
         if j:
             powers += _int_products(q, [x], [powers[j]])
@@ -709,10 +711,10 @@ def _adapted_basis(a: Algebra) -> Optional[list[list[int]]]:
 def _independent_rows(rows, n: int) -> list[list[int]]:
     """The rows independent of those before them, each divided by its
     content, up to n of them (one incremental integer echelon)."""
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     kept = []
     for row in rows:
-        if _int_echelon_add(pivots, row, n):
+        if _pair_echelon_add(pivots, _pairs(row)):
             kept.append(_normalize_int_row(list(row)))
             if len(kept) == n:
                 break

@@ -2,19 +2,20 @@
 
 Everything in this package reduces to rank, kernel and span computations
 over Q, and every result is exact.  The work runs fraction-free on integer
-rows in two exact cores.  `_int_vec` scales every rational vector to
-integers: the callers write their systems on the structure constants it
-scaled, and the public `Matrix` functions divide each row it scaled by its
-content (`_int_row`).
+pair rows, the (column, value) pairs of a row's nonzero entries, so a row
+costs its nonzeros and not its length, in two exact cores.  `_int_vec`
+scales every rational vector to integers: the callers write their systems
+on the structure constants it scaled, and the public `Matrix` functions
+divide each row it scaled by its content (`_int_row`) and take its pairs
+(`_pairs`).
 `_int_kernel` cuts a kernel basis down row by row, so a row dependent on
-earlier ones costs one test and no reduction.  It reads pair rows, the
-(column, value) pairs of a row's nonzero entries, so a row costs its
-nonzeros and not its length: the cocycle assembly writes its rows that way,
-and `rank`, `int_rows_rank` and `kernel` turn their dense rows into pairs
-(`_pairs`).  `_int_echelon` builds the echelon basis that `rref`, `solve`,
-`invert`, `Subspace` and `algebra.find_identity` need, and `_int_rref`
-back-substitutes it in integers.  `_pair_echelon` is its twin on pair rows,
-for the sparse delta^1 rows whose pivot columns `cohomology` reads.
+earlier ones costs one test and no reduction; `rank`, `int_rows_rank`,
+`kernel` and the cocycle cut use it.  `_pair_echelon` is the one echelon:
+`Subspace`, `rref`, the delta^1 rows of `cohomology` and the flags and
+frames of `invariants` read it, `_int_rref` back-substitutes it in
+integers, and on it `_int_solve` reads a solution (`solve`,
+`algebra.find_identity`) and `_int_inverse` an inverse (`invert`,
+`algebra.change_basis`).
 
 Matrices are immutable.  A subspace is stored as its RREF basis with each
 row scaled to a primitive integer row with a positive pivot; that basis is
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isfinite, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -145,79 +146,57 @@ def _normalize_int_row(row: list[int]) -> Optional[list[int]]:
     return [x // g for x in row] if g != 1 else row
 
 
-def _int_echelon_add(pivots: dict[int, list[int]], raw: Sequence[int], ncols: int) -> bool:
-    """Reduce one row against the echelon `pivots` (pivot column ->
-    primitive row) and add what is left as a new pivot row; True iff the
-    row was independent of the rows already there.
+def _pairs(row: Sequence[int]) -> Iterable[tuple[int, int]]:
+    """The (column, value) pairs of a dense row's nonzero entries."""
+    return compress(enumerate(row), row)
 
-    Rows are combined only from the current column onward (both operands
-    are zero to its left), which keeps the elimination cheap on the long
-    sparse rows produced by the assembled linear systems.
-    """
-    row = list(raw)
-    c = 0
-    while c < ncols:
-        v = row[c]
-        if v == 0:
-            c += 1
-            continue
+
+def _pair_echelon_add(pivots: dict[int, dict[int, int]], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Reduce a pair row against the echelon `pivots` and add what is left
+    as a new pivot row; True iff the row was independent of those there.
+
+    At its leading column c the row becomes (p[c] / g) row - (row[c] / g) p,
+    p the pivot row there and g = gcd(p[c], row[c]), until it is zero or
+    leads at a new pivot column.  A step costs the nonzeros of the two
+    rows, not the row length, and the leading column only moves right, so
+    it is found by a scan on from the last one."""
+    row = dict(pairs)
+    if not row:
+        return False
+    c = min(row)
+    while True:
         p = pivots.get(c)
         if p is None:
-            pivots[c] = _normalize_int_row(row)
+            g = gcd(*row.values())
+            if row[c] < 0:
+                g = -g
+            pivots[c] = {k: x // g for k, x in row.items()} if g != 1 else row
             return True
-        pl = p[c]
-        g = gcd(pl, v)
-        a, b = pl // g, v // g
-        if a == 1:
-            row[c:] = [x - b * y for x, y in zip(row[c:], p[c:])]
-        else:
-            row[c:] = [a * x - b * y for x, y in zip(row[c:], p[c:])]
-        c += 1
-    return False
-
-
-def _int_echelon(rows: Iterable[Sequence[int]], ncols: int) -> dict[int, list[int]]:
-    """Incremental integer echelon form: pivot column -> primitive row."""
-    pivots: dict[int, list[int]] = {}
-    for raw in rows:
-        _int_echelon_add(pivots, raw, ncols)
-    return pivots
+        g = gcd(p[c], row[c])
+        a, b = p[c] // g, row[c] // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+        for k, y in p.items():
+            x = row.get(k, 0) - b * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+        if not row:
+            return False
+        while c not in row:
+            c += 1
 
 
 def _pair_echelon(rows: Iterable[Iterable[tuple[int, int]]]) -> dict[int, dict[int, int]]:
     """Integer echelon form of pair rows: pivot column -> row, a dict
     column -> nonzero entry, divided by its content and positive at its
-    pivot, the row's smallest column.
-
-    As in `_int_echelon_add`, each row is reduced at its leading column
-    against the pivot row there until it is zero or leads at a new pivot
-    column, but a step costs the nonzeros of the two rows and not the row
-    length.  The pivot columns are the leading columns of the row space,
-    so they are those that `_int_echelon` finds on the dense rows.
-    """
+    pivot, the row's smallest column.  The pivot columns are the leading
+    columns of the row space."""
     pivots: dict[int, dict[int, int]] = {}
     for pairs in rows:
-        row = {c: x for c, x in pairs if x}
-        while row:
-            c = min(row)
-            p = pivots.get(c)
-            if p is None:
-                g = gcd(*row.values())
-                if row[c] < 0:
-                    g = -g
-                pivots[c] = {k: x // g for k, x in row.items()} if g != 1 else row
-                break
-            g = gcd(p[c], row[c])
-            a, b = p[c] // g, row[c] // g
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, y in p.items():
-                x = row.get(k, 0) - b * y
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
+        _pair_echelon_add(pivots, pairs)
     return pivots
 
 
@@ -275,15 +254,21 @@ def _int_kernel(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> list[l
     return out
 
 
-def _int_rref(pivots: dict[int, list[int]]) -> list[list[int]]:
-    """Back-substitute an integer echelon: the RREF rows in pivot order,
-    each scaled to a primitive integer row with a positive pivot.
+def _int_rref(pivots: dict[int, dict[int, int]], ncols: int) -> list[tuple[int, ...]]:
+    """Back-substitute an integer echelon of `ncols` columns, which is left
+    as it is: the RREF rows in pivot order, dense, each scaled to a
+    primitive integer row with a positive pivot.
 
     Each changed row is divided by its content; its leading entry stays
     positive, so the rows are as canonical as the RREF itself.
     """
     cols = sorted(pivots)
-    rows = [pivots[c] for c in cols]
+    rows = []
+    for c in cols:
+        row = [0] * ncols
+        for k, x in pivots[c].items():
+            row[k] = x
+        rows.append(row)
     # eliminate above each pivot, bottom-up
     for idx in range(len(cols) - 1, -1, -1):
         c = cols[idx]
@@ -297,7 +282,7 @@ def _int_rref(pivots: dict[int, list[int]]) -> list[list[int]]:
                 row = [a * x - b * y for x, y in zip(rows[j], prow)]
                 g = gcd(*row)
                 rows[j] = [x // g for x in row] if g != 1 else row
-    return rows
+    return list(map(tuple, rows))
 
 
 def _rational_rows(int_rows: Iterable[Sequence[int]]) -> list[Vector]:
@@ -309,23 +294,44 @@ def _rational_rows(int_rows: Iterable[Sequence[int]]) -> list[Vector]:
     return out
 
 
-def _echelon_to_rref_rows(pivots: dict[int, list[int]]) -> list[Vector]:
+def _echelon_to_rref_rows(pivots: dict[int, dict[int, int]], ncols: int) -> list[Vector]:
     """Canonical rational RREF rows of an integer echelon."""
-    return _rational_rows(_int_rref(pivots))
+    return _rational_rows(_int_rref(pivots, ncols))
+
+
+def _int_solve(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> Optional[Vector]:
+    """A solution of the integer system of pair rows `rows`, each with its
+    right-hand side at column `ncols`, or None if it is inconsistent: read
+    off the RREF, with the free unknowns zero."""
+    pivots = _pair_echelon(rows)
+    if ncols in pivots:
+        return None
+    x = [ZERO] * ncols
+    for r, c in zip(_echelon_to_rref_rows(pivots, ncols + 1), sorted(pivots)):
+        x[c] = r[ncols]
+    return tuple(x)
+
+
+def _int_inverse(rows: Sequence[Sequence[int]]) -> Optional[tuple[list[list[int]], int]]:
+    """(Q, dq), Q an integer matrix with P^-1 = Q / dq, for the square
+    integer matrix P of `rows`, or None if P is singular: read off the
+    integer RREF of [P | I]."""
+    n = len(rows)
+    pivots = _pair_echelon(chain(_pairs(r), ((n + i, 1),)) for i, r in enumerate(rows))
+    if sorted(pivots) != list(range(n)):
+        return None
+    rref = _int_rref(pivots, 2 * n)
+    dq = lcm(*(r[c] for c, r in enumerate(rref)))
+    return [[x * (dq // r[c]) for x in r[n:]] for c, r in enumerate(rref)], dq
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank."""
-    pivots = _int_echelon([_int_row(m.row(i)) for i in range(m.rows)], m.cols)
-    rows = _echelon_to_rref_rows(pivots)
+    pivots = _pair_echelon(_pairs(_int_row(m.row(i))) for i in range(m.rows))
+    rows = _echelon_to_rref_rows(pivots, m.cols)
     rank = len(rows)
     rows += [zero_vec(m.cols) for _ in range(m.rows - rank)]
     return Matrix.from_rows(rows) if m.rows else m, rank
-
-
-def _pairs(row: Sequence[int]) -> Iterable[tuple[int, int]]:
-    """The (column, value) pairs of a dense row's nonzero entries."""
-    return compress(enumerate(row), row)
 
 
 def rank(m: Matrix) -> int:
@@ -406,28 +412,21 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
     """Some solution of m x = b, or None if the system is inconsistent."""
     if len(b) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    aug_rows = [list(m.row(i)) + [rat(x)] for i, x in zip(range(m.rows), b)]
-    pivots = _int_echelon([_int_row(r) for r in aug_rows], m.cols + 1)
-    if m.cols in pivots:
-        return None
-    rows = _echelon_to_rref_rows(pivots)
-    x = [ZERO] * m.cols
-    for r, c in zip(rows, sorted(pivots)):
-        x[c] = r[m.cols]
-    return tuple(x)
+    return _int_solve((_pairs(_int_row(m.row(i) + (rat(y),))) for i, y in enumerate(b)), m.cols)
 
 
 def invert(m: Matrix) -> Optional[Matrix]:
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: with m = P / d for
+    an integer matrix P, the inverse is d Q / dq for `_int_inverse(P)`."""
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    aug = [list(m.row(i)) + list(unit_vec(n, i)) for i in range(n)]
-    pivots = _int_echelon([_int_row(r) for r in aug], 2 * n)
-    if sorted(pivots) != list(range(n)):
+    d, flat = _int_vec(m.entries)
+    inverse = _int_inverse([flat[i * n:(i + 1) * n] for i in range(n)])
+    if inverse is None:
         return None
-    rows = _echelon_to_rref_rows(pivots)
-    return Matrix.from_rows([r[n:] for r in rows])
+    q, dq = inverse
+    return Matrix(n, n, tuple(Fraction(d * x, dq) for r in q for x in r))
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +449,9 @@ class Subspace:
         """Span of generators; integer rows are read as they are, others
         (Fractions, or strings `rat` reads) are scaled to integer rows."""
         rows = [g if all(type(x) is int for x in g) else _int_row(vec(g)) for g in gens]
-        pivots = _int_echelon(rows, ambient)
-        return cls(ambient, tuple(map(tuple, _int_rref(pivots))))
+        if any(len(r) != ambient for r in rows):
+            raise ValueError("ambient mismatch")
+        return cls(ambient, tuple(_int_rref(_pair_echelon(map(_pairs, filter(any, rows))), ambient)))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -491,7 +491,7 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
-        return len(_int_echelon(self.int_rows + other.int_rows, self.ambient)) == self.dim
+        return len(_pair_echelon(map(_pairs, self.int_rows + other.int_rows))) == self.dim
 
     def add(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
@@ -503,9 +503,11 @@ class Subspace:
         if other.ambient != self.ambient:
             raise ValueError("ambient mismatch")
         n = self.ambient
-        stacked = [r + r for r in self.int_rows] + [r + (0,) * n for r in other.int_rows]
-        pivots = _int_echelon(stacked, 2 * n)
-        return Subspace.span(n, [row[n:] for c, row in pivots.items() if c >= n])
+        stacked = [r + r for r in self.int_rows] + list(other.int_rows)
+        pivots = _pair_echelon(map(_pairs, stacked))
+        # the rows that lead in the right half are an echelon of the meet
+        meet = {c - n: {k - n: x for k, x in row.items()} for c, row in pivots.items() if c >= n}
+        return Subspace(n, tuple(_int_rref(meet, n)))
 
     def is_zero(self) -> bool:
         return not self.int_rows

@@ -584,6 +584,19 @@ def reference_int_structure(a: Algebra) -> tuple[int, tuple]:
     return den, srows
 
 
+def sympy_rref(rows, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Reference: the nonzero rows of sympy's RREF over QQ of integer rows,
+    as Fractions."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if not rows or not ncols:
+        return ()
+    m, pivots = DomainMatrix([[QQ(x) for x in r] for r in rows], (len(rows), ncols), QQ).rref()
+    return tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in r)
+                 for r in m.to_list()[:len(pivots)])
+
+
 def reference_int_row(frac_row: Sequence[Fraction]) -> list[int]:
     """Scale a rational row to a primitive integer row (same span)."""
     den = 1

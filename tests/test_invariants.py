@@ -2,6 +2,7 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,8 +29,10 @@ from jordanalg.invariants import (
     RadicalVerificationError,
     _adapted_basis,
     _adapted_table,
+    _flag,
     _frame,
     _lift_idempotent,
+    _minimal_polynomial,
     _nonzero_constants,
     annihilator,
     annihilator_series,
@@ -53,7 +56,7 @@ from jordanalg.invariants import (
 )
 from jordanalg.peirce import is_idempotent, peirce_multi
 from jordanalg.polysolve import embeds_b2
-from jordanalg.ratlin import ZERO, Matrix, Subspace, kernel, rank, zero_vec
+from jordanalg.ratlin import ZERO, Matrix, Subspace, _int_vec, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 from gen import dense_basis, spin_factor
 from helpers import (
@@ -606,6 +609,53 @@ def test_catalog_tables_keep_their_own_table_and_a_dense_spin_factor_gets_a_fram
     assert _nonzero_constants(c) < _nonzero_constants(b)
     assert check_isomorphism(c, b, basis_matrix(_adapted_basis(b)))
     assert searched
+
+
+def test_minimal_polynomials_of_quotient_samples(env, dense_env):
+    # on seeded samples of each semisimple quotient J / rad J, in the given
+    # and a dense basis: m is primitive, m(x) = 0 on powers taken by
+    # Algebra.mul, 1, x, .., x^(deg m - 1) are independent, and each P_k
+    # returned is s_k x^k
+    rng = seeded_rng("minimal-polynomial")
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    degrees = []
+    for a in cases:
+        q = radical_split(a)[2]
+        if not q.dim:
+            continue
+        unit = find_identity(q)
+        du, u = _int_vec(unit)
+        samples = [[int(i == j) for i in range(q.dim)] for j in range(q.dim)]
+        samples += [[rng.randint(-3, 3) for _ in range(q.dim)] for _ in range(2)]
+        for x in filter(any, samples):
+            m, powers, scales = _minimal_polynomial(q, u, du, x)
+            deg = len(m) - 1
+            assert deg >= 1 and m[-1] and gcd(*m) == 1, a.labels
+            xs = [unit]
+            for _ in range(deg):
+                xs.append(q.mul(tuple(map(F, x)), xs[-1]))
+            assert all(sum(c * p[i] for c, p in zip(m, xs)) == 0 for i in range(q.dim)), a.labels
+            assert Subspace.span(q.dim, xs[:deg]).dim == deg, a.labels
+            assert len(powers) == len(scales) == deg
+            assert all(tuple(map(F, p)) == tuple(s * y for y in xk)
+                       for p, s, xk in zip(powers, scales, xs)), a.labels
+            degrees.append(deg)
+    assert len(degrees) > 400 and max(degrees) == 4
+
+
+def test_flag_subspaces_are_canonical(env, dense_env):
+    # the powers of the radical are built row by row through the RREF rows
+    # of rad, not by `Subspace.span`; each flag space is the span of its own
+    # rows, so its stored rows are the canonical ones
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    built = 0
+    for a in cases:
+        flag = _flag(a)
+        assert [s.dim for s in flag] == sorted(s.dim for s in flag), a.labels
+        for s in flag:
+            assert s == Subspace.span(a.dim, s.int_rows), a.labels
+        built += len(flag) > len({radical_split(a)[0], *lcs_chain(a)} - {Subspace.zero(a.dim)})
+    assert built
 
 
 def frame_elements(a):

@@ -11,9 +11,9 @@ from jordanalg.ratlin import (
     Matrix,
     Subspace,
     _echelon_to_rref_rows,
-    _int_echelon,
     _int_kernel,
     _pair_echelon,
+    _pair_echelon_add,
     _pairs,
     int_rows_rank,
     invert,
@@ -24,7 +24,7 @@ from jordanalg.ratlin import (
     vec,
 )
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import coboundary_int_rows, coords, from_coords, reference_int_row
+from helpers import coboundary_int_rows, coords, from_coords, reference_int_row, sympy_rref
 
 F = Fraction
 
@@ -165,6 +165,16 @@ def test_subspace_ambient_mismatch():
         Subspace.full(2).intersect(Subspace.full(3))
 
 
+def test_span_refuses_generators_of_the_wrong_length():
+    # as `add`, `contains`, `intersect` and `reduce_vector` refuse a wrong
+    # ambient, so does `span`: a longer generator is not cut short and a
+    # shorter one is not kept
+    for ambient, gens in ((2, [[0, 0, 5]]), (2, [[1, 0, 5]]), (3, [[1, 0]]),
+                          (2, [[1, 0], [F(1, 2), 0, 1]]), (0, [[1]])):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            Subspace.span(ambient, gens)
+
+
 def test_subspace_coords_round_trip():
     s = Subspace.span(4, [[1, 2, 0, 0], [0, 0, 1, 3]])
     v = from_coords(s, vec([2, -1]))
@@ -172,18 +182,18 @@ def test_subspace_coords_round_trip():
     assert coords(s, v) == (F(2), F(-1))
 
 
-def free_column_kernel(m, pivots):
-    """Reference kernel: one generator per free column of the echelon form
-    `pivots` of m's rows."""
-    rows = _echelon_to_rref_rows(pivots)
+def free_column_kernel(ncols, rows):
+    """Reference kernel: one generator per free column of the rational RREF
+    rows `rows`."""
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
     gens = []
-    for f in (c for c in range(m.cols) if c not in pivots):
-        v = [F(0)] * m.cols
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
         v[f] = F(1)
-        for r, c in zip(rows, sorted(pivots)):
+        for r, c in zip(rows, pivots):
             v[c] = -r[f]
         gens.append(v)
-    return Subspace.span(m.cols, gens)
+    return Subspace.span(ncols, gens)
 
 
 def planted_rank_rows(rng, nrows, ncols, r):
@@ -232,18 +242,18 @@ def kernel_oracle_cases(env):
 
 
 def test_kernel_core_matches_echelon(env):
-    # the kernel core against the echelon core it replaced for rank and
-    # kernel; sparse rows first, as the echelon rank ordered them
+    # the kernel core against the rank and the free-column kernel of
+    # sympy's RREF
     for rows, ncols in kernel_oracle_cases(env):
-        pivots = _int_echelon(sorted(rows, key=lambda r: len(r) - r.count(0)), ncols)
-        r = len(pivots)
+        reference = sympy_rref(rows, ncols)
+        r = len(reference)
         assert int_rows_rank(rows, ncols) == r
         basis = _int_kernel(pair_rows(rows), ncols)
         assert len(basis) == ncols - r
         assert not any(sum(map(mul, v, row)) for v in basis for row in rows)
         m = Matrix(len(rows), ncols, tuple(F(x) for row in rows for x in row))
         assert rank(m) == r
-        assert kernel(m) == free_column_kernel(m, pivots)
+        assert kernel(m) == free_column_kernel(ncols, reference)
 
 
 def test_kernel_reads_no_row_after_the_basis_empties():
@@ -270,7 +280,7 @@ def test_kernel_matches_sympy():
 
 
 def test_pair_kernel_matches_echelon_and_sympy():
-    # the pair rows `_int_kernel` reads, against the echelon rank and the
+    # the pair rows `_int_kernel` reads, against the Fraction rank and the
     # sympy nullspace of the same rows written densely: empty rows, columns
     # no row touches, duplicate rows and coefficients of 60 to 80 bits
     sympy = pytest.importorskip("sympy")
@@ -291,7 +301,7 @@ def test_pair_kernel_matches_echelon_and_sympy():
                 row[:] = [k * x for x in row]
         rows += [list(rng.choice(rows)), [0] * ncols]
         rng.shuffle(rows)
-        r = len(_int_echelon(rows, ncols))
+        r = len(fraction_rref(rows, ncols))
         basis = _int_kernel(pair_rows(rows), ncols)
         assert len(basis) == ncols - r == ncols - sympy.Matrix(rows).rank()
         assert not any(sum(map(mul, v, row)) for v in basis for row in rows)
@@ -329,11 +339,11 @@ def test_span_of_int_rows_matches_fraction_path(env):
         assert all(type(x) is F for row in got.rows for x in row)
 
 
-def fraction_echelon_to_rref_rows(pivots):
+def fraction_echelon_to_rref_rows(pivots, ncols):
     # reference: the back-substitution in Fractions, each row divided by its
     # pivot first, then eliminated above each pivot from the bottom up
     cols = sorted(pivots)
-    rows = [[F(x) / pivots[c][c] for x in pivots[c]] for c in cols]
+    rows = [[F(pivots[c].get(k, 0), pivots[c][c]) for k in range(ncols)] for c in cols]
     for idx in range(len(cols) - 1, -1, -1):
         c = cols[idx]
         for j in range(idx):
@@ -359,12 +369,20 @@ def back_substitution_cases():
 
 
 def test_pair_echelon_matches_the_dense_echelon():
-    # on the same seeded rows the pair-row echelon has the pivot columns of
-    # `_int_echelon` and its rows, primitive and positive at their pivot,
-    # span the same space
+    # on the seeded rows the pair-row echelon has the pivot columns of the
+    # Gauss-Jordan reference in Fractions, its incremental add says True
+    # exactly for a row that raises the reference rank, and its rows,
+    # primitive and positive at their pivot, span the same space
     for rows, ncols in back_substitution_cases():
         pivots = _pair_echelon(_pairs(r) for r in rows)
-        assert sorted(pivots) == sorted(_int_echelon(rows, ncols))
+        reference = fraction_rref(rows, ncols)
+        assert sorted(pivots) == [next(c for c, x in enumerate(r) if x) for r in reference]
+        grown, added = {}, []
+        for i, r in enumerate(rows):
+            added.append(_pair_echelon_add(grown, _pairs(r)))
+            assert added[-1] == (len(fraction_rref(rows[:i + 1], ncols))
+                                 > len(fraction_rref(rows[:i], ncols)))
+        assert grown == pivots and sum(added) == len(pivots)
         for c, row in pivots.items():
             assert min(row) == c and row[c] > 0 and gcd(*row.values()) == 1
         dense = [[row.get(c, 0) for c in range(ncols)] for row in pivots.values()]
@@ -374,12 +392,15 @@ def test_pair_echelon_matches_the_dense_echelon():
 def test_back_substitution_matches_fraction_reference(monkeypatch):
     cases = back_substitution_cases()
     assert any(abs(x).bit_length() > 64 for rows, _ in cases for r in rows for x in r)
-    assert any(len(_int_echelon(rows, n)) < min(len(rows), n) for rows, n in cases)
+    assert any(len(fraction_rref(rows, n)) < min(len(rows), n) for rows, n in cases)
     for rows, ncols in cases:
-        pivots = _int_echelon(rows, ncols)
-        got = _echelon_to_rref_rows(pivots)
-        assert got == fraction_echelon_to_rref_rows(pivots)
+        pivots = _pair_echelon(map(_pairs, rows))
+        kept = {c: dict(row) for c, row in pivots.items()}
+        got = _echelon_to_rref_rows(pivots, ncols)
+        assert got == fraction_echelon_to_rref_rows(pivots, ncols)
+        assert got == list(fraction_rref(rows, ncols))
         assert all(type(x) is F for r in got for x in r)
+        assert pivots == kept  # the back-substitution leaves the echelon as it is
 
     def answers():
         out = []
@@ -395,6 +416,17 @@ def test_back_substitution_matches_fraction_reference(monkeypatch):
     assert any(x is None for x in got) and any(isinstance(x, Matrix) for x in got)
     monkeypatch.setattr(ratlin, "_echelon_to_rref_rows", fraction_echelon_to_rref_rows)
     assert answers() == got
+    # `invert` reads `_int_inverse`, not the patched rows: the Gauss-Jordan
+    # reference of [m | I] gives its answers
+    for rows, ncols in cases:
+        if len(rows) >= ncols:
+            square = rows[:ncols]
+            aug = fraction_rref([r + [int(i == j) for j in range(ncols)]
+                                 for i, r in enumerate(square)], 2 * ncols)
+            expected = None
+            if all(r[i] == 1 for i, r in enumerate(aug)):  # pivots 0 .. ncols - 1
+                expected = Matrix.from_rows([r[ncols:] for r in aug])
+            assert invert(Matrix.from_rows(square)) == expected
 
 
 def fraction_rref(gens, n):
