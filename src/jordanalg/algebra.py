@@ -4,9 +4,9 @@ An `Algebra` stores a basis (labels are for reporting only) and the full
 table c[i][j] = coefficient vector of b_i * b_j.  Elements are plain tuples
 of Fractions in that basis.  Commutative tables are the main case, but the
 storage is general enough for, e.g., full matrix algebras, which is what the
-symmetrized `plus_algebra` construction consumes.  `Algebra.from_products`
-is the one routine that builds a table from sparse products: the catalog's
-inline entries and `matrix_algebra` both go through it.
+symmetrized `plus_algebra` construction consumes.  Constants come in as
+Fractions only through the constructor and `Algebra.from_products`, which
+builds a table from sparse products (catalog entries, `matrix_algebra`).
 
 Products are taken on integer-scaled constants: `_int_structure` scales
 all of them with one call of `ratlin._int_vec`, by the lcm `den` of their
@@ -14,10 +14,10 @@ denominators, and it is the one cached copy of the table besides `table`
 itself.  `_int_products` is the one routine that multiplies elements.  It
 takes integer rows, which `_int_vec` makes of rational vectors, and gives
 each product times den; `Algebra.mul`, the change of basis, subspace products,
-the cocycle rows of `cohomology` and the Peirce systems all call it.  The
-change of basis, `_int_change_basis`, gives the new table's integer
-constants; `_from_int_structure` makes an algebra of them that keeps them
-as its `_int_structure`, so a caller may count them before it builds one.
+the cocycle rows of `cohomology` and the Peirce systems all call it.  Every
+algebra built from another (sums, plus algebra, unital hull, change of
+basis, and the quotients and induced algebras of `invariants`) is built by
+`_from_int_structure` from integer constants, kept as its `_int_structure`.
 Commutativity is read off those constants once per algebra.  The
 annihilator, centroid, trace-form and identity systems and the delta^1 rows
 are written on the constants themselves, as are the associator table and
@@ -46,11 +46,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .ratlin import (
-    HALF,
     ONE,
     ZERO,
     Matrix,
@@ -309,55 +308,43 @@ def is_associative(a: Algebra) -> bool:
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Block-diagonal table; cross products zero; labels concatenated."""
-    n, m = a.dim, b.dim
-    labels = a.labels + b.labels
-    table = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(tuple(a.table[i][j]) + zero_vec(m))
-            elif i >= n and j >= n:
-                row.append(zero_vec(n) + tuple(b.table[i - n][j - n]))
-            else:
-                row.append(zero_vec(n + m))
-        table.append(tuple(row))
-    return Algebra(labels, tuple(table))
+    return _direct_sum((a, b), a.labels + b.labels)
+
+
+def _direct_sum(parts: Sequence[Algebra], labels: Sequence[str]) -> Algebra:
+    """The direct sum of `parts`, in order, with basis `labels`: their
+    constants over the lcm of their dens."""
+    den = lcm(*(p._int_structure[0] for p in parts))
+    n, srows = sum(p.dim for p in parts), []
+    for p in parts:
+        pden, prows = p._int_structure
+        f, at = den // pden, len(srows)
+        srows += [((),) * at + tuple(tuple((k + at, x * f) for k, x in e) for e in row)
+                  + ((),) * (n - at - p.dim) for row in prows]
+    return _from_int_structure(den, srows, labels)
 
 
 def plus_algebra(a: Algebra) -> Algebra:
-    """Symmetrized product x o y = (x*y + y*x)/2 on an associative algebra."""
+    """Symmetrized product x o y = (x*y + y*x)/2 on an associative algebra,
+    the sum of the two products over 2 den."""
     if not is_associative(a):
         raise AlgebraError("plus construction requires an associative algebra")
     n = a.dim
-    table = tuple(
-        tuple(
-            tuple(HALF * (a.table[i][j][k] + a.table[j][i][k]) for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return Algebra(a.labels, table)
+    units = [[int(i == j) for i in range(n)] for j in range(n)]
+    prods = _int_products(a, units, units)  # den b_i b_j at i n + j
+    sym = [[tuple(_pairs([x + y for x, y in zip(prods[i * n + j], prods[j * n + i])]))
+            for j in range(n)] for i in range(n)]
+    return _from_int_structure(2 * a._int_structure[0], sym, a.labels)
 
 
 def unitalization(a: Algebra, unit_label: str = "one") -> Algebra:
     """Adjoin a formal identity as the last basis element."""
     while unit_label in a.labels:
         unit_label += "_"
-    n = a.dim
-    table = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if i < n and j < n:
-                row.append(tuple(a.table[i][j]) + (ZERO,))
-            elif i == n and j == n:
-                row.append(zero_vec(n) + (ONE,))
-            else:
-                k = i if i < n else j
-                row.append(unit_vec(n + 1, k))
-        table.append(tuple(row))
-    return Algebra(a.labels + (unit_label,), tuple(table))
+    den, srows = a._int_structure
+    table = [row + (((i, den),),) for i, row in enumerate(srows)]
+    table.append(tuple(((j, den),) for j in range(a.dim + 1)))
+    return _from_int_structure(den, table, a.labels + (unit_label,))
 
 
 def find_identity(a: Algebra) -> Optional[Vector]:
@@ -417,46 +404,52 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     if p.rows != n or p.cols != n:
         raise AlgebraError("basis-change matrix has wrong shape")
     dp, pint = _int_vec(p.entries)
-    return _from_int_structure(*_int_change_basis(a, [pint[i::n] for i in range(n)], dp))
+    return _from_int_structure(*_int_change_basis(a, [pint[i::n] for i in range(n)], dp),
+                               tuple(f"b{i+1}" for i in range(n)))
 
 
 def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
-    """`_int_structure` of `a` in the basis of the vectors col / dp, for
-    integer vectors `cols`, with no Fraction built.
-
-    The inverse of P = [cols] is Q / dq, `ratlin._int_inverse(P)`, as
-    `ratlin.invert` reads it.  The products of the columns are taken on the
-    integer-scaled constants (each is den times the true one, and
-    b_i b_j = col_i col_j / dp^2), so the coordinates of b_i b_j are
-    Q (col_i col_j) / S with S = den dq dp, and dividing S and every
-    numerator by their gcd g gives the lcm den' = S / g of the new
-    denominators, as `_int_structure` would.
-    """
+    """(S, srows): the constants of `a` in the basis of the vectors
+    col / dp, for integer vectors `cols`, as integers over S = den dq dp,
+    with no Fraction built.  With Q / dq the inverse of P = [cols]
+    (`ratlin._int_inverse`, as `ratlin.invert` reads it), the product
+    col_i col_j on the integer-scaled constants is den dp^2 b_i b_j, so the
+    coordinates of b_i b_j are Q (col_i col_j) / S."""
     n = a.dim
     inverse = _int_inverse([[c[k] for c in cols] for k in range(n)])
     if inverse is None:
         raise AlgebraError("basis-change matrix is singular")
     q, dq = inverse
     qrows = [tuple(_pairs(r)) for r in q]
-    nums = [[sum(x * v[k] for k, x in qr) for qr in qrows] for v in _int_products(a, cols, cols)]
-    scale = a._int_structure[0] * dq * dp
-    g = gcd(scale, *(x for v in nums for x in v))
-    entries = [tuple((k, x // g) for k, x in enumerate(v) if x) for v in nums]
-    return scale // g, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+    entries = [tuple(_pairs([sum(x * v[k] for k, x in qr) for qr in qrows]))
+               for v in _int_products(a, cols, cols)]
+    return a._int_structure[0] * dq * dp, [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
-def _from_int_structure(den: int, srows) -> Algebra:
-    """The algebra with basis b1 .. bn whose `_int_structure` is
-    (den, srows), kept on it."""
+def _from_int_structure(den: int, srows, labels: Sequence[str]) -> Algebra:
+    """The one builder of an algebra from another: basis `labels`, and
+    constants x / den for the nonzero (k, x) of b_i b_j in srows[i][j], k
+    ascending.  With den and every x divided by their gcd, den is the lcm of
+    the denominators, and (den, srows) is kept as `_int_structure`.  One
+    Fraction is made per distinct numerator; zero products share a vector."""
     n = len(srows)
+    g = gcd(den, *(x for row in srows for entry in row for _, x in entry))
+    if g != 1:
+        den //= g
+        srows = [[tuple((k, x // g) for k, x in entry) for entry in row] for row in srows]
+    srows = tuple(map(tuple, srows))
+    fracs = {x: Fraction(x, den) for x in {x for row in srows for entry in row for _, x in entry}}
+    zero = zero_vec(n)
 
     def vector(entry):
+        if not entry:
+            return zero
         v = [ZERO] * n
         for k, x in entry:
-            v[k] = Fraction(x, den)
+            v[k] = fracs[x]
         return tuple(v)
 
-    b = Algebra(tuple(f"b{i+1}" for i in range(n)), tuple(tuple(map(vector, row)) for row in srows))
+    b = Algebra(tuple(labels), tuple(tuple(map(vector, row)) for row in srows))
     b.__dict__["_int_structure"] = (den, srows)
     return b
 

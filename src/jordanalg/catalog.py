@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -44,8 +45,8 @@ from .algebra import (
     Algebra,
     AlgebraError,
     NonJordanError,
+    _direct_sum,
     commutativity_violation,
-    direct_sum,
     find_identity,
     is_associative,
     is_jordan,
@@ -361,9 +362,9 @@ def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
     """Entry -> Algebra; sum entries resolve against previously defined names."""
     if entry.summands is not None:
         _entry_dim(entry, {s: env[s].dim for s in entry.summands if s in env})  # the checks
-        alg = resolve_expr(entry.summands, env)
-        labels = entry.labels_override
-        return alg if labels is None else Algebra(tuple(labels), alg.table)
+        if entry.labels_override is None:
+            return resolve_expr(entry.summands, env)
+        return _direct_sum([env[s] for s in entry.summands], entry.labels_override)
     products = {}
     for la, lb, terms in entry.products:
         rhs = products[la, lb] = {}
@@ -373,15 +374,14 @@ def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
 
 
 def _dedupe_labels(labels: Sequence[str]) -> tuple[str, ...]:
-    seen: dict[str, int] = {}
-    out = []
+    """`labels` with each repeat of a label l renamed l_k, k >= 2 the
+    least suffix that no label, given or renamed, has taken."""
+    taken, out = set(labels), []
     for l in labels:
-        if l not in seen:
-            seen[l] = 1
-            out.append(l)
-        else:
-            seen[l] += 1
-            out.append(f"{l}_{seen[l]}")
+        if l in out:
+            l = next(f"{l}_{k}" for k in count(2) if f"{l}_{k}" not in taken)
+            taken.add(l)
+        out.append(l)
     return tuple(out)
 
 
@@ -419,10 +419,7 @@ def resolve_expr(names: Sequence[str], env: dict[str, Algebra]) -> Algebra:
     dim = sum(p.dim for p in parts)
     if dim > MAX_CATALOG_DIM:
         raise CatalogError(f"dim {dim} exceeds the limit {MAX_CATALOG_DIM}")
-    alg = parts[0]
-    for p in parts[1:]:
-        alg = direct_sum(alg, p)
-    return Algebra(_dedupe_labels(alg.labels), alg.table)
+    return _direct_sum(parts, _dedupe_labels([l for p in parts for l in p.labels]))
 
 
 def _unreadable(text: str, breaks: str) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -309,13 +310,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UnicodeEncodeError as exc:
-        # a non-ASCII name printed under a locale that cannot encode it
+    except (UnicodeEncodeError, BrokenPipeError) as exc:
+        # a name the locale cannot encode, or a reader that closed the pipe;
+        # then stdout goes to devnull, so its flush at exit cannot fail again
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            with suppress(OSError):  # a stdout with no file descriptor
+                fd = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return 2
     except (cat.CatalogError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)

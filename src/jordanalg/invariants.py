@@ -3,10 +3,10 @@
 The radical is computed as the kernel of the trace form T(x, y) = tr L_{x*y}
 (valid in characteristic zero) and then verified rather than trusted: the
 returned subspace must be an ideal, its induced algebra nilpotent and the
-quotient's trace form nondegenerate.  Any failure raises.  The trace form
-and the induced algebra are computed on the integer-scaled constants of
-`Algebra._int_structure`, and the ideal test is kept per algebra, so the
-split and the quotient it builds span rad * J once.
+quotient's trace form nondegenerate.  Any failure raises.  The trace form,
+the induced algebra and the quotient are read off `Algebra._int_structure`,
+the last two built by `algebra._from_int_structure`, and the split and its
+quotient share one ideal test, kept per algebra, so rad * J is spanned once.
 
 The `Fingerprint` record collects every invariant used to separate algebras,
 totally ordered by a fixed field order so fingerprint sets deduplicate
@@ -52,8 +52,6 @@ from .algebra import (
 )
 from .cohomology import CocycleSpace, check_cocycle_cells, coboundary_echelon, cocycle_space
 from .ratlin import (
-    ONE,
-    ZERO,
     Matrix,
     Subspace,
     _int_kernel,
@@ -188,43 +186,49 @@ def induced_algebra(a: Algebra, s: Subspace) -> Algebra:
     """Structure constants restricted to a subspace closed under the product.
 
     The basis is the RREF basis r_i = u_i / lead_i of `s`, u_i its integer
-    rows with leading entry lead_i at pivot column p_i.  The products u_i u_j
-    are taken on the integer-scaled constants, so each is
-    den lead_i lead_j r_i r_j; closure is checked on those products, and
-    coordinate k of r_i r_j is out[p_k] / (den lead_i lead_j), the RREF rows
-    being zero on each other's pivot columns.
+    rows with leading entry lead_i at pivot column p_i.  The rows U_i of
+    `_common_lead(s)` all lead with m, and their products are taken on the
+    integer-scaled constants, so each is den m^2 r_i r_j; closure is checked
+    on those products, and coordinate k of r_i r_j is out[p_k] / (den m^2),
+    the RREF rows being zero on each other's pivot columns.
     """
-    den = a._int_structure[0]
+    if s.ambient != a.dim:
+        raise AlgebraError("subspace ambient mismatch")
     k = s.dim
-    pivots = s._pivot_cols()
-    leads = [u[p] for u, p in zip(s.int_rows, pivots)]
-    prods = _int_products(a, s.int_rows, s.int_rows)
+    m, rows = _common_lead(s)
+    prods = _int_products(a, rows, rows)
     if len(_pair_echelon(map(_pairs, s.int_rows + tuple(prods)))) != k:
         raise AlgebraError("subspace is not closed under the product")
-    table = tuple(
-        tuple(tuple(Fraction(prods[i * k + j][p], den * leads[i] * leads[j]) for p in pivots)
-              for j in range(k))
-        for i in range(k)
-    )
-    return Algebra(tuple(f"r{i+1}" for i in range(k)), table)
+    pivots = s._pivot_cols()
+    srows = [[tuple(_pairs([prods[i * k + j][p] for p in pivots])) for j in range(k)]
+             for i in range(k)]
+    return _from_int_structure(a._int_structure[0] * m * m, srows, [f"r{i+1}" for i in range(k)])
+
+
+def _common_lead(s: Subspace) -> tuple[int, list[list[int]]]:
+    """(m, [(m / lead_i) u_i]): the integer RREF rows u_i of `s` scaled to
+    one leading entry m, the lcm of their leads lead_i."""
+    leads = [next(filter(None, u)) for u in s.int_rows]
+    m = lcm(*leads)
+    return m, [[x * (m // lead) for x in u] for u, lead in zip(s.int_rows, leads)]
 
 
 @per_algebra
 def quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
-    """Algebra induced on the complement basis (non-pivot coordinates) mod ideal."""
+    """Algebra induced on the complement basis (non-pivot coordinates) mod
+    ideal, in integers: with U_i the rows of `_common_lead(ideal)`, of lead
+    m at p_i, the residue of an integer-scaled product v is
+    m v - sum v[p_i] U_i, read on the complement columns, over den m."""
     if not is_ideal(a, ideal):
         raise AlgebraError("quotient requires an ideal")
-    pivot_cols = set(ideal._pivot_cols())
-    comp = [c for c in range(a.dim) if c not in pivot_cols]
-    labels = tuple(a.labels[c] for c in comp)
-    table = []
-    for c in comp:
-        row = []
-        for d in comp:
-            residue = ideal.reduce_vector(a.table[c][d])
-            row.append(tuple(residue[e] for e in comp))
-        table.append(tuple(row))
-    return Algebra(labels, tuple(table))
+    pivots = ideal._pivot_cols()
+    m, rows = _common_lead(ideal)
+    comp = [c for c in range(a.dim) if c not in pivots]
+    units = [[int(i == c) for i in range(a.dim)] for c in comp]
+    table = [[tuple(_pairs([m * v[e] - sum(v[p] * u[e] for u, p in zip(rows, pivots))
+                            for e in comp]))
+              for v in _int_products(a, [b], units)] for b in units]
+    return _from_int_structure(a._int_structure[0] * m, table, [a.labels[c] for c in comp])
 
 
 @per_algebra
@@ -619,9 +623,7 @@ def _flag(a: Algebra) -> list[Subspace]:
     algebra, read back through the RREF rows of rad) and `lcs_chain(a)`,
     in order of dimension, the zero space left out."""
     rad, rad_alg, _ = radical_split(a)
-    leads = [next(filter(None, r)) for r in rad.int_rows]
-    scale = lcm(1, *leads)
-    cols = list(zip(*([x * (scale // lead) for x in r] for r, lead in zip(rad.int_rows, leads))))
+    cols = list(zip(*_common_lead(rad)[1]))
     # the rows of rad are zero on each other's pivot columns, so the RREF
     # rows of a power, taken through them and divided by their content, are
     # the power's canonical rows in J
@@ -736,7 +738,7 @@ def _sparser_table(a: Algebra) -> Optional[Algebra]:
     den, srows = _int_change_basis(a, rows)
     if _count_constants(srows) >= _nonzero_constants(a):
         return None
-    b = _from_int_structure(den, srows)
+    b = _from_int_structure(den, srows, tuple(f"b{i+1}" for i in range(a.dim)))
     b.__dict__["_jordan_defect"] = a._jordan_defect  # b is a in another basis
     return b
 

@@ -10,6 +10,7 @@ from jordanalg.algebra import (
     Algebra,
     AlgebraError,
     _int_products,
+    is_associative,
     is_commutative,
     is_jordan,
     parse_terms,
@@ -40,7 +41,6 @@ from jordanalg.invariants import (
     RadicalVerificationError,
     is_ideal,
     is_nilpotent,
-    quotient_algebra,
     radical,
 )
 from jordanalg.ratlin import (
@@ -614,9 +614,11 @@ def reference_int_row(frac_row: Sequence[Fraction]) -> list[int]:
     return row
 
 
-# The Fraction versions of the trace form, the induced algebra and the
-# radical split that the integer ones in `jordanalg.invariants` replaced,
-# and of the change of basis that `jordanalg.algebra.change_basis` replaced.
+# The Fraction versions of the trace form, the induced algebra, the
+# quotient and the radical split that the integer ones in
+# `jordanalg.invariants` replaced, and of the change of basis, the direct
+# sum, the plus algebra and the unital hull that `jordanalg.algebra`
+# builds from integer constants.
 
 def reference_change_basis(a: Algebra, p: Matrix) -> Algebra:
     """Algebra in the basis given by the columns of p, in Fractions: each
@@ -633,6 +635,59 @@ def reference_change_basis(a: Algebra, p: Matrix) -> Algebra:
     )
     labels = tuple(f"b{i+1}" for i in range(a.dim))
     return Algebra(labels, table)
+
+
+def reference_direct_sum(a: Algebra, b: Algebra) -> Algebra:
+    """Block-diagonal table; cross products zero; labels concatenated."""
+    n, m = a.dim, b.dim
+    labels = a.labels + b.labels
+    table = []
+    for i in range(n + m):
+        row = []
+        for j in range(n + m):
+            if i < n and j < n:
+                row.append(tuple(a.table[i][j]) + zero_vec(m))
+            elif i >= n and j >= n:
+                row.append(zero_vec(n) + tuple(b.table[i - n][j - n]))
+            else:
+                row.append(zero_vec(n + m))
+        table.append(tuple(row))
+    return Algebra(labels, tuple(table))
+
+
+def reference_plus_algebra(a: Algebra) -> Algebra:
+    """Symmetrized product x o y = (x*y + y*x)/2 on an associative algebra."""
+    if not is_associative(a):
+        raise AlgebraError("plus construction requires an associative algebra")
+    n = a.dim
+    table = tuple(
+        tuple(
+            tuple(HALF * (a.table[i][j][k] + a.table[j][i][k]) for k in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return Algebra(a.labels, table)
+
+
+def reference_unitalization(a: Algebra, unit_label: str = "one") -> Algebra:
+    """Adjoin a formal identity as the last basis element."""
+    while unit_label in a.labels:
+        unit_label += "_"
+    n = a.dim
+    table = []
+    for i in range(n + 1):
+        row = []
+        for j in range(n + 1):
+            if i < n and j < n:
+                row.append(tuple(a.table[i][j]) + (ZERO,))
+            elif i == n and j == n:
+                row.append(zero_vec(n) + (ONE,))
+            else:
+                k = i if i < n else j
+                row.append(unit_vec(n + 1, k))
+        table.append(tuple(row))
+    return Algebra(a.labels + (unit_label,), tuple(table))
 
 
 def reference_trace_form(a: Algebra) -> Matrix:
@@ -665,6 +720,23 @@ def reference_induced_algebra(a: Algebra, s: Subspace) -> Algebra:
     return Algebra(labels, table)
 
 
+def reference_quotient_algebra(a: Algebra, ideal: Subspace) -> Algebra:
+    """Algebra induced on the complement basis (non-pivot coordinates) mod ideal."""
+    if not is_ideal(a, ideal):
+        raise AlgebraError("quotient requires an ideal")
+    pivot_cols = set(ideal._pivot_cols())
+    comp = [c for c in range(a.dim) if c not in pivot_cols]
+    labels = tuple(a.labels[c] for c in comp)
+    table = []
+    for c in comp:
+        row = []
+        for d in comp:
+            residue = ideal.reduce_vector(a.table[c][d])
+            row.append(tuple(residue[e] for e in comp))
+        table.append(tuple(row))
+    return Algebra(labels, tuple(table))
+
+
 def reference_radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
     """(rad, rad_alg, quotient): the radical as the trace form's kernel, its
     induced algebra, and the quotient algebra it was certified on.
@@ -681,7 +753,7 @@ def reference_radical_split(a: Algebra) -> tuple[Subspace, Algebra, Algebra]:
     rad_alg = reference_induced_algebra(a, rad)
     if not is_nilpotent(rad_alg):
         raise RadicalVerificationError("trace-form kernel is not nilpotent")
-    quot = quotient_algebra(a, rad)
+    quot = reference_quotient_algebra(a, rad)
     if reference_trace_rank(quot) != quot.dim:
         raise RadicalVerificationError("quotient trace form is degenerate")
     return rad, rad_alg, quot

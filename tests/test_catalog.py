@@ -19,6 +19,7 @@ from jordanalg.catalog import (
     serialize_entry,
     verify_catalog,
     verify_entry,
+    _dedupe_labels,
     _is_count,
 )
 from helpers import (
@@ -208,6 +209,45 @@ def test_resolve_sum_is_direct_sum(entries, env):
             for p in parts[1:]:
                 acc = direct_sum(acc, p)
             assert env[entry.name].table == acc.table
+
+
+def test_resolved_sums_hold_their_constants_and_are_built_once(entries, monkeypatch):
+    # a sum entry is built once, from its summands' integer constants, with
+    # its final labels (renamed repeats or a labels line); it keeps those
+    # constants, so none is scaled back from its Fraction table
+    import jordanalg.algebra as alg
+
+    built = []
+
+    def builder(den, srows, labels, _build=alg._from_int_structure):
+        built.append(labels)
+        return _build(den, srows, labels)
+
+    monkeypatch.setattr(alg, "_from_int_structure", builder)
+    env = resolve_all(entries)
+    monkeypatch.undo()
+    sums = [e for e in entries if e.summands is not None]
+    assert len(sums) > 10 and len(built) == len(sums)
+    for entry in sums:
+        a = env[entry.name]
+        assert "_int_structure" in a.__dict__, entry.name
+        assert a._int_structure == Algebra(a.labels, a.table)._int_structure, entry.name
+    assert any(e.labels_override is not None for e in sums)
+
+
+def test_nested_sums_get_distinct_labels(env):
+    # P = F1 + F1 has labels (e, e_2); a repeat of e in P + F1 used to be
+    # renamed e_2 as well
+    assert _dedupe_labels(("e", "e_2", "e")) == ("e", "e_2", "e_3")
+    assert _dedupe_labels(("e", "e", "e_2", "e")) == ("e", "e_3", "e_2", "e_4")
+    assert _dedupe_labels(("x", "y", "x", "x", "y")) == ("x", "y", "x_2", "x_3", "y_2")
+    entries = parse_catalog("algebra P = F1 + F1\nend\nalgebra Q = P + F1\nend\n")
+    sums = dict(env)
+    for entry in entries:
+        sums[entry.name] = resolve(entry, sums)
+    assert sums["P"].labels == ("e", "e_2")
+    assert sums["Q"].labels == ("e", "e_2", "e_3")
+    assert resolve_expr(["P", "P"], sums).labels == ("e", "e_2", "e_3", "e_2_2")
 
 
 def test_catalog_counts(entries, env):

@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -286,6 +289,53 @@ def test_dir_catalog_resolves_sums_in_file_order(capsys, tmp_path):
     assert out.startswith("algebra B9\n  dim 2\n  basis x x_2\n")
     code, out, err = run(capsys, "fingerprint-all", "--dir", str(tmp_path))
     assert (code, err) == (0, "") and out.endswith("0 fingerprints, pairwise distinct: yes\n")
+
+
+def test_a_nested_sum_shows_distinct_labels_and_reads_back(capsys, tmp_path):
+    # Q = P + F1 with P = F1 + F1: the repeat of e is e_3, not a second e_2,
+    # so `show` serializes it and the shown text keeps its fingerprint
+    nested = tmp_path / "nested.alg"
+    nested.write_text("algebra P = F1 + F1\nend\nalgebra Q = P + F1\nend\n")
+    code, out, err = run(capsys, "show", str(nested))
+    assert (code, err) == (0, "")
+    assert out.startswith("algebra Q\n  dim 3\n  basis e e_2 e_3\n")
+    shown = tmp_path / "shown.alg"
+    shown.write_text(out)
+    fingerprints = [run(capsys, "fingerprint", str(f))[1].split(" ", 1)[1] for f in (nested, shown)]
+    assert fingerprints[0] == fingerprints[1]
+    code, out, err = run(capsys, "peirce", str(nested), "e_3")
+    assert (code, err) == (0, "") and "J_1: dim 1, span {e_3}" in out
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_pipe_is_one_error_line(capsys, monkeypatch):
+    for argv in (["invariants", "B3"], ["verify"], ["fingerprint-all"]):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(argv)
+        monkeypatch.undo()
+        assert code == 2, argv
+        assert capsys.readouterr().err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_a_closed_pipe_leaves_no_traceback_at_exit(tmp_path):
+    # the reading end is closed before the command starts, so its first
+    # write or flush meets the closed pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jordanalg", "invariants", "B3"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_verify_deep_unknown_radical_name(capsys, tmp_path):

@@ -2,6 +2,7 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property, partial
 from math import gcd
 
 import pytest
@@ -13,8 +14,10 @@ from jordanalg.algebra import (
     check_isomorphism,
     direct_sum,
     find_identity,
+    is_associative,
     matrix_algebra,
     per_algebra,
+    plus_algebra,
     unitalization,
 )
 from jordanalg.cohomology import (
@@ -60,10 +63,15 @@ from jordanalg.ratlin import ZERO, Matrix, Subspace, _int_vec, kernel, rank, zer
 from conftest import random_invertible_matrix, seeded_rng
 from gen import dense_basis, spin_factor
 from helpers import (
+    reference_change_basis,
+    reference_direct_sum,
     reference_fingerprint_key,
     reference_induced_algebra,
+    reference_plus_algebra,
+    reference_quotient_algebra,
     reference_radical_split,
     reference_trace_form,
+    reference_unitalization,
 )
 
 F = Fraction
@@ -358,6 +366,75 @@ def test_integer_radical_split_matches_the_fraction_reference(env, dense_env, la
             assert got == induced_or_error(reference_induced_algebra, a, s), name
             unclosed += isinstance(got, str)
     assert unclosed > 100
+
+
+def test_induced_algebra_refuses_a_subspace_of_another_ambient(env):
+    # before, span(5, e4) gave a one-dimensional zero table, span(5, e5) an
+    # IndexError and span(3, e2) "not closed under the product"
+    j56 = env["J56"]
+    for ambient, row in ((5, [0, 0, 0, 1, 0]), (5, [0, 0, 0, 0, 1]), (3, [0, 1, 0])):
+        with pytest.raises(AlgebraError, match="^subspace ambient mismatch$"):
+            induced_algebra(j56, Subspace.span(ambient, [row]))
+
+
+def assert_built_as_reference(got, ref, name):
+    """`got` has the labels and table of its Fraction reference, and the
+    integer constants it kept are those a fresh copy of it computes."""
+    assert (got.labels, got.table) == (ref.labels, ref.table), name
+    assert "_int_structure" in got.__dict__, name
+    assert got._int_structure == fresh(got)._int_structure, name
+
+
+def test_derived_algebras_match_their_fraction_references(env, dense_env):
+    # every algebra built from another is built from integer constants;
+    # each equals the Fraction code it replaced and keeps its constants: the
+    # sum with the next table, the unital hull, the plus algebra of an
+    # associative table, the quotient by and the algebra induced on each
+    # ideal of the flag, and the quotients of the annihilator series, on
+    # the catalog and one dense basis of each table
+    cases = list(env.items()) + [(f"{name} dense", b) for name, (b, _) in dense_env.items()]
+    quotients = 0
+    for (name, a), (_, b) in zip(cases, cases[1:] + cases[:1]):
+        assert_built_as_reference(direct_sum(a, b), reference_direct_sum(a, b), name)
+        assert_built_as_reference(unitalization(a), reference_unitalization(a), name)
+        if is_associative(a):
+            assert_built_as_reference(plus_algebra(a), reference_plus_algebra(a), name)
+        for s in filter(partial(is_ideal, a), _flag(a)):
+            assert_built_as_reference(quotient_algebra(a, s), reference_quotient_algebra(a, s), name)
+            assert_built_as_reference(induced_algebra(a, s), reference_induced_algebra(a, s), name)
+            quotients += 1
+        cur = a
+        while cur.dim and annihilator(cur).dim:
+            q = quotient_algebra(cur, annihilator(cur))
+            assert_built_as_reference(q, reference_quotient_algebra(cur, annihilator(cur)), name)
+            cur = q
+            quotients += 1
+    assert quotients > 500
+    for name, (b, p) in dense_env.items():
+        assert_built_as_reference(b, reference_change_basis(env[name], p), name)
+    m3 = matrix_algebra(3)
+    assert_built_as_reference(plus_algebra(m3), reference_plus_algebra(m3), "M3+")
+
+
+def test_fingerprint_of_a_fresh_table_scales_its_constants_once(dense_env, monkeypatch):
+    # the radical's induced algebra, the quotients and the sparser table
+    # take their integer constants from the builder; only the table itself
+    # is scaled, with one `_int_vec` of its n^3 constants
+    computing = Algebra.__dict__["_int_structure"].func
+    scaled = []
+
+    def counted(b):
+        scaled.append(b)
+        return computing(b)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Algebra, "_int_structure")
+    monkeypatch.setattr(Algebra, "_int_structure", prop)
+    for name, (b, _) in dense_env.items():
+        a = fresh(b)
+        scaled.clear()
+        fingerprint(a)
+        assert len(scaled) == 1 and scaled[0] is a, name
 
 
 def test_radical_split_pieces(env):
