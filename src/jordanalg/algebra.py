@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import compress
+from itertools import compress, count
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
@@ -307,8 +307,21 @@ def is_associative(a: Algebra) -> bool:
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
-    """Block-diagonal table; cross products zero; labels concatenated."""
-    return _direct_sum((a, b), a.labels + b.labels)
+    """Block-diagonal table; cross products zero; labels concatenated, a
+    repeat renamed by `_dedupe_labels`."""
+    return _direct_sum((a, b), _dedupe_labels(a.labels + b.labels))
+
+
+def _dedupe_labels(labels: Sequence[str]) -> tuple[str, ...]:
+    """`labels` with each repeat of a label l renamed l_k, k >= 2 the
+    least suffix that no label, given or renamed, has taken."""
+    taken, out = set(labels), []
+    for l in labels:
+        if l in out:
+            l = next(f"{l}_{k}" for k in count(2) if f"{l}_{k}" not in taken)
+            taken.add(l)
+        out.append(l)
+    return tuple(out)
 
 
 def _direct_sum(parts: Sequence[Algebra], labels: Sequence[str]) -> Algebra:

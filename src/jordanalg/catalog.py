@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -45,6 +44,7 @@ from .algebra import (
     Algebra,
     AlgebraError,
     NonJordanError,
+    _dedupe_labels,
     _direct_sum,
     commutativity_violation,
     find_identity,
@@ -371,18 +371,6 @@ def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
         for coeff, lc in terms:
             rhs[lc] = rhs.get(lc, 0) + coeff
     return Algebra.from_products(entry.basis, products)
-
-
-def _dedupe_labels(labels: Sequence[str]) -> tuple[str, ...]:
-    """`labels` with each repeat of a label l renamed l_k, k >= 2 the
-    least suffix that no label, given or renamed, has taken."""
-    taken, out = set(labels), []
-    for l in labels:
-        if l in out:
-            l = next(f"{l}_{k}" for k in count(2) if f"{l}_{k}" not in taken)
-            taken.add(l)
-        out.append(l)
-    return tuple(out)
 
 
 def resolve_all(entries: Sequence[CatalogEntry]) -> dict[str, Algebra]:

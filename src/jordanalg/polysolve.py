@@ -15,6 +15,8 @@ nonzero y with e*y = y/2 and y*y = 0.  Those two equations are homogeneous
 in y, so y != 0 is decided in affine charts (y_i = 1, y_j = 0 for j < i)
 rather than by adjoining a new variable for the inverse of y_i (the
 Rabinowitsch trick): a chart has fewer variables than the system, not more.
+An associative table needs no chart: there e*y = y/2 gives
+y/2 = (e*e)*y = e*(e*y) = y/4, so y = 0.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import Optional, Sequence
 
-from .algebra import Algebra, NonJordanError, is_jordan
+from .algebra import Algebra, NonJordanError, is_associative, is_jordan
 from .invariants import is_nilpotent
 from .peirce import eigenspace
 from .ratlin import HALF, ONE, ZERO, Vector, is_zero_vec, rat, vec
@@ -527,8 +529,13 @@ def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
 
 def b2_chart_system(a: Algebra, i: int) -> PolySystem:
     """e*e = e, e*y = y/2 and y*y = 0 on chart i, where y_i = 1 and y_j = 0
-    for j < i.  The variables are e_0..e_{n-1} and y_{i+1}..y_{n-1}."""
+    for j < i.  The variables are e_0..e_{n-1} and y_{i+1}..y_{n-1}.  The
+    polynomials are written on the integer-scaled constants (den, srows) of
+    `_int_structure`: den (e*e - e), 2 den (e*y - y/2) and den y*y, positive
+    multiples of the equations, so their monic forms are those of the
+    equations themselves."""
     n = a.dim
+    den, srows = a._int_structure
     names = tuple([f"e{k}" for k in range(n)] + [f"y{k}" for k in range(i + 1, n)])
     # the variable index of each nonzero y-coordinate; None is the constant y_i = 1
     yvar = {j: (None if j == i else n + j - i - 1) for j in range(i, n)}
@@ -542,21 +549,19 @@ def b2_chart_system(a: Algebra, i: int) -> PolySystem:
 
     ee, ey, yy = ([{} for _ in range(n)] for _ in range(3))
     for k in range(n):
-        ee[k][mono(k)] = -ONE
+        ee[k][mono(k)] = -den
         if k in yvar:
-            ey[k][mono(yvar[k])] = -HALF
+            ey[k][mono(yvar[k])] = -den
     for p in range(n):
         for q in range(n):
-            for k, c in enumerate(a.table[p][q]):
-                if not c:
-                    continue
-                products = [(ee, mono(p, q))]
+            for k, c in srows[p][q]:
+                products = [(ee, mono(p, q), c)]
                 if q in yvar:  # skip the factors y_q = 0
-                    products.append((ey, mono(p, yvar[q])))
+                    products.append((ey, mono(p, yvar[q]), 2 * c))
                     if p in yvar:
-                        products.append((yy, mono(yvar[p], yvar[q])))
-                for out, m in products:
-                    out[k][m] = out[k].get(m, ZERO) + c
+                        products.append((yy, mono(yvar[p], yvar[q]), c))
+                for out, m, x in products:
+                    out[k][m] = out[k].get(m, 0) + x
     polys = [Polynomial(names, terms) for k in range(n) for terms in (ee[k], ey[k], yy[k])]
     return PolySystem(tuple(polys), names)
 
@@ -565,12 +570,15 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     """Decide, over the algebraic closure, whether a contains e, y with
     e*e = e, e*y = y/2, y*y = 0 and y != 0.
 
-    Strategy: nilpotent algebras contain no nonzero idempotent (e = e*e
-    forces e into every right power), so the answer there is 'no' outright.
-    Otherwise scan the half eigenspaces of the table idempotents for a
-    rational witness; failing that, decide the system in affine charts.
-    e*y = y/2 and y*y = 0 are homogeneous in y and e*e = e does not involve
-    y, so (e, y) is a solution iff (e, y/y_i) is one.  Taking i as the first
+    Strategy: two kinds of table answer 'no' outright.  In an associative
+    algebra e*y = y/2 gives y/2 = (e*e)*y = e*(e*y) = y/4, so y = 0;
+    associativity is a multilinear identity, so it holds over the closure
+    too.  Nilpotent algebras contain no nonzero idempotent (e = e*e forces
+    e into every right power).  Otherwise scan the half eigenspaces of the
+    table idempotents for a rational witness; failing that, decide the
+    system in affine charts.  e*y = y/2 and y*y = 0 are homogeneous in y
+    and e*e = e does not involve y, so (e, y) is a solution iff (e, y/y_i)
+    is one.  Taking i as the first
     nonzero coordinate of y, a solution with y != 0 exists iff some chart i
     of `b2_chart_system` (y_i = 1, y_j = 0 for j < i) has one.  A chart
     answering 'yes' settles the question; 'no' requires every chart to
@@ -578,7 +586,7 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     """
     if not is_jordan(a):
         raise NonJordanError("subalgebra detection requires a Jordan algebra")
-    if is_nilpotent(a):
+    if is_associative(a) or is_nilpotent(a):
         return B2Result("no")
     witness = _witness_scan(a)
     if witness is not None:

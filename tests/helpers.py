@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 from jordanalg.algebra import (
     Algebra,
     AlgebraError,
+    _dedupe_labels,
     _int_products,
     is_associative,
     is_commutative,
@@ -34,7 +35,7 @@ from jordanalg.cohomology import (
     coboundary_echelon,
 )
 from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peirce_single
-from jordanalg.polysolve import Polynomial, _integer_terms, _leads, _reduce
+from jordanalg.polysolve import PolySystem, Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
     B2_ORDER,
     NonJordanError,
@@ -246,6 +247,42 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo basis (leading and tail terms reduced)."""
     terms, den = _reduce(*_integer_terms(p), _leads(basis))
     return Polynomial._of(p.names, {m: Fraction(x, den) for m, x in terms.items()})
+
+
+def reference_b2_chart_system(a: Algebra, i: int) -> PolySystem:
+    """`polysolve.b2_chart_system` in Fractions, read off `a.table`:
+    e*e - e, e*y - y/2 and y*y on chart i (y_i = 1, y_j = 0 for j < i)."""
+    n = a.dim
+    names = tuple([f"e{k}" for k in range(n)] + [f"y{k}" for k in range(i + 1, n)])
+    # the variable index of each nonzero y-coordinate; None is the constant y_i = 1
+    yvar = {j: (None if j == i else n + j - i - 1) for j in range(i, n)}
+
+    def mono(*variables: Optional[int]) -> tuple[int, ...]:
+        exps = [0] * len(names)
+        for v in variables:
+            if v is not None:
+                exps[v] += 1
+        return tuple(exps)
+
+    ee, ey, yy = ([{} for _ in range(n)] for _ in range(3))
+    for k in range(n):
+        ee[k][mono(k)] = -ONE
+        if k in yvar:
+            ey[k][mono(yvar[k])] = -HALF
+    for p in range(n):
+        for q in range(n):
+            for k, c in enumerate(a.table[p][q]):
+                if not c:
+                    continue
+                products = [(ee, mono(p, q))]
+                if q in yvar:  # skip the factors y_q = 0
+                    products.append((ey, mono(p, yvar[q])))
+                    if p in yvar:
+                        products.append((yy, mono(yvar[p], yvar[q])))
+                for out, m in products:
+                    out[k][m] = out[k].get(m, ZERO) + c
+    polys = [Polynomial(names, terms) for k in range(n) for terms in (ee[k], ey[k], yy[k])]
+    return PolySystem(tuple(polys), names)
 
 
 def coords(s: Subspace, v: Sequence[Fraction]) -> Vector:
@@ -638,9 +675,10 @@ def reference_change_basis(a: Algebra, p: Matrix) -> Algebra:
 
 
 def reference_direct_sum(a: Algebra, b: Algebra) -> Algebra:
-    """Block-diagonal table; cross products zero; labels concatenated."""
+    """Block-diagonal table; cross products zero; labels concatenated, a
+    repeat renamed as catalog sums rename it."""
     n, m = a.dim, b.dim
-    labels = a.labels + b.labels
+    labels = _dedupe_labels(a.labels + b.labels)
     table = []
     for i in range(n + m):
         row = []

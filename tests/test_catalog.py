@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import Algebra, AlgebraError, NonJordanError, direct_sum
+from jordanalg.algebra import Algebra, AlgebraError, NonJordanError, _dedupe_labels, direct_sum
 from jordanalg.catalog import (
     MAX_CATALOG_DIM,
     CatalogError,
@@ -19,7 +19,6 @@ from jordanalg.catalog import (
     serialize_entry,
     verify_catalog,
     verify_entry,
-    _dedupe_labels,
     _is_count,
 )
 from helpers import (
@@ -248,6 +247,18 @@ def test_nested_sums_get_distinct_labels(env):
     assert sums["P"].labels == ("e", "e_2")
     assert sums["Q"].labels == ("e", "e_2", "e_3")
     assert resolve_expr(["P", "P"], sums).labels == ("e", "e_2", "e_3", "e_2_2")
+
+
+def test_direct_sum_renames_repeated_labels(env):
+    # direct_sum renames a repeat as catalog sums do, so its sum of F1 with
+    # itself serializes and each label names its own coordinate
+    f1 = env["F1"]
+    a = direct_sum(f1, f1)
+    assert a.labels == ("e", "e_2") == resolve_expr(["F1", "F1"], env).labels
+    assert a.element({"e": 1}) == (1, 0) and a.element({"e_2": 1}) == (0, 1)
+    (entry,) = parse_catalog(serialize_entry("X", a))
+    assert (entry.basis, resolve(entry, {}).table) == (a.labels, a.table)
+    assert direct_sum(a, f1).labels == ("e", "e_2", "e_3")
 
 
 def test_catalog_counts(entries, env):

@@ -12,6 +12,7 @@ from jordanalg.invariants import (
     is_nilpotent,
     radical_split,
 )
+from jordanalg.polysolve import B2Result, check_b2_witness, embeds_b2
 from jordanalg.ratlin import Subspace, invert, unit_vec
 from gen import dense_basis, field_sum, spin_factor, truncated_polynomial
 
@@ -78,3 +79,24 @@ def test_a_field_summand_or_a_unit_on_a_nilpotent_algebra(env):
             assert fps[0] == fps[1]
             adapted += _adapted_table(b) is not b
     assert adapted > len(nilpotents)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_b2_embeds_in_a_spin_factor_of_dimension_at_least_three(m):
+    # the idempotents other than 0 and e are (e + u)/2 with u in V and
+    # f(u, u) = 1; their half space is the line's complement u^perp in V,
+    # and y in it has y*y = f(y, y) e, so a copy of B2 needs an isotropic
+    # vector in u^perp, which exists over the closure iff m - 1 >= 2
+    for a, _ in both_bases(spin_factor(m), f"b2-spin-{m}"):
+        res = embeds_b2(a)
+        assert res.answer == ("yes" if m >= 3 else "no")
+        if res.witness is not None:
+            assert check_b2_witness(a, *res.witness)
+
+
+@pytest.mark.parametrize("make", [lambda: truncated_polynomial(4),
+                                  lambda: field_sum(truncated_polynomial(3))])
+def test_b2_is_not_in_an_associative_table(make):
+    # nilpotent, or associative with the unit of F1: either way no chart runs
+    for a, _ in both_bases(make(), "b2-associative"):
+        assert embeds_b2(a) == B2Result("no")

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from jordanalg import polysolve
-from jordanalg.algebra import change_basis
+from jordanalg.algebra import change_basis, is_associative
 from jordanalg.invariants import is_nilpotent
 from jordanalg.polysolve import (
     B2Chart,
+    B2Result,
     PolySystem,
     Polynomial,
     b2_chart_system,
@@ -18,7 +19,7 @@ from jordanalg.polysolve import (
     is_groebner_basis,
 )
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import normal_form
+from helpers import normal_form, reference_b2_chart_system
 
 F = Fraction
 
@@ -403,7 +404,10 @@ def _sympy_basis(system):
                    * sympy.Mul(*(g**e for g, e in zip(gens, m)))
                    for m, c in p.terms.items())
 
-    ref = sympy.groebner([expr(p) for p in system.polynomials], *gens, order="grevlex")
+    # over QQ the reduced basis is monic, as buchberger's is; an integer
+    # system would get sympy's primitive integer basis over ZZ instead
+    ref = sympy.groebner([expr(p) for p in system.polynomials], *gens, order="grevlex",
+                         domain=sympy.QQ)
     return expr, {sympy.expand(e) for e in ref.exprs}
 
 
@@ -474,15 +478,48 @@ def catalog_b2(entries, env):
 def test_charts_agree_with_rabinowitsch_on_catalog(env, catalog_b2):
     for name, res in catalog_b2.items():
         assert res.answer == _rabinowitsch_embeds_b2(env[name]), name
-    assert sum(1 for res in catalog_b2.values() if res.charts) == 40
+    assert sum(1 for res in catalog_b2.values() if res.charts) == 15
+
+
+def _charted(env, catalog_b2):
+    """The tables that neither the nilpotent shortcut nor the witness scan
+    decides, in catalog order, each with whether it is associative."""
+    return [(name, is_associative(env[name])) for name, res in catalog_b2.items()
+            if res.witness is None and not is_nilpotent(env[name])]
+
+
+def test_associative_tables_need_no_chart_and_every_chart_agrees(env, catalog_b2):
+    # e*y = y/2 gives y/2 = (e*e)*y = e*(e*y) = y/4 in an associative table, so
+    # embeds_b2 answers "no" there without a chart; each chart's completion
+    # reaches the same answer
+    tables = [name for name, assoc in _charted(env, catalog_b2) if assoc]
+    assert len(tables) == 25
+    for name in tables:
+        a = env[name]
+        assert catalog_b2[name] == B2Result("no"), name
+        assert all(has_solution(b2_chart_system(a, i)) == "no" for i in range(a.dim)), name
 
 
 def test_charts_agree_with_rabinowitsch_in_dense_bases(env, catalog_b2):
-    # one dense basis of each table that the Groebner path decides
+    # one dense basis of each table that the charts decide, or that the
+    # associative rule decides in their place, where the charts run directly
     rng = seeded_rng("b2-charts-dense")
-    for name, res in catalog_b2.items():
-        if not res.charts:
-            continue
+    tables = _charted(env, catalog_b2)
+    assert len(tables) == 40
+    for name, assoc in tables:
         a = env[name]
         b = change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))
+        res = catalog_b2[name]
         assert embeds_b2(b).answer == _rabinowitsch_embeds_b2(b) == res.answer, name
+        if assoc:
+            assert all(has_solution(b2_chart_system(b, i)) == "no" for i in range(b.dim)), name
+
+
+def test_integer_chart_systems_match_the_fraction_reference(env, dense_env):
+    # the same monic polynomials as the Fraction equations, in the same order
+    cases = list(env.items()) + [(f"{name} dense", b) for name, (b, _) in dense_env.items()]
+    for name, a in cases:
+        for i in range(a.dim):
+            got, ref = b2_chart_system(a, i), reference_b2_chart_system(a, i)
+            assert got.names == ref.names, (name, i)
+            assert polysolve._leads(got.polynomials) == polysolve._leads(ref.polynomials), (name, i)
