@@ -84,6 +84,10 @@ def per_algebra(fn):
             memo[key] = fn(a, *args)
         return memo[key]
 
+    def seed(a, value, *args):  # keep `value`, known by other means, as fn(a, *args)
+        a.__dict__.setdefault("_memo", {})[(fn, args)] = value
+
+    memoized.seed = seed
     return memoized
 
 
@@ -189,14 +193,15 @@ class Algebra:
     def _assoc_table(self) -> list[list[list[tuple[tuple[int, int], ...]]]]:
         """T[x][y][k]: the (m, e) pairs of the nonzero entries e of
         (b_x b_y) b_k - b_x (b_y b_k), on integer-scaled constants, m
-        ascending."""
+        ascending.  On a commutative table (b_k, b_y, b_x) = -(b_x, b_y, b_k),
+        so only x < k is computed and (b_x, b_y, b_x) = 0."""
         n = self.dim
         _, srows = self._int_structure
-        table = [[[None] * n for _ in range(n)] for _ in range(n)]
+        sym = self._commutativity_violation is None
+        table = [[[()] * n for _ in range(n)] for _ in range(n)]
         for x in range(n):
             for y in range(n):
-                txy = table[x][y]
-                for k in range(n):
+                for k in range(x + 1 if sym else 0, n):
                     v = [0] * n
                     for p, c in srows[x][y]:
                         for m, d in srows[p][k]:
@@ -204,7 +209,9 @@ class Algebra:
                     for q, c in srows[y][k]:
                         for m, d in srows[x][q]:
                             v[m] -= c * d
-                    txy[k] = tuple(compress(enumerate(v), v))
+                    table[x][y][k] = tuple(compress(enumerate(v), v))
+                    if sym:
+                        table[k][y][x] = tuple((m, -e) for m, e in table[x][y][k])
         return table
 
     @cached_property
@@ -427,16 +434,22 @@ def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
     with no Fraction built.  With Q / dq the inverse of P = [cols]
     (`ratlin._int_inverse`, as `ratlin.invert` reads it), the product
     col_i col_j on the integer-scaled constants is den dp^2 b_i b_j, so the
-    coordinates of b_i b_j are Q (col_i col_j) / S."""
+    coordinates of b_i b_j are Q (col_i col_j) / S.  On a commutative table
+    only the products with i <= j are taken."""
     n = a.dim
     inverse = _int_inverse([[c[k] for c in cols] for k in range(n)])
     if inverse is None:
         raise AlgebraError("basis-change matrix is singular")
     q, dq = inverse
     qrows = [tuple(_pairs(r)) for r in q]
-    entries = [tuple(_pairs([sum(x * v[k] for k, x in qr) for qr in qrows]))
-               for v in _int_products(a, cols, cols)]
-    return a._int_structure[0] * dq * dp, [entries[i * n:(i + 1) * n] for i in range(n)]
+    sym = a._commutativity_violation is None
+    srows = [[()] * n for _ in range(n)]
+    for i, u in enumerate(cols):
+        for j, v in enumerate(_int_products(a, [u], cols[i if sym else 0:]), i if sym else 0):
+            srows[i][j] = tuple(_pairs([sum(x * v[k] for k, x in qr) for qr in qrows]))
+            if sym:
+                srows[j][i] = srows[i][j]
+    return a._int_structure[0] * dq * dp, srows
 
 
 def _from_int_structure(den: int, srows, labels: Sequence[str]) -> Algebra:

@@ -11,19 +11,19 @@ quotient share one ideal test, kept per algebra, so rad * J is spanned once.
 The `Fingerprint` record collects every invariant used to separate algebras,
 totally ordered by a fixed field order so fingerprint sets deduplicate
 deterministically.  Its fields are isomorphism invariants, so any basis
-gives the same record.  The derivation, centroid and H2 systems cost more
-the more nonzero structure constants a table has, so `h2_dims`, the one
-entry point for H2, and `fingerprint` read them on `_adapted_table`: the
-table in a basis built from the flag of the radical, its powers and the
-right powers of J, all already kept on the algebra, and split into the
-Peirce grid of an exact idempotent frame, when it is sparser than the
-given one.  The frame comes from the minimal polynomials of sample
-elements of the semisimple J / rad J: the CRT idempotents of their
-rational roots, lifted to orthogonal idempotents of J (Jacobson, Structure
-and Representations of Jordan Algebras).  The catalog bases are graded by
-such a frame already and are used as they are.  The public
-`derivation_dim`, `centroid_dim` and `cocycle_space` work on the table as
-given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
+gives the same record.  Their systems cost more the more nonzero structure
+constants a table has, so `fingerprint` reads every field, and `h2_dims`,
+the one entry point for H2, reads H2, on `_adapted_table`: the table in a
+basis built from the flag of the radical's powers, the radical and the right
+powers of J, split into the Peirce grid of an exact idempotent frame, when
+it is sparser than the given one.  The radical is its first coordinate
+block, and a's radical split is restricted to it.  The frame comes from the
+minimal polynomials of sample elements of the semisimple J / rad J: the CRT
+idempotents of their rational roots, lifted to orthogonal idempotents of J
+(Jacobson, Structure and Representations of Jordan Algebras).  The catalog
+bases are graded by such a frame already and are used as they are.  The
+public `derivation_dim`, `centroid_dim` and `cocycle_space` work on the
+table as given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def annihilator_series(a: Algebra) -> tuple[int, ...]:
 
     A_1 = Ann(J), A_{k+1}/A_k = Ann(J/A_k); the chain of ideals stabilizes
     and its dimension sequence is an isomorphism invariant.  When
-    Ann J = rad J the first quotient is the one `radical_split` builds.
+    Ann J = rad J the first quotient is the one `radical_split` keeps.
     """
     dims: list[int] = []
     cur = a
@@ -619,18 +619,18 @@ def _frame(a: Algebra) -> tuple[list[list[int]], int]:
 
 
 def _flag(a: Algebra) -> list[Subspace]:
-    """rad J, its right powers (`lcs_chain` of the radical's induced
-    algebra, read back through the RREF rows of rad) and `lcs_chain(a)`,
-    in order of dimension, the zero space left out."""
+    """The right powers of rad J (`lcs_chain` of the radical's induced
+    algebra, read back through the RREF rows of rad) smallest first, rad J,
+    then the rest of `lcs_chain(a)` smallest first, the zero space left
+    out: so the first dim rad rows that `_adapted_basis` keeps span rad."""
     rad, rad_alg, _ = radical_split(a)
     cols = list(zip(*_common_lead(rad)[1]))
     # the rows of rad are zero on each other's pivot columns, so the RREF
     # rows of a power, taken through them and divided by their content, are
     # the power's canonical rows in J
     powers = [Subspace(a.dim, tuple(tuple(_normalize_int_row([sum(map(mul, w, c)) for c in cols]))
-                                    for w in s.int_rows)) for s in lcs_chain(rad_alg)[1:] if s.dim]
-    return sorted((s for s in dict.fromkeys((rad, *powers, *lcs_chain(a))) if s.dim),
-                  key=lambda s: s.dim)
+                                    for w in s.int_rows)) for s in lcs_chain(rad_alg)[1:]]
+    return [s for s in dict.fromkeys((*powers[::-1], rad, *lcs_chain(a)[::-1])) if s.dim]
 
 
 def _graded_by_idempotents(a: Algebra) -> bool:
@@ -731,15 +731,30 @@ def _sparser_table(a: Algebra) -> Optional[Algebra]:
     counted on `algebra._int_change_basis` before any Fraction is built,
     and only a sparser table becomes an `Algebra`.  The two are isomorphic,
     so every invariant of one is that of the other, and the new table takes
-    a's Jordan verdict instead of a second scan."""
+    a's Jordan verdict instead of a second scan.  It takes a's radical
+    split too: the first r = dim rad rows of the basis span rad J (`_flag`),
+    so rad is the span of b's first r basis vectors, checked to be an
+    ideal, its induced algebra the constants with i, j < r and the quotient
+    those with i, j >= r, as `radical_split` builds them."""
     rows = _adapted_basis(a)
     if rows is None:
         return None
     den, srows = _int_change_basis(a, rows)
     if _count_constants(srows) >= _nonzero_constants(a):
         return None
-    b = _from_int_structure(den, srows, tuple(f"b{i+1}" for i in range(a.dim)))
+    n, r = a.dim, radical_split(a)[0].dim
+    if any(k >= r for row in srows[:r] for entry in row for k, _ in entry):
+        raise RadicalVerificationError("the radical is not a coordinate ideal of the table")
+    b = _from_int_structure(den, srows, tuple(f"b{i+1}" for i in range(n)))
     b.__dict__["_jordan_defect"] = a._jordan_defect  # b is a in another basis
+    rad = Subspace(n, Subspace.full(n).int_rows[:r])
+    rad_alg = _from_int_structure(den, [row[:r] for row in srows[:r]],
+                                  [f"r{i+1}" for i in range(r)])
+    quot = _from_int_structure(den, [[tuple((k - r, x) for k, x in entry if k >= r)
+                                      for entry in row[r:]] for row in srows[r:]], b.labels[r:])
+    radical_split.seed(b, (rad, rad_alg, quot))
+    is_ideal.seed(b, True, rad)
+    quotient_algebra.seed(b, quot, rad)
     return b
 
 
@@ -761,26 +776,28 @@ def h2_dims(a: Algebra) -> CocycleSpace:
 def fingerprint(a: Algebra) -> Fingerprint:
     """Assemble the invariant record of a Jordan algebra, `b2_embeds` unset.
 
-    Each invariant is computed once: `dim_h2` and `dim_der` = n^2 - dim B2
-    come from `h2_dims`, `dim_centroid` is read on the same
-    `_adapted_table(a)`, and the radical record, the semisimple quotient
-    and the first annihilator quotient when Ann J = rad J come from the one
-    `radical_split` kept on the algebra.  A table whose cocycle system
-    `h2_dims` would refuse is refused first, before any of that work.
+    Every field is read on b = `_adapted_table(a)`, so `fingerprint(a)` is
+    the record of b by construction, and each is computed once: `dim_h2`
+    and `dim_der` = n^2 - dim B2 come from `h2_dims`, and the radical and
+    semisimple records and the first annihilator quotient when
+    Ann J = rad J from the one `radical_split` kept on b.  A table whose
+    cocycle system `h2_dims` would refuse is refused first, before any of
+    that work.
     """
     check_cocycle_cells(a)
     if not is_jordan(a):
         raise NonJordanError("fingerprints are only defined for Jordan algebras")
-    _, rad_alg, quot = radical_split(a)
+    b = _adapted_table(a)
+    _, rad_alg, quot = radical_split(b)
     cocycles = h2_dims(a)
     return Fingerprint(
-        dim=a.dim,
-        power_profile=power_profile(a),
-        ann_series=annihilator_series(a),
-        unital=find_identity(a) is not None,
-        associative=is_associative(a),
-        dim_der=a.dim * a.dim - cocycles.b2_dim,
-        dim_centroid=centroid_dim(_adapted_table(a)),
+        dim=b.dim,
+        power_profile=power_profile(b),
+        ann_series=annihilator_series(b),
+        unital=find_identity(b) is not None,
+        associative=is_associative(b),
+        dim_der=b.dim * b.dim - cocycles.b2_dim,
+        dim_centroid=centroid_dim(b),
         dim_h2=cocycles.h2_dim,
         rad_record=radical_record(rad_alg),
         ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),

@@ -11,6 +11,7 @@ from jordanalg.algebra import (
     AlgebraError,
     _dedupe_labels,
     _int_products,
+    find_identity,
     is_associative,
     is_commutative,
     is_jordan,
@@ -38,11 +39,22 @@ from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peir
 from jordanalg.polysolve import PolySystem, Polynomial, _integer_terms, _leads, _reduce
 from jordanalg.invariants import (
     B2_ORDER,
+    Fingerprint,
     NonJordanError,
     RadicalVerificationError,
+    SemisimpleRecord,
+    _adapted_basis,
+    _adapted_table,
+    annihilator_series,
+    centroid_dim,
+    derivation_dim,
+    h2_dims,
     is_ideal,
     is_nilpotent,
+    power_profile,
     radical,
+    radical_record,
+    radical_split,
 )
 from jordanalg.ratlin import (
     HALF,
@@ -600,6 +612,48 @@ def reference_fingerprint_key(fp) -> tuple:
         else:
             out.append(value)
     return tuple(out)
+
+
+def reference_fingerprint(a: Algebra) -> Fingerprint:
+    """`invariants.fingerprint` as it was before it read every field on the
+    adapted table: only `dim_der`, `dim_h2` and `dim_centroid` come from
+    `_adapted_table(a)`, and every other field, the radical and semisimple
+    records too, is read on a's own table and its own radical split."""
+    check_cocycle_cells(a)
+    if not is_jordan(a):
+        raise NonJordanError("fingerprints are only defined for Jordan algebras")
+    _, rad_alg, quot = radical_split(a)
+    cocycles = h2_dims(a)
+    return Fingerprint(
+        dim=a.dim,
+        power_profile=power_profile(a),
+        ann_series=annihilator_series(a),
+        unital=find_identity(a) is not None,
+        associative=is_associative(a),
+        dim_der=a.dim * a.dim - cocycles.b2_dim,
+        dim_centroid=centroid_dim(_adapted_table(a)),
+        dim_h2=cocycles.h2_dim,
+        rad_record=radical_record(rad_alg),
+        ss_record=SemisimpleRecord(quot.dim, derivation_dim(quot), is_associative(quot)),
+    )
+
+
+def check_radical_block(a: Algebra) -> bool:
+    """Whether `a` is read on an adapted table b other than itself; if it
+    is, assert that b came with its radical split, kept on b before anything
+    ran on it, that its radical is the span of b's first dim rad basis
+    vectors, the image of a's radical, and that the split equals the one
+    computed from scratch on a fresh copy of b."""
+    b = _adapted_table(a)
+    if b is a:
+        return False
+    split = vars(b)["_memo"][radical_split.__wrapped__, ()]
+    rad = radical_split(a)[0]
+    assert split[0] == Subspace(b.dim, Subspace.full(b.dim).int_rows[:rad.dim]), a.labels
+    assert Subspace.span(a.dim, _adapted_basis(a)[:rad.dim]) == rad, a.labels
+    assert radical_split(b) is split
+    assert radical_split(Algebra(b.labels, b.table)) == split, a.labels
+    return True
 
 
 # The scalings of rationals to integers that `ratlin._int_vec` replaced:

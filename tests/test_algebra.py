@@ -229,7 +229,9 @@ def test_jordan_violation_matches_fraction_oracle():
 
 def test_assoc_table_matches_fraction_associator(env):
     # T[x][y][k] is the associator (b_x, b_y, b_k) scaled by den**2, as the
-    # sorted (coordinate, value) pairs of its nonzero entries
+    # sorted (coordinate, value) pairs of its nonzero entries; a commutative
+    # table computes x < k only and reads the rest off the symmetry, the
+    # noncommutative matrix algebra takes every triple
     rng = seeded_rng("assoc-table")
     cases = [matrix_algebra(2), plus_algebra(matrix_algebra(3)),
              rejected_half_action(), rejected_cubed_generator()]
@@ -526,14 +528,17 @@ def test_change_basis_is_isomorphic(env):
         assert check_isomorphism(b, a, p)
 
 
-def test_integer_change_basis_matches_the_fraction_reference(env, large_algebras):
+def test_integer_change_basis_matches_the_fraction_reference(env, dense_env, large_algebras):
     # the same table as the Fraction version, on the catalog (whose
-    # constants include halves) in sparse bases with halves and in dense
-    # bases, on tables of dimension 7 to 9, and on the noncommutative 2 x 2
-    # matrix algebra and its plus algebra, with the integer constants the
-    # table itself gives kept on it; bad matrices raise the same errors
+    # constants include halves) and on a dense basis of each table, in
+    # sparse bases with halves and in dense bases, on tables of dimension 7
+    # to 9, and on the noncommutative 2 x 2 matrix algebra, which takes
+    # every product and not only those with i <= j, and its plus algebra,
+    # with the integer constants the table itself gives kept on it; bad
+    # matrices raise the same errors
     rng = seeded_rng("integer-change-basis")
     cases = list(env.values()) + list(large_algebras.values())
+    cases += [b for b, _ in dense_env.values()]
     cases += [matrix_algebra(2), plus_algebra(matrix_algebra(2)), zero_algebra(0)]
     checked = 0
     for a in cases:

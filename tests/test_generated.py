@@ -8,6 +8,7 @@ from jordanalg.cohomology import cocycle_space
 from jordanalg.invariants import (
     _adapted_table,
     annihilator,
+    centroid_dim,
     fingerprint,
     is_nilpotent,
     radical_split,
@@ -15,6 +16,7 @@ from jordanalg.invariants import (
 from jordanalg.polysolve import B2Result, check_b2_witness, embeds_b2
 from jordanalg.ratlin import Subspace, invert, unit_vec
 from gen import dense_basis, field_sum, spin_factor, truncated_polynomial
+from helpers import check_radical_block
 
 
 def both_bases(a, tag):
@@ -100,3 +102,32 @@ def test_b2_is_not_in_an_associative_table(make):
     # nilpotent, or associative with the unit of F1: either way no chart runs
     for a, _ in both_bases(make(), "b2-associative"):
         assert embeds_b2(a) == B2Result("no")
+
+
+def test_the_radical_is_the_first_block_of_generated_adapted_tables():
+    # spin factors, degenerate ones too, truncated polynomials, a field
+    # summand and a unit on them, each in a dense basis: wherever the
+    # adapted table is read, its radical is its first coordinate block and
+    # its split is the given table's, carried over
+    diag = lambda *d: [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    cases = [spin_factor(m) for m in (2, 3, 4, 5)]
+    cases += [spin_factor(3, diag(1, 0, 0)), spin_factor(4, diag(1, -1, 2, 0))]
+    cases += [truncated_polynomial(m) for m in (2, 3, 4, 5)]
+    cases += [f(truncated_polynomial(m)) for f in (field_sum, unitalization) for m in (2, 3)]
+    adapted = sum(check_radical_block(dense_basis(a, f"radical-block-{i}")[0])
+                  for i, a in enumerate(cases))
+    assert adapted >= len(cases) - 2
+
+
+@pytest.mark.parametrize("m", [6, 8, 10])
+def test_a_dense_truncated_polynomial_keeps_its_fingerprint(m):
+    # x Q[x] / (x^(m+1)) is nilpotent of index m + 1, and a derivation or a
+    # centroid map is fixed by its value on x, anywhere in J: in a dense
+    # basis the radical, read as the whole adapted table, gives it all
+    a = truncated_polynomial(m)
+    b, _ = dense_basis(a, f"dense-truncated-{m}")
+    fp = fingerprint(b)
+    assert (fp.dim_der, fp.dim_centroid, fp.dim_rad) == (m, m, m)
+    assert fp.power_profile.nilindex == m + 1
+    assert fp == fingerprint(a)
+    assert centroid_dim(a) == m

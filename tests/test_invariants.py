@@ -18,6 +18,7 @@ from jordanalg.algebra import (
     matrix_algebra,
     per_algebra,
     plus_algebra,
+    product_span,
     unitalization,
 )
 from jordanalg.cohomology import (
@@ -63,8 +64,10 @@ from jordanalg.ratlin import ZERO, Matrix, Subspace, _int_vec, kernel, rank, zer
 from conftest import random_invertible_matrix, seeded_rng
 from gen import dense_basis, spin_factor
 from helpers import (
+    check_radical_block,
     reference_change_basis,
     reference_direct_sum,
+    reference_fingerprint,
     reference_fingerprint_key,
     reference_induced_algebra,
     reference_plus_algebra,
@@ -447,36 +450,47 @@ def test_radical_split_pieces(env):
 
 
 def test_fingerprint_computes_each_piece_once(env, monkeypatch):
-    # one fingerprint of a fresh algebra runs each of these on the algebra
-    # itself exactly once: the annihilator heads the annihilator series, the
-    # trace form's kernel is the radical, and the radical's induced and
-    # quotient algebras come from the one certified split.  J56 has
-    # Ann J = 0; where Ann J is nonzero and differs from rad J the
-    # annihilator series builds a second quotient of the algebra, J / Ann J.
+    # one fingerprint of a fresh algebra runs each of these once: the
+    # annihilator heads the annihilator series, the trace form's kernel is
+    # the radical, and the radical's induced and quotient algebras come from
+    # the one certified split.  J56 has Ann J = 0.  The catalog table is
+    # read as it is; the dense copy is split once and then read on its
+    # adapted table, which takes the split by restriction, so the trace form,
+    # the induced algebra and the quotient never run there, and the
+    # annihilator never runs on the dense table itself
     import jordanalg.invariants as inv
     from collections import Counter
 
     names = ("annihilator", "trace_form", "induced_algebra")
+    once = Counter({name: 1 for name in names + ("quotient_algebra",)})
     for a in (fresh(env["J56"]), change_basis(env["J56"], random_invertible_matrix(
             4, seeded_rng("fp-once"), dense=True))):
-        calls = Counter()
+        seen = {name: [] for name in once}
         for name in names:
             def wrapper(b, *args, _name=name, _orig=getattr(inv, name)):
-                calls[_name] += b is a
+                seen[_name].append(b)
                 return _orig(b, *args)
             monkeypatch.setattr(inv, name, wrapper)
-        quotients = []
-        count_builds(monkeypatch, inv, "quotient_algebra", quotients)
+        count_builds(monkeypatch, inv, "quotient_algebra", seen["quotient_algebra"])
         fingerprint(a)
         monkeypatch.undo()
-        calls["quotient_algebra"] = sum(b is a for b in quotients)
-        assert calls == Counter({name: 1 for name in names + ("quotient_algebra",)})
+        table = _adapted_table(a)
+        on = lambda t: Counter({name: sum(b is t for b in bs) for name, bs in seen.items()})
+        if table is a:
+            assert on(a) == once
+        else:
+            assert on(a) == Counter({"trace_form": 1, "induced_algebra": 1,
+                                     "quotient_algebra": 1})
+            assert on(table) == Counter({"annihilator": 1})
+    assert table is not a  # the dense copy took the second branch
 
 
 def test_annihilator_series_reuses_the_radical_quotient(env, monkeypatch):
     # where Ann J = rad J (F2, J5, J8, J19, J34, J73) the series goes on
-    # from the quotient `radical_split` built, so a fingerprint of a fresh
-    # algebra builds one quotient of it; where they differ (J63) it builds two
+    # from the quotient the radical split keeps, so a fingerprint of a fresh
+    # algebra builds one quotient of the table it reads, where they differ
+    # (J63) two; on an adapted table the split, quotient and all, is carried
+    # over from the given table, which leaves none and one
     import jordanalg.invariants as inv
 
     rng = seeded_rng("ann-split")
@@ -484,12 +498,16 @@ def test_annihilator_series_reuses_the_radical_quotient(env, monkeypatch):
     count_builds(monkeypatch, inv, "quotient_algebra", built)
     expected = {"F2": 1, "J5": 1, "J8": 1, "J19": 1, "J34": 1, "J73": 1,
                 "J56": 1, "J63": 2}
+    adapted = 0
     for name, count in expected.items():
         for a in (fresh(env[name]), change_basis(env[name], random_invertible_matrix(
                 env[name].dim, rng, dense=True))):
             built.clear()
             fingerprint(a)
-            assert sum(b is a for b in built) == count, name
+            table = _adapted_table(a)
+            adapted += table is not a
+            assert sum(b is table for b in built) == count - (table is not a), name
+    assert adapted >= len(expected) // 2
     monkeypatch.undo()
     for name, a in env.items():
         for b in (a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))):
@@ -663,6 +681,27 @@ def test_adapted_table_gives_the_dimensions_of_the_table_itself(env, dense_env):
     assert adapted > 100
 
 
+def test_the_radical_is_the_first_coordinate_block_of_every_adapted_table(dense_env):
+    # on the adapted table of each dense catalog table the radical is the
+    # span of the first dim rad basis vectors, and its split is carried
+    # over from the given table, not computed again
+    assert sum(check_radical_block(fresh(b)) for b, _ in dense_env.values()) > 80
+
+
+def test_fingerprint_equals_the_record_read_on_the_given_table(env, dense_env):
+    # every field read on the adapted table gives the key and the render
+    # of the fingerprint that read all but three fields on the table as
+    # given, on two seeded dense bases of each catalog table
+    rng = seeded_rng("reference-fingerprint")
+    cases = [b for b, _ in dense_env.values()]
+    cases += [change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))
+              for a in env.values()]
+    assert len(cases) == 176
+    for b in cases:
+        fp, want = fingerprint(fresh(b)), reference_fingerprint(fresh(b))
+        assert (fp.key(), fp.render()) == (want.key(), want.render()), b.labels
+
+
 def test_catalog_tables_keep_their_own_table_and_a_dense_spin_factor_gets_a_frame(
         env, monkeypatch):
     # the catalog bases are adapted already: no table searches for a frame,
@@ -723,15 +762,24 @@ def test_minimal_polynomials_of_quotient_samples(env, dense_env):
 def test_flag_subspaces_are_canonical(env, dense_env):
     # the powers of the radical are built row by row through the RREF rows
     # of rad, not by `Subspace.span`; each flag space is the span of its own
-    # rows, so its stored rows are the canonical ones
+    # rows, so its stored rows are the canonical ones.  The flag is the
+    # radical chain, smallest first and ending at rad, each space the
+    # product of the next with rad, then the rest of the lcs chain,
+    # smallest first
     cases = list(env.values()) + [b for b, _ in dense_env.values()]
     built = 0
     for a in cases:
         flag = _flag(a)
-        assert [s.dim for s in flag] == sorted(s.dim for s in flag), a.labels
+        rad = radical_split(a)[0]
+        head = flag[:flag.index(rad) + 1] if rad.dim else []
+        for s, t in zip(head, head[1:]):
+            assert product_span(a, t, rad) == s, a.labels
+        assert not head or product_span(a, head[0], rad).is_zero(), a.labels
+        rest = sorted({s for s in lcs_chain(a) if s.dim} - set(head), key=lambda s: s.dim)
+        assert flag[len(head):] == rest, a.labels
         for s in flag:
             assert s == Subspace.span(a.dim, s.int_rows), a.labels
-        built += len(flag) > len({radical_split(a)[0], *lcs_chain(a)} - {Subspace.zero(a.dim)})
+        built += len(flag) > len({rad, *lcs_chain(a)} - {Subspace.zero(a.dim)})
     assert built
 
 
