@@ -10,27 +10,36 @@ builds a table from sparse products (catalog entries, `matrix_algebra`).
 
 Products are taken on integer-scaled constants: `_int_structure` scales
 all of them with one call of `ratlin._int_vec`, by the lcm `den` of their
-denominators, and it is the one cached copy of the table besides `table`
-itself.  `_int_products` is the one routine that multiplies elements.  It
-takes integer rows, which `_int_vec` makes of rational vectors, and gives
-each product times den; `Algebra.mul`, the change of basis, subspace products,
+denominators (`from_products` scales only the coefficients it parsed), and
+it is the one cached copy of the table besides `table` itself.
+`_int_products` is the one routine that multiplies elements.  It takes
+integer rows, which `_int_vec` makes of rational vectors, and gives each
+product times den; `Algebra.mul`, the change of basis, subspace products,
 the cocycle rows of `cohomology` and the Peirce systems all call it.  Every
 algebra built from another (sums, plus algebra, unital hull, change of
 basis, and the quotients and induced algebras of `invariants`) is built by
 `_from_int_structure` from integer constants, kept as its `_int_structure`.
 Commutativity is read off those constants once per algebra.  The
 annihilator, centroid, trace-form and identity systems and the delta^1 rows
-are written on the constants themselves, as are the associator table and
+are written on the constants themselves, as are the packed associators and
 the Jordan scan below.
 
 An associator of basis elements carries two constants, so it scales by
 den**2, and the linearized Jordan defect carries three, so it scales by
-den**3; neither scaling changes which of them vanish.  `_assoc_table`
-holds the associator of every basis triple on those constants, as the
-(coordinate, value) pairs of its nonzero entries, built once per algebra
-and cached like `_int_structure`.  The Jordan scan, the associativity test
-and the cocycle rows read only those pairs, and the associator is linear in
-each argument, so it extends to any element.
+den**3; neither scaling changes which of them vanish.  `_associators` is
+the one associator computation, made once per algebra and cached like
+`_int_structure`: the associator (b_x, b_y, b_k) of every basis triple on
+those constants, packed for each (x, k) into one int whose W-bit slot
+y n + m holds coordinate m for y (Kronecker substitution).  W is chosen
+from the largest scaled constant so that every slot of an associator or of
+a Jordan defect stays below 2^(W - 1) in absolute value, so a packed sum is
+zero iff every slot is, and `_unpack` reads the slots back with their
+signs.  The Jordan scan sums one packed int per x <= z <= w and decodes
+only a nonzero sum; the associativity test asks that every packed int be
+zero; `_assoc_table`, the (coordinate, value) pairs of the nonzero entries
+of each associator, is the decoded view that the cocycle rows read, made
+on each read and not kept.  The
+associator is linear in each argument, so it extends to any element.
 
 All values are immutable and every operation is a pure function.  A
 derived invariant that several callers read is wrapped in `per_algebra`,
@@ -116,25 +125,39 @@ class Algebra:
         products: Mapping[tuple[str, str], Mapping[str, object]],
         symmetric: bool = True,
     ) -> "Algebra":
-        """Build from sparse products {(la, lb): {lc: coeff}}; omitted pairs are 0."""
+        """Build from sparse products {(la, lb): {lc: coeff}}; omitted pairs
+        are 0.  One `_int_vec` of the nonzero coefficients parsed gives the
+        integer constants, kept as `_int_structure`: den is the lcm of their
+        denominators, so den and the numerators have no common factor."""
         labels = tuple(labels)
         index = {l: i for i, l in enumerate(labels)}
         if len(index) != len(labels):
             raise AlgebraError("duplicate basis labels")
         n = len(labels)
-        table = [[zero_vec(n)] * n for _ in range(n)]
+        cells = {}  # (i, j) -> the (k, c) of b_i b_j, k ascending, c nonzero
         for (la, lb), rhs in products.items():
             try:
                 i, j = index[la], index[lb]
-                v = [ZERO] * n
-                for lc, coeff in rhs.items():
-                    v[index[lc]] = rat(coeff)
+                entry = sorted((index[lc], rat(coeff)) for lc, coeff in rhs.items())
             except KeyError as exc:
                 raise AlgebraError(f"unknown basis label {exc.args[0]!r}") from None
-            table[i][j] = v = tuple(v)
+            cells[i, j] = entry = [(k, c) for k, c in entry if c]
             if symmetric:
-                table[j][i] = v
-        return cls(labels, tuple(map(tuple, table)))
+                cells[j, i] = entry
+        den, flat = _int_vec([c for entry in cells.values() for _, c in entry])
+        scaled = iter(flat)
+        zero = zero_vec(n)
+        table = [[zero] * n for _ in range(n)]
+        srows = [[()] * n for _ in range(n)]
+        for (i, j), entry in cells.items():
+            v = [ZERO] * n
+            for k, c in entry:
+                v[k] = c
+            table[i][j] = tuple(v)
+            srows[i][j] = tuple((k, next(scaled)) for k, _ in entry)
+        a = cls(labels, tuple(map(tuple, table)))
+        a.__dict__["_int_structure"] = den, tuple(map(tuple, srows))
+        return a
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vec(self.dim, i)
@@ -190,28 +213,73 @@ class Algebra:
         return den, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
 
     @cached_property
+    def _associators(self) -> tuple[int, list[list[int]]]:
+        """(W, Q): Q[x][k] holds the associators (b_x, b_y, b_k) of every
+        y, on integer-scaled constants, packed into one int as
+        sum_{y, m} (b_x, b_y, b_k)_m 2^(W (y n + m)).
+
+        With V[p][k] = sum_m den c_pk^m 2^(W m), the product b_p b_k packed
+        over m, and U[x][p] = sum_y den c_xy^p 2^(W n y), the first term
+        (b_x b_y) b_k packs to sum_p U[x][p] V[p][k], and with U'[k][q] =
+        sum_y den c_yk^q 2^(W n y) the second, b_x (b_y b_k), to
+        sum_q U'[k][q] V[x][q].  On a commutative table U' = U,
+        Q[k][x] = -Q[x][k] and Q[x][x] = 0, so only x < k is multiplied
+        out.  With C the largest |den c_ij^k|, a slot of Q is at most
+        2 n C^2 in absolute value and a slot of a Jordan defect (three
+        sums of n of them, times constants) at most 6 n^2 C^3, so with
+        W = bitlen(6 n^2 C^3) + 2 every slot of either lies below
+        2^(W - 1): a packed sum is zero iff every slot is, and `_unpack`
+        reads each slot back with its sign."""
+        n = self.dim
+        _, srows = self._int_structure
+        big = max((abs(x) for row in srows for entry in row for _, x in entry), default=0)
+        width = (6 * n * n * big**3).bit_length() + 2
+        sym = self._commutativity_violation is None
+        v = [[0] * n for _ in range(n)]
+        u = [[0] * n for _ in range(n)]
+        ut = u if sym else [[0] * n for _ in range(n)]
+        for x, row in enumerate(srows):
+            for y, entry in enumerate(row):
+                for p, c in entry:
+                    v[x][y] += c << width * p
+                    u[x][p] += c << width * n * y
+                    if not sym:
+                        ut[y][p] += c << width * n * x
+        left = [[(p, w) for p, w in enumerate(row) if w] for row in u]
+        right = left if sym else [[(q, w) for q, w in enumerate(row) if w] for row in ut]
+        packed = [[0] * n for _ in range(n)]
+        for x, vx in enumerate(v):
+            for k in range(x + 1 if sym else 0, n):
+                s = 0
+                for p, w in left[x]:
+                    s += w * v[p][k]
+                for q, w in right[k]:
+                    s -= w * vx[q]
+                packed[x][k] = s
+                if sym:
+                    packed[k][x] = -s
+        return width, packed
+
+    @property
     def _assoc_table(self) -> list[list[list[tuple[tuple[int, int], ...]]]]:
         """T[x][y][k]: the (m, e) pairs of the nonzero entries e of
         (b_x b_y) b_k - b_x (b_y b_k), on integer-scaled constants, m
-        ascending.  On a commutative table (b_k, b_y, b_x) = -(b_x, b_y, b_k),
-        so only x < k is computed and (b_x, b_y, b_x) = 0."""
+        ascending: `_associators` decoded, for the cocycle rows, which are
+        assembled once per algebra, so it is decoded on each read and not
+        kept.  On a commutative table only x < k is decoded, and
+        (b_k, b_y, b_x) = -(b_x, b_y, b_k)."""
         n = self.dim
-        _, srows = self._int_structure
+        width, packed = self._associators
         sym = self._commutativity_violation is None
         table = [[[()] * n for _ in range(n)] for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                for k in range(x + 1 if sym else 0, n):
-                    v = [0] * n
-                    for p, c in srows[x][y]:
-                        for m, d in srows[p][k]:
-                            v[m] += c * d
-                    for q, c in srows[y][k]:
-                        for m, d in srows[x][q]:
-                            v[m] -= c * d
-                    table[x][y][k] = tuple(compress(enumerate(v), v))
-                    if sym:
-                        table[k][y][x] = tuple((m, -e) for m, e in table[x][y][k])
+        for x, row in enumerate(packed):
+            for k in range(x + 1 if sym else 0, n):
+                if row[k]:
+                    for y, block in enumerate(_unpack(row[k], width, n)):
+                        if block:
+                            table[x][y][k] = tuple(compress(enumerate(block), block))
+                            if sym:
+                                table[k][y][x] = tuple((m, -e) for m, e in table[x][y][k])
         return table
 
     @cached_property
@@ -259,27 +327,43 @@ def is_commutative(a: Algebra) -> bool:
     return a._commutativity_violation is None
 
 
+def _unpack(s: int, width: int, n: int) -> list[Optional[list[int]]]:
+    """The n blocks of s = sum_{y, m} s_ym 2^(width (y n + m)), for slots
+    with |s_ym| < 2^(width - 1): block y is [s_y0, ..., s_y(n-1)], or None
+    when each of its slots is 0.  With 2^(width - 1) added to every slot
+    each slot is nonnegative, so blocks and slots are read by shift and mask."""
+    half, mask, bw = 1 << (width - 1), (1 << width) - 1, width * n
+    bias = half * ((1 << bw) - 1) // mask  # half in each slot of a block
+    t = s + bias * ((1 << bw * n) - 1) // ((1 << bw) - 1)
+    blocks = []
+    for _ in range(n):
+        b = t & ((1 << bw) - 1)
+        blocks.append(None if b == bias else [(b >> width * m & mask) - half for m in range(n)])
+        t >>= bw
+    return blocks
+
+
 def _int_defect_scan(a: Algebra) -> Optional[tuple[tuple[int, int, int, int], list[int]]]:
     """First basis quadruple (x, y, z, w) on which the defect
     (x, y, z*w) + (w, y, z*x) + (z, y, x*w) of the linearized identity is
     nonzero, with that defect on integer-scaled constants.  The associator
-    is linear in its last argument, so each term is read off `_assoc_table`."""
+    is linear in its last argument, so for each x <= z <= w the defects of
+    every y come packed in one sum of constants times `_associators`
+    columns, and only a nonzero sum is decoded, to its lowest nonzero y."""
     n = a.dim
     _, srows = a._int_structure
-    table = a._assoc_table
+    width, packed = a._associators
     for x in range(n):
         for z in range(x, n):
             for w in range(z, n):
-                terms = ((table[x], srows[z][w]), (table[w], srows[z][x]), (table[z], srows[x][w]))
-                for y in range(n):
-                    defect = [0] * n
-                    for t, prod in terms:
-                        ty = t[y]
-                        for k, c in prod:
-                            for m, e in ty[k]:
-                                defect[m] += c * e
-                    if any(defect):
-                        return (x, y, z, w), defect
+                s = 0
+                for q, prod in ((packed[x], srows[z][w]), (packed[w], srows[z][x]),
+                                (packed[z], srows[x][w])):
+                    for k, c in prod:
+                        s += c * q[k]
+                if s:
+                    y, block = next((y, b) for y, b in enumerate(_unpack(s, width, n)) if b)
+                    return (x, y, z, w), block
     return None
 
 
@@ -309,8 +393,9 @@ def is_jordan(a: Algebra) -> bool:
 
 
 def is_associative(a: Algebra) -> bool:
-    """(b_i, b_j, b_k) = 0 for all basis triples, on integer-scaled constants."""
-    return not any(v for tx in a._assoc_table for txy in tx for v in txy)
+    """(b_i, b_j, b_k) = 0 for all basis triples: every packed column of
+    `_associators` is zero."""
+    return not any(map(any, a._associators[1]))
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
@@ -424,18 +509,19 @@ def change_basis(a: Algebra, p: Matrix) -> Algebra:
     if p.rows != n or p.cols != n:
         raise AlgebraError("basis-change matrix has wrong shape")
     dp, pint = _int_vec(p.entries)
-    return _from_int_structure(*_int_change_basis(a, [pint[i::n] for i in range(n)], dp),
-                               tuple(f"b{i+1}" for i in range(n)))
+    den, srows, _ = _int_change_basis(a, [pint[i::n] for i in range(n)], dp)
+    return _from_int_structure(den, srows, tuple(f"b{i+1}" for i in range(n)))
 
 
 def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
-    """(S, srows): the constants of `a` in the basis of the vectors
+    """(S, srows, qrows): the constants of `a` in the basis of the vectors
     col / dp, for integer vectors `cols`, as integers over S = den dq dp,
-    with no Fraction built.  With Q / dq the inverse of P = [cols]
-    (`ratlin._int_inverse`, as `ratlin.invert` reads it), the product
-    col_i col_j on the integer-scaled constants is den dp^2 b_i b_j, so the
-    coordinates of b_i b_j are Q (col_i col_j) / S.  On a commutative table
-    only the products with i <= j are taken."""
+    with no Fraction built, and the rows of Q as pairs.  With Q / dq the
+    inverse of P = [cols] (`ratlin._int_inverse`, as `ratlin.invert` reads
+    it), the product col_i col_j on the integer-scaled constants is
+    den dp^2 b_i b_j, so the coordinates of b_i b_j are Q (col_i col_j) / S,
+    and those of any vector v of `a` are a multiple of Q v.  On a
+    commutative table only the products with i <= j are taken."""
     n = a.dim
     inverse = _int_inverse([[c[k] for c in cols] for k in range(n)])
     if inverse is None:
@@ -449,7 +535,7 @@ def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
             srows[i][j] = tuple(_pairs([sum(x * v[k] for k, x in qr) for qr in qrows]))
             if sym:
                 srows[j][i] = srows[i][j]
-    return a._int_structure[0] * dq * dp, srows
+    return a._int_structure[0] * dq * dp, srows, qrows
 
 
 def _from_int_structure(den: int, srows, labels: Sequence[str]) -> Algebra:

@@ -249,6 +249,17 @@ def cmd_show(args) -> int:
     return 0
 
 
+def _budget(text: str) -> int:
+    """The `--budget` value: an S-pair count, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jordanalg",
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--dir", help="catalog directory (defaults to the bundled catalog)")
         if name in groebner:  # the commands that may run `embeds_b2`
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                            help="S-pair budget for Groebner runs")
         p.set_defaults(fn=fn)
         return p

@@ -131,6 +131,14 @@ def power_profile(a: Algebra) -> PowerProfile:
 
 
 def is_nilpotent(a: Algebra) -> bool:
+    """Whether `lcs_chain(a)` ends at zero.  R_x maps J<k> into J<k+1>, so
+    on a nilpotent table, commutative or not, every R_{b_m} is nilpotent
+    and tr R_{b_m} = sum_k c_km^k is 0: a nonzero trace, read off
+    `_int_structure`, answers False before any chain is spanned."""
+    srows = a._int_structure[1]
+    if any(sum(x for k, row in enumerate(srows) for j, x in row[m] if j == k)
+           for m in range(a.dim)):
+        return False
     return lcs_chain(a)[-1].is_zero()
 
 
@@ -735,11 +743,13 @@ def _sparser_table(a: Algebra) -> Optional[Algebra]:
     split too: the first r = dim rad rows of the basis span rad J (`_flag`),
     so rad is the span of b's first r basis vectors, checked to be an
     ideal, its induced algebra the constants with i, j < r and the quotient
-    those with i, j >= r, as `radical_split` builds them."""
+    those with i, j >= r, as `radical_split` builds them.  Its lcs chain is
+    a's, each space's rows carried into b's coordinates by the inverse of
+    the basis change and spanned again, so that each stays canonical."""
     rows = _adapted_basis(a)
     if rows is None:
         return None
-    den, srows = _int_change_basis(a, rows)
+    den, srows, qrows = _int_change_basis(a, rows)
     if _count_constants(srows) >= _nonzero_constants(a):
         return None
     n, r = a.dim, radical_split(a)[0].dim
@@ -755,6 +765,9 @@ def _sparser_table(a: Algebra) -> Optional[Algebra]:
     radical_split.seed(b, (rad, rad_alg, quot))
     is_ideal.seed(b, True, rad)
     quotient_algebra.seed(b, quot, rad)
+    lcs_chain.seed(b, tuple(s if s.dim in (0, n) else Subspace.span(
+        n, [[sum(x * v[k] for k, x in q) for q in qrows] for v in s.int_rows])
+        for s in lcs_chain(a)))
     return b
 
 

@@ -7,7 +7,8 @@ reductions plus a coefficient-size guard) so blowups surface as an explicit
 "exhausted" outcome, with its reason, instead of a hang; answers, when
 produced, are exact.  Pending S-pairs wait in a heap keyed once on the lcm
 of their lead monomials, and reduction runs on integer numerators over a
-common denominator.
+common denominator.  `buchberger` takes a `PolySystem`, whose Fraction
+polynomials it scales to integers, or integer polynomials as they are.
 
 The only consumer beyond the generic solver is `embeds_b2`, which decides
 whether an algebra contains a subalgebra spanned by an idempotent e and a
@@ -15,6 +16,9 @@ nonzero y with e*y = y/2 and y*y = 0.  Those two equations are homogeneous
 in y, so y != 0 is decided in affine charts (y_i = 1, y_j = 0 for j < i)
 rather than by adjoining a new variable for the inverse of y_i (the
 Rabinowitsch trick): a chart has fewer variables than the system, not more.
+Each chart is written on the integer-scaled structure constants and goes to
+`buchberger` as integer polynomials; `b2_chart_system` gives the same
+system as Fractions.
 An associative table needs no chart: there e*y = y/2 gives
 y/2 = (e*e)*y = e*(e*y) = y/4, so y = 0.
 """
@@ -193,6 +197,24 @@ class PolySystem:
         for p in self.polynomials:
             if p.names != self.names:
                 raise ValueError("all polynomials must share the variable set")
+
+    def integer_terms(self) -> list[dict]:
+        """Each nonzero polynomial as {monomial: integer}, its numerators
+        over the lcm of its denominators: what `buchberger` completes."""
+        return [_integer_terms(p)[0] for p in self.polynomials if p.terms]
+
+
+@dataclass(frozen=True)
+class _IntegerSystem:
+    """Integer polynomials {monomial: nonzero int} over `names`, handed to
+    `buchberger` as they are, with no Fraction made (the `embeds_b2`
+    charts): `integer_terms` is `terms`, the empty ones left out."""
+
+    terms: tuple[dict, ...]
+    names: tuple[str, ...]
+
+    def integer_terms(self) -> list[dict]:
+        return [t for t in self.terms if t]
 
 
 @dataclass(frozen=True)
@@ -381,7 +403,7 @@ def _interreduce(leads: list[Lead]) -> list[Lead]:
     return sorted(leads, key=lambda g: degrevlex_key(g[0]))
 
 
-def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResult:
+def buchberger(system: PolySystem | _IntegerSystem, budget: int = DEFAULT_BUDGET) -> GroebnerResult:
     """Reduced Groebner basis in degrevlex, or an exhausted marker.
 
     `budget` caps the number of S-pairs actually reduced (pairs discarded by
@@ -391,7 +413,7 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
     when the pair is pushed; ties go to the smaller (i, j), so the order of
     reduction, and with it `pairs_reduced`, is deterministic.
     """
-    leads = _leads(system.polynomials)
+    leads = list(map(_lead, system.integer_terms()))
     if not leads:
         return GroebnerResult((), 0)
     one = (Polynomial.const(system.names, 1),)
@@ -454,7 +476,7 @@ def has_solution(system: PolySystem, budget: int = DEFAULT_BUDGET) -> str:
     return _decide(system, budget)[0]
 
 
-def _decide(system: PolySystem, budget: int) -> tuple[str, GroebnerResult]:
+def _decide(system: PolySystem | _IntegerSystem, budget: int) -> tuple[str, GroebnerResult]:
     """`has_solution`'s answer together with the completion behind it."""
     result = buchberger(system, budget)
     if result.exhausted:
@@ -530,10 +552,17 @@ def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
 def b2_chart_system(a: Algebra, i: int) -> PolySystem:
     """e*e = e, e*y = y/2 and y*y = 0 on chart i, where y_i = 1 and y_j = 0
     for j < i.  The variables are e_0..e_{n-1} and y_{i+1}..y_{n-1}.  The
-    polynomials are written on the integer-scaled constants (den, srows) of
-    `_int_structure`: den (e*e - e), 2 den (e*y - y/2) and den y*y, positive
-    multiples of the equations, so their monic forms are those of the
-    equations themselves."""
+    polynomials are those of `_b2_chart_terms`, as Fractions."""
+    chart = _b2_chart_terms(a, i)
+    return PolySystem(tuple(Polynomial._of(chart.names, {m: Fraction(x) for m, x in t.items()})
+                            for t in chart.terms), chart.names)
+
+
+def _b2_chart_terms(a: Algebra, i: int) -> _IntegerSystem:
+    """The system of `b2_chart_system`, written on the integer-scaled
+    constants (den, srows) of `_int_structure`: den (e*e - e),
+    2 den (e*y - y/2) and den y*y, positive multiples of the equations, so
+    their monic forms are those of the equations themselves."""
     n = a.dim
     den, srows = a._int_structure
     names = tuple([f"e{k}" for k in range(n)] + [f"y{k}" for k in range(i + 1, n)])
@@ -562,8 +591,8 @@ def b2_chart_system(a: Algebra, i: int) -> PolySystem:
                         products.append((yy, mono(yvar[p], yvar[q]), c))
                 for out, m, x in products:
                     out[k][m] = out[k].get(m, 0) + x
-    polys = [Polynomial(names, terms) for k in range(n) for terms in (ee[k], ey[k], yy[k])]
-    return PolySystem(tuple(polys), names)
+    terms = tuple({m: x for m, x in t.items() if x} for k in range(n) for t in (ee[k], ey[k], yy[k]))
+    return _IntegerSystem(terms, names)
 
 
 def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
@@ -582,7 +611,9 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     nonzero coordinate of y, a solution with y != 0 exists iff some chart i
     of `b2_chart_system` (y_i = 1, y_j = 0 for j < i) has one.  A chart
     answering 'yes' settles the question; 'no' requires every chart to
-    answer 'no'.  `B2Result.charts` records each chart's completion.
+    answer 'no'.  Each chart goes to `buchberger` as the integer terms of
+    `_b2_chart_terms`, with no Fraction made.  `B2Result.charts` records
+    each chart's completion.
     """
     if not is_jordan(a):
         raise NonJordanError("subalgebra detection requires a Jordan algebra")
@@ -594,7 +625,7 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
 
     charts = []
     for i in range(a.dim):
-        answer, result = _decide(b2_chart_system(a, i), budget)
+        answer, result = _decide(_b2_chart_terms(a, i), budget)
         charts.append(B2Chart(a.labels[i], answer, result.pairs_reduced, result.reason))
         if answer == "yes":
             return B2Result("yes", charts=tuple(charts))

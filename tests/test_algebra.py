@@ -22,7 +22,7 @@ from jordanalg.algebra import (
     product_span,
     unitalization,
 )
-from jordanalg.ratlin import Matrix, Subspace, invert, is_zero_vec, vec, zero_vec
+from jordanalg.ratlin import Matrix, Subspace, invert, is_zero_vec, unit_vec, vec, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
 from helpers import (
     reference_associator,
@@ -194,6 +194,43 @@ def random_table(rng, n, den, commutative):
     return Algebra(tuple(f"b{i+1}" for i in range(n)), tuple(map(tuple, table)))
 
 
+def unit_first(a):
+    """`a` with a unit adjoined as its first basis element u: every
+    associator with u in the middle vanishes, so the first quadruple that
+    violates the Jordan identity, if there is one, has y > 0."""
+    n = a.dim + 1
+    rows = [tuple(unit_vec(n, j) for j in range(n))]
+    rows += [(unit_vec(n, i + 1),) + tuple((F(0),) + e for e in row)
+             for i, row in enumerate(a.table)]
+    return Algebra(("u",) + a.labels, tuple(rows))
+
+
+def wide_basis_change(a, rng):
+    """`a` in a dense basis whose entries have numerators and denominators
+    above 2**64, so that its constants have them too."""
+    while True:
+        p = Matrix.from_rows([[F(rng.randint(-3, 3) * 2**65 + rng.randint(1, 9),
+                                 2**64 + rng.randint(1, 99)) for _ in range(a.dim)]
+                              for _ in range(a.dim)])
+        if invert(p) is not None:
+            b = change_basis(a, p)
+            assert any(abs(x.numerator) > 2**64 and x.denominator > 2**64
+                       for row in b.table for v in row for x in v)
+            return b
+
+
+def edge_tables(env):
+    """The zero table, 1-dimensional tables, and catalog tables, the
+    noncommutative 2 x 2 matrix algebra and a table that is not Jordan in
+    dense bases with constants wider than 64 bits."""
+    rng = seeded_rng("wide-bases")
+    cases = [zero_algebra(3), zero_algebra(1)]
+    cases += [Algebra(("x",), (((F(c, d),),),)) for c, d in ((1, 1), (-3, 7))]
+    cases += [wide_basis_change(a, rng) for a in (env["J55"], env["J56"], env["T5"],
+                                                   matrix_algebra(2), rejected_cubed_generator())]
+    return cases
+
+
 def rational_basis_change(a, rng, den):
     p = Matrix.from_rows([[F(rng.randint(-2, 2), rng.choice([1, den])) for _ in range(a.dim)]
                           for _ in range(a.dim)])
@@ -211,40 +248,58 @@ def test_is_associative_matches_fraction_oracle(env):
         cases += [rational_basis_change(m2, rng, den), rational_basis_change(env["J3"], rng, den)]
         for commutative in (True, False):
             cases += [random_table(rng, rng.choice([2, 3]), den, commutative) for _ in range(3)]
+    cases += edge_tables(env) + [wide_basis_change(env["J3"], rng)]
     verdicts = [is_associative(a) for a in cases]
     assert verdicts == [fraction_is_associative(a) for a in cases]
     kinds = {(is_commutative(a), v) for a, v in zip(cases, verdicts)}
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_jordan_violation_matches_fraction_oracle():
+def test_jordan_violation_matches_fraction_oracle(env):
+    # the first quadruple and its defect, as the Fraction scan finds them;
+    # with a unit as the first basis element the first violation has y > 0,
+    # and where the first nonzero entry of its defect is negative the packed
+    # sum is negative, so every slot above it is read back through a borrow.
+    # The wide Jordan tables are catalog tables and M2 in other bases, so
+    # their None needs no Fraction scan, which takes seconds on each
     rng = seeded_rng("violation-oracle")
     cases = [rejected_half_action(), rejected_cubed_generator()]
     for den in (1, 2, 3, 17):
         cases += [random_table(rng, rng.choice([2, 3, 4]), den, True) for _ in range(5)]
-    for a in cases:
-        assert jordan_violation(a) == fraction_violation(a)
+    unital = [unit_first(random_table(rng, rng.choice([2, 3]), rng.choice([1, 2, 3]), True))
+              for _ in range(12)]
+    edges = edge_tables(env)
+    for a in cases + unital + edges[:4] + edges[-1:]:
+        assert jordan_violation(a) == fraction_violation(a), a.labels
     assert sum(jordan_violation(a) is not None for a in cases) >= len(cases) - 2
+    signed = [v for v in map(jordan_violation, unital)
+              if v and v[0][1] > 0 and next(x for x in v[1] if x) < 0]
+    assert len(signed) >= 3
+    assert [jordan_violation(a) is None for a in edges] == [True] * 8 + [False]
 
 
 def test_assoc_table_matches_fraction_associator(env):
     # T[x][y][k] is the associator (b_x, b_y, b_k) scaled by den**2, as the
-    # sorted (coordinate, value) pairs of its nonzero entries; a commutative
-    # table computes x < k only and reads the rest off the symmetry, the
-    # noncommutative matrix algebra takes every triple
+    # sorted (coordinate, value) pairs of its nonzero entries, decoded from
+    # the packed columns; a commutative table computes x < k only and reads
+    # the rest off the symmetry, the noncommutative matrix algebra takes
+    # every triple.  The edge tables add the zero and 1-dimensional tables
+    # and constants wider than 64 bits, whose slots are as wide
     rng = seeded_rng("assoc-table")
     cases = [matrix_algebra(2), plus_algebra(matrix_algebra(3)),
              rejected_half_action(), rejected_cubed_generator()]
     for a in env.values():
         cases += [a, change_basis(a, random_invertible_matrix(a.dim, rng, dense=True))]
     assert len(cases) == 4 + 2 * 88
+    cases += edge_tables(env)
     for a in cases:
         den = a._int_structure[0]
         basis = [a.basis_vector(i) for i in range(a.dim)]
+        table = a._assoc_table
         for x, bx in enumerate(basis):
             for y, by in enumerate(basis):
                 for k, bk in enumerate(basis):
-                    t = a._assoc_table[x][y][k]
+                    t = table[x][y][k]
                     assert all(type(e) is int and e for _, e in t)
                     assert [m for m, _ in t] == sorted({m for m, _ in t})
                     want = reference_associator(a, bx, by, bk)
@@ -359,6 +414,29 @@ def test_int_structure_matches_the_fraction_reference(env, dense_env):
         assert a._int_structure == reference_int_structure(a), a.labels
     assert odd._int_structure[0] == 18 * wide
     assert any(b._int_structure[0] > 1 for b, _ in dense_env.values())
+
+
+def test_from_products_scales_only_the_parsed_coefficients(env):
+    # the integer constants that `from_products` keeps from the nonzero
+    # coefficients it parsed are those one `_int_vec` of all n**3 constants
+    # gives on the same table: on every catalog entry, nested sums among
+    # them, the matrix algebras, and tables with a product given in both
+    # orders, a zero coefficient or a denominator wider than 64 bits
+    from jordanalg.catalog import parse_catalog, resolve
+
+    sums = dict(env)
+    for entry in parse_catalog("algebra P = F1 + F1\nend\nalgebra Q = P + F1\nend\n"):
+        sums[entry.name] = resolve(entry, sums)
+    cases = list(sums.values()) + [matrix_algebra(2), matrix_algebra(3)]
+    for symmetric in (True, False):
+        cases.append(Algebra.from_products(("x", "y"), {
+            ("x", "y"): {"x": F(1, 2), "y": 0}, ("y", "x"): {"y": F(-3, 2**70 + 1)},
+            ("y", "y"): {"x": 0}}, symmetric=symmetric))
+    assert len(cases) == 88 + 2 + 2 + 2
+    for a in cases:
+        assert "_int_structure" in a.__dict__, a.labels
+        assert a._int_structure == Algebra(a.labels, a.table)._int_structure, a.labels
+    assert cases[-1]._int_structure[0] == 2 * (2**70 + 1)
 
 
 def test_matrix_units_multiply_as_matrices():

@@ -212,8 +212,9 @@ def test_resolve_sum_is_direct_sum(entries, env):
 
 def test_resolved_sums_hold_their_constants_and_are_built_once(entries, monkeypatch):
     # a sum entry is built once, from its summands' integer constants, with
-    # its final labels (renamed repeats or a labels line); it keeps those
-    # constants, so none is scaled back from its Fraction table
+    # its final labels (renamed repeats or a labels line); every entry keeps
+    # its constants (a table those of its parsed coefficients), so none is
+    # scaled back from its Fraction table
     import jordanalg.algebra as alg
 
     built = []
@@ -227,7 +228,7 @@ def test_resolved_sums_hold_their_constants_and_are_built_once(entries, monkeypa
     monkeypatch.undo()
     sums = [e for e in entries if e.summands is not None]
     assert len(sums) > 10 and len(built) == len(sums)
-    for entry in sums:
+    for entry in entries:
         a = env[entry.name]
         assert "_int_structure" in a.__dict__, entry.name
         assert a._int_structure == Algebra(a.labels, a.table)._int_structure, entry.name

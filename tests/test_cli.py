@@ -9,6 +9,8 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from jordanalg import catalog as cat
 from jordanalg import cli
 from jordanalg.algebra import change_basis
@@ -451,6 +453,20 @@ def test_embed_b2_budget_exhaustion_is_inconclusive(capsys):
     # J55 has no rational witness, so a zero budget starves every branch
     code, out, _ = run(capsys, "embed-b2", "J55", "--budget", "0")
     assert code == 0 and out.strip() == "inconclusive"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--deep"), ("fingerprint", "J55", "--deep"), ("fingerprint-all",),
+    ("distinguish", "J55", "J56"), ("embed-b2", "J55"),
+])
+def test_a_negative_budget_is_a_usage_error(capsys, argv):
+    # every command that takes --budget refuses a negative one, or one that
+    # is not an integer, before any work, naming the value; 0 is a budget
+    for value in ("-3", "-1", "x"):
+        code, out, err = run(capsys, *argv, "--budget", value)
+        assert (code, out) == (2, ""), (argv, value)
+        assert err.endswith(f"error: argument --budget: not a non-negative integer: '{value}'\n")
+        assert err.startswith(f"usage: jordanalg {argv[0]} ")
 
 
 def test_inconclusive_embed_b2_names_the_chart(capsys):

@@ -372,7 +372,8 @@ def test_large_table_is_refused_before_any_work():
             fn(a)
         assert f"{cocycle_cells(n):,}" in str(exc.value), fn
         assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value), fn
-        assert "_jordan_defect" not in a.__dict__ and "_assoc_table" not in a.__dict__
+        for name in ("_jordan_defect", "_associators"):
+            assert name not in a.__dict__, (fn, name)
 
 
 def test_fingerprint_refuses_a_large_table_before_any_work():
@@ -385,7 +386,7 @@ def test_fingerprint_refuses_a_large_table_before_any_work():
         fingerprint(a)
     assert f"{cocycle_cells(n):,}" in str(exc.value)
     assert f"{MAX_COCYCLE_CELLS:,}" in str(exc.value)
-    for name in ("_jordan_defect", "_assoc_table", "_memo"):
+    for name in ("_jordan_defect", "_associators", "_memo"):
         assert name not in a.__dict__, name
 
 

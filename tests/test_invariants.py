@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -48,6 +49,7 @@ from jordanalg.invariants import (
     h2_dims,
     induced_algebra,
     is_ideal,
+    is_nilpotent,
     lcs_chain,
     nilpotency_type,
     power_chain,
@@ -62,7 +64,7 @@ from jordanalg.peirce import is_idempotent, peirce_multi
 from jordanalg.polysolve import embeds_b2
 from jordanalg.ratlin import ZERO, Matrix, Subspace, _int_vec, kernel, rank, zero_vec
 from conftest import random_invertible_matrix, seeded_rng
-from gen import dense_basis, spin_factor
+from gen import dense_basis, field_sum, spin_factor, truncated_polynomial
 from helpers import (
     check_radical_block,
     reference_change_basis,
@@ -578,6 +580,64 @@ def test_memoized_results_match_fresh_algebras(env, dense_env):
         assert radical_split(b) == split, a.labels
         for ideal in (split[0], annihilator(a)):
             assert quotient_algebra(b, ideal) == quotient_algebra(a, ideal), a.labels
+
+
+def test_is_nilpotent_agrees_with_the_lcs_chain(env, dense_env):
+    # a nonzero trace of some R_{b_m} answers False before any chain is
+    # spanned, and otherwise the chain decides: on the catalog, its dense
+    # bases, the 2 x 2 matrix algebra, truncated polynomials and tables
+    # that are not Jordan (one a noncommutative table whose right powers
+    # vanish, one a table with every trace 0 and J J = J)
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    cases += [matrix_algebra(2)] + [truncated_polynomial(m) for m in (2, 5, 8)]
+    cases += [
+        Algebra.from_products(("e1", "n1", "n2", "n3"), {
+            ("e1", "e1"): {"e1": 1}, ("e1", "n1"): {"n1": F(1, 2)},
+            ("e1", "n3"): {"n3": F(1, 2)}, ("n1", "n1"): {"n2": 1}, ("n1", "n2"): {"n3": 1}}),
+        Algebra.from_products(("x", "y"), {("x", "y"): {"y": 1}}, symmetric=False),
+        Algebra.from_products(("x", "y"), {("x", "x"): {"y": 1}, ("y", "y"): {"x": 1}}),
+    ]
+    shortcut = 0
+    for a in cases:
+        want = lcs_chain(fresh(a))[-1].is_zero()
+        b = fresh(a)
+        assert is_nilpotent(b) == want, a.labels
+        shortcut += (lcs_chain.__wrapped__, ()) not in vars(b).get("_memo", {})
+    assert [is_nilpotent(a) for a in cases[-2:]] == [True, False]
+    assert 0 < shortcut < len(cases) and sum(map(is_nilpotent, cases)) > 30
+
+
+def bench_dense_tables(entries, env, seed):
+    """The tables of the `dense` benchmark workload at `seed`: each catalog
+    table, in catalog order, in two dense bases drawn from one seeded
+    generator, as `bench/workloads.py` draws them."""
+    rng = random.Random(f"dense-bases:{seed}")
+    return [change_basis(env[e.name], random_invertible_matrix(env[e.name].dim, rng, dense=True))
+            for e in entries for _ in range(2)]
+
+
+def test_the_adapted_table_takes_the_lcs_chain_of_the_given_one(entries, env):
+    # `_sparser_table` carries a's lcs chain into b's coordinates and keeps
+    # it on b before anything runs there; it is the chain spanned from
+    # scratch on a fresh copy of b, on the 176 tables of the `dense`
+    # benchmark at seed 81 and on generated families in dense bases
+    diag = lambda *d: [[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    generated = [spin_factor(m) for m in (2, 3, 5)] + [spin_factor(4, diag(1, -1, 2, 0))]
+    generated += [truncated_polynomial(m) for m in (3, 6)]
+    generated += [f(truncated_polynomial(3)) for f in (field_sum, unitalization)]
+    cases = bench_dense_tables(entries, env, 81)
+    assert len(cases) == 176
+    cases += [dense_basis(a, f"lcs-seed-{i}")[0] for i, a in enumerate(generated)]
+    seeded = 0
+    for a in map(fresh, cases):
+        b = _adapted_table(a)
+        if b is a:
+            continue
+        chain = vars(b)["_memo"][lcs_chain.__wrapped__, ()]
+        assert chain == lcs_chain(fresh(b)), a.labels
+        assert lcs_chain(b) is chain
+        seeded += 1
+    assert seeded >= 170 + len(generated) - 2
 
 
 def test_equal_algebras_do_not_share_a_memo(env):

@@ -373,6 +373,42 @@ def test_chart_records(env):
     assert B2Chart("n2", "inconclusive", 0, "budget") in starved.charts
 
 
+def test_chart_records_of_the_catalog_are_pinned(catalog_b2):
+    # label, answer, pairs reduced and reason of every chart of the 15
+    # catalog tables that run charts: every chart answers "no", and only
+    # these five reduce an S-pair
+    pairs = {("T5", "e1"): 11, ("J1", "e1"): 15, ("J8", "e1"): 11,
+             ("J55", "n2"): 8, ("J57", "n2"): 7}
+    charted = {name: res.charts for name, res in catalog_b2.items() if res.charts}
+    assert list(charted) == ["T5", "T8", "T9", "J1", "J8", "J23", "J24", "J25", "J44",
+                             "J45", "J51", "J52", "J53", "J55", "J57"]
+    labels = {"T5": "e1 e2 e3", "T8": "e1 n1 n2", "T9": "e1 n1 n2", "J1": "e1 e2 e3 e4",
+              "J8": "e1 e2 e3 n1", "J23": "e1 n1 n2 e2", "J24": "e1 n1 n2 e2",
+              "J25": "e1 e2 n1 n2"}
+    for name, charts in charted.items():
+        want = [B2Chart(l, "no", pairs.get((name, l), 0))
+                for l in labels.get(name, "e1 n1 n2 n3").split()]
+        assert list(charts) == want, name
+        assert catalog_b2[name].answer == "no"
+
+
+def test_buchberger_completes_integer_chart_terms_as_fraction_systems(env, dense_env):
+    # `embeds_b2` hands `buchberger` the integer terms of each chart with no
+    # Fraction made; they are the integer terms of `b2_chart_system`, and
+    # give the same completion, on the catalog and in dense bases
+    cases = list(env.items()) + [(f"{name} dense", b) for name, (b, _) in dense_env.items()]
+    for name, a in cases:
+        if a.dim > 4:
+            continue
+        for i in range(a.dim):
+            chart, system = polysolve._b2_chart_terms(a, i), b2_chart_system(a, i)
+            assert chart.names == system.names, (name, i)
+            terms = chart.integer_terms()
+            assert all(type(x) is int and x for t in terms for x in t.values()), (name, i)
+            assert terms == system.integer_terms(), (name, i)
+            assert buchberger(chart, 20) == buchberger(system, 20), (name, i)
+
+
 def test_pairs_reduced_is_deterministic(env):
     for name in ("J1", "J8", "T5", "J55"):
         first, second = embeds_b2(env[name]), embeds_b2(env[name])
