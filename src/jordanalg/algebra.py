@@ -1,24 +1,25 @@
 """Finite-dimensional algebras presented by rational structure constants.
 
-An `Algebra` stores a basis (labels are for reporting only) and the full
-table c[i][j] = coefficient vector of b_i * b_j.  Elements are plain tuples
-of Fractions in that basis.  Commutative tables are the main case, but the
-storage is general enough for, e.g., full matrix algebras, which is what the
-symmetrized `plus_algebra` construction consumes.  Constants come in as
-Fractions only through the constructor and `Algebra.from_products`, which
-builds a table from sparse products (catalog entries, `matrix_algebra`).
+An `Algebra` stores a basis (labels are for reporting only) and, like a
+`Subspace`, only integers: `_int_structure` = (den, srows), srows[i][j]
+the nonzero (k, x) of b_i * b_j, x / den its coordinate k, den the lcm of
+the denominators, so the pair is canonical.  `table`, c[i][j] = the
+Fraction vector of b_i * b_j, is made from them when read.  Elements are
+plain tuples of Fractions.  Commutative tables are the main case, but the
+storage is general enough for, e.g., full matrix algebras, which is what
+the symmetrized `plus_algebra` construction consumes.  Constants come in
+as Fractions only through the constructor, which scales all n**3 with one
+`ratlin._int_vec`, and `Algebra.from_products`, which builds a table from
+sparse products (catalog entries, `matrix_algebra`) scaling only the
+coefficients it parsed.
 
-Products are taken on integer-scaled constants: `_int_structure` scales
-all of them with one call of `ratlin._int_vec`, by the lcm `den` of their
-denominators (`from_products` scales only the coefficients it parsed), and
-it is the one cached copy of the table besides `table` itself.
 `_int_products` is the one routine that multiplies elements.  It takes
 integer rows, which `_int_vec` makes of rational vectors, and gives each
 product times den; `Algebra.mul`, the change of basis, subspace products,
 the cocycle rows of `cohomology` and the Peirce systems all call it.  Every
-algebra built from another (sums, plus algebra, unital hull, change of
-basis, and the quotients and induced algebras of `invariants`) is built by
-`_from_int_structure` from integer constants, kept as its `_int_structure`.
+algebra built from integer constants (`from_products`, sums, plus algebra,
+unital hull, change of basis, and the quotients and induced algebras of
+`invariants`) is built by `_from_int_structure`, which makes no Fraction.
 Commutativity is read off those constants once per algebra.  The
 annihilator, centroid, trace-form and identity systems and the delta^1 rows
 are written on the constants themselves, as are the packed associators and
@@ -27,19 +28,17 @@ the Jordan scan below.
 An associator of basis elements carries two constants, so it scales by
 den**2, and the linearized Jordan defect carries three, so it scales by
 den**3; neither scaling changes which of them vanish.  `_associators` is
-the one associator computation, made once per algebra and cached like
-`_int_structure`: the associator (b_x, b_y, b_k) of every basis triple on
-those constants, packed for each (x, k) into one int whose W-bit slot
-y n + m holds coordinate m for y (Kronecker substitution).  W is chosen
-from the largest scaled constant so that every slot of an associator or of
-a Jordan defect stays below 2^(W - 1) in absolute value, so a packed sum is
-zero iff every slot is, and `_unpack` reads the slots back with their
-signs.  The Jordan scan sums one packed int per x <= z <= w and decodes
-only a nonzero sum; the associativity test asks that every packed int be
-zero; `_assoc_table`, the (coordinate, value) pairs of the nonzero entries
-of each associator, is the decoded view that the cocycle rows read, made
-on each read and not kept.  The
-associator is linear in each argument, so it extends to any element.
+the one associator computation, made once per algebra and cached: the
+associator (b_x, b_y, b_k) of every basis triple on the integer constants,
+packed for each (x, k) into one int whose W-bit slot y n + m holds
+coordinate m for y (Kronecker substitution).  W is chosen from the largest
+scaled constant so that every slot of an associator or of a Jordan defect
+stays below 2^(W - 1) in absolute value, so a packed sum is zero iff every
+slot is, and `_unpack` reads the slots back with their signs.  The Jordan
+scan sums one packed int per x <= z <= w and decodes only a nonzero sum;
+the associativity test asks that every packed int be zero; the cocycle
+rows of `cohomology` unpack each nonzero column once.  The associator is
+linear in each argument, so it extends to any element.
 
 All values are immutable and every operation is a pure function.  A
 derived invariant that several callers read is wrapped in `per_algebra`,
@@ -54,7 +53,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from itertools import compress, count
+from itertools import count
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
@@ -72,7 +71,6 @@ from .ratlin import (
     rat,
     sub_vec,
     unit_vec,
-    zero_vec,
 )
 
 
@@ -100,19 +98,53 @@ def per_algebra(fn):
     return memoized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Algebra:
-    labels: tuple[str, ...]
-    table: tuple[tuple[Vector, ...], ...]
+    """Basis `labels` and canonical integer constants (den, srows), k
+    ascending in srows[i][j]; equality and hashing read both."""
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+    labels: tuple[str, ...]
+    _int_structure: tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]
+
+    def __init__(self, labels: Sequence[str], table: Sequence[Sequence[Sequence]]):
+        """b_i b_j = table[i][j], constants ints or Fractions, scaled by one
+        `_int_vec`; `table` is kept as given."""
+        labels = tuple(labels)
+        n = len(labels)
+        if len(table) != n or any(len(row) != n for row in table):
             raise AlgebraError("structure-constant table must be n x n")
-        for row in self.table:
-            for entry in row:
-                if len(entry) != n:
-                    raise AlgebraError("structure-constant vectors must have length n")
+        if any(len(entry) != n for row in table for entry in row):
+            raise AlgebraError("structure-constant vectors must have length n")
+        flat = [x for row in table for entry in row for x in entry]
+        try:
+            den, flat = _int_vec(flat)
+        except (AttributeError, TypeError):  # only a constant of another type fails
+            ijk, x = next((ijk, x) for ijk, x in enumerate(flat) if not isinstance(x, (int, Fraction)))
+            i, j, k = ijk // (n * n), ijk // n % n, ijk % n
+            raise AlgebraError(f"structure constant {x!r} of {labels[i]}*{labels[j]} "
+                               f"at {labels[k]} is not an int or a Fraction") from None
+        entries = [tuple((k, x) for k, x in enumerate(flat[ij * n:(ij + 1) * n]) if x)
+                   for ij in range(n * n)]
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_int_structure",
+                           (den, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))))
+        self.__dict__["table"] = table
+
+    @cached_property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """c[i][j], the coordinate vector of b_i b_j in Fractions, made from
+        `_int_structure` on first read, one Fraction per distinct numerator."""
+        n = self.dim
+        den, srows = self._int_structure
+        fracs = {x: Fraction(x, den) for x in {x for row in srows for entry in row for _, x in entry}}
+
+        def vector(entry):
+            v = [ZERO] * n
+            for k, x in entry:
+                v[k] = fracs[x]
+            return tuple(v)
+
+        return tuple(tuple(map(vector, row)) for row in srows)
 
     @property
     def dim(self) -> int:
@@ -127,8 +159,8 @@ class Algebra:
     ) -> "Algebra":
         """Build from sparse products {(la, lb): {lc: coeff}}; omitted pairs
         are 0.  One `_int_vec` of the nonzero coefficients parsed gives the
-        integer constants, kept as `_int_structure`: den is the lcm of their
-        denominators, so den and the numerators have no common factor."""
+        integer constants: den is the lcm of their denominators, so den and
+        the numerators have no common factor."""
         labels = tuple(labels)
         index = {l: i for i, l in enumerate(labels)}
         if len(index) != len(labels):
@@ -146,18 +178,10 @@ class Algebra:
                 cells[j, i] = entry
         den, flat = _int_vec([c for entry in cells.values() for _, c in entry])
         scaled = iter(flat)
-        zero = zero_vec(n)
-        table = [[zero] * n for _ in range(n)]
         srows = [[()] * n for _ in range(n)]
         for (i, j), entry in cells.items():
-            v = [ZERO] * n
-            for k, c in entry:
-                v[k] = c
-            table[i][j] = tuple(v)
             srows[i][j] = tuple((k, next(scaled)) for k, _ in entry)
-        a = cls(labels, tuple(map(tuple, table)))
-        a.__dict__["_int_structure"] = den, tuple(map(tuple, srows))
-        return a
+        return _from_int_structure(den, srows, labels)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vec(self.dim, i)
@@ -199,18 +223,6 @@ class Algebra:
         return " ".join([head] + parts[1:])
 
     # -- products ----------------------------------------------------------
-
-    @cached_property
-    def _int_structure(self):
-        """(den, srows): one `_int_vec` of all n**3 constants, den the lcm
-        of their denominators and srows[i][j] the nonzero (k, den c_ijk) of
-        b_i b_j, for fast zero-tests of multilinear expressions (which only
-        rescale under the scaling)."""
-        n = self.dim
-        den, flat = _int_vec([x for row in self.table for entry in row for x in entry])
-        entries = [tuple((k, x) for k, x in enumerate(flat[ij * n:(ij + 1) * n]) if x)
-                   for ij in range(n * n)]
-        return den, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
 
     @cached_property
     def _associators(self) -> tuple[int, list[list[int]]]:
@@ -260,28 +272,6 @@ class Algebra:
                     packed[k][x] = -s
         return width, packed
 
-    @property
-    def _assoc_table(self) -> list[list[list[tuple[tuple[int, int], ...]]]]:
-        """T[x][y][k]: the (m, e) pairs of the nonzero entries e of
-        (b_x b_y) b_k - b_x (b_y b_k), on integer-scaled constants, m
-        ascending: `_associators` decoded, for the cocycle rows, which are
-        assembled once per algebra, so it is decoded on each read and not
-        kept.  On a commutative table only x < k is decoded, and
-        (b_k, b_y, b_x) = -(b_x, b_y, b_k)."""
-        n = self.dim
-        width, packed = self._associators
-        sym = self._commutativity_violation is None
-        table = [[[()] * n for _ in range(n)] for _ in range(n)]
-        for x, row in enumerate(packed):
-            for k in range(x + 1 if sym else 0, n):
-                if row[k]:
-                    for y, block in enumerate(_unpack(row[k], width, n)):
-                        if block:
-                            table[x][y][k] = tuple(compress(enumerate(block), block))
-                            if sym:
-                                table[k][y][x] = tuple((m, -e) for m, e in table[x][y][k])
-        return table
-
     @cached_property
     def _commutativity_violation(self) -> Optional[tuple[int, int]]:
         """`commutativity_violation`, read once off `_int_structure`: two
@@ -299,6 +289,8 @@ class Algebra:
     def mul(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
         """u v, from the integer product of d_u u and d_v v: `_int_products`
         scales it by den d_u d_v, which is divided out here."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise AlgebraError("element dimension mismatch")
         du, iu = _int_vec(u)
         dv, iv = _int_vec(v)
         scale = self._int_structure[0] * du * dv
@@ -306,8 +298,6 @@ class Algebra:
 
 
 def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    if len(x) != a.dim or len(y) != a.dim:
-        raise AlgebraError("element dimension mismatch")
     return a.mul(x, y)
 
 
@@ -539,30 +529,18 @@ def _int_change_basis(a: Algebra, cols: Sequence[Sequence[int]], dp: int = 1):
 
 
 def _from_int_structure(den: int, srows, labels: Sequence[str]) -> Algebra:
-    """The one builder of an algebra from another: basis `labels`, and
-    constants x / den for the nonzero (k, x) of b_i b_j in srows[i][j], k
-    ascending.  With den and every x divided by their gcd, den is the lcm of
-    the denominators, and (den, srows) is kept as `_int_structure`.  One
-    Fraction is made per distinct numerator; zero products share a vector."""
-    n = len(srows)
+    """The one builder of an algebra from integer constants: basis `labels`,
+    and constants x / den for the nonzero (k, x) of b_i b_j in the tuple
+    srows[i][j], k ascending.  With den and every x divided by their gcd,
+    den is the lcm of the denominators, and (den, srows) is the algebra's
+    `_int_structure`; no Fraction is made."""
     g = gcd(den, *(x for row in srows for entry in row for _, x in entry))
     if g != 1:
         den //= g
         srows = [[tuple((k, x // g) for k, x in entry) for entry in row] for row in srows]
-    srows = tuple(map(tuple, srows))
-    fracs = {x: Fraction(x, den) for x in {x for row in srows for entry in row for _, x in entry}}
-    zero = zero_vec(n)
-
-    def vector(entry):
-        if not entry:
-            return zero
-        v = [ZERO] * n
-        for k, x in entry:
-            v[k] = fracs[x]
-        return tuple(v)
-
-    b = Algebra(tuple(labels), tuple(tuple(map(vector, row)) for row in srows))
-    b.__dict__["_int_structure"] = (den, srows)
+    b = object.__new__(Algebra)
+    object.__setattr__(b, "labels", tuple(labels))
+    object.__setattr__(b, "_int_structure", (den, tuple(map(tuple, srows))))
     return b
 
 

@@ -55,9 +55,10 @@ of a coboundary exactly one, so clearing denominators rescales each system
 uniformly and leaves kernels and ranks unchanged.
 
 The actions in this operator do not depend on the quadruple.  Once per
-table the assembly lists the nonzero entries of h -> (x, y, h),
-h -> (zw) h and h -> x h, and the sparse products y(zw); the quadruple scan
-only adds those entries.  Each product is taken once, by
+table the assembly lists the nonzero entries of h -> (x, y, h), unpacked
+from the columns of `Algebra._associators`, of h -> (zw) h and h -> x h,
+and the sparse products y(zw); the quadruple scan only adds those
+entries.  Each product is taken once, by
 `algebra._int_products`: one call gives every b_p b_q, and one more every
 b_j (b_z b_w) with b_z b_w nonzero, which both h -> (zw) h and y(zw) read.  The terms
 h(xy, zw) and -h(x, y(zw)) are multiples of the identity on one block
@@ -80,6 +81,7 @@ from .algebra import (
     AlgebraError,
     NonJordanError,
     _int_products,
+    _unpack,
     is_commutative,
     is_jordan,
     per_algebra,
@@ -235,8 +237,18 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[
     sparse = [entry for row in a._int_structure[1] for entry in row]  # b_p b_q at p n + q
     zws = [zw for zw in range(nsq) if sparse[zw]]  # the nonzero b_z b_w
     # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
-    # b_j (zw), and of h -> x h it is b_x b_j
-    assoc_ops = [[nonzeros(cols) for cols in row] for row in a._assoc_table]
+    # b_j (zw), and of h -> x h it is b_x b_j; a commutative table unpacks
+    # x < k only, (b_k, b_y, b_x) being -(b_x, b_y, b_k)
+    width, packed = a._associators
+    sym = a._commutativity_violation is None
+    assoc_ops = [[[] for _ in range(n)] for _ in range(n)]
+    for x, row in enumerate(packed):
+        for k in range(x + 1 if sym else 0, n):
+            for y, block in enumerate(_unpack(row[k], width, n) if row[k] else ()):
+                for m, e in _pairs(block or ()):
+                    assoc_ops[x][y].append((m * nunk + k, e))
+                    if sym:
+                        assoc_ops[k][y].append((m * nunk + x, -e))
     left_ops = [nonzeros(row) for row in a._int_structure[1]]
     prod_ops = [[] for _ in range(nsq)]
     y_zw = [[] for _ in range(n * nsq)]  # sparse b_y (b_z b_w) at y n^2 + z n + w

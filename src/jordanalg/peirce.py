@@ -62,6 +62,8 @@ def eigenspace(a: Algebra, e: Sequence[Fraction], lam: Fraction) -> Subspace:
     lam = p/q, D the lcm of the denominators of e (`_int_vec`) and den that
     of the structure constants."""
     n = a.dim
+    if len(e) != n:
+        raise AlgebraError("element dimension mismatch")
     lam = rat(lam)
     d, e = _int_vec(vec(e))
     p, q = lam.numerator, lam.denominator

@@ -533,10 +533,11 @@ def check_b2_witness(a: Algebra, e: Sequence[Fraction], y: Sequence[Fraction]) -
 def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
     """Look for a rational witness in the half eigenspace of a table idempotent."""
     small = [rat(c) for c in (1, -1, 2, -2, Fraction(1, 2))]
+    den, srows = a._int_structure
     for i in range(a.dim):
-        e = a.basis_vector(i)
-        if a.table[i][i] != e:
+        if srows[i][i] != ((i, den),):  # b_i b_i = b_i
             continue
+        e = a.basis_vector(i)
         half_space = eigenspace(a, e, HALF)
         rows = half_space.rows
         candidates: list[Vector] = list(rows)

@@ -532,7 +532,9 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
     h(p, q)_k, at index base[p][q] + k in the order of `grid_to_vec`.
-    `Algebra._assoc_table` gives each associator column as its (m, c) pairs.
+    Each associator column (b_x b_y) b_j - b_x (b_y b_j) is taken by
+    `_int_mul_bv`, with (b_x b_y) b_j = b_j (b_x b_y) on the commutative
+    tables that have cocycles.
     """
     n = a.dim
     _, srows = a._int_structure
@@ -546,7 +548,9 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     # (b_x, b_y, b_j), and of h -> (zw) h it is b_j (zw); all recur across
     # the quadruple scan
     prod = [[_int_bb(srows, p, q) for q in range(n)] for p in range(n)]
-    assoc_cols = a._assoc_table
+    assoc_cols = [[[[u - v for u, v in zip(_int_mul_bv(srows, j, prod[x][y]),
+                                           _int_mul_bv(srows, x, prod[y][j]))]
+                    for j in range(n)] for y in range(n)] for x in range(n)]
     prod_cols = [[[_int_mul_bv(srows, j, prod[z][w]) for j in range(n)] for w in range(n)]
                  for z in range(n)]
 
@@ -558,13 +562,6 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
                 if c:
                     form[m][off + j] += sign * c
 
-    def act_pairs(form, cols, p, q):
-        # form += K h(p, q), column j of K given as the pairs cols[j]
-        off = base[p][q]
-        for j, col in enumerate(cols):
-            for m, c in col:
-                form[m][off + j] += c
-
     def at(form, c, p, q):
         # form += c * h(p, q)
         off = base[p][q]
@@ -574,7 +571,7 @@ def reference_cocycle_rows(a: Algebra) -> tuple[int, list[tuple[int, ...]]]:
     def add_associator(form, x, y, z, w):
         # M-part of (b_x, b_y, b_z b_w) in the null extension
         zw = srows[z][w]
-        act_pairs(form, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
+        act(form, 1, assoc_cols[x][y], z, w)  # (x, y, h(z, w))
         act(form, 1, prod_cols[z][w], x, y)  # (zw) h(x, y)
         for p, c in srows[x][y]:
             for q, d in zw:

@@ -5,6 +5,7 @@ import pytest
 from jordanalg.algebra import (
     Algebra,
     AlgebraError,
+    _unpack,
     associator,
     change_basis,
     check_isomorphism,
@@ -61,6 +62,16 @@ def test_multiply_j2(env):
 def test_multiply_dimension_mismatch(env):
     with pytest.raises(AlgebraError):
         multiply(env["B3"], (F(1),), (F(1), F(0)))
+
+
+def test_a_constant_that_is_not_rational_is_refused_at_construction():
+    # a float or a string constant used to construct, and `is_jordan` then
+    # raised AttributeError; the constructor names the entry
+    assert Algebra(("x",), (((1,),),)) == Algebra(("x",), (((F(1),),),))
+    for bad in (1.5, "1/2"):
+        with pytest.raises(AlgebraError, match=(
+                f"^structure constant {bad!r} of x\\*y at y is not an int or a Fraction$")):
+            Algebra(("x", "y"), (((F(1), 0), (0, bad)), ((0, 0), (0, 0))))
 
 
 def test_associator_associative_vanishes(env):
@@ -279,12 +290,12 @@ def test_jordan_violation_matches_fraction_oracle(env):
 
 
 def test_assoc_table_matches_fraction_associator(env):
-    # T[x][y][k] is the associator (b_x, b_y, b_k) scaled by den**2, as the
-    # sorted (coordinate, value) pairs of its nonzero entries, decoded from
-    # the packed columns; a commutative table computes x < k only and reads
-    # the rest off the symmetry, the noncommutative matrix algebra takes
-    # every triple.  The edge tables add the zero and 1-dimensional tables
-    # and constants wider than 64 bits, whose slots are as wide
+    # column (x, k) of `_associators`, decoded by `_unpack`, holds the
+    # associator (b_x, b_y, b_k) scaled by den**2 in block y, None when it
+    # is zero; a commutative table computes x < k only and reads the rest
+    # off the symmetry, the noncommutative matrix algebra takes every
+    # triple.  The edge tables add the zero and 1-dimensional tables and
+    # constants wider than 64 bits, whose slots are as wide
     rng = seeded_rng("assoc-table")
     cases = [matrix_algebra(2), plus_algebra(matrix_algebra(3)),
              rejected_half_action(), rejected_cubed_generator()]
@@ -295,18 +306,14 @@ def test_assoc_table_matches_fraction_associator(env):
     for a in cases:
         den = a._int_structure[0]
         basis = [a.basis_vector(i) for i in range(a.dim)]
-        table = a._assoc_table
+        width, packed = a._associators
         for x, bx in enumerate(basis):
-            for y, by in enumerate(basis):
-                for k, bk in enumerate(basis):
-                    t = table[x][y][k]
-                    assert all(type(e) is int and e for _, e in t)
-                    assert [m for m, _ in t] == sorted({m for m, _ in t})
-                    want = reference_associator(a, bx, by, bk)
-                    got = [0] * a.dim
-                    for m, e in t:
-                        got[m] = e
-                    assert got == [den**2 * f for f in want], (a.labels, x, y, k)
+            for k, bk in enumerate(basis):
+                blocks = _unpack(packed[x][k], width, a.dim)
+                for y, by in enumerate(basis):
+                    want = [den**2 * f for f in reference_associator(a, bx, by, bk)]
+                    assert all(type(e) is int for e in blocks[y] or ())
+                    assert blocks[y] == (want if any(want) else None), (a.labels, x, y, k)
     assert any(a._int_structure[0] > 1 for a in cases)
 
 

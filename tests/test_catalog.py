@@ -211,10 +211,10 @@ def test_resolve_sum_is_direct_sum(entries, env):
 
 
 def test_resolved_sums_hold_their_constants_and_are_built_once(entries, monkeypatch):
-    # a sum entry is built once, from its summands' integer constants, with
-    # its final labels (renamed repeats or a labels line); every entry keeps
-    # its constants (a table those of its parsed coefficients), so none is
-    # scaled back from its Fraction table
+    # every entry is built once by `_from_int_structure`: a table from the
+    # constants of its parsed coefficients, a sum from its summands' integer
+    # constants with its final labels (renamed repeats or a labels line);
+    # each holds the constants its Fraction table gives
     import jordanalg.algebra as alg
 
     built = []
@@ -227,7 +227,8 @@ def test_resolved_sums_hold_their_constants_and_are_built_once(entries, monkeypa
     env = resolve_all(entries)
     monkeypatch.undo()
     sums = [e for e in entries if e.summands is not None]
-    assert len(sums) > 10 and len(built) == len(sums)
+    assert len(sums) > 10 and len(built) == len(entries)
+    assert sorted(map(tuple, built)) == sorted(env[e.name].labels for e in entries)
     for entry in entries:
         a = env[entry.name]
         assert "_int_structure" in a.__dict__, entry.name

@@ -3,7 +3,7 @@ import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from math import gcd
 
 import pytest
@@ -424,22 +424,76 @@ def test_derived_algebras_match_their_fraction_references(env, dense_env):
 def test_fingerprint_of_a_fresh_table_scales_its_constants_once(dense_env, monkeypatch):
     # the radical's induced algebra, the quotients and the sparser table
     # take their integer constants from the builder; only the table itself
-    # is scaled, with one `_int_vec` of its n^3 constants
-    computing = Algebra.__dict__["_int_structure"].func
-    scaled = []
+    # is scaled, with one `_int_vec` of its n^3 constants, when it is made
+    import jordanalg.algebra as alg
 
-    def counted(b):
-        scaled.append(b)
-        return computing(b)
+    lengths = []
 
-    prop = cached_property(counted)
-    prop.__set_name__(Algebra, "_int_structure")
-    monkeypatch.setattr(Algebra, "_int_structure", prop)
+    def counted(v, _scale=alg._int_vec):
+        lengths.append(len(v))
+        return _scale(v)
+
+    monkeypatch.setattr(alg, "_int_vec", counted)
     for name, (b, _) in dense_env.items():
+        lengths.clear()
         a = fresh(b)
-        scaled.clear()
+        assert lengths == [a.dim**3], name
+        lengths.clear()
         fingerprint(a)
-        assert len(scaled) == 1 and scaled[0] is a, name
+        cubes = {m**3 for m in range(2, a.dim + 1)}
+        assert not cubes.intersection(lengths), name
+
+
+def test_fingerprint_h2_and_b2_build_no_fraction_table(env, dense_env, monkeypatch):
+    # an algebra stores its integer constants only, and its Fraction table
+    # is made when it is read; `fingerprint`, `h2_dims` and `embeds_b2` read
+    # none, on the catalog tables, one dense basis of each, and the
+    # adapted, quotient and induced algebras built on the way
+    import jordanalg.algebra as alg
+    import jordanalg.invariants as inv
+
+    built = []
+
+    def builder(den, srows, labels, _build=alg._from_int_structure):
+        built.append(_build(den, srows, labels))
+        return built[-1]
+
+    cases = [alg._from_int_structure(*a._int_structure, a.labels) for a in env.values()]
+    cases += [change_basis(env[name], p) for name, (_, p) in dense_env.items()]
+    monkeypatch.setattr(alg, "_from_int_structure", builder)
+    monkeypatch.setattr(inv, "_from_int_structure", builder)
+    for a in cases:
+        fingerprint(a)
+        h2_dims(a)
+        embeds_b2(a)
+    monkeypatch.undo()
+    assert len(cases) == 2 * 88 and len(built) > 2 * 88
+    assert not [a.labels for a in cases + built if "table" in a.__dict__]
+
+
+def test_a_table_read_back_gives_an_equal_algebra(env, dense_env):
+    # equality and hashing read labels and integer constants, which are
+    # canonical: the Fraction table of an algebra gives it back, for
+    # catalog tables, changes of basis, plus algebras, unital hulls,
+    # quotients and induced algebras, and a table given in ints gives the
+    # algebra of the same table in Fractions
+    cases = list(env.values()) + [b for b, _ in dense_env.values()]
+    cases += [plus_algebra(matrix_algebra(2)), plus_algebra(matrix_algebra(3))]
+    cases += [unitalization(a) for a in env.values()]
+    for a in list(env.values()) + [b for b, _ in dense_env.values()]:
+        rad, rad_alg, quot = radical_split(a)
+        cases += [induced_algebra(a, rad), quotient_algebra(a, rad), rad_alg, quot]
+    for a in cases:
+        b = Algebra(a.labels, a.table)
+        assert b == a and hash(b) == hash(a), a.labels
+        if a.dim:
+            doubled = [[tuple(2 * x for x in v) for v in row] for row in a.table]
+            assert (Algebra(a.labels, doubled) == a) == (not any(map(any, a._int_structure[1])))
+    ints = [a for a in env.values() if a._int_structure[0] == 1]
+    assert len(ints) > 10
+    for a in ints:
+        b = Algebra(a.labels, [[[int(x) for x in v] for v in row] for row in a.table])
+        assert b == a and hash(b) == hash(a), a.labels
 
 
 def test_radical_split_pieces(env):

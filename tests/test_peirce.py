@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import find_identity, product_span, unitalization
+from jordanalg.algebra import AlgebraError, find_identity, multiply, product_span, unitalization
 from jordanalg.peirce import (
     NotIdempotentError,
     PeirceRuleError,
@@ -12,6 +12,7 @@ from jordanalg.peirce import (
     peirce_multi,
     peirce_single,
 )
+from jordanalg.polysolve import check_b2_witness
 from jordanalg.ratlin import ZERO, Matrix, Subspace, invert, kernel, zero_vec
 from helpers import component_of, peirce_multi_unitalized, reference_mul
 
@@ -28,6 +29,30 @@ def test_is_idempotent_basis_elements(env):
 
 def test_zero_is_not_idempotent(env):
     assert not is_idempotent(env["J9"], zero_vec(4))
+
+
+def test_elements_of_the_wrong_length_are_refused(env):
+    # a short element used to be read as if zero-padded (J56 gave e1 * e1
+    # for (1,) * (1,), and a half eigenspace for (1,)), and a long one with
+    # a nonzero tail raised a raw IndexError
+    a = env["J56"]
+    e, y = a.element({"e1": 1}), a.element({"n3": 1})
+    calls = [
+        lambda v: a.mul(v, v),
+        lambda v: a.mul(e, v),
+        lambda v: multiply(a, v, e),
+        lambda v: eigenspace(a, v, HALF),
+        lambda v: is_idempotent(a, v),
+        lambda v: check_b2_witness(a, v, y),
+        lambda v: check_b2_witness(a, e, v),
+        lambda v: peirce_single(a, v),
+        lambda v: peirce_multi(a, [v]),
+    ]
+    assert check_b2_witness(a, e, y)
+    for v in ((ONE,), (ONE, ZERO, ZERO, ZERO, ONE)):
+        for call in calls:
+            with pytest.raises(AlgebraError, match="^element dimension mismatch$"):
+                call(v)
 
 
 def test_j55_idempotent_family(env):
