@@ -475,17 +475,14 @@ def find_identity(a: Algebra) -> Optional[Vector]:
 
 
 def check_isomorphism(a: Algebra, b: Algebra, p: Matrix) -> bool:
-    """True iff p is invertible and maps a's product to b's on all basis pairs."""
+    """True iff p is invertible and maps a's product to b's on all basis
+    pairs: p a_ij = b(p_i, p_j), which says that b in the basis of p's
+    columns has a's constants, compared in their canonical integer form."""
     if a.dim != b.dim or p.rows != p.cols or p.rows != a.dim:
         return False
     if invert(p) is None:
         return False
-    images = [p.apply(a.basis_vector(i)) for i in range(a.dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if p.apply(a.table[i][j]) != b.mul(images[i], images[j]):
-                return False
-    return True
+    return change_basis(b, p)._int_structure == a._int_structure
 
 
 def change_basis(a: Algebra, p: Matrix) -> Algebra:

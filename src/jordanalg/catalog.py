@@ -65,7 +65,6 @@ from .invariants import (
     radical_split,
 )
 from .polysolve import DEFAULT_BUDGET, embeds_b2
-from .ratlin import HALF
 
 
 class CatalogError(ValueError):
@@ -743,8 +742,8 @@ def check_peirce_placements(
 
     Every place is read in the grid of the unital hull relative to the
     basis idempotents e1..ek, which must be pairwise orthogonal, plus the
-    complement idempotent (index 0), off the products e_k b in the table
-    rows of the idempotents (Jacobson's characterization of the grid).  A
+    complement idempotent (index 0), off the products e_k b in the integer
+    constants of the idempotents (Jacobson's characterization of the grid).  A
     basis idempotent is one labelled `e` and a count, its index, which must
     be nonzero and its own; others, such as `e` or `e_2`, have no index for
     a place to name.  A single-index place names a component for the one
@@ -755,9 +754,10 @@ def check_peirce_placements(
     """
     if not entry.expected.peirce:
         return []
+    den, srows = a._int_structure
     idem = {}
     for i, label in enumerate(a.labels):
-        if a.table[i][i] == a.basis_vector(i) and label[:1] == "e" and _is_count(label[1:]):
+        if srows[i][i] == ((i, den),) and label[:1] == "e" and _is_count(label[1:]):
             k = int(label[1:])
             if k == 0:
                 raise CatalogError(f"{entry.name}: basis idempotent {label} has index 0,"
@@ -774,7 +774,7 @@ def check_peirce_placements(
     family = [idem[k] for k in shown[1:]]
     for x, i in enumerate(family):
         for j in family[x + 1:]:
-            if any(a.table[i][j]):
+            if srows[i][j]:
                 raise CatalogError(f"{entry.name}: basis idempotents {a.labels[i]}"
                                    f" and {a.labels[j]} are not orthogonal")
     results = []
@@ -784,12 +784,12 @@ def check_peirce_placements(
         v = a.labels.index(label)
         # b = b_v lies in N_pq when e_p b = c_p b for every family position p,
         # c_0 = 1 - sum c_k for the complement, and either c_p = c_q = 1/2
-        # (p < q) or c_p = 1 (p = q), every other c being 0
-        prods = [a.table[i][v] for i in family]
-        cs = [prod[v] for prod in prods]
-        cs.insert(0, 1 - sum(cs))
+        # (p < q) or c_p = 1 (p = q), every other c being 0; cs holds den c_p
+        prods = [dict(srows[i][v]) for i in family]
+        cs = [prod.get(v, 0) for prod in prods]
+        cs.insert(0, den - sum(cs))
         held = [p for p, c in enumerate(cs) if c]
-        if any(any(prod[:v] + prod[v + 1:]) for prod in prods) or not {0, HALF, 1} >= set(cs):
+        if any(prod.keys() - {v} for prod in prods) or not {0, den, 2 * den} >= {2 * c for c in cs}:
             display = None
         elif place in _SINGLE_PLACES.values():
             display = _SINGLE_PLACES[held[0], held[-1]]

@@ -1,14 +1,15 @@
 """Multivariate polynomials over Q and a budgeted Buchberger completion.
 
-Existence questions over the algebraic closure reduce to ideal triviality:
-a polynomial system is solvable over the closure iff its reduced Groebner
-basis is not {1}.  The completion is budgeted (a maximum number of S-pair
-reductions plus a coefficient-size guard) so blowups surface as an explicit
-"exhausted" outcome, with its reason, instead of a hang; answers, when
-produced, are exact.  Pending S-pairs wait in a heap keyed once on the lcm
-of their lead monomials, and reduction runs on integer numerators over a
-common denominator.  `buchberger` takes a `PolySystem`, whose Fraction
-polynomials it scales to integers, or integer polynomials as they are.
+A polynomial is stored as its integer numerators over one positive
+denominator, the lcm of the denominators of its coefficients; its Fraction
+coefficients are made only when they are read.  Existence questions over
+the algebraic closure reduce to ideal triviality: a polynomial system is
+solvable over the closure iff its reduced Groebner basis is not {1}.  The
+completion is budgeted (a maximum number of S-pair reductions plus a
+coefficient-size guard) so blowups surface as an explicit "exhausted"
+outcome, with its reason, instead of a hang; answers, when produced, are
+exact.  Pending S-pairs wait in a heap keyed once on the lcm of their lead
+monomials, and reduction runs on the integer numerators.
 
 The only consumer beyond the generic solver is `embeds_b2`, which decides
 whether an algebra contains a subalgebra spanned by an idempotent e and a
@@ -16,9 +17,8 @@ nonzero y with e*y = y/2 and y*y = 0.  Those two equations are homogeneous
 in y, so y != 0 is decided in affine charts (y_i = 1, y_j = 0 for j < i)
 rather than by adjoining a new variable for the inverse of y_i (the
 Rabinowitsch trick): a chart has fewer variables than the system, not more.
-Each chart is written on the integer-scaled structure constants and goes to
-`buchberger` as integer polynomials; `b2_chart_system` gives the same
-system as Fractions.
+`b2_chart_system` writes each chart on the integer-scaled structure
+constants, so no Fraction is made on the way to `buchberger`.
 An associative table needs no chart: there e*y = y/2 gives
 y/2 = (e*e)*y = e*(e*y) = y/4, so y = 0.
 """
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .algebra import Algebra, NonJordanError, is_associative, is_jordan
 from .invariants import is_nilpotent
 from .peirce import eigenspace
-from .ratlin import HALF, ONE, ZERO, Vector, is_zero_vec, rat, vec
+from .ratlin import HALF, ONE, Vector, _int_vec, is_zero_vec, rat, vec
 
 Monomial = tuple[int, ...]
 
@@ -71,21 +71,23 @@ def _mono_lcm(m1: Monomial, m2: Monomial) -> Monomial:
 
 
 class Polynomial:
-    """Sparse polynomial: {exponent tuple: nonzero Fraction coefficient}."""
+    """Sparse polynomial over Q: integer numerators `num` {exponent tuple:
+    nonzero int} over one positive `den`, the lcm of the reduced
+    denominators of the coefficients, so the form is canonical; equality
+    and hashing read it, and `terms` is made from it when first read."""
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names", "num", "den", "_terms")
 
     def __init__(self, names: Sequence[str], terms: Optional[dict] = None):
+        """{exponent tuple: coefficient}, the coefficients ints, Fractions
+        or strings, scaled by one `_int_vec`; zero coefficients are dropped."""
         self.names = tuple(names)
-        clean = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = rat(coeff)
-                if coeff:
-                    if len(exps) != len(self.names):
-                        raise ValueError("exponent vector does not match variable count")
-                    clean[tuple(exps)] = coeff
-        self.terms = clean
+        items = [(tuple(m), rat(c)) for m, c in terms.items()] if terms else []
+        if any(c and len(m) != len(self.names) for m, c in items):
+            raise ValueError("exponent vector does not match variable count")
+        self.den, nums = _int_vec([c for _, c in items])
+        self.num = {m: x for (m, _), x in zip(items, nums) if x}
+        self._terms = None
 
     @classmethod
     def zero(cls, names: Sequence[str]) -> "Polynomial":
@@ -102,48 +104,64 @@ class Polynomial:
         return cls(names, {tuple(exps): ONE})
 
     @classmethod
-    def _of(cls, names: tuple[str, ...], terms: dict) -> "Polynomial":
-        """Wrap terms that are already clean: nonzero Fractions keyed by
-        exponent tuples of the right length."""
+    def _of(cls, names: tuple[str, ...], num: dict, den: int = 1) -> "Polynomial":
+        """Wrap a form that is already canonical: nonzero ints keyed by
+        exponent tuples of the right length, over a positive den with no
+        factor common to all of them."""
         p = cls.__new__(cls)
-        p.names, p.terms = names, terms
+        p.names, p.num, p.den, p._terms = names, num, den, None
         return p
 
+    @classmethod
+    def _lowest(cls, names: tuple[str, ...], num: dict, den: int) -> "Polynomial":
+        """num / den, den positive, in the canonical form: zero numerators
+        dropped and the common factor divided out."""
+        num = {m: x for m, x in num.items() if x}
+        h = gcd(den, *num.values())
+        return cls._of(names, {m: x // h for m, x in num.items()}, den // h)
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: nonzero Fraction coefficient}, made on first read."""
+        if self._terms is None:
+            self._terms = {m: Fraction(x, self.den) for m, x in self.num.items()}
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max((sum(m) for m in self.num), default=0)
 
     def lead(self) -> tuple[Monomial, Fraction]:
-        m = min(self.terms, key=_descending)
-        return m, self.terms[m]
+        m = min(self.num, key=_descending)
+        return m, Fraction(self.num[m], self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) + c
-        return Polynomial(self.names, out)
+        den = lcm(self.den, other.den)
+        out = {m: x * (den // self.den) for m, x in self.num.items()}
+        k = den // other.den
+        for m, x in other.num.items():
+            out[m] = out.get(m, 0) + k * x
+        return Polynomial._lowest(self.names, out, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, ZERO) - c
-        return Polynomial(self.names, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.names, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.names, {m: -x for m, x in self.num.items()}, self.den)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            return Polynomial(self.names, {m: c * x for m, x in self.terms.items()})
+            return Polynomial._lowest(self.names, {m: c.numerator * x for m, x in self.num.items()},
+                                      c.denominator * self.den)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, x1 in self.num.items():
+            for m2, x2 in other.num.items():
                 m = _mono_mul(m1, m2)
-                out[m] = out.get(m, ZERO) + c1 * c2
-        return Polynomial(self.names, out)
+                out[m] = out.get(m, 0) + x1 * x2
+        return Polynomial._lowest(self.names, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -157,11 +175,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.names == other.names
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.names, tuple(sorted(self.terms.items()))))
+        return hash((self.names, self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -198,24 +217,6 @@ class PolySystem:
             if p.names != self.names:
                 raise ValueError("all polynomials must share the variable set")
 
-    def integer_terms(self) -> list[dict]:
-        """Each nonzero polynomial as {monomial: integer}, its numerators
-        over the lcm of its denominators: what `buchberger` completes."""
-        return [_integer_terms(p)[0] for p in self.polynomials if p.terms]
-
-
-@dataclass(frozen=True)
-class _IntegerSystem:
-    """Integer polynomials {monomial: nonzero int} over `names`, handed to
-    `buchberger` as they are, with no Fraction made (the `embeds_b2`
-    charts): `integer_terms` is `terms`, the empty ones left out."""
-
-    terms: tuple[dict, ...]
-    names: tuple[str, ...]
-
-    def integer_terms(self) -> list[dict]:
-        return [t for t in self.terms if t]
-
 
 @dataclass(frozen=True)
 class GroebnerResult:
@@ -244,8 +245,8 @@ class _CoeffBitsExceeded(Exception):
 
 
 # Inside the completion a polynomial is a dict {monomial: integer} over one
-# positive denominator, so reduction multiplies integers instead of
-# Fractions; Fractions appear only where polynomials come in or go out.
+# positive denominator, as `Polynomial.num` and `Polynomial.den` are, so
+# reduction multiplies integers and makes no Fraction.
 # A basis element is kept as its Lead (lm, support, tail, d): the monic
 # polynomial lm - sum(x * m for m, x in tail) / d, with `support` the
 # bitmask of the variables in lm.  Reducing c*m by it adds c * (m/lm) * tail/d.
@@ -254,13 +255,6 @@ Lead = tuple[Monomial, int, tuple[tuple[Monomial, int], ...], int]
 
 def _support(m: Monomial) -> int:
     return sum(1 << k for k, e in enumerate(m) if e)
-
-
-def _integer_terms(p: Polynomial) -> tuple[dict, int]:
-    """({m: numerator}, d) with p.terms[m] == numerator / d."""
-    # not `ratlin._int_vec`: the terms are keyed by monomial, and lists cost 25% more a call
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    return {m: c.numerator * (d // c.denominator) for m, c in p.terms.items()}, d
 
 
 def _lead(terms: dict) -> Lead:
@@ -275,12 +269,14 @@ def _lead(terms: dict) -> Lead:
 
 
 def _leads(basis: Sequence[Polynomial]) -> list[Lead]:
-    return [_lead(_integer_terms(g)[0]) for g in basis if not g.is_zero()]
+    return [_lead(g.num) for g in basis if g.num]
 
 
 def _monic(g: Lead, names: tuple[str, ...]) -> Polynomial:
+    """The monic polynomial of g, whose form is canonical since its Lead
+    has no factor common to d and the tail."""
     lm, _, tail, d = g
-    return Polynomial._of(names, {lm: ONE, **{m: Fraction(-x, d) for m, x in tail}})
+    return Polynomial._of(names, {lm: d, **{m: -x for m, x in tail}}, d)
 
 
 def _reduce(terms: dict, den: int, leads: Sequence[Lead]) -> tuple[dict, int]:
@@ -403,7 +399,7 @@ def _interreduce(leads: list[Lead]) -> list[Lead]:
     return sorted(leads, key=lambda g: degrevlex_key(g[0]))
 
 
-def buchberger(system: PolySystem | _IntegerSystem, budget: int = DEFAULT_BUDGET) -> GroebnerResult:
+def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResult:
     """Reduced Groebner basis in degrevlex, or an exhausted marker.
 
     `budget` caps the number of S-pairs actually reduced (pairs discarded by
@@ -413,10 +409,10 @@ def buchberger(system: PolySystem | _IntegerSystem, budget: int = DEFAULT_BUDGET
     when the pair is pushed; ties go to the smaller (i, j), so the order of
     reduction, and with it `pairs_reduced`, is deterministic.
     """
-    leads = list(map(_lead, system.integer_terms()))
+    leads = _leads(system.polynomials)
     if not leads:
         return GroebnerResult((), 0)
-    one = (Polynomial.const(system.names, 1),)
+    one = (Polynomial._of(system.names, {(0,) * len(system.names): 1}),)
     reduced_count = 0
     try:
         leads = _interreduce(leads)
@@ -476,7 +472,7 @@ def has_solution(system: PolySystem, budget: int = DEFAULT_BUDGET) -> str:
     return _decide(system, budget)[0]
 
 
-def _decide(system: PolySystem | _IntegerSystem, budget: int) -> tuple[str, GroebnerResult]:
+def _decide(system: PolySystem, budget: int) -> tuple[str, GroebnerResult]:
     """`has_solution`'s answer together with the completion behind it."""
     result = buchberger(system, budget)
     if result.exhausted:
@@ -553,17 +549,10 @@ def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
 def b2_chart_system(a: Algebra, i: int) -> PolySystem:
     """e*e = e, e*y = y/2 and y*y = 0 on chart i, where y_i = 1 and y_j = 0
     for j < i.  The variables are e_0..e_{n-1} and y_{i+1}..y_{n-1}.  The
-    polynomials are those of `_b2_chart_terms`, as Fractions."""
-    chart = _b2_chart_terms(a, i)
-    return PolySystem(tuple(Polynomial._of(chart.names, {m: Fraction(x) for m, x in t.items()})
-                            for t in chart.terms), chart.names)
-
-
-def _b2_chart_terms(a: Algebra, i: int) -> _IntegerSystem:
-    """The system of `b2_chart_system`, written on the integer-scaled
-    constants (den, srows) of `_int_structure`: den (e*e - e),
-    2 den (e*y - y/2) and den y*y, positive multiples of the equations, so
-    their monic forms are those of the equations themselves."""
+    polynomials are written on the integer-scaled constants (den, srows) of
+    `_int_structure`: den (e*e - e), 2 den (e*y - y/2) and den y*y, integer
+    polynomials over den 1 and positive multiples of the equations, so their
+    monic forms are those of the equations themselves."""
     n = a.dim
     den, srows = a._int_structure
     names = tuple([f"e{k}" for k in range(n)] + [f"y{k}" for k in range(i + 1, n)])
@@ -592,8 +581,8 @@ def _b2_chart_terms(a: Algebra, i: int) -> _IntegerSystem:
                         products.append((yy, mono(yvar[p], yvar[q]), c))
                 for out, m, x in products:
                     out[k][m] = out[k].get(m, 0) + x
-    terms = tuple({m: x for m, x in t.items() if x} for k in range(n) for t in (ee[k], ey[k], yy[k]))
-    return _IntegerSystem(terms, names)
+    return PolySystem(tuple(Polynomial._of(names, {m: x for m, x in t.items() if x})
+                            for k in range(n) for t in (ee[k], ey[k], yy[k])), names)
 
 
 def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
@@ -612,8 +601,8 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
     nonzero coordinate of y, a solution with y != 0 exists iff some chart i
     of `b2_chart_system` (y_i = 1, y_j = 0 for j < i) has one.  A chart
     answering 'yes' settles the question; 'no' requires every chart to
-    answer 'no'.  Each chart goes to `buchberger` as the integer terms of
-    `_b2_chart_terms`, with no Fraction made.  `B2Result.charts` records
+    answer 'no'.  Each chart goes to `buchberger` as the integer polynomials
+    of `b2_chart_system`, with no Fraction made.  `B2Result.charts` records
     each chart's completion.
     """
     if not is_jordan(a):
@@ -626,7 +615,7 @@ def embeds_b2(a: Algebra, budget: int = DEFAULT_BUDGET) -> B2Result:
 
     charts = []
     for i in range(a.dim):
-        answer, result = _decide(_b2_chart_terms(a, i), budget)
+        answer, result = _decide(b2_chart_system(a, i), budget)
         charts.append(B2Chart(a.labels[i], answer, result.pairs_reduced, result.reason))
         if answer == "yes":
             return B2Result("yes", charts=tuple(charts))

@@ -36,7 +36,7 @@ from jordanalg.cohomology import (
     coboundary_echelon,
 )
 from jordanalg.peirce import PeirceDecomposition, eigenspace, peirce_multi, peirce_single
-from jordanalg.polysolve import PolySystem, Polynomial, _integer_terms, _leads, _reduce
+from jordanalg.polysolve import PolySystem, Polynomial, _leads, _reduce
 from jordanalg.invariants import (
     B2_ORDER,
     Fingerprint,
@@ -257,8 +257,7 @@ def cocycle_subspaces(a: Algebra) -> tuple[Subspace, Subspace]:
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full remainder of p modulo basis (leading and tail terms reduced)."""
-    terms, den = _reduce(*_integer_terms(p), _leads(basis))
-    return Polynomial._of(p.names, {m: Fraction(x, den) for m, x in terms.items()})
+    return Polynomial._lowest(p.names, *_reduce(p.num, p.den, _leads(basis)))
 
 
 def reference_b2_chart_system(a: Algebra, i: int) -> PolySystem:

@@ -323,6 +323,19 @@ def test_verify_catalog_no_fatal(entries):
     assert all(r.jordan_ok for r in report.results)
 
 
+def test_verify_reads_no_fraction_table(entries, monkeypatch):
+    # every check of `verify` and `verify --deep`, the Peirce placements
+    # among them, reads the integer constants: no `Algebra.table` is read
+    reads = []
+    table = Algebra.table
+    monkeypatch.setattr(Algebra, "table",
+                        property(lambda a: reads.append(a.labels) or table.func(a)))
+    for deep in (False, True):
+        report = verify_catalog(entries, deep=deep)
+        assert not report.fatal and len(report.errata) == 9
+    assert reads == []
+
+
 def test_verify_entry_refuses_a_noncommutative_table():
     # catalog tables are mirrored, so commutative; a table built in code
     # with y*x = y and x*y = 0 is refused, not reported

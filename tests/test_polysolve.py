@@ -38,6 +38,35 @@ def test_polynomial_arithmetic():
     assert (p - p).is_zero()
 
 
+def test_polynomial_is_stored_as_integers_over_one_denominator():
+    names = ("x", "y")
+    half, also = P(names, {(1, 0): F(2, 4)}), P(names, {(1, 0): F(1, 2)})
+    assert half == also and hash(half) == hash(also)
+    assert (half.num, half.den) == ({(1, 0): 1}, 2)
+    # int, Fraction and string coefficients give one form; zeros are dropped
+    given = {(2, 0): 3, (1, 1): F(-1, 6), (0, 1): "5/4", (0, 0): 0}
+    p = P(names, given)
+    q = P(names, {m: F(c) for m, c in given.items()})
+    assert (p.num, p.den) == (q.num, q.den) == ({(2, 0): 36, (1, 1): -2, (0, 1): 15}, 12)
+    assert P(names, {(1, 0): 0, (0, 1): F(0, 3)}).num == {}
+    assert p._terms is None
+    assert p.terms == {(2, 0): F(3), (1, 1): F(-1, 6), (0, 1): F(5, 4)}
+    assert all(type(c) is F for c in p.terms.values())
+
+
+def test_polynomial_arithmetic_keeps_the_canonical_form():
+    # every result is stored as the constructor would store its terms
+    rng = seeded_rng("polynomial-form")
+    names = ("x", "y", "z")
+    for _ in range(100):
+        f, g = _random_polynomial(names, rng), _random_polynomial(names, rng)
+        c = F(rng.randint(-6, 6), rng.randint(1, 6))
+        for r in (f + g, f - g, -f, f * g, f * c, c * f, f - f, f ** 2):
+            ref = P(names, r.terms)
+            assert (r.num, r.den) == (ref.num, ref.den)
+            assert r == ref and hash(r) == hash(ref)
+
+
 def test_degrevlex_order():
     # graded first; ties by smaller exponent in the last variable winning
     assert degrevlex_key((2, 0, 0)) > degrevlex_key((1, 1, 0))
@@ -392,21 +421,46 @@ def test_chart_records_of_the_catalog_are_pinned(catalog_b2):
         assert catalog_b2[name].answer == "no"
 
 
-def test_buchberger_completes_integer_chart_terms_as_fraction_systems(env, dense_env):
-    # `embeds_b2` hands `buchberger` the integer terms of each chart with no
-    # Fraction made; they are the integer terms of `b2_chart_system`, and
-    # give the same completion, on the catalog and in dense bases
+def test_chart_systems_are_integer_polynomials_with_no_fraction_made(env, dense_env,
+                                                                      monkeypatch):
+    # `b2_chart_system` writes each chart on the integer constants, over
+    # den 1, and `embeds_b2` decides the charts with no Fraction terms made,
+    # on the catalog and in dense bases
     cases = list(env.items()) + [(f"{name} dense", b) for name, (b, _) in dense_env.items()]
     for name, a in cases:
-        if a.dim > 4:
-            continue
         for i in range(a.dim):
-            chart, system = polysolve._b2_chart_terms(a, i), b2_chart_system(a, i)
-            assert chart.names == system.names, (name, i)
-            terms = chart.integer_terms()
-            assert all(type(x) is int and x for t in terms for x in t.values()), (name, i)
-            assert terms == system.integer_terms(), (name, i)
-            assert buchberger(chart, 20) == buchberger(system, 20), (name, i)
+            for p in b2_chart_system(a, i).polynomials:
+                assert p.den == 1, (name, i)
+                assert all(type(x) is int and x for x in p.num.values()), (name, i)
+                assert p._terms is None, (name, i)
+
+    def made(p):
+        raise AssertionError("Fraction terms made")
+
+    monkeypatch.setattr(Polynomial, "terms", property(made))
+    answers = [embeds_b2(a).answer for _, a in cases]
+    assert answers.count("yes") > 0 and answers.count("no") > 0
+
+
+def test_completed_bases_are_monic(env):
+    # each basis element is stored with its lead numerator equal to den
+    names = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(names, i) for i in range(3))
+    half = Polynomial.const(names, F(1, 2))
+    systems = [PolySystem((x * y - z, y * z - x, x * z - y), names),
+               PolySystem((x * x * 3 - y * half, x * y - z * F(2, 3)), names)]
+    # J56 in this basis has a "yes" chart 0 with a basis of six elements
+    j56 = change_basis(env["J56"], random_invertible_matrix(4, seeded_rng("b2-yes-chart"),
+                                                             dense=True))
+    systems += [b2_chart_system(a, i) for a in (env["J55"], env["J1"], env["T5"], j56)
+                for i in range(4)]
+    elements = 0
+    for system in systems:
+        for g in buchberger(system).basis:
+            lm, lc = g.lead()
+            assert lc == 1 and g.num[lm] == g.den, g
+            elements += 1
+    assert elements > len(systems)
 
 
 def test_pairs_reduced_is_deterministic(env):
