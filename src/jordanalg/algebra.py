@@ -297,10 +297,6 @@ class Algebra:
         return tuple(Fraction(x, scale) for x in _int_products(self, [iu], [iv])[0])
 
 
-def multiply(a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-    return a.mul(x, y)
-
-
 def associator(
     a: Algebra, x: Sequence[Fraction], y: Sequence[Fraction], z: Sequence[Fraction]
 ) -> Vector:

@@ -54,6 +54,7 @@ from .algebra import (
     parse_terms,
 )
 from .invariants import (
+    _adapted_table,
     annihilator,
     derivation_dim,
     fingerprint,
@@ -361,9 +362,9 @@ def resolve(entry: CatalogEntry, env: dict[str, Algebra]) -> Algebra:
     """Entry -> Algebra; sum entries resolve against previously defined names."""
     if entry.summands is not None:
         _entry_dim(entry, {s: env[s].dim for s in entry.summands if s in env})  # the checks
-        if entry.labels_override is None:
-            return resolve_expr(entry.summands, env)
-        return _direct_sum([env[s] for s in entry.summands], entry.labels_override)
+        parts = [env[s] for s in entry.summands]
+        return _direct_sum(parts, entry.labels_override
+                           or _dedupe_labels([l for p in parts for l in p.labels]))
     products = {}
     for la, lb, terms in entry.products:
         rhs = products[la, lb] = {}
@@ -634,13 +635,14 @@ def verify_entry(
     deep: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> EntryResult:
-    # catalog tables are mirrored, so commutative: only the Jordan identity
-    # is scanned, and `derivation_dim` raises on a noncommutative table
+    # catalog tables are mirrored, so commutative: only the Jordan identity is
+    # scanned; a Jordan table's invariants are read on its adapted table
     jv = jordan_violation(a)
     violation = None if jv is None else f"quadruple ({','.join(a.labels[i] for i in jv[0])})"
-    aut = derivation_dim(a)
-    ann = annihilator(a).dim
-    sq = power_chain(a, 2)[1].dim
+    b = a if jv else _adapted_table(a)
+    aut = derivation_dim(b)
+    ann = annihilator(b).dim
+    sq = power_chain(b, 2)[1].dim
     exp = entry.expected
     mismatches = [
         f"{kind}: recorded {recorded}, computed {computed}"
@@ -649,14 +651,14 @@ def verify_entry(
         if recorded is not None and recorded != computed
     ]
     if violation is None:
-        flags = computed_flags(a)
+        flags = computed_flags(b)
         for flag in exp.flags:
             if flag not in flags:
                 mismatches.append(f"flag {flag}: not confirmed by computation")
         if exp.niltype is not None:
-            if not is_nilpotent(a):
+            if not is_nilpotent(b):
                 mismatches.append("niltype: algebra is not nilpotent")
-            elif (nt := nilpotency_type(a)) != exp.niltype:
+            elif (nt := nilpotency_type(b)) != exp.niltype:
                 # written as the catalog writes it: (3,1), not (3, 1)
                 mismatches.append(f"niltype: recorded ({','.join(map(str, exp.niltype))}),"
                                   f" computed ({','.join(map(str, nt))})")

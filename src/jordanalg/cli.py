@@ -29,6 +29,7 @@ from . import catalog as cat
 from .algebra import Algebra, AlgebraError, parse_linear_combination
 from .invariants import (
     Fingerprint,
+    _adapted_table,
     annihilator,
     derivation_dim,
     difference_message,
@@ -114,18 +115,19 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     [(_, a)] = _lookup_named(args.dir, args.name)
-    pp = power_profile(a)
-    rad, rad_alg, _ = radical_split(a)
-    print(f"dim      {a.dim}")
+    b = _adapted_table(a)  # every line is an isomorphism invariant
+    pp = power_profile(b)
+    rad, rad_alg, _ = radical_split(b)
+    print(f"dim      {b.dim}")
     print(f"powers   J^1..J^4 dims {','.join(str(d) for d in pp.assoc_dims)}")
     print(f"lcs      J<1>..J<4> dims {','.join(str(d) for d in pp.lcs_dims)}")
     print(f"nilindex {pp.nilindex if pp.nilindex is not None else '-'}")
-    print(f"ann      {annihilator(a).dim}")
-    print(f"der      {derivation_dim(a)}")
+    print(f"ann      {annihilator(b).dim}")
+    print(f"der      {derivation_dim(b)}")
     nt = ",".join(str(x) for x in nilpotency_type(rad_alg))
     print(f"radical  dim {rad.dim}, nilpotency type ({nt})")
-    print(f"flags    {' '.join(cat.computed_flags(a))}")
-    print(f"tracerk  {a.dim - rad.dim}")  # the radical is the trace-form kernel
+    print(f"flags    {' '.join(cat.computed_flags(b))}")
+    print(f"tracerk  {b.dim - rad.dim}")  # the radical is the trace-form kernel
     return 0
 
 

@@ -199,9 +199,11 @@ def check_cocycle_cells(a: Algebra) -> None:
 
 
 def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
-    """Distinct nonzero integer rows of the cocycle condition, written on the
-    columns `cols` only, as pair rows: sorted tuples of (index in `cols`,
-    nonzero value).
+    """Distinct nonzero integer rows of the cocycle condition of a
+    commutative table, written on the columns `cols` only, as pair rows:
+    sorted tuples of (index in `cols`, nonzero value).  `cocycle_space`,
+    its one caller, refuses a non-Jordan table and builds the delta^1
+    echelon first, which refuses a noncommutative one.
 
     One row per basis quadruple (x, y, z, w) of J and coordinate m: the
     M-part of the linearized identity there, as a form in the unknowns
@@ -237,18 +239,16 @@ def _assemble_cocycle_rows(a: Algebra, cols: Sequence[int]) -> list[tuple[tuple[
     sparse = [entry for row in a._int_structure[1] for entry in row]  # b_p b_q at p n + q
     zws = [zw for zw in range(nsq) if sparse[zw]]  # the nonzero b_z b_w
     # column j of h -> (x, y, h) is (b_x, b_y, b_j), of h -> (zw) h it is
-    # b_j (zw), and of h -> x h it is b_x b_j; a commutative table unpacks
-    # x < k only, (b_k, b_y, b_x) being -(b_x, b_y, b_k)
+    # b_j (zw), and of h -> x h it is b_x b_j; x < k is unpacked only,
+    # (b_k, b_y, b_x) being -(b_x, b_y, b_k) on a commutative table
     width, packed = a._associators
-    sym = a._commutativity_violation is None
     assoc_ops = [[[] for _ in range(n)] for _ in range(n)]
     for x, row in enumerate(packed):
-        for k in range(x + 1 if sym else 0, n):
+        for k in range(x + 1, n):
             for y, block in enumerate(_unpack(row[k], width, n) if row[k] else ()):
                 for m, e in _pairs(block or ()):
                     assoc_ops[x][y].append((m * nunk + k, e))
-                    if sym:
-                        assoc_ops[k][y].append((m * nunk + x, -e))
+                    assoc_ops[k][y].append((m * nunk + x, -e))
     left_ops = [nonzeros(row) for row in a._int_structure[1]]
     prod_ops = [[] for _ in range(nsq)]
     y_zw = [[] for _ in range(n * nsq)]  # sparse b_y (b_z b_w) at y n^2 + z n + w

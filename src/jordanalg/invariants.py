@@ -21,9 +21,10 @@ block, and a's radical split is restricted to it.  The frame comes from the
 minimal polynomials of sample elements of the semisimple J / rad J: the CRT
 idempotents of their rational roots, lifted to orthogonal idempotents of J
 (Jacobson, Structure and Representations of Jordan Algebras).  The catalog
-bases are graded by such a frame already and are used as they are.  The
+bases are graded by such a frame already and are used as they are.  Every
+command reads its invariants there, a non-Jordan `verify` row excepted; the
 public `derivation_dim`, `centroid_dim` and `cocycle_space` work on the
-table as given; `derivation_dim` reads the delta^1 echelon of `cohomology`.
+table as given, `derivation_dim` on the delta^1 echelon of `cohomology`.
 """
 
 from __future__ import annotations
@@ -613,12 +614,9 @@ def _frame(a: Algebra) -> tuple[list[list[int]], int]:
         y = [0] * n
         for c, v in zip(comp, coords):
             y[c] = v
-        if frame:  # k^2 (1 - L)(1 - 2L) y with k = den d, on integers
-            k = den * d
-            ly = _int_products(a, [total], [y])[0]
-            l2y = _int_products(a, [total], [ly])[0]
-            y = [k * k * v - 3 * k * w + 2 * z for v, w, z in zip(y, ly, l2y)]
-            dy *= k * k
+        if frame:  # k^2 (1 - L)(1 - 2L) y, k = den d: its last piece, in J_0
+            *_, y = _peirce_pieces(a, [total], den * d, [y])
+            dy *= (den * d) ** 2
         e, de = _lift_idempotent(a, [Fraction(v, dy) for v in y])
         m = lcm(d, de)
         frame = [[v * (m // d) for v in f] for f in frame] + [[v * (m // de) for v in e]]
@@ -673,16 +671,11 @@ def _adapted_basis(a: Algebra) -> Optional[list[list[int]]]:
     integer echelon).  The basis is None when every kept row is a unit
     vector and either dim J / rad J <= 1 or a's idempotent basis vectors
     grade it (`_graded_by_idempotents`); a nilpotent table keeps those
-    rows.  Otherwise the frame E_1 .. E_k of `_frame(a)` splits each row r
-    into its Peirce grid pieces.  With E_0 for 1 - (E_1 + ... + E_k), so
-    L_0 = 1 - L_1 - ... - L_k, the piece in J_ij, i <= j, is
-    L_i (2 L_i - 1) r for i = j and 4 L_i L_j r otherwise; the L_i commute,
-    the E_i being orthogonal.  The pieces of the rows of the proper flag
-    ideals are read, then the E_i, then the pieces of the unit vectors, and
-    the independent ones are kept as before, reading stopping at dim a of
-    them.  With E_i = F_i / d and k = den d, k L_i r and k^2 L_i L_j r are
-    the integer products F_i r and F_i (F_j r) of `_int_products`, so no
-    matrix of an L_i is built.  A frame of one, the unit lifted from
+    rows.  Otherwise the frame E_1 .. E_k of `_frame(a)` splits each row
+    into its Peirce grid pieces (`_peirce_pieces`).  The pieces of the rows
+    of the proper flag ideals are read, then the E_i, then the pieces of
+    the unit vectors, and the independent ones are kept as before, reading
+    stopping at dim a of them.  A frame of one, the unit lifted from
     J / rad J, cuts each row into its pieces in J_1, J_1/2 and J_0.
     """
     n = a.dim
@@ -696,26 +689,32 @@ def _adapted_basis(a: Algebra) -> Optional[list[list[int]]]:
         return kept
     frame, d = _frame(a)
     k = a._int_structure[0] * d
-    size = len(frame)
-
-    def pieces(rows):
-        for r in rows:
-            ls = _int_products(a, frame, [r])  # k L_i r
-            lls = _int_products(a, frame, ls)  # k^2 L_i L_j r at i * size + j
-            # k^2 L_i L_s r for L_s = L_1 + ... + L_k = 1 - L_0
-            lss = [list(map(sum, zip(*lls[i * size:(i + 1) * size]))) for i in range(size)]
-            for i in range(size):
-                yield [2 * y - k * x for x, y in zip(ls[i], lls[i * size + i])]
-                for j in range(i + 1, size):
-                    yield [4 * y for y in lls[i * size + j]]
-            for i in range(size):
-                yield [4 * (k * x - y) for x, y in zip(ls[i], lss[i])]
-            yield [k * k * z - 3 * k * x + 2 * y
-                   for z, x, y in zip(r, map(sum, zip(*ls)), map(sum, zip(*lss)))]
-
     units = ([int(i == j) for i in range(n)] for j in range(n))
     proper = (r for s in flag if s.dim < n for r in s.int_rows)
-    return _independent_rows(chain(pieces(proper), frame, pieces(units)), n)
+    return _independent_rows(chain(_peirce_pieces(a, frame, k, proper), frame,
+                                   _peirce_pieces(a, frame, k, units)), n)
+
+
+def _peirce_pieces(a: Algebra, frame: list[list[int]], k: int, rows):
+    """k^2 times the Peirce grid pieces of each row r for the frame
+    E_i = F_i / d, k = den d, the one in J_00 last: with L_0 = 1 - L_1 - ...
+    - L_k, that in J_ij, i <= j, is L_i (2 L_i - 1) r if i = j, else
+    4 L_i L_j r (the E_i are orthogonal, so the L_i commute).  k L_i r and
+    k^2 L_i L_j r are the integer products F_i r and F_i (F_j r)."""
+    size = len(frame)
+    for r in rows:
+        ls = _int_products(a, frame, [r])  # k L_i r
+        lls = _int_products(a, frame, ls)  # k^2 L_i L_j r at i * size + j
+        # k^2 L_i L_s r
+        lss = [list(map(sum, zip(*lls[i * size:(i + 1) * size]))) for i in range(size)]
+        for i in range(size):
+            yield [2 * y - k * x for x, y in zip(ls[i], lls[i * size + i])]
+            for j in range(i + 1, size):
+                yield [4 * y for y in lls[i * size + j]]
+        for i in range(size):
+            yield [4 * (k * x - y) for x, y in zip(ls[i], lss[i])]
+        yield [k * k * z - 3 * k * x + 2 * y
+               for z, x, y in zip(r, map(sum, zip(*ls)), map(sum, zip(*lss)))]
 
 
 def _independent_rows(rows, n: int) -> list[list[int]]:

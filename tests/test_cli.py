@@ -134,6 +134,43 @@ def test_verify_deep_echelons_delta1_once_per_algebra(capsys, monkeypatch):
     assert len(built) == len({id(a) for a in built}) == 124
 
 
+def test_invariants_and_verify_read_the_adapted_table(capsys, tmp_path, env, dense_env,
+                                                      monkeypatch):
+    # every line `invariants` prints and every column `verify` recomputes
+    # is an isomorphism invariant, read on the adapted table: a dense basis
+    # prints what the given one prints, and where a sparser table exists
+    # no delta^1 row is written on the dense constants
+    from jordanalg import cohomology
+    from jordanalg.invariants import _sparser_table
+    from gen import dense_basis, truncated_polynomial
+
+    t10 = truncated_polynomial(10)
+    cases = {name: (b, env[name]) for name, (b, _) in dense_env.items()}
+    cases["T10"] = (dense_basis(t10, "dense-truncated-10")[0], t10)
+    sparser = {name: b._int_structure for name, (b, _) in cases.items()
+               if _sparser_table(b) is not None}
+    assert len(sparser) > 80
+    seen = []
+    original = cohomology.coboundary_pair_rows
+    monkeypatch.setattr(cohomology, "coboundary_pair_rows",
+                        lambda a: seen.append(a._int_structure) or original(a))
+    printed = {}
+    for basis, i in (("dense", 0), ("given", 1)):
+        for name, tables in cases.items():
+            path = tmp_path / f"{name}-{basis}.alg"
+            path.write_text(cat.serialize_entry(name, tables[i]))
+            code, printed[basis, name], _ = run(capsys, "invariants", str(path))
+            assert code == 0, (basis, name)
+        d = write_tables(tmp_path / basis, **{name: t[i] for name, t in cases.items()})
+        code, printed[basis], _ = run(capsys, "verify", "--dir", d)
+        assert code == 0, basis
+    for name in cases:
+        assert printed["dense", name] == printed["given", name], name
+    assert printed["dense"] == printed["given"]
+    assert "T10: PASS  [aut=10 ann=1 sq=9]" in printed["dense"].splitlines()
+    assert [name for name, s in sparser.items() if s in seen] == []
+
+
 def test_verify_deep_non_jordan_entry(capsys, tmp_path):
     (tmp_path / "bad.alg").write_text(
         "algebra Bad\n  dim 4\n  basis e1 n1 n2 n3\n  e1*e1 = e1\n"

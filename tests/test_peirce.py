@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanalg.algebra import AlgebraError, find_identity, multiply, product_span, unitalization
+from jordanalg.algebra import AlgebraError, find_identity, product_span, unitalization
 from jordanalg.peirce import (
     NotIdempotentError,
     PeirceRuleError,
@@ -40,7 +40,7 @@ def test_elements_of_the_wrong_length_are_refused(env):
     calls = [
         lambda v: a.mul(v, v),
         lambda v: a.mul(e, v),
-        lambda v: multiply(a, v, e),
+        lambda v: a.mul(v, e),
         lambda v: eigenspace(a, v, HALF),
         lambda v: is_idempotent(a, v),
         lambda v: check_b2_witness(a, v, y),
