@@ -8,8 +8,10 @@ solvable over the closure iff its reduced Groebner basis is not {1}.  The
 completion is budgeted (a maximum number of S-pair reductions plus a
 coefficient-size guard) so blowups surface as an explicit "exhausted"
 outcome, with its reason, instead of a hang; answers, when produced, are
-exact.  Pending S-pairs wait in a heap keyed once on the lcm of their lead
-monomials, and reduction runs on the integer numerators.
+exact.  An input that is a nonzero constant puts 1 in the ideal, so its
+reduced basis is {1} (weak Nullstellensatz) and is returned before any
+interreduction.  Pending S-pairs wait in a heap keyed once on the lcm of
+their lead monomials, and reduction runs on the integer numerators.
 
 The only consumer beyond the generic solver is `embeds_b2`, which decides
 whether an algebra contains a subalgebra spanned by an idempotent e and a
@@ -18,7 +20,9 @@ in y, so y != 0 is decided in affine charts (y_i = 1, y_j = 0 for j < i)
 rather than by adjoining a new variable for the inverse of y_i (the
 Rabinowitsch trick): a chart has fewer variables than the system, not more.
 `b2_chart_system` writes each chart on the integer-scaled structure
-constants, so no Fraction is made on the way to `buchberger`.
+constants, so no Fraction is made on the way to `buchberger`, and the
+witness scan that runs before the charts tests its candidates' squares on
+integer multiples of them.
 An associative table needs no chart: there e*y = y/2 gives
 y/2 = (e*e)*y = e*(e*y) = y/4, so y = 0.
 """
@@ -33,7 +37,7 @@ from math import gcd, lcm
 from operator import add, le, neg, sub
 from typing import Optional, Sequence
 
-from .algebra import Algebra, NonJordanError, is_associative, is_jordan
+from .algebra import Algebra, NonJordanError, _int_products, is_associative, is_jordan
 from .invariants import is_nilpotent
 from .peirce import eigenspace
 from .ratlin import HALF, ONE, Vector, _int_vec, is_zero_vec, rat, vec
@@ -138,6 +142,8 @@ class Polynomial:
         return m, Fraction(self.num[m], self.den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if other.names != self.names:
+            raise ValueError("polynomials over different variable sets")
         den = lcm(self.den, other.den)
         out = {m: x * (den // self.den) for m, x in self.num.items()}
         k = den // other.den
@@ -156,6 +162,8 @@ class Polynomial:
             c = rat(other)
             return Polynomial._lowest(self.names, {m: c.numerator * x for m, x in self.num.items()},
                                       c.denominator * self.den)
+        if other.names != self.names:
+            raise ValueError("polynomials over different variable sets")
         out: dict = {}
         for m1, x1 in self.num.items():
             for m2, x2 in other.num.items():
@@ -408,11 +416,21 @@ def buchberger(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GroebnerResu
     on the degrevlex key of the lcm of their lead monomials, computed once
     when the pair is pushed; ties go to the smaller (i, j), so the order of
     reduction, and with it `pairs_reduced`, is deterministic.
+
+    An input that is a nonzero constant gives {1} with no pair reduced, at
+    any budget, before the interreduction: 1 is in the ideal.  The
+    interreduction it skips ends at {1} too (the constant's lead divides
+    every term and its tail is empty), unless its coefficient guard trips
+    first; the rule then answers {1} where that path would be exhausted,
+    and never gives a different definite answer.
     """
+    constant = (0,) * len(system.names)
+    one = (Polynomial._of(system.names, {constant: 1}),)
+    if any(len(p.num) == 1 and constant in p.num for p in system.polynomials):
+        return GroebnerResult(one, 0)  # a nonzero constant: 1 is in the ideal
     leads = _leads(system.polynomials)
     if not leads:
         return GroebnerResult((), 0)
-    one = (Polynomial._of(system.names, {(0,) * len(system.names): 1}),)
     reduced_count = 0
     try:
         leads = _interreduce(leads)
@@ -527,22 +545,27 @@ def check_b2_witness(a: Algebra, e: Sequence[Fraction], y: Sequence[Fraction]) -
 
 
 def _witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
-    """Look for a rational witness in the half eigenspace of a table idempotent."""
-    small = [rat(c) for c in (1, -1, 2, -2, Fraction(1, 2))]
+    """Look for a rational witness in the half eigenspace of a table
+    idempotent: each RREF row r, then r1 + c r2 for each pair of rows and
+    c = p/q in (1, -1, 2, -2, 1/2).  A row is I/l, I its integer row and l
+    the leading entry of I, so r1 + c r2 is (q l2 I1 + p l1 I2) / (q l1 l2);
+    y*y = 0 is tested on that integer numerator, and only the witness
+    returned is made in Fractions."""
+    small = ((1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2))
     den, srows = a._int_structure
     for i in range(a.dim):
         if srows[i][i] != ((i, den),):  # b_i b_i = b_i
             continue
         e = a.basis_vector(i)
-        half_space = eigenspace(a, e, HALF)
-        rows = half_space.rows
-        candidates: list[Vector] = list(rows)
-        for r1, r2 in itertools.combinations(rows, 2):
-            for c in small:
-                candidates.append(tuple(x + c * y for x, y in zip(r1, r2)))
-        for y in candidates:
-            if not is_zero_vec(y) and is_zero_vec(a.mul(y, y)):
-                return (e, y)
+        ints = eigenspace(a, e, HALF).int_rows
+        rows = [(r, next(x for x in r if x)) for r in ints]
+        candidates = list(rows)  # (numerator, denominator)
+        for (r1, l1), (r2, l2) in itertools.combinations(rows, 2):
+            for p, q in small:
+                candidates.append(([q * l2 * x + p * l1 * y for x, y in zip(r1, r2)], q * l1 * l2))
+        for u, scale in candidates:
+            if not any(_int_products(a, [u], [u])[0]):
+                return e, tuple(Fraction(x, scale) for x in u)
     return None
 
 

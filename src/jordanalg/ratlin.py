@@ -123,9 +123,11 @@ class Matrix:
 
 def _int_vec(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(d, d v): d the lcm of the denominators of v's entries, so that d v
-    is an integer vector."""
-    d = lcm(*(x.denominator for x in v))
-    return d, [x.numerator * (d // x.denominator) for x in v]
+    is an integer vector.  Each denominator is read once; an entry with
+    none (a float or a string) raises AttributeError."""
+    dens = [x.denominator for x in v]
+    d = lcm(*dens)
+    return d, [x.numerator * (d // e) for x, e in zip(v, dens)]
 
 
 def _int_row(frac_row: Sequence[Fraction]) -> list[int]:

@@ -1,6 +1,7 @@
 """Shared check routines used by the property and acceptance suites, and
 reference implementations that faster code in `jordanalg` must match."""
 
+import itertools
 from dataclasses import astuple, is_dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -65,8 +66,10 @@ from jordanalg.ratlin import (
     Vector,
     _int_kernel,
     invert,
+    is_zero_vec,
     kernel,
     rank as matrix_rank,
+    rat,
     solve,
     sub_vec,
     unit_vec,
@@ -294,6 +297,28 @@ def reference_b2_chart_system(a: Algebra, i: int) -> PolySystem:
                     out[k][m] = out[k].get(m, ZERO) + c
     polys = [Polynomial(names, terms) for k in range(n) for terms in (ee[k], ey[k], yy[k])]
     return PolySystem(tuple(polys), names)
+
+
+def reference_witness_scan(a: Algebra) -> Optional[tuple[Vector, Vector]]:
+    """`polysolve._witness_scan` as it was before it tested squares on
+    integer rows, kept verbatim: every candidate y is a Fraction vector,
+    and y*y is taken by `Algebra.mul`."""
+    small = [rat(c) for c in (1, -1, 2, -2, Fraction(1, 2))]
+    den, srows = a._int_structure
+    for i in range(a.dim):
+        if srows[i][i] != ((i, den),):  # b_i b_i = b_i
+            continue
+        e = a.basis_vector(i)
+        half_space = eigenspace(a, e, HALF)
+        rows = half_space.rows
+        candidates: list[Vector] = list(rows)
+        for r1, r2 in itertools.combinations(rows, 2):
+            for c in small:
+                candidates.append(tuple(x + c * y for x, y in zip(r1, r2)))
+        for y in candidates:
+            if not is_zero_vec(y) and is_zero_vec(a.mul(y, y)):
+                return (e, y)
+    return None
 
 
 def coords(s: Subspace, v: Sequence[Fraction]) -> Vector:

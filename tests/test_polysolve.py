@@ -1,11 +1,13 @@
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
 from jordanalg import polysolve
-from jordanalg.algebra import change_basis, is_associative
+from jordanalg.algebra import Algebra, change_basis, is_associative, matrix_algebra, plus_algebra
 from jordanalg.invariants import is_nilpotent
 from jordanalg.polysolve import (
+    DEFAULT_BUDGET,
     B2Chart,
     B2Result,
     PolySystem,
@@ -18,8 +20,9 @@ from jordanalg.polysolve import (
     has_solution,
     is_groebner_basis,
 )
+from jordanalg.ratlin import Matrix, invert
 from conftest import random_invertible_matrix, seeded_rng
-from helpers import normal_form, reference_b2_chart_system
+from helpers import normal_form, reference_b2_chart_system, reference_witness_scan
 
 F = Fraction
 
@@ -65,6 +68,18 @@ def test_polynomial_arithmetic_keeps_the_canonical_form():
             ref = P(names, r.terms)
             assert (r.num, r.den) == (ref.num, ref.den)
             assert r == ref and hash(r) == hash(ref)
+
+
+def test_arithmetic_over_different_variable_sets_is_refused():
+    # as `PolySystem` refuses them: the exponent tuples of x over (x, y)
+    # and z over (z,) do not line up, so x*z is not x^2 and x + z is not x + x
+    x = Polynomial.variable(("x", "y"), 0)
+    z = Polynomial.variable(("z",), 0)
+    for op in (add, sub, mul):
+        for f, g in ((x, z), (z, x)):
+            with pytest.raises(ValueError, match="different variable sets"):
+                op(f, g)
+    assert x * 2 == 2 * x == x + x and (x * F(1, 2)).num == {(1, 0): 1}
 
 
 def test_degrevlex_order():
@@ -419,6 +434,83 @@ def test_chart_records_of_the_catalog_are_pinned(catalog_b2):
                 for l in labels.get(name, "e1 n1 n2 n3").split()]
         assert list(charts) == want, name
         assert catalog_b2[name].answer == "no"
+
+
+def _chart_systems(env, dense_env):
+    """Every chart system of the 88 tables and of their dense bases."""
+    tables = list(env.values()) + [b for b, _ in dense_env.values()]
+    return [b2_chart_system(a, i) for a in tables for i in range(a.dim)]
+
+
+def _has_constant_input(system):
+    return any(p.num and not any(p.lead()[0]) for p in system.polynomials)
+
+
+def test_a_nonzero_constant_input_is_answered_without_a_completion(env, dense_env,
+                                                                    catalog_b2, monkeypatch):
+    # the constant's lead monomial divides every term and its tail is empty,
+    # so the interreduction that `buchberger` skips on such a chart leaves
+    # that constant alone, and the completion is {1} with no pair reduced
+    systems = [s for s in _chart_systems(env, dense_env) if _has_constant_input(s)]
+    for s in systems:
+        one = ((0,) * len(s.names), 0, (), 1)
+        assert polysolve._interreduce(polysolve._leads(s.polynomials)) == [one]
+
+    def interreduce(leads):
+        raise AssertionError("interreduced")
+
+    monkeypatch.setattr(polysolve, "_interreduce", interreduce)
+    for s in systems:
+        for budget in (0, DEFAULT_BUDGET):
+            res = buchberger(s, budget)
+            assert res == polysolve.GroebnerResult((Polynomial.const(s.names, 1),), 0), s
+    # with no constant among the inputs, {x, x + 1} goes through the
+    # interreduction, which finds 1
+    names = ("x",)
+    x = Polynomial.variable(names, 0)
+    system = PolySystem((x, x + Polynomial.const(names, 1)), names)
+    with pytest.raises(AssertionError, match="interreduced"):
+        buchberger(system)
+    monkeypatch.undo()
+    res = buchberger(system)
+    assert res.trivial and res.pairs_reduced == 0
+    # 39 of the 57 catalog charts end at the rule
+    charted = [(env[name], c) for name, res in catalog_b2.items() for c in res.charts]
+    ends = [_has_constant_input(b2_chart_system(a, a.labels.index(c.label))) for a, c in charted]
+    assert (len(ends), sum(ends)) == (57, 39)
+
+
+def test_witness_scan_matches_the_fraction_reference(env, dense_env, monkeypatch):
+    # the same (e, y) or None as the scan that made every candidate in
+    # Fractions, with no Fraction product taken, on the 88 tables, their
+    # dense bases and seeded bases of M_2^+ that keep E11 and mix its half
+    # space, where the witness is a row, or a sum of two rows with each of
+    # the five coefficients, and rows have leading entries other than 1
+    tables = list(env.values()) + [b for b, _ in dense_env.values()]
+    m2 = plus_algebra(matrix_algebra(2))
+    rng = seeded_rng("witness-pairs")
+    while len(tables) < 2 * len(env) + 100:
+        cols = [[1, 0, 0, 0]] + [[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)]
+        p = Matrix.from_rows([list(r) for r in zip(*cols)])
+        if invert(p) is not None:
+            tables.append(change_basis(m2, p))
+    want = [reference_witness_scan(a) for a in tables]
+
+    def product(*args):
+        raise AssertionError("Fraction product")
+
+    monkeypatch.setattr(Algebra, "mul", product)
+    got = [polysolve._witness_scan(a) for a in tables]
+    monkeypatch.undo()
+    assert got == want
+    found = [(a, w) for a, w in zip(tables, got) if w is not None]
+    for a, (e, y) in found:
+        assert check_b2_witness(a, e, y)
+        assert all(type(x) is F for x in e + y)
+    assert sum(w is not None for w in got[:len(env)]) == 31
+    rows = [polysolve.eigenspace(a, e, polysolve.HALF).rows for a, (e, _) in found]
+    pairs = [w for r, (_, w) in zip(rows, found) if w[1] not in r]
+    assert len(pairs) > 10 and len(found) - len(pairs) > 10
 
 
 def test_chart_systems_are_integer_polynomials_with_no_fraction_made(env, dense_env,

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -483,6 +483,27 @@ def test_int_row_matches_the_reference():
         got = ratlin._int_row(row)
         assert got == reference_int_row(row), row
         assert all(type(x) is int for x in got)
+
+
+def test_int_vec_scales_each_entry_by_the_lcm_of_the_denominators():
+    # the lcm d and the integer vector d v, with a vector of ints or
+    # Fractions over 1 read as its numerators; an entry with no
+    # denominator (a float or a string) raises AttributeError, which
+    # `Algebra` turns into its "not an int or a Fraction" error
+    rng = seeded_rng("int-vec")
+    vectors = [[], [0, 0], [3, F(-4), True], [F(1, 2), F(-5, 6), 0, 7]]
+    vectors += [[F(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 8])) for _ in range(6)]
+                for _ in range(200)]
+    for v in vectors:
+        d, scaled = ratlin._int_vec(v)
+        assert d == lcm(1, *(F(x).denominator for x in v)), v
+        assert scaled == [F(x) * d for x in v], v
+        assert all(type(x) is int for x in scaled), v
+    assert any(ratlin._int_vec(v)[0] == 1 for v in vectors[4:])
+    for bad in (1.5, "1/2"):
+        for v in ([bad], [F(1, 3), bad], [2, bad]):
+            with pytest.raises(AttributeError):
+                ratlin._int_vec(v)
 
 
 def poly_from_roots(lead, roots, rest=()):
