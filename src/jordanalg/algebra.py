@@ -108,7 +108,7 @@ class Algebra:
 
     def __init__(self, labels: Sequence[str], table: Sequence[Sequence[Sequence]]):
         """b_i b_j = table[i][j], constants ints or Fractions, scaled by one
-        `_int_vec`; `table` is kept as given."""
+        `_int_vec`."""
         labels = tuple(labels)
         n = len(labels)
         if len(table) != n or any(len(row) != n for row in table):
@@ -128,7 +128,6 @@ class Algebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_int_structure",
                            (den, tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))))
-        self.__dict__["table"] = table
 
     @cached_property
     def table(self) -> tuple[tuple[Vector, ...], ...]:
@@ -428,8 +427,10 @@ def plus_algebra(a: Algebra) -> Algebra:
     return _from_int_structure(2 * a._int_structure[0], sym, a.labels)
 
 
-def unitalization(a: Algebra, unit_label: str = "one") -> Algebra:
-    """Adjoin a formal identity as the last basis element."""
+def unitalization(a: Algebra) -> Algebra:
+    """Adjoin a formal identity as the last basis element, labelled `one`
+    with an `_` appended until the label is new."""
+    unit_label = "one"
     while unit_label in a.labels:
         unit_label += "_"
     den, srows = a._int_structure

@@ -22,13 +22,14 @@ the line that lists it is an error.  Omitted products are zero and
 products are mirrored, so only pairs i <= j are listed: `resolve` sums
 the terms of a product line per label and builds the table with
 `Algebra.from_products`, which mirrors it.  Direct-sum entries may only
-reference previously defined names.  The recorded `expect` values are
-transcribed as-is from the source tables; verification recomputes every
-invariant and reports disagreements as errata rather than editing the
-records.  `verify` checks every `expect` kind; `h2`, `b2` and `radical`
-only with `--deep`.  Files are read as UTF-8, and the entries parsed from
-a file's text are kept for the process, so a text read again is not
-parsed again.
+reference previously defined names.  `resolve` alone builds sums: those
+of sum entries, and the model of `expect radical`, which `verify --deep`
+resolves as a sum entry.  The recorded `expect` values are transcribed
+as-is from the source tables; verification recomputes every invariant and
+reports disagreements as errata rather than editing the records.  `verify`
+checks every `expect` kind; `h2`, `b2` and `radical` only with `--deep`.
+Files are read as UTF-8, and the entries parsed from a file's text are
+kept for the process, so a text read again is not parsed again.
 """
 
 from __future__ import annotations
@@ -322,22 +323,15 @@ def _finish_entry(current: _OpenEntry) -> CatalogEntry:
                         expected=expected)
 
 
-def _require_defined(names: Sequence[str], known: Mapping[str, object]) -> None:
-    for name in names:
-        if name not in known:
-            raise CatalogError(f"unknown summand {name!r}")
-
-
 def _entry_dim(entry: CatalogEntry, dims: Mapping[str, int]) -> int:
     """Dimension of `entry`, given the dimensions of the names defined
     before it.  This is where a sum entry's references are checked: each
     summand must be defined, and a `labels` line must fit the sum."""
     if entry.summands is None:
         return entry.dim
-    try:
-        _require_defined(entry.summands, dims)
-    except CatalogError as exc:
-        raise CatalogError(f"{entry.name}: {exc}") from None
+    for name in entry.summands:
+        if name not in dims:
+            raise CatalogError(f"{entry.name}: unknown summand {name!r}")
     dim = sum(dims[s] for s in entry.summands)
     if dim > MAX_CATALOG_DIM:
         raise CatalogError(f"{entry.name}: dim {dim} exceeds the limit {MAX_CATALOG_DIM}")
@@ -398,16 +392,6 @@ def resolve_named(entries: Sequence[CatalogEntry], name: str) -> Algebra:
     for entry in reversed(chosen):
         env[entry.name] = resolve(entry, env)
     return env[name]
-
-
-def resolve_expr(names: Sequence[str], env: dict[str, Algebra]) -> Algebra:
-    """Direct sum of previously defined algebras, with deduplicated labels."""
-    _require_defined(names, env)
-    parts = [env[n] for n in names]
-    dim = sum(p.dim for p in parts)
-    if dim > MAX_CATALOG_DIM:
-        raise CatalogError(f"dim {dim} exceeds the limit {MAX_CATALOG_DIM}")
-    return _direct_sum(parts, _dedupe_labels([l for p in parts for l in p.labels]))
 
 
 def _unreadable(text: str, breaks: str) -> bool:
@@ -702,10 +686,10 @@ def _deep_checks(
         if b2 != exp.b2:
             failures.append(f"b2: expected {exp.b2}, computed {b2}")
     if exp.radical_expr is not None:
-        try:
-            model = resolve_expr(exp.radical_expr, env)
-        except CatalogError as exc:
-            raise CatalogError(f"{entry.name}: expect radical: {exc}") from None
+        # the model is a sum entry, named so that its errors read
+        # `NAME: expect radical: ...`
+        model = resolve(CatalogEntry(f"{entry.name}: expect radical",
+                                     summands=exp.radical_expr), env)
         if fingerprint(radical_split(a)[1]) != fingerprint(model):
             failures.append(
                 f"radical: fingerprint differs from {' + '.join(exp.radical_expr)}"

@@ -82,21 +82,24 @@ POWER_DEPTH = 4
 def power_chain(a: Algebra, upto: int) -> list[Subspace]:
     """Subspaces J^1..J^upto with J^k = sum_{i+j=k} J^i * J^j.
 
-    The term J * J^(k-1) is the right power J<k> of `lcs_chain` whenever
+    On a commutative table J^i * J^j = J^j * J^i, so only i <= j is
+    spanned; on any other table every ordered pair is.  The term
+    J * J^(k-1) is the right power J<k> of `lcs_chain` whenever
     J^(k-1) = J<k-1>: for k = 2 on any table, and on a commutative table,
     where J * J<k-1> = J<k-1> * J, also for k = 3 and 4.  Those terms are
     read from the memoized chain (padded with its last, stable or zero,
     entry) instead of being spanned again.
     """
     lcs = lcs_chain(a)
-    reach = 4 if is_commutative(a) else 2
+    commutative = is_commutative(a)
+    reach = 4 if commutative else 2
     chain = [Subspace.full(a.dim)]
     for k in range(2, upto + 1):
         if k <= reach:
             s = lcs[min(k, len(lcs)) - 1]
         else:
             s = product_span(a, chain[0], chain[k - 2])
-        for i in range(2, k // 2 + 1):
+        for i in range(2, k // 2 + 1 if commutative else k):
             s = s.add(product_span(a, chain[i - 1], chain[k - i - 1]))
         chain.append(s)
     return chain
@@ -184,11 +187,14 @@ def trace_rank(a: Algebra) -> int:
 
 @per_algebra
 def is_ideal(a: Algebra, s: Subspace) -> bool:
-    """s * J inside s, spanned once per algebra and subspace: the radical
-    split and the quotient it builds share one test."""
+    """s * J, and on a noncommutative table J * s, inside s, spanned once
+    per algebra and subspace: the radical split and the quotient it builds
+    share one test."""
     if s.ambient != a.dim:
         raise AlgebraError("subspace ambient mismatch")
-    return s.contains(product_span(a, s, Subspace.full(a.dim)))
+    full = Subspace.full(a.dim)
+    return s.contains(product_span(a, s, full)) and (
+        is_commutative(a) or s.contains(product_span(a, full, s)))
 
 
 def induced_algebra(a: Algebra, s: Subspace) -> Algebra:
@@ -308,7 +314,9 @@ def annihilator_series(a: Algebra) -> tuple[int, ...]:
 
     A_1 = Ann(J), A_{k+1}/A_k = Ann(J/A_k); the chain of ideals stabilizes
     and its dimension sequence is an isomorphism invariant.  When
-    Ann J = rad J the first quotient is the one `radical_split` keeps.
+    Ann J = rad J the first quotient is the one `radical_split` keeps.  On
+    a noncommutative table Ann(J) = {x : x J = 0} need not be an ideal;
+    the quotient by one that is not raises AlgebraError.
     """
     dims: list[int] = []
     cur = a
@@ -762,7 +770,6 @@ def _sparser_table(a: Algebra) -> Optional[Algebra]:
     quot = _from_int_structure(den, [[tuple((k - r, x) for k, x in entry if k >= r)
                                       for entry in row[r:]] for row in srows[r:]], b.labels[r:])
     radical_split.seed(b, (rad, rad_alg, quot))
-    is_ideal.seed(b, True, rad)
     quotient_algebra.seed(b, quot, rad)
     lcs_chain.seed(b, tuple(s if s.dim in (0, n) else Subspace.span(
         n, [[sum(x * v[k] for k, x in q) for q in qrows] for v in s.int_rows])

@@ -10,7 +10,8 @@ divide each row it scaled by its content (`_int_row`) and take its pairs
 (`_pairs`).
 `_int_kernel` cuts a kernel basis down row by row, so a row dependent on
 earlier ones costs one test and no reduction; `rank`, `int_rows_rank`,
-`kernel` and the cocycle cut use it.  `_pair_echelon` is the one echelon:
+`kernel`, the cocycle cut, `invariants.annihilator` and `peirce.eigenspace`
+use it.  `_pair_echelon` is the one echelon:
 `Subspace`, `rref`, the delta^1 rows of `cohomology` and the flags and
 frames of `invariants` read it, `_int_rref` back-substitutes it in
 integers, and on it `_int_solve` reads a solution (`solve`,

@@ -783,8 +783,9 @@ def reference_plus_algebra(a: Algebra) -> Algebra:
     return Algebra(a.labels, table)
 
 
-def reference_unitalization(a: Algebra, unit_label: str = "one") -> Algebra:
+def reference_unitalization(a: Algebra) -> Algebra:
     """Adjoin a formal identity as the last basis element."""
+    unit_label = "one"
     while unit_label in a.labels:
         unit_label += "_"
     n = a.dim

@@ -73,6 +73,25 @@ def test_a_constant_that_is_not_rational_is_refused_at_construction():
             Algebra(("x", "y"), (((F(1), 0), (0, bad)), ((0, 0), (0, 0))))
 
 
+def test_a_table_of_the_wrong_shape_is_refused_at_construction():
+    with pytest.raises(AlgebraError, match="^structure-constant table must be n x n$"):
+        Algebra(("x", "y"), (((1, 0), (0, 0)),))
+    with pytest.raises(AlgebraError, match="^structure-constant vectors must have length n$"):
+        Algebra(("x", "y"), (((1, 0), (0,)), ((0, 0), (0, 0))))
+
+
+def test_the_table_is_made_from_the_constants_not_kept_as_given():
+    # the caller's lists are read once: changing them afterwards changes
+    # neither the table nor its serialization
+    from jordanalg.catalog import serialize
+
+    given = [[[1]]]
+    a = Algebra(("x",), given)
+    given[0][0][0] = 5
+    assert a.table == (((F(1),),),)
+    assert serialize(a) == "dim 1\nbasis x\nx*x = x"
+
+
 def test_associator_associative_vanishes(env):
     a = env["J3"]
     for i in range(4):
@@ -465,6 +484,11 @@ def test_from_products_unknown_label():
             Algebra.from_products(("e1", "e2"), products)
 
 
+def test_from_products_refuses_duplicate_labels():
+    with pytest.raises(AlgebraError, match="^duplicate basis labels$"):
+        Algebra.from_products(("x", "x"), {})
+
+
 def test_is_associative_examples(env):
     assert is_associative(env["J3"])
     assert not is_associative(env["B2"])
@@ -540,6 +564,11 @@ def test_unitalization_identity_is_adjoined(env):
     a = env["J8"]
     hull = unitalization(a)
     assert find_identity(hull) == hull.basis_vector(hull.dim - 1)
+    assert hull.labels == a.labels + ("one",)
+    # a taken label gets an `_` until it is new
+    for labels in (("one",), ("one_", "one")):
+        taken = Algebra.from_products(labels, {})
+        assert unitalization(taken).labels == labels + ("one" + "_" * len(labels),)
 
 
 def test_find_identity_examples(env):

@@ -6,6 +6,7 @@ import pytest
 from jordanalg.algebra import Algebra, AlgebraError, NonJordanError, _dedupe_labels, direct_sum
 from jordanalg.catalog import (
     MAX_CATALOG_DIM,
+    CatalogEntry,
     CatalogError,
     CatalogParseError,
     check_peirce_placements,
@@ -13,7 +14,6 @@ from jordanalg.catalog import (
     parse_catalog,
     resolve,
     resolve_all,
-    resolve_expr,
     resolve_named,
     serialize,
     serialize_entry,
@@ -128,8 +128,8 @@ def test_dimension_limit(env):
     assert check_references(entries[:1], {"J1": 4})["S"] == MAX_CATALOG_DIM
     with pytest.raises(CatalogError, match=r"^T: dim 17 exceeds the limit 16$"):
         check_references(entries, {"J1": 4, "F1": 1})
-    with pytest.raises(CatalogError, match=r"^dim 17 exceeds the limit 16$"):
-        resolve_expr(["J1"] * 4 + ["F1"], env)
+    with pytest.raises(CatalogError, match=r"^R: dim 17 exceeds the limit 16$"):
+        resolve(CatalogEntry("R", summands=("J1",) * 4 + ("F1",)), env)
     # algebras built in code are not limited
     assert direct_sum(resolve(entry, {}), env["F1"]).dim == MAX_CATALOG_DIM + 1
 
@@ -157,8 +157,8 @@ def test_resolve_rejects_unknown_summand(env):
     (entry,) = parse_catalog("algebra X = B3 + Nope\nend\n")
     with pytest.raises(CatalogError, match="X: unknown summand 'Nope'"):
         resolve(entry, env)
-    with pytest.raises(CatalogError, match="unknown summand 'NOPE'"):
-        resolve_expr(("B2", "NOPE"), env)
+    with pytest.raises(CatalogError, match="^R: unknown summand 'NOPE'$"):
+        resolve(CatalogEntry("R", summands=("B2", "NOPE")), env)
 
 
 def test_check_references_raises_what_resolve_all_raises(entries, env):
@@ -248,7 +248,8 @@ def test_nested_sums_get_distinct_labels(env):
         sums[entry.name] = resolve(entry, sums)
     assert sums["P"].labels == ("e", "e_2")
     assert sums["Q"].labels == ("e", "e_2", "e_3")
-    assert resolve_expr(["P", "P"], sums).labels == ("e", "e_2", "e_3", "e_2_2")
+    assert resolve(CatalogEntry("R", summands=("P", "P")), sums).labels == (
+        "e", "e_2", "e_3", "e_2_2")
 
 
 def test_direct_sum_renames_repeated_labels(env):
@@ -256,7 +257,7 @@ def test_direct_sum_renames_repeated_labels(env):
     # itself serializes and each label names its own coordinate
     f1 = env["F1"]
     a = direct_sum(f1, f1)
-    assert a.labels == ("e", "e_2") == resolve_expr(["F1", "F1"], env).labels
+    assert a.labels == ("e", "e_2") == resolve(CatalogEntry("R", summands=("F1",) * 2), env).labels
     assert a.element({"e": 1}) == (1, 0) and a.element({"e_2": 1}) == (0, 1)
     (entry,) = parse_catalog(serialize_entry("X", a))
     assert (entry.basis, resolve(entry, {}).table) == (a.labels, a.table)
@@ -304,6 +305,8 @@ def test_serialize_refuses_a_label_or_name_that_does_not_read_back():
     for bad in ("a b", "X=Y", ""):
         with pytest.raises(CatalogError, match=re.escape(f"name {bad!r}")):
             serialize_entry(bad, good)
+    with pytest.raises(CatalogError, match="^serialization needs distinct labels$"):
+        serialize(Algebra(("x", "x"), [[[0, 0]] * 2] * 2))
     n = MAX_CATALOG_DIM + 1
     big = Algebra.from_products([f"x{i}" for i in range(n)], {("x0", "x0"): {"x0": 1}})
     with pytest.raises(CatalogError, match=f"^dim {n} exceeds the limit {MAX_CATALOG_DIM}$"):

@@ -414,6 +414,13 @@ def test_io_errors_are_usage_errors(capsys, tmp_path):
         assert "Traceback" not in err, argv
 
 
+def test_show_of_a_file_with_no_entries_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "comments.alg"
+    path.write_text("# a comment\n\n  # and another\n")
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, out, err) == (2, "", f"error: no entries in {path}\n")
+
+
 def test_invariants_from_file(capsys, tmp_path):
     f = tmp_path / "mine.alg"
     f.write_text("algebra Mine = B2 + B3\nend\n")

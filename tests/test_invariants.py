@@ -332,6 +332,37 @@ def test_power_chain_inclusions(env):
         assert chain[1].contains(chain[3])
 
 
+def test_power_chain_spans_every_ordered_pair_on_a_noncommutative_table():
+    # a a = b, b a = c: J^3 = J J^2 + J^2 J = span{c}, though J J^2 = 0;
+    # J^k is the sum of J^i J^(k-i) over every i, spanned directly here
+    a = Algebra.from_products(("a", "b", "c"), {("a", "a"): {"b": 1}, ("b", "a"): {"c": 1}},
+                              symmetric=False)
+    assert [s.dim for s in power_chain(a, 4)] == [3, 2, 1, 0]
+    assert [s.dim for s in power_chain(matrix_algebra(2), 4)] == [4, 4, 4, 4]
+    one_sided = Algebra.from_products(("x", "y"), {("y", "x"): {"y": 1}}, symmetric=False)
+    for b in (a, matrix_algebra(2), matrix_algebra(3), one_sided):
+        want = [Subspace.full(b.dim)]
+        for k in range(2, 5):
+            s = Subspace.span(b.dim, [])
+            for i in range(1, k):
+                s = s.add(product_span(b, want[i - 1], want[k - i - 1]))
+            want.append(s)
+        assert power_chain(b, 4) == want, b.labels
+
+
+def test_is_ideal_is_two_sided_on_a_noncommutative_table():
+    # y x = y: Ann(J) = {v : v J = 0} = span{x} holds x J = 0, but not
+    # J x = span{y}, so it is no ideal, and the annihilator series, whose
+    # quotient by it is not well defined, is refused; span{y} is an ideal
+    a = Algebra.from_products(("x", "y"), {("y", "x"): {"y": 1}}, symmetric=False)
+    x, y = a.basis_vector(0), a.basis_vector(1)
+    assert annihilator(a) == Subspace.span(2, [x])
+    assert not is_ideal(a, annihilator(a))
+    assert is_ideal(a, Subspace.span(2, [y]))
+    with pytest.raises(AlgebraError, match="^quotient requires an ideal$"):
+        annihilator_series(a)
+
+
 def test_radical_plus_quotient_dimensions(env):
     for name, a in env.items():
         rad = radical(a)

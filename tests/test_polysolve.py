@@ -39,6 +39,7 @@ def test_polynomial_arithmetic():
     assert p == x * x - y * y
     assert (x * y) ** 2 == P(names, {(2, 2): 1})
     assert (p - p).is_zero()
+    assert repr(P(names, {(2, 0): 1, (0, 1): F(-1, 2), (0, 0): -3})) == "x^2 - 1/2*y - 3"
 
 
 def test_polynomial_is_stored_as_integers_over_one_denominator():
